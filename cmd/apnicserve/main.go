@@ -48,7 +48,7 @@ func main() {
 	logReqs := flag.Bool("log", false, "log every request (structured, to stderr)")
 	dumpMetrics := flag.Bool("dump-metrics", false, "print the metrics registry as JSON on shutdown")
 	cacheDays := flag.Int("cache-days", apnicweb.DefaultCacheDays,
-		"max days held in each in-memory cache (report, CSV, row index); LRU eviction beyond this")
+		"max days held in each dataset's in-memory artifact cache; LRU eviction beyond this")
 	flag.Parse()
 
 	first, err := dates.Parse(*from)

@@ -72,8 +72,8 @@ func ReportFromFrame(f *source.Frame) (*Report, error) {
 	return r, nil
 }
 
-// Source adapts the generator to the uniform source interface, caching
-// the native reports day-keyed so frame conversion never regenerates.
+// Source adapts the generator to the uniform source interface. Its typed
+// accessor caches native reports day-keyed for the experiment lab.
 type Source struct {
 	gen  *Generator
 	days *source.Days[*Report]
@@ -104,9 +104,11 @@ func (s *Source) Report(d dates.Date) *Report {
 	return s.days.Get(d, s.gen.Generate)
 }
 
-// Generate implements source.Source.
+// Generate implements source.Source. It builds the frame straight from
+// the generator, bypassing the native cache: the registry memoizes the
+// frame itself, so a native copy would only double the resident day.
 func (s *Source) Generate(d dates.Date) *source.Frame {
-	return s.Report(d).Frame()
+	return s.gen.Generate(d).Frame()
 }
 
 // CacheStats reports the native report cache's activity.

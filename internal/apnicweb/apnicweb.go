@@ -33,10 +33,10 @@
 // Report routes exploit day immutability (every dataset-day is a pure
 // function of (seed, date)): responses carry strong ETags derived from
 // the frame content hash, If-None-Match revalidation answers 304 without
-// rendering, Accept-Encoding negotiates gzip bodies out of a bounded
-// pre-compressed hot-day cache, and identity CSV/JSON bodies stream
-// row-by-row without materializing the rendered report. See
-// conditional.go and serveImmutable.
+// rendering, Accept-Encoding negotiates gzip bodies pre-compressed once
+// per resident day, and identity CSV/JSON bodies stream row-by-row
+// without materializing the rendered report. See conditional.go and
+// serveImmutable.
 package apnicweb
 
 import (
@@ -49,6 +49,7 @@ import (
 	"log"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -61,28 +62,25 @@ import (
 	"repro/internal/source/binfmt"
 	"repro/internal/source/bundle"
 	"repro/internal/source/framez"
-	"repro/internal/syncx"
 	"repro/internal/world"
 )
 
 // Server serves generated reports for a date range.
 //
-// Day artifacts are cached with per-day singleflight entries: concurrent
-// requests for the same day share one generation, requests for distinct
-// days generate in parallel. (The old coarse-mutex version could either
-// serialize the whole request path or, when naively double-checked,
-// generate the same day twice under load.)
-//
-// The caches are bounded LRUs (NewServerCached sets the capacity, default
-// DefaultCacheDays): a scan over a multi-year range no longer pins every
-// day's report, CSV, and row index in memory forever. Eviction is safe
-// because every artifact is a pure function of (seed, date) — an evicted
-// day regenerates byte-identically on the next request.
+// The server keeps no day cache of its own. Every dataset-day lives in
+// one place, the registry's artifact (source.Registry.Artifact): the
+// frame plus its content hash, every encoded body (bin, binz, legacy CSV,
+// gzip) and the series row index. Concurrent requests for one day share
+// one generation and one fill per part; distinct days fill in parallel.
+// The artifact cache is a bounded LRU per dataset (NewServerCached sets
+// the capacity, default DefaultCacheDays), and a day's parts are evicted
+// with it. Eviction is safe because every part is a pure function of
+// (seed, date): an evicted day regenerates byte-identically on the next
+// request.
 type Server struct {
-	reg      *source.Registry
-	apnicSrc *apnic.Source // legacy alias routes need the native reports
-	first    dates.Date
-	last     dates.Date
+	reg   *source.Registry
+	first dates.Date
+	last  dates.Date
 
 	// Log, when non-nil, receives structured request logs and render
 	// failures. Set it before calling Handler.
@@ -96,11 +94,6 @@ type Server struct {
 	writeFrameCSV  func(*source.Frame, io.Writer) error
 	writeFrameJSON func(*source.Frame, io.Writer) error
 
-	csv   *syncx.LRU[dates.Date, csvDay]              // legacy APNIC CSV per day
-	index *syncx.LRU[dates.Date, map[seriesKey]int32] // (ASN, CC) → row position per day
-	etags *syncx.LRU[frameKey, string]                // frame content hash per (dataset, day)
-	gzips *syncx.LRU[gzKey, csvDay]                   // pre-compressed hot-day bodies
-
 	renderErrs   *obsv.Counter
 	streamAborts *obsv.Counter
 	notModified  *obsv.Counter
@@ -112,38 +105,10 @@ type Server struct {
 	liveState
 }
 
-// DefaultCacheDays bounds each day cache when NewServer is used: a year
-// of reports, which covers the usual serving window while keeping a
-// multi-year scan from growing the process without limit.
+// DefaultCacheDays bounds each dataset's artifact cache when NewServer
+// is used: a year of days, which covers the usual serving window while
+// keeping a multi-year scan from growing the process without limit.
 const DefaultCacheDays = 365
-
-type csvDay struct {
-	body []byte
-	etag string // content hash of the identity body (legacy cache only)
-	err  error
-}
-
-// frameKey identifies one dataset-day artifact in the generic caches.
-type frameKey struct {
-	dataset string
-	day     int // dates.Date.DayNumber()
-}
-
-// gzKey identifies one pre-compressed representation: the repr
-// distinguishes codecs ("csv", "json", "legacy") because the same
-// dataset-day compresses to different bytes under each.
-type gzKey struct {
-	repr    string
-	dataset string
-	day     int
-}
-
-// seriesKey identifies one row of a day's report: the paper's
-// per-(country, AS) series identity.
-type seriesKey struct {
-	asn uint32
-	cc  string
-}
 
 // NewServer returns an APNIC-only server for [first, last] with
 // DefaultCacheDays of bounded day caching.
@@ -151,77 +116,49 @@ func NewServer(gen *apnic.Generator, first, last dates.Date) *Server {
 	return NewServerCached(gen, first, last, DefaultCacheDays)
 }
 
-// NewServerCached returns an APNIC-only server whose day caches each hold
-// at most cacheDays entries, evicting least recently used days. cacheDays
+// NewServerCached returns an APNIC-only server whose artifact cache holds
+// at most cacheDays days, evicting least recently used days. cacheDays
 // < 1 is clamped to 1. The generic routes serve the single "apnic"
 // dataset; NewMultiServer serves the full roster.
 func NewServerCached(gen *apnic.Generator, first, last dates.Date, cacheDays int) *Server {
+	cacheDays = max(1, cacheDays)
 	metrics := obsv.NewRegistry()
 	reg := source.NewRegistry(metrics, cacheDays)
-	apnicSrc := apnic.NewSource(gen, metrics, cacheDays)
-	reg.Register(apnicSrc)
-	return newServer(reg, apnicSrc, first, last, cacheDays, metrics)
+	reg.Register(apnic.NewSource(gen, metrics, cacheDays))
+	return newServer(reg, first, last, metrics)
 }
 
 // NewMultiServer builds the full seven-dataset roster over one world and
 // serves every dataset under /v1/{dataset}/..., with the legacy APNIC
-// routes aliasing the "apnic" dataset.
+// routes aliasing the "apnic" dataset. cacheDays bounds each dataset's
+// artifact cache.
 func NewMultiServer(w *world.World, seed uint64, first, last dates.Date, cacheDays int) *Server {
 	metrics := obsv.NewRegistry()
 	b := bundle.New(w, seed, bundle.Config{Metrics: metrics, CacheDays: cacheDays})
-	return newServer(b.Registry, b.APNIC, first, last, cacheDays, metrics)
+	return newServer(b.Registry, first, last, metrics)
 }
 
-func newServer(reg *source.Registry, apnicSrc *apnic.Source, first, last dates.Date, cacheDays int, metrics *obsv.Registry) *Server {
-	if cacheDays < 1 {
-		cacheDays = 1
-	}
+func newServer(reg *source.Registry, first, last dates.Date, metrics *obsv.Registry) *Server {
 	// Idempotent when the bundle already injected them; the APNIC-only
 	// constructors build a bare registry that must learn the codecs here.
 	reg.SetBinCodec(binfmt.Encode)
 	reg.SetBinzCodec(framez.Encode)
-	rosterCap := cacheDays * max(1, len(reg.Names()))
 	s := &Server{
 		reg:            reg,
-		apnicSrc:       apnicSrc,
 		first:          first,
 		last:           last,
 		metrics:        metrics,
 		writeCSV:       (*apnic.Report).WriteCSV,
 		writeFrameCSV:  (*source.Frame).WriteCSV,
 		writeFrameJSON: (*source.Frame).WriteJSON,
-		csv:            syncx.NewLRU[dates.Date, csvDay](cacheDays),
-		index:          syncx.NewLRU[dates.Date, map[seriesKey]int32](cacheDays),
-		// One day-budget per dataset: the generic caches serve the whole
-		// roster, so their capacity scales with the roster size.
-		etags: syncx.NewLRU[frameKey, string](rosterCap),
-		gzips: syncx.NewLRU[gzKey, csvDay](rosterCap),
 	}
 	s.renderErrs = s.metrics.Counter("apnicweb_render_errors_total")
 	s.streamAborts = s.metrics.Counter("apnicweb_stream_aborts_total")
 	s.notModified = s.metrics.Counter("apnicweb_not_modified_total")
 	s.encGzip = s.metrics.Counter(`apnicweb_responses_total{encoding="gzip"}`)
 	s.encIdentity = s.metrics.Counter(`apnicweb_responses_total{encoding="identity"}`)
-	// Cache counters live in the LRUs on the hot path and are surfaced as
-	// gauges at scrape time, so serving cost stays flat. The native
-	// report cache's series (source_cache_*{dataset="apnic"}, ...) are
-	// registered by the source layer on the same registry.
-	s.metrics.GaugeFunc("apnicweb_cache_capacity_days", func() float64 { return float64(s.csv.Cap()) })
-	s.metrics.GaugeFunc("apnicweb_csv_cache_evictions", func() float64 {
-		_, _, e := s.csv.Stats()
-		return float64(e)
-	})
-	s.metrics.GaugeFunc("apnicweb_index_cache_evictions", func() float64 {
-		_, _, e := s.index.Stats()
-		return float64(e)
-	})
-	s.metrics.GaugeFunc("apnicweb_csv_cache_days", func() float64 { return float64(s.csv.Len()) })
-	s.metrics.GaugeFunc("apnicweb_gzip_cache_days", func() float64 { return float64(s.gzips.Len()) })
-	s.metrics.GaugeFunc("apnicweb_gzip_cache_evictions", func() float64 {
-		_, _, e := s.gzips.Stats()
-		return float64(e)
-	})
-	s.metrics.GaugeFunc("apnicweb_etag_cache_days", func() float64 { return float64(s.etags.Len()) })
+	// Day-cache series (source_frame_*{dataset=...}) are registered by the
+	// source layer on the same registry.
 	return s
 }
 
@@ -231,27 +168,6 @@ func (s *Server) Metrics() *obsv.Registry { return s.metrics }
 
 // Registry exposes the dataset roster the server serves.
 func (s *Server) Registry() *source.Registry { return s.reg }
-
-// report returns the (cached) generated report for a day, generating it
-// at most once even when many requests race on a cold day.
-func (s *Server) report(d dates.Date) *apnic.Report {
-	return s.apnicSrc.Report(d)
-}
-
-// rowIndex returns the day's (ASN, CC) → row-position map, built once
-// per day. Series requests used to scan all of a day's rows per lookup
-// (O(rows) each, tens of thousands of comparisons); the index makes
-// every lookup after the first O(1).
-func (s *Server) rowIndex(d dates.Date) map[seriesKey]int32 {
-	return s.index.Get(d, func() map[seriesKey]int32 {
-		rep := s.report(d)
-		m := make(map[seriesKey]int32, len(rep.Rows))
-		for i, row := range rep.Rows {
-			m[seriesKey{row.ASN, row.CC}] = int32(i)
-		}
-		return m
-	})
-}
 
 // routeLabel collapses request paths onto their route patterns so the
 // per-route metric series stay bounded no matter what clients request.
@@ -382,8 +298,7 @@ func (s *Server) handleDatasetDates(w http.ResponseWriter, r *http.Request) {
 // and negotiate gzip through serveImmutable — except binz, which is
 // already entropy-coded and always serves identity. Text identity
 // bodies stream row-by-row and are never materialized server-side;
-// binary bodies are served from the registry's memoized encodings — the
-// compact artifact IS the cache.
+// binary bodies are the day artifact's memoized encodings.
 func (s *Server) handleDatasetReport(w http.ResponseWriter, r *http.Request) {
 	src, ok := s.lookupDataset(w, r)
 	if !ok {
@@ -412,20 +327,20 @@ func (s *Server) handleDatasetReport(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusNotFound, "date out of served range")
 		return
 	}
-	f, err := s.reg.Frame(src.Name(), d)
+	a, err := s.reg.Artifact(src.Name(), d)
 	if err == nil {
 		// Pre-flight the frame shape before any byte is written: once the
 		// stream starts, a failure can only abort the connection, so every
 		// error detectable up front must become a clean 500 here.
-		err = f.Check()
+		err = a.Frame.Check()
 	}
 	var binBody []byte
 	if err == nil {
 		switch {
 		case wantBin:
-			binBody, err = s.reg.FrameBin(src.Name(), d)
+			binBody, err = a.Bin()
 		case wantBinz:
-			binBody, err = s.reg.FrameBinz(src.Name(), d)
+			binBody, err = a.Binz()
 		}
 	}
 	if err != nil {
@@ -437,9 +352,10 @@ func (s *Server) handleDatasetReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	b := immutableBody{
+		art:     a,
 		dataset: src.Name(),
 		day:     d,
-		hash:    s.frameHash(src.Name(), d, f),
+		hash:    a.Hash(),
 		fail: func(code int, msg string) {
 			s.renderErrs.Inc()
 			jsonError(w, code, msg)
@@ -463,31 +379,25 @@ func (s *Server) handleDatasetReport(w http.ResponseWriter, r *http.Request) {
 		b.declareLen = true
 		// Already entropy-coded: gzip on top costs CPU on both ends for
 		// negative savings, so the representation is identity-only and
-		// never enters the pre-compressed LRU.
+		// never gets a pre-compressed body.
 		b.noGzip = true
 	case wantCSV:
 		b.repr, b.contentType = "csv", "text/csv; charset=utf-8"
-		b.stream = func(w io.Writer) error { return s.writeFrameCSV(f, w) }
+		b.stream = func(w io.Writer) error { return s.writeFrameCSV(a.Frame, w) }
 	default:
 		b.repr, b.contentType = "json", "application/json"
-		b.stream = func(w io.Writer) error { return s.writeFrameJSON(f, w) }
+		b.stream = func(w io.Writer) error { return s.writeFrameJSON(a.Frame, w) }
 	}
 	s.serveImmutable(w, r, b)
 }
 
-// frameHash memoizes the frame content hash per (dataset, day). Hashing
-// is much cheaper than rendering (no per-cell formatting) but still
-// O(cells), so a hot day pays it once while resident.
-func (s *Server) frameHash(dataset string, d dates.Date, f *source.Frame) string {
-	return s.etags.Get(frameKey{dataset, d.DayNumber()}, f.ContentHash)
-}
-
 // immutableBody describes one immutable dataset-day representation for
-// serveImmutable: a pre-rendered identity body (legacy CSV, whose bytes
-// are cached anyway for the byte-identity contract) or a streamable
-// render (generic frame routes). Exactly one of body and stream is set.
+// serveImmutable: a materialized identity body (legacy CSV, bin) held by
+// the day's artifact, or a streamable render (frame CSV and JSON).
+// Exactly one of body and stream is set.
 type immutableBody struct {
-	repr        string // representation key: "csv", "json", "bin", "binz", "legacy"
+	repr        string           // representation key: "csv", "json", "bin", "binz", "legacy"
+	art         *source.Artifact // the day; its gzip bodies are memoized here
 	dataset     string
 	day         dates.Date
 	contentType string
@@ -501,13 +411,13 @@ type immutableBody struct {
 }
 
 // serveImmutable finishes a report response: ETag / If-None-Match
-// validation, Accept-Encoding negotiation, the bounded pre-compressed
-// cache for gzip bodies, and row-streamed identity bodies.
+// validation, Accept-Encoding negotiation, gzip bodies memoized on the
+// day's artifact, and row-streamed identity bodies.
 //
 // Ordering is load-bearing. The 304 check runs before any rendering so a
 // revalidation costs one memoized hash lookup. The gzip body is rendered
-// into the cache from the frame — never teed off a live response — so a
-// mid-download disconnect cannot poison it. The identity stream writes
+// into the artifact from the frame — never teed off a live response — so
+// a mid-download disconnect cannot poison it. The identity stream writes
 // last, after every fallible step, because once it starts the only
 // honest way to report failure is aborting the connection (streamBody).
 func (s *Server) serveImmutable(w http.ResponseWriter, r *http.Request, b immutableBody) {
@@ -576,8 +486,8 @@ func (s *Server) serveImmutable(w http.ResponseWriter, r *http.Request, b immuta
 			return
 		}
 		h.Set("Content-Encoding", "gzip")
-		// The compressed body is materialized (that is the point of the
-		// hot-day cache), so its length is known and safe to declare.
+		// The compressed body is materialized (it is memoized on the
+		// artifact), so its length is known and safe to declare.
 		h.Set("Content-Length", strconv.Itoa(len(body)))
 		s.encGzip.Inc()
 		w.Write(body)
@@ -619,10 +529,10 @@ func (s *Server) streamBody(w http.ResponseWriter, b immutableBody) {
 	}
 }
 
-// gzipWriters pools gzip.Writer instances for the pre-compressed-LRU
-// fill path. A gzip writer carries ~1.3MB of deflate state (hash chains,
-// window, output buffers); constructing one per cache fill made every
-// cold gzip request pay that allocation and the GC churn behind it.
+// gzipWriters pools gzip.Writer instances for the gzip body fill path.
+// A gzip writer carries ~1.3MB of deflate state (hash chains, window,
+// output buffers); constructing one per fill made every cold gzip
+// request pay that allocation and the GC churn behind it.
 // Reset rebinds a pooled writer to a new destination with the same
 // BestSpeed level, and gzip output is a pure function of (input, level),
 // so reuse is byte-identical to a fresh writer — pinned by
@@ -634,14 +544,14 @@ var gzipWriters = sync.Pool{
 	},
 }
 
-// gzipBody returns the cached gzip representation, rendering and
-// compressing it at most once per (repr, dataset, day) while resident.
-// The fill renders from the immutable artifact, never from a client
-// connection, so partial client reads cannot poison the cache; and gzip
-// output is deterministic for a fixed input and level, so a refill after
-// eviction is byte-identical.
+// gzipBody returns the gzip representation, rendered and compressed at
+// most once per representation while the day's artifact is resident
+// (memoized under the ETag variant, e.g. "csv.gz"). The fill renders from
+// the artifact, never from a client connection, so partial client reads
+// cannot poison it; and gzip output is deterministic for a fixed input
+// and level, so a refill after eviction is byte-identical.
 func (s *Server) gzipBody(b immutableBody) ([]byte, error) {
-	day := s.gzips.Get(gzKey{b.repr, b.dataset, b.day.DayNumber()}, func() csvDay {
+	gz := b.art.Body(b.repr+".gz", func(*source.Frame) source.Body {
 		var buf bytes.Buffer
 		zw := gzipWriters.Get().(*gzip.Writer)
 		zw.Reset(&buf)
@@ -658,13 +568,11 @@ func (s *Server) gzipBody(b immutableBody) ([]byte, error) {
 		// a closed writer is reusable by contract.
 		gzipWriters.Put(zw)
 		if err != nil {
-			// Deterministic render: the failure recurs on every attempt,
-			// so caching it is sound (and repeat requests see one message).
-			return csvDay{err: err}
+			return source.Body{Err: err}
 		}
-		return csvDay{body: buf.Bytes()}
+		return source.Body{Bytes: buf.Bytes()}
 	})
-	return day.body, day.err
+	return gz.Bytes, gz.Err
 }
 
 // GenericSeriesPoint is one date of a generic per-row series: every
@@ -683,60 +591,55 @@ type GenericSeriesResponse struct {
 }
 
 // seriesSelector maps a dataset's route key to the frame columns that
-// identify one row. Unified rule: itu rows are keyed by country alone
-// (the key IS the cc); apnic rows by (AS, cc); every per-(country, org)
-// dataset by (Org, cc).
-func seriesSelector(dataset, key, cc string) (map[string]string, string, error) {
+// identify one row and the cells to find in them. Unified rule: itu rows
+// are keyed by country alone (the key IS the cc); apnic rows by (AS, cc);
+// every per-(country, org) dataset by (Org, cc). The ASN is parsed and
+// re-formatted, so "AS002435" finds the row of AS2435.
+func seriesSelector(dataset, key, cc string) (cols, cells []string, country string, err error) {
 	switch dataset {
 	case "itu":
-		return map[string]string{"CC": key}, "", nil
+		return []string{"CC"}, []string{key}, "", nil
 	case apnic.DatasetName:
-		asn, ok := strings.CutPrefix(key, "AS")
+		digits, ok := strings.CutPrefix(key, "AS")
 		if !ok {
-			return nil, "", fmt.Errorf("want /v1/%s/series/AS<asn>", dataset)
+			return nil, nil, "", fmt.Errorf("want /v1/%s/series/AS<asn>", dataset)
 		}
-		if _, err := strconv.ParseUint(asn, 10, 32); err != nil {
-			return nil, "", fmt.Errorf("bad ASN")
+		asn, err := strconv.ParseUint(digits, 10, 32)
+		if err != nil {
+			return nil, nil, "", fmt.Errorf("bad ASN")
 		}
 		if cc == "" {
-			return nil, "", fmt.Errorf("missing cc parameter")
+			return nil, nil, "", fmt.Errorf("missing cc parameter")
 		}
-		return map[string]string{"AS": asn, "CC": cc}, cc, nil
+		return apnicSeriesCols, []string{strconv.FormatUint(asn, 10), cc}, cc, nil
 	default:
 		if cc == "" {
-			return nil, "", fmt.Errorf("missing cc parameter")
+			return nil, nil, "", fmt.Errorf("missing cc parameter")
 		}
-		return map[string]string{"Org": key, "CC": cc}, cc, nil
+		return []string{"Org", "CC"}, []string{key, cc}, cc, nil
 	}
 }
 
-// matchRow returns the index of the first row whose cells equal the
-// selector, or -1. Cells compare in codec form, so int columns match
-// their decimal strings.
-func matchRow(f *source.Frame, sel map[string]string) int {
-	cols := make([]*source.Column, 0, len(sel))
-	want := make([]string, 0, len(sel))
-	for name, v := range sel {
-		c := f.Col(name)
-		if c == nil {
-			return -1
+// apnicSeriesCols identify one APNIC row: the paper's per-(country, AS)
+// series identity, shared by the generic and legacy series routes.
+var apnicSeriesCols = []string{"AS", "CC"}
+
+// seriesRows calls visit with each day of days whose frame holds the row
+// keyed by cells over cols. The lookup goes through the day artifact's
+// row index, built once per resident day: a linear scan would cost
+// O(rows) comparisons per day per request.
+func (s *Server) seriesRows(dataset string, days []dates.Date, cols, cells []string, visit func(d dates.Date, f *source.Frame, row int)) error {
+	key := source.RowKey(cells...)
+	for _, d := range days {
+		a, err := s.reg.Artifact(dataset, d)
+		if err != nil {
+			return err
 		}
-		cols = append(cols, c)
-		want = append(want, v)
-	}
-	for i := 0; i < f.Rows(); i++ {
-		hit := true
-		for j, c := range cols {
-			if c.Cell(i) != want[j] {
-				hit = false
-				break
-			}
-		}
-		if hit {
-			return i
+		if row, ok := a.RowIndex(cols...)[key]; ok {
+			visit(d, a.Frame, row)
 		}
 	}
-	return -1
+	return nil
 }
 
 // handleDatasetSeries serves a per-row time series for any dataset: the
@@ -747,7 +650,7 @@ func (s *Server) handleDatasetSeries(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	sel, cc, err := seriesSelector(src.Name(), r.PathValue("key"), q.Get("cc"))
+	cols, cells, cc, err := seriesSelector(src.Name(), r.PathValue("key"), q.Get("cc"))
 	if err != nil {
 		jsonError(w, http.StatusBadRequest, err.Error())
 		return
@@ -757,19 +660,10 @@ func (s *Server) handleDatasetSeries(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := GenericSeriesResponse{Dataset: src.Name(), Key: r.PathValue("key"), Country: cc}
-	for _, d := range dates.Range(from, to, step) {
-		f, err := s.reg.Frame(src.Name(), d)
-		if err != nil {
-			jsonError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		i := matchRow(f, sel)
-		if i < 0 {
-			continue
-		}
+	err = s.seriesRows(src.Name(), dates.Range(from, to, step), cols, cells, func(d dates.Date, f *source.Frame, i int) {
 		vals := map[string]float64{}
 		for _, c := range f.Cols {
-			if _, isKey := sel[c.Name]; isKey {
+			if slices.Contains(cols, c.Name) {
 				continue
 			}
 			switch c.Kind {
@@ -780,6 +674,10 @@ func (s *Server) handleDatasetSeries(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		resp.Points = append(resp.Points, GenericSeriesPoint{Date: d.String(), Values: vals})
+	})
+	if err != nil {
+		jsonError(w, http.StatusInternalServerError, err.Error())
+		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
@@ -875,14 +773,15 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 	}
 
 	resp := SeriesResponse{ASN: uint32(asn64), Country: cc}
-	key := seriesKey{resp.ASN, cc}
-	for _, d := range dates.Range(from, to, step) {
-		if i, ok := s.rowIndex(d)[key]; ok {
-			row := s.report(d).Rows[i]
-			resp.Points = append(resp.Points, SeriesPoint{
-				Date: d.String(), Users: row.Users, Samples: row.Samples,
-			})
-		}
+	cells := []string{strconv.FormatUint(asn64, 10), cc}
+	err = s.seriesRows(apnic.DatasetName, dates.Range(from, to, step), apnicSeriesCols, cells, func(d dates.Date, f *source.Frame, i int) {
+		resp.Points = append(resp.Points, SeriesPoint{
+			Date: d.String(), Users: f.Col("Estimated Users").Floats[i], Samples: f.Col("Samples").Ints[i],
+		})
+	})
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
@@ -914,7 +813,12 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "date out of served range", http.StatusNotFound)
 		return
 	}
-	body, hash, err := s.render(d)
+	a, err := s.reg.Artifact(apnic.DatasetName, d)
+	var legacy source.Body
+	if err == nil {
+		legacy = a.Body("legacy", s.legacyCSV)
+		err = legacy.Err
+	}
 	if err != nil {
 		// The old handler swallowed err here, leaving operators with an
 		// opaque 500 and no counter to alert on.
@@ -925,16 +829,16 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "report generation failed: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	// The identity body stays the cached native render, byte-identical to
-	// the pre-conditional server; the "legacy" repr keys a separate gzip
-	// cache slot because these bytes differ from the frame-CSV codec's.
+	// The "legacy" repr keys its own gzip body because these bytes differ
+	// from the frame-CSV codec's.
 	s.serveImmutable(w, r, immutableBody{
 		repr:        "legacy",
+		art:         a,
 		dataset:     apnic.DatasetName,
 		day:         d,
 		contentType: "text/csv; charset=utf-8",
-		hash:        hash,
-		body:        body,
+		hash:        legacy.Hash,
+		body:        legacy.Bytes,
 		fail: func(code int, msg string) {
 			s.renderErrs.Inc()
 			http.Error(w, msg, code)
@@ -942,21 +846,21 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) render(d dates.Date) ([]byte, string, error) {
-	day := s.csv.Get(d, func() csvDay {
-		var b strings.Builder
-		if err := s.writeCSV(s.report(d), &b); err != nil {
-			// Rendering is deterministic in (seed, date), so a failure
-			// would recur on every attempt; caching it is sound — and
-			// repeat requests must see the same error, not a flap.
-			return csvDay{err: err}
-		}
-		body := []byte(b.String())
-		// Hash once at fill: the legacy route's canonical artifact is the
-		// body itself, so its validator comes from the bytes, not a frame.
-		return csvDay{body: body, etag: bodyHash(body)}
-	})
-	return day.body, day.etag, day.err
+// legacyCSV renders the APNIC frame in the native report CSV layout,
+// byte-identical to the generated report's WriteCSV (the frame
+// conversion is lossless). Its validator is hashed from the bytes: no
+// frame codec stands behind them.
+func (s *Server) legacyCSV(f *source.Frame) source.Body {
+	rep, err := apnic.ReportFromFrame(f)
+	if err != nil {
+		return source.Body{Err: err}
+	}
+	var b strings.Builder
+	if err := s.writeCSV(rep, &b); err != nil {
+		return source.Body{Err: err}
+	}
+	body := []byte(b.String()) // exact-size copy: the body stays resident
+	return source.Body{Bytes: body, Hash: bodyHash(body)}
 }
 
 // errBodyLimit caps how much of a non-200 response body the client reads
@@ -1021,24 +925,40 @@ func errorf(u string, resp *http.Response) error {
 	return fmt.Errorf("apnicweb: GET %s: %s: %s", u, resp.Status, msg)
 }
 
-// Dates fetches the served date range.
-func (c *Client) Dates(ctx context.Context) (first, last dates.Date, err error) {
-	u, err := url.JoinPath(c.BaseURL, "/v1/dates")
+// get issues one GET for the URL joined from BaseURL and elem, with an
+// Accept header when accept is set. It returns the response only on 200,
+// and the URL for error messages; any other status becomes an errorf
+// error, which drains the body. The caller closes the returned body.
+func (c *Client) get(ctx context.Context, accept string, elem ...string) (*http.Response, string, error) {
+	u, err := url.JoinPath(c.BaseURL, elem...)
 	if err != nil {
-		return first, last, err
+		return nil, u, err
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
-		return first, last, err
+		return nil, u, err
+	}
+	if accept != "" {
+		req.Header.Set("Accept", accept)
 	}
 	resp, err := c.http().Do(req)
+	if err != nil {
+		return nil, u, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
+		return nil, u, errorf(u, resp)
+	}
+	return resp, u, nil
+}
+
+// Dates fetches the served date range.
+func (c *Client) Dates(ctx context.Context) (first, last dates.Date, err error) {
+	resp, _, err := c.get(ctx, "", "/v1/dates")
 	if err != nil {
 		return first, last, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return first, last, errorf(u, resp)
-	}
 	var dr DateRange
 	if err := json.NewDecoder(resp.Body).Decode(&dr); err != nil {
 		return first, last, fmt.Errorf("apnicweb: decoding dates: %w", err)
@@ -1055,22 +975,11 @@ func (c *Client) Dates(ctx context.Context) (first, last dates.Date, err error) 
 
 // Report fetches and parses one day's report.
 func (c *Client) Report(ctx context.Context, d dates.Date) (*apnic.Report, error) {
-	u, err := url.JoinPath(c.BaseURL, "/v1/reports/", d.String()+".csv")
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http().Do(req)
+	resp, _, err := c.get(ctx, "", "/v1/reports/", d.String()+".csv")
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, errorf(u, resp)
-	}
 	rep, err := apnic.ReadCSV(resp.Body)
 	if err != nil {
 		return nil, fmt.Errorf("apnicweb: parsing %s: %w", d, err)
@@ -1082,22 +991,11 @@ func (c *Client) Report(ctx context.Context, d dates.Date) (*apnic.Report, error
 // generic /v1/{dataset}/dates route.
 func (c *Client) DatasetDates(ctx context.Context, dataset string) (DatasetDates, error) {
 	var dd DatasetDates
-	u, err := url.JoinPath(c.BaseURL, "/v1/", dataset, "/dates")
-	if err != nil {
-		return dd, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return dd, err
-	}
-	resp, err := c.http().Do(req)
+	resp, _, err := c.get(ctx, "", "/v1/", dataset, "/dates")
 	if err != nil {
 		return dd, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return dd, errorf(u, resp)
-	}
 	if err := json.NewDecoder(resp.Body).Decode(&dd); err != nil {
 		return dd, fmt.Errorf("apnicweb: decoding %s dates: %w", dataset, err)
 	}
@@ -1107,49 +1005,22 @@ func (c *Client) DatasetDates(ctx context.Context, dataset string) (DatasetDates
 
 // Frame fetches and parses one dataset-day from the generic CSV route.
 func (c *Client) Frame(ctx context.Context, dataset string, d dates.Date) (*source.Frame, error) {
-	u, err := url.JoinPath(c.BaseURL, "/v1/", dataset, "/reports/", d.String()+".csv")
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, errorf(u, resp)
-	}
-	f, err := source.ReadCSV(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("apnicweb: parsing %s %s: %w", dataset, d, err)
-	}
-	return f, nil
+	return c.textFrame(ctx, dataset, d, ".csv", source.ReadCSV)
 }
 
 // FrameJSON fetches and parses one dataset-day from the generic JSON
 // route (the bare-date representation).
 func (c *Client) FrameJSON(ctx context.Context, dataset string, d dates.Date) (*source.Frame, error) {
-	u, err := url.JoinPath(c.BaseURL, "/v1/", dataset, "/reports/", d.String())
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http().Do(req)
+	return c.textFrame(ctx, dataset, d, "", source.ReadJSON)
+}
+
+func (c *Client) textFrame(ctx context.Context, dataset string, d dates.Date, suffix string, parse func(io.Reader) (*source.Frame, error)) (*source.Frame, error) {
+	resp, _, err := c.get(ctx, "", "/v1/", dataset, "/reports/", d.String()+suffix)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, errorf(u, resp)
-	}
-	f, err := source.ReadJSON(resp.Body)
+	f, err := parse(resp.Body)
 	if err != nil {
 		return nil, fmt.Errorf("apnicweb: parsing %s %s: %w", dataset, d, err)
 	}
@@ -1163,35 +1034,7 @@ func (c *Client) FrameJSON(ctx context.Context, dataset string, d dates.Date) (*
 // header rather than the .bin path suffix, exercising the content-type
 // route a proxying client would use.
 func (c *Client) FrameBin(ctx context.Context, dataset string, d dates.Date) (*source.Frame, error) {
-	u, err := url.JoinPath(c.BaseURL, "/v1/", dataset, "/reports/", d.String())
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Accept", binfmt.ContentType)
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, errorf(u, resp)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != binfmt.ContentType {
-		return nil, fmt.Errorf("apnicweb: GET %s: server answered %q, not %q", u, ct, binfmt.ContentType)
-	}
-	buf, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("apnicweb: reading %s %s: %w", dataset, d, err)
-	}
-	f, err := binfmt.Decode(buf)
-	if err != nil {
-		return nil, fmt.Errorf("apnicweb: decoding %s %s: %w", dataset, d, err)
-	}
-	return f, nil
+	return c.binaryFrame(ctx, dataset, d, binfmt.ContentType, binfmt.Decode)
 }
 
 // FrameBinz fetches one dataset-day over the compressed binary
@@ -1201,31 +1044,23 @@ func (c *Client) FrameBin(ctx context.Context, dataset string, d dates.Date) (*s
 // the moment decoding returns. The server never gzips this
 // representation, so the body read is the wire transfer.
 func (c *Client) FrameBinz(ctx context.Context, dataset string, d dates.Date) (*source.Frame, error) {
-	u, err := url.JoinPath(c.BaseURL, "/v1/", dataset, "/reports/", d.String())
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Accept", framez.ContentType)
-	resp, err := c.http().Do(req)
+	return c.binaryFrame(ctx, dataset, d, framez.ContentType, framez.Decode)
+}
+
+func (c *Client) binaryFrame(ctx context.Context, dataset string, d dates.Date, contentType string, decode func([]byte) (*source.Frame, error)) (*source.Frame, error) {
+	resp, u, err := c.get(ctx, contentType, "/v1/", dataset, "/reports/", d.String())
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, errorf(u, resp)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != framez.ContentType {
-		return nil, fmt.Errorf("apnicweb: GET %s: server answered %q, not %q", u, ct, framez.ContentType)
+	if ct := resp.Header.Get("Content-Type"); ct != contentType {
+		return nil, fmt.Errorf("apnicweb: GET %s: server answered %q, not %q", u, ct, contentType)
 	}
 	buf, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return nil, fmt.Errorf("apnicweb: reading %s %s: %w", dataset, d, err)
 	}
-	f, err := framez.Decode(buf)
+	f, err := decode(buf)
 	if err != nil {
 		return nil, fmt.Errorf("apnicweb: decoding %s %s: %w", dataset, d, err)
 	}

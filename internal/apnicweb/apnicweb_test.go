@@ -255,10 +255,10 @@ func TestServerSingleflightHammer(t *testing.T) {
 		}
 	}
 
-	if st := srv.apnicSrc.CacheStats(); int(st.Gens) != len(days) {
+	if st, _ := srv.Registry().FrameCacheStats(apnic.DatasetName); int(st.Gens) != len(days) {
 		t.Errorf("generator ran %d times for %d distinct days; singleflight demands one each", st.Gens, len(days))
 	} else if st.Len != len(days) {
-		t.Errorf("report cache holds %d days, want %d", st.Len, len(days))
+		t.Errorf("artifact cache holds %d days, want %d", st.Len, len(days))
 	}
 	for g := 1; g < goroutines; g++ {
 		for _, day := range days {
@@ -269,10 +269,21 @@ func TestServerSingleflightHammer(t *testing.T) {
 	}
 }
 
-// TestServerRenderConcurrentDistinctDays drives render directly (below
-// the HTTP layer) to confirm distinct cold days do not serialize on a
-// global lock: total singleflight entries equal distinct days and each
-// day's bytes are stable.
+// legacyBody renders (or reads back) a day's legacy CSV through its
+// artifact, below the HTTP layer.
+func legacyBody(srv *Server, d dates.Date) ([]byte, error) {
+	a, err := srv.Registry().Artifact(apnic.DatasetName, d)
+	if err != nil {
+		return nil, err
+	}
+	b := a.Body("legacy", srv.legacyCSV)
+	return b.Bytes, b.Err
+}
+
+// TestServerRenderConcurrentDistinctDays drives the legacy render
+// directly (below the HTTP layer) to confirm distinct cold days do not
+// serialize on a global lock: total singleflight fills equal distinct
+// days and each day's bytes are stable.
 func TestServerRenderConcurrentDistinctDays(t *testing.T) {
 	srv := NewServer(testGen, dates.New(2024, 1, 1), dates.New(2024, 12, 31))
 	days := make([]dates.Date, 8)
@@ -285,20 +296,20 @@ func TestServerRenderConcurrentDistinctDays(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			b, _, err := srv.render(d)
+			b, err := legacyBody(srv, d)
 			if err != nil {
-				t.Errorf("render(%v): %v", d, err)
+				t.Errorf("legacyBody(%v): %v", d, err)
 				return
 			}
 			out[i] = b
 		}()
 	}
 	wg.Wait()
-	if n := srv.apnicSrc.CacheStats().Gens; int(n) != len(days) {
-		t.Errorf("generator ran %d times for %d distinct days", n, len(days))
+	if st, _ := srv.Registry().FrameCacheStats(apnic.DatasetName); int(st.Gens) != len(days) {
+		t.Errorf("generator ran %d times for %d distinct days", st.Gens, len(days))
 	}
 	for i, d := range days {
-		again, _, err := srv.render(d)
+		again, err := legacyBody(srv, d)
 		if err != nil {
 			t.Fatal(err)
 		}

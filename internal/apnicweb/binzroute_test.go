@@ -8,7 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/apnic"
 	"repro/internal/dates"
+	"repro/internal/source"
 	"repro/internal/source/binfmt"
 	"repro/internal/source/framez"
 )
@@ -233,8 +235,21 @@ func TestBinzRouteSkipsGzip(t *testing.T) {
 	if cl := hresp.Header.Get("Content-Length"); cl != strconv.Itoa(len(identity)) {
 		t.Errorf("HEAD binz Content-Length = %q, want %d", cl, len(identity))
 	}
-	// The gzip LRU never saw the binz representation.
-	if n := srv.gzips.Len(); n != 0 {
-		t.Errorf("gzip cache holds %d entries after binz-only traffic, want 0", n)
+	// The day's artifact never memoized a gzip body for binz: a probe
+	// render under that name must run, not return a stored body.
+	a, err := srv.Registry().Artifact(apnic.DatasetName, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probed := false
+	a.Body("binz.gz", func(*source.Frame) source.Body {
+		probed = true
+		return source.Body{}
+	})
+	if !probed {
+		t.Error("artifact holds a gzip body after binz-only traffic")
+	}
+	if n := srv.Metrics().Counter(`apnicweb_responses_total{encoding="gzip"}`).Value(); n != 0 {
+		t.Errorf("gzip response counter = %d after binz-only traffic, want 0", n)
 	}
 }

@@ -6,19 +6,21 @@ package apnicweb
 // its bytes never change, which makes the report routes ideal for strong
 // validators. The server derives an ETag from the frame's content hash
 // (internal/source's ContentHash — computable from the in-memory frame
-// without rendering a body), suffixed by the representation variant
-// ("csv", "csv.gz", "json", ...) so a strong tag never aliases two
-// different byte streams. If-None-Match is evaluated with the RFC 9110
-// weak comparison (W/ prefixes ignored, "*" matches anything), so a 304
-// costs one LRU lookup and zero rendering.
+// without rendering a body, and memoized on the day's registry
+// artifact), suffixed by the representation variant ("csv", "csv.gz",
+// "json", ...) so a strong tag never aliases two different byte streams.
+// The legacy CSV's tag is hashed from its body instead (bodyHash).
+// If-None-Match is evaluated with the RFC 9110 weak comparison (W/
+// prefixes ignored, "*" matches anything), so a 304 costs one artifact
+// lookup and zero rendering.
 //
 // Compression is negotiated from Accept-Encoding (q-values honored).
-// Gzip bodies are rendered once per (representation, dataset, day) into a
-// bounded LRU — the "pre-compressed hot-day cache" — and always from the
-// cached frame, never from a live client stream, so a client that
-// disconnects mid-response can never poison the cache with a truncated
-// body. Identity CSV/JSON responses stream row-by-row instead (see
-// streamBody in apnicweb.go) and are deliberately not byte-cached.
+// A gzip body is rendered once per representation into the day's
+// artifact, under its ETag variant, and evicted with the day. It is
+// always rendered from the artifact, never from a live client stream, so
+// a client that disconnects mid-response can never poison it with a
+// truncated body. Identity CSV/JSON responses stream row-by-row instead
+// (see streamBody in apnicweb.go) and are deliberately not byte-cached.
 
 import (
 	"crypto/sha256"

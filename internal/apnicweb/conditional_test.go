@@ -284,7 +284,7 @@ func TestLegacyGoldenBytesWithoutConditionalHeaders(t *testing.T) {
 	d := dates.New(2024, 4, 21)
 
 	var golden strings.Builder
-	if err := srv.apnicSrc.Generator().Generate(d).WriteCSV(&golden); err != nil {
+	if err := nativeGen(t, srv).Generate(d).WriteCSV(&golden); err != nil {
 		t.Fatal(err)
 	}
 	resp := rawGet(t, ts, "/v1/reports/"+d.String()+".csv", nil)

@@ -10,12 +10,13 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/apnic"
 	"repro/internal/dates"
 )
 
 // TestBoundedCacheEviction serves more days than the cache capacity and
-// checks the caches stay bounded, evictions are counted on /metrics, and
-// an evicted day regenerates byte-identically.
+// checks the artifact cache stays bounded, evictions are counted on
+// /metrics, and an evicted day regenerates byte-identically.
 func TestBoundedCacheEviction(t *testing.T) {
 	const capacity = 4
 	srv := NewServerCached(testGen, dates.New(2024, 1, 1), dates.New(2024, 12, 31), capacity)
@@ -43,14 +44,12 @@ func TestBoundedCacheEviction(t *testing.T) {
 	for i := 1; i < capacity*3; i++ { // push the first day out
 		get(dates.New(2024, 3, 1).AddDays(i))
 	}
-	if n := srv.apnicSrc.CacheStats().Len; n > capacity {
-		t.Fatalf("report cache holds %d days, capacity %d", n, capacity)
+	st, _ := srv.Registry().FrameCacheStats(apnic.DatasetName)
+	if st.Len > capacity {
+		t.Fatalf("artifact cache holds %d days, capacity %d", st.Len, capacity)
 	}
-	if n := srv.csv.Len(); n > capacity {
-		t.Fatalf("csv cache holds %d days, capacity %d", n, capacity)
-	}
-	if ev := srv.apnicSrc.CacheStats().Evictions; ev == 0 {
-		t.Fatal("no report evictions after serving 3x capacity")
+	if st.Evictions == 0 {
+		t.Fatal("no artifact evictions after serving 3x capacity")
 	}
 
 	// Determinism across eviction: the refilled day must be identical.
@@ -66,17 +65,22 @@ func TestBoundedCacheEviction(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	text := string(body)
 	for _, name := range []string{
-		`source_cache_evictions{dataset="apnic"}`,
-		"apnicweb_csv_cache_evictions",
-		"apnicweb_index_cache_evictions",
-		"apnicweb_cache_capacity_days",
+		`source_frame_cache_evictions{dataset="apnic"}`,
+		`source_frame_cache_days{dataset="apnic"}`,
+		`source_frame_cache_capacity{dataset="apnic"}`,
 	} {
 		if !strings.Contains(text, name) {
 			t.Errorf("metric %s missing from /metrics", name)
 		}
 	}
-	if !strings.Contains(text, fmt.Sprintf("apnicweb_cache_capacity_days %d", capacity)) {
+	if !strings.Contains(text, fmt.Sprintf(`source_frame_cache_capacity{dataset="apnic"} %d`, capacity)) {
 		t.Errorf("capacity gauge does not report %d:\n%s", capacity, text)
+	}
+	// The artifact cache is the only day cache: the server registers none.
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "apnicweb_") && strings.Contains(line, "cache") {
+			t.Errorf("server still exports its own day-cache series: %s", line)
+		}
 	}
 }
 
@@ -132,10 +136,11 @@ func TestBoundedCacheHammer(t *testing.T) {
 	}
 	wg.Wait()
 
-	if n := srv.apnicSrc.CacheStats().Len; n > capacity {
-		t.Fatalf("report cache holds %d days, capacity %d", n, capacity)
+	st, _ := srv.Registry().FrameCacheStats(apnic.DatasetName)
+	if st.Len > capacity {
+		t.Fatalf("artifact cache holds %d days, capacity %d", st.Len, capacity)
 	}
-	if ev := srv.apnicSrc.CacheStats().Evictions; ev == 0 {
+	if st.Evictions == 0 {
 		t.Fatal("hammer produced no evictions")
 	}
 }

@@ -287,8 +287,8 @@ func TestSeriesColdDayHammer(t *testing.T) {
 			t.Fatalf("goroutine %d: %v", g, err)
 		}
 	}
-	if n := srv.apnicSrc.CacheStats().Gens; n != days {
-		t.Errorf("generator ran %d times for %d distinct days under series load", n, days)
+	if st, _ := srv.Registry().FrameCacheStats(apnic.DatasetName); st.Gens != days {
+		t.Errorf("generator ran %d times for %d distinct days under series load", st.Gens, days)
 	}
 }
 
@@ -318,8 +318,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`http_requests_total{route="/v1/reports/:date",class="2xx"} 2`,
 		`http_requests_total{route="/v1/dates",class="2xx"} 1`,
 		`http_request_seconds_bucket{route="/v1/reports/:date",le="+Inf"} 2`,
-		`source_generations_total{dataset="apnic"} 1`,
-		`source_cache_days{dataset="apnic"} 1`,
+		`source_frame_generations_total{dataset="apnic"} 1`,
+		`source_frame_cache_days{dataset="apnic"} 1`,
 		"apnicweb_render_errors_total 0",
 	} {
 		if !strings.Contains(text, want) {
@@ -336,7 +336,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "application/json") {
 		t.Errorf("json format Content-Type = %q", ct)
 	}
-	if !strings.Contains(string(jsonBody), `"source_generations_total{dataset=\"apnic\"}": 1`) {
+	if !strings.Contains(string(jsonBody), `"source_frame_generations_total{dataset=\"apnic\"}": 1`) {
 		t.Errorf("json metrics missing generation counter:\n%s", jsonBody)
 	}
 }

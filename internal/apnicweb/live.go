@@ -65,10 +65,20 @@ type LiveResponse struct {
 	Rows     []LiveRow `json:"rows"`
 }
 
-// handleLive serves the live rolling estimate for one country. 503
-// until a stream is attached and has observed data; 304 on a matching
-// revision ETag, so pollers pay nothing while the stream is quiet.
+// handleLive serves the live rolling estimate for one country. 400
+// unless the country is two ASCII letters; 503 until a stream is attached
+// and has observed data; 304 on a matching revision ETag, so pollers pay
+// nothing while the stream is quiet.
 func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
+	// The country goes into the ETag verbatim, so it must be validated
+	// first: a quote would make the tag invalid and a comma would split it
+	// in etagMatch.
+	cc := r.PathValue("country")
+	if !isCountryCode(cc) {
+		jsonError(w, http.StatusBadRequest, "country must be two ASCII letters")
+		return
+	}
+	cc = strings.ToUpper(cc)
 	src := s.liveSource()
 	if src == nil {
 		jsonError(w, http.StatusServiceUnavailable, "no live stream attached")
@@ -79,7 +89,6 @@ func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusServiceUnavailable, "live estimator has no data yet")
 		return
 	}
-	cc := strings.ToUpper(r.PathValue("country"))
 	// The validator names (day, revision, country): the snapshot promises
 	// rep was assembled at exactly rev, so equal tags mean equal bytes.
 	etag := fmt.Sprintf(`"live-%s-%d-%d"`, cc, d.DayNumber(), rev)
@@ -110,4 +119,19 @@ func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	json.NewEncoder(w).Encode(resp)
+}
+
+// isCountryCode reports whether cc is two ASCII letters, either case.
+// It checks bytes, not runes: strings.ToUpper maps some non-ASCII letters
+// (U+017F, U+0131) onto ASCII ones.
+func isCountryCode(cc string) bool {
+	if len(cc) != 2 {
+		return false
+	}
+	for i := 0; i < 2; i++ {
+		if c := cc[i] | 0x20; c < 'a' || c > 'z' {
+			return false
+		}
+	}
+	return true
 }

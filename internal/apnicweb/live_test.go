@@ -288,3 +288,54 @@ func TestLiveHead(t *testing.T) {
 		t.Fatal("live HEAD has no ETag")
 	}
 }
+
+// TestLiveCountryValidation: the country segment is copied into the
+// ETag, so anything but two ASCII letters must be a 400 before the
+// snapshot is read. A quote used to mint an invalid entity-tag and a
+// comma split the tag in etagMatch.
+func TestLiveCountryValidation(t *testing.T) {
+	srv := NewServer(testGen, dates.New(2024, 1, 1), dates.New(2024, 12, 31))
+	est := stream.NewRollingEstimator(testGen)
+	est.Observe(stream.Impression{Day: dates.New(2024, 4, 21), CC: "FR", ASN: 64500, Weight: 200})
+	srv.SetLive(est)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	for _, tc := range []struct {
+		segment string
+		want    int
+	}{
+		{"FR", http.StatusOK},
+		{"fr", http.StatusOK},
+		{"a%22b", http.StatusBadRequest},        // a"b
+		{"F%2CR", http.StatusBadRequest},        // F,R
+		{"%22F", http.StatusBadRequest},         // "F: two bytes, one a quote
+		{"F%20", http.StatusBadRequest},         // trailing space
+		{"FRA", http.StatusBadRequest},          // three letters
+		{"F", http.StatusBadRequest},            // one letter
+		{"1A", http.StatusBadRequest},           // digit
+		{"%C5%BF%C5%BF", http.StatusBadRequest}, // U+017F upper-cases to ASCII S
+	} {
+		resp, err := ts.Client().Get(ts.URL + "/v1/live/" + tc.segment)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("GET /v1/live/%s = %d (%s), want %d", tc.segment, resp.StatusCode, body, tc.want)
+			continue
+		}
+		if tc.want != http.StatusOK {
+			if et := resp.Header.Get("ETag"); et != "" {
+				t.Errorf("GET /v1/live/%s: 400 carries ETag %q", tc.segment, et)
+			}
+			var eb errorBody
+			if err := json.Unmarshal(body, &eb); err != nil || eb.Error == "" {
+				t.Errorf("GET /v1/live/%s: body %q is not a JSON error", tc.segment, body)
+			}
+		} else if et := resp.Header.Get("ETag"); !strings.HasPrefix(et, `"live-FR-`) {
+			t.Errorf("GET /v1/live/%s: ETag %q", tc.segment, et)
+		}
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/apnic"
 	"repro/internal/dates"
 	"repro/internal/source"
 )
@@ -20,6 +21,17 @@ func multiServer(t *testing.T) (*Server, *httptest.Server, *Client) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts, &Client{BaseURL: ts.URL, HTTPClient: ts.Client()}
+}
+
+// nativeGen returns the APNIC generator behind the server's "apnic"
+// dataset: the reference the legacy routes' bytes are checked against.
+func nativeGen(t *testing.T, srv *Server) *apnic.Generator {
+	t.Helper()
+	src, ok := srv.Registry().Lookup(apnic.DatasetName)
+	if !ok {
+		t.Fatal("no apnic dataset registered")
+	}
+	return src.(*apnic.Source).Generator()
 }
 
 var allDatasets = []string{"apnic", "cdn", "itu", "mlab", "dnscount", "broadband", "ixp"}
@@ -115,7 +127,7 @@ func TestLegacyAliasesByteIdentical(t *testing.T) {
 	}
 
 	var wantCSV bytes.Buffer
-	if err := srv.apnicSrc.Generator().Generate(d).WriteCSV(&wantCSV); err != nil {
+	if err := nativeGen(t, srv).Generate(d).WriteCSV(&wantCSV); err != nil {
 		t.Fatal(err)
 	}
 	if got := get("/v1/reports/" + d.String() + ".csv"); !bytes.Equal(got, wantCSV.Bytes()) {
@@ -132,9 +144,9 @@ func TestLegacyAliasesByteIdentical(t *testing.T) {
 
 	// The series alias must serve the same bytes as an APNIC-only server
 	// built over the same generator.
-	row := srv.apnicSrc.Generator().Generate(d).Rows[0]
+	row := nativeGen(t, srv).Generate(d).Rows[0]
 	q := "/v1/series/AS" + itoa(row.ASN) + "?cc=" + row.CC + "&from=2024-04-20&to=2024-04-22"
-	solo := httptest.NewServer(NewServer(srv.apnicSrc.Generator(), dates.New(2024, 1, 1), dates.New(2024, 12, 31)).Handler())
+	solo := httptest.NewServer(NewServer(nativeGen(t, srv), dates.New(2024, 1, 1), dates.New(2024, 12, 31)).Handler())
 	defer solo.Close()
 	soloResp, err := http.Get(solo.URL + q)
 	if err != nil {
@@ -171,7 +183,7 @@ func TestGenericSeries(t *testing.T) {
 		return sr
 	}
 
-	rep := srv.apnicSrc.Generator().Generate(d)
+	rep := nativeGen(t, srv).Generate(d)
 	row := rep.Rows[0]
 	sr := getSeries("/v1/apnic/series/AS" + itoa(row.ASN) + "?cc=" + row.CC + "&from=2024-04-10&to=2024-04-10")
 	if len(sr.Points) != 1 {
@@ -179,6 +191,25 @@ func TestGenericSeries(t *testing.T) {
 	}
 	if got := sr.Points[0].Values["Estimated Users"]; got != row.Users {
 		t.Errorf("apnic series users = %v, want %v", got, row.Users)
+	}
+
+	// A zero-padded ASN names the same AS on both series routes: the
+	// generic route used to compare the raw digits with the AS column's
+	// decimal cell and found nothing.
+	padded := "AS00" + itoa(row.ASN) + "?cc=" + row.CC + "&from=2024-04-10&to=2024-04-10"
+	sr = getSeries("/v1/apnic/series/" + padded)
+	if len(sr.Points) != 1 || sr.Points[0].Values["Estimated Users"] != row.Users {
+		t.Errorf("zero-padded generic apnic series: %+v", sr)
+	}
+	resp, err := ts.Client().Get(ts.URL + "/v1/series/" + padded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var legacy SeriesResponse
+	err = json.NewDecoder(resp.Body).Decode(&legacy)
+	resp.Body.Close()
+	if err != nil || len(legacy.Points) != 1 || legacy.Points[0].Users != row.Users {
+		t.Errorf("zero-padded legacy series: %+v (%v)", legacy, err)
 	}
 
 	sr = getSeries("/v1/itu/series/FR?from=2024-04-10&to=2024-04-10")
@@ -201,7 +232,7 @@ func TestGenericSeries(t *testing.T) {
 	}
 
 	// Missing cc on an org-keyed dataset is a 400.
-	resp, err := ts.Client().Get(ts.URL + "/v1/cdn/series/" + org)
+	resp, err = ts.Client().Get(ts.URL + "/v1/cdn/series/" + org)
 	if err != nil {
 		t.Fatal(err)
 	}

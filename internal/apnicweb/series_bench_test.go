@@ -1,25 +1,26 @@
 package apnicweb
 
 import (
+	"strconv"
 	"testing"
 
 	"repro/internal/apnic"
 	"repro/internal/dates"
+	"repro/internal/source"
 )
 
 // The series endpoint used to find each day's (ASN, CC) row with a
 // linear scan over all rows — O(rows) comparisons per day per request.
-// These benchmarks pit that scan against the per-report index the server
-// now builds once per day. On the seed world (~10k rows/day) the index
-// is ~3 orders of magnitude faster per lookup, which is the difference
-// between a series request costing 120 map probes and 1.2M row
-// comparisons.
+// These benchmarks pit that scan against the row index the day's
+// artifact builds once while resident. On the seed world (~10k rows/day)
+// the index is ~3 orders of magnitude faster per lookup, which is the
+// difference between a series request costing 120 map probes and 1.2M
+// row comparisons.
 
 var benchSink apnic.Row
 
-func benchTarget(rep *apnic.Report) seriesKey {
-	row := rep.Rows[len(rep.Rows)/2] // median-position row: typical scan cost
-	return seriesKey{row.ASN, row.CC}
+func benchTarget(rep *apnic.Report) apnic.Row {
+	return rep.Rows[len(rep.Rows)/2] // median-position row: typical scan cost
 }
 
 func BenchmarkSeriesLookupLinearScan(b *testing.B) {
@@ -29,7 +30,7 @@ func BenchmarkSeriesLookupLinearScan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, row := range rep.Rows {
-			if row.ASN == key.asn && row.CC == key.cc {
+			if row.ASN == key.ASN && row.CC == key.CC {
 				benchSink = row
 				break
 			}
@@ -40,13 +41,21 @@ func BenchmarkSeriesLookupLinearScan(b *testing.B) {
 func BenchmarkSeriesLookupIndexed(b *testing.B) {
 	srv := NewServer(testGen, dates.New(2024, 1, 1), dates.New(2024, 12, 31))
 	d := dates.New(2024, 4, 10)
-	rep := srv.report(d)
-	key := benchTarget(rep)
-	srv.rowIndex(d) // build outside the timed region, as one request amortizes it
+	a, err := srv.Registry().Artifact(apnic.DatasetName, d)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rep, err := apnic.ReportFromFrame(a.Frame)
+	if err != nil {
+		b.Fatal(err)
+	}
+	target := benchTarget(rep)
+	key := source.RowKey(strconv.FormatUint(uint64(target.ASN), 10), target.CC)
+	a.RowIndex(apnicSeriesCols...) // build outside the timed region, as one request amortizes it
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if idx, ok := srv.rowIndex(d)[key]; ok {
+		if idx, ok := a.RowIndex(apnicSeriesCols...)[key]; ok {
 			benchSink = rep.Rows[idx]
 		}
 	}

@@ -66,8 +66,8 @@ func SnapshotFromFrame(f *source.Frame) (*Snapshot, error) {
 	return s, nil
 }
 
-// Source adapts the generator to the uniform source interface, caching
-// the native snapshots day-keyed.
+// Source adapts the generator to the uniform source interface. Its typed
+// accessor caches the native snapshots day-keyed for the experiment lab.
 type Source struct {
 	gen  *Generator
 	days *source.Days[*Snapshot]
@@ -97,9 +97,11 @@ func (s *Source) Snapshot(d dates.Date) *Snapshot {
 	return s.days.Get(d, s.gen.Generate)
 }
 
-// Generate implements source.Source.
+// Generate implements source.Source. It builds the frame straight from
+// the generator, bypassing the native cache: the registry memoizes the
+// frame itself, so a native copy would only double the resident day.
 func (s *Source) Generate(d dates.Date) *source.Frame {
-	return s.Snapshot(d).Frame()
+	return s.gen.Generate(d).Frame()
 }
 
 // CacheStats reports the native snapshot cache's activity.

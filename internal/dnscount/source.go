@@ -52,8 +52,8 @@ func DatasetFromFrame(f *source.Frame) (*Dataset, error) {
 	return ds, nil
 }
 
-// Source adapts the generator to the uniform source interface, caching
-// the native datasets day-keyed.
+// Source adapts the generator to the uniform source interface. Its typed
+// accessor caches the native datasets day-keyed for the experiment lab.
 type Source struct {
 	gen  *Generator
 	days *source.Days[*Dataset]
@@ -83,9 +83,11 @@ func (s *Source) Dataset(d dates.Date) *Dataset {
 	return s.days.Get(d, s.gen.Generate)
 }
 
-// Generate implements source.Source.
+// Generate implements source.Source. It builds the frame straight from
+// the generator, bypassing the native cache: the registry memoizes the
+// frame itself, so a native copy would only double the resident day.
 func (s *Source) Generate(d dates.Date) *source.Frame {
-	return s.Dataset(d).Frame()
+	return s.gen.Generate(d).Frame()
 }
 
 // CacheStats reports the native dataset cache's activity.

@@ -74,8 +74,8 @@ func TableFromFrame(f *source.Frame) (*Table, error) {
 	return t, nil
 }
 
-// Source adapts the estimator to the uniform source interface, caching
-// the native tables day-keyed.
+// Source adapts the estimator to the uniform source interface. Its typed
+// accessor caches the native tables day-keyed for the experiment lab.
 type Source struct {
 	est  *Estimator
 	days *source.Days[*Table]
@@ -105,9 +105,11 @@ func (s *Source) Table(d dates.Date) *Table {
 	return s.days.Get(d, s.est.Generate)
 }
 
-// Generate implements source.Source.
+// Generate implements source.Source. It builds the frame straight from
+// the generator, bypassing the native cache: the registry memoizes the
+// frame itself, so a native copy would only double the resident day.
 func (s *Source) Generate(d dates.Date) *source.Frame {
-	return s.Table(d).Frame()
+	return s.est.Generate(d).Frame()
 }
 
 // CacheStats reports the native table cache's activity.

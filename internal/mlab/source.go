@@ -53,9 +53,9 @@ func DatasetFromFrame(f *source.Frame) (*Dataset, error) {
 	return ds, nil
 }
 
-// Source adapts the generator to the uniform source interface. The cache
-// is keyed by month start, so any day of a month resolves to the same
-// native dataset without regeneration.
+// Source adapts the generator to the uniform source interface. Its typed
+// accessor caches native datasets keyed by month start, so any day of a
+// month resolves to the same dataset without regeneration.
 type Source struct {
 	gen  *Generator
 	days *source.Days[*Dataset]
@@ -85,9 +85,11 @@ func (s *Source) Dataset(d dates.Date) *Dataset {
 	return s.days.Get(dates.New(d.Year, d.Month, 1), s.gen.Generate)
 }
 
-// Generate implements source.Source.
+// Generate implements source.Source. It builds the frame straight from
+// the generator, bypassing the native cache: the registry memoizes the
+// frame itself, so a native copy would only double the resident day.
 func (s *Source) Generate(d dates.Date) *source.Frame {
-	return s.Dataset(d).Frame()
+	return s.gen.Generate(dates.New(d.Year, d.Month, 1)).Frame()
 }
 
 // CacheStats reports the native dataset cache's activity.

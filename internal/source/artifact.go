@@ -1,0 +1,113 @@
+package source
+
+import (
+	"strconv"
+	"strings"
+	"sync"
+
+	"repro/internal/syncx"
+)
+
+// Artifact is one resident dataset-day: the frame plus everything the
+// serving path derives from it — the content hash, encoded bodies keyed
+// by representation name, and a series row index. Each part is filled
+// lazily at most once (concurrent callers share one fill) and is evicted
+// together with the day. Every part is a pure function of the frame, so
+// a refill after eviction is byte-identical.
+type Artifact struct {
+	// Frame is the day's data. Shared: callers must treat it as read-only.
+	Frame *Frame
+
+	reg      *Registry // codec source for Bin and Binz
+	hashOnce sync.Once
+	hash     string
+	bodies   syncx.Cache[string, Body]
+	indexes  syncx.Cache[string, map[string]int]
+}
+
+// Body is one memoized representation of an artifact. A render error is
+// kept like the bytes: renders are deterministic, so it would recur on
+// every attempt, and repeat requests see one message rather than a flap.
+type Body struct {
+	Bytes []byte
+	Hash  string // validator of Bytes, set by renders whose bytes are their own canonical form
+	Err   error
+}
+
+// Hash returns the frame's content hash, computed once.
+func (a *Artifact) Hash() string {
+	a.hashOnce.Do(func() { a.hash = a.Frame.ContentHash() })
+	return a.hash
+}
+
+// Body returns the representation named repr, running render at most
+// once while the artifact is resident. The registry knows nothing about
+// the representations a caller names; render must be a pure function of
+// the frame, and the returned bytes are shared and read-only.
+func (a *Artifact) Body(repr string, render func(*Frame) Body) Body {
+	return a.bodies.Get(repr, func() Body { return render(a.Frame) })
+}
+
+// Bin returns the frame's binary encoding under the registry's
+// SetBinCodec codec, memoized as representation "bin".
+func (a *Artifact) Bin() ([]byte, error) {
+	bin, _ := a.reg.codecs()
+	return a.encode("bin", bin, ErrNoBinCodec)
+}
+
+// Binz returns the frame's compressed binary encoding under the
+// registry's SetBinzCodec codec, memoized as representation "binz".
+func (a *Artifact) Binz() ([]byte, error) {
+	_, binz := a.reg.codecs()
+	return a.encode("binz", binz, ErrNoBinzCodec)
+}
+
+func (a *Artifact) encode(repr string, codec BinCodec, missing error) ([]byte, error) {
+	if codec == nil {
+		return nil, missing
+	}
+	b := a.Body(repr, func(f *Frame) Body {
+		enc, err := codec(f)
+		return Body{Bytes: enc, Err: err}
+	})
+	return b.Bytes, b.Err
+}
+
+// RowIndex maps each distinct key over the named columns to the position
+// of its first row. Keys are the rows' cells in codec form (int columns
+// as decimal) joined by RowKey. The index is built once per column set
+// while the day is resident; it is nil when a column is missing.
+func (a *Artifact) RowIndex(cols ...string) map[string]int {
+	return a.indexes.Get(RowKey(cols...), func() map[string]int {
+		cs := make([]*Column, len(cols))
+		for i, name := range cols {
+			if cs[i] = a.Frame.Col(name); cs[i] == nil {
+				return nil
+			}
+		}
+		idx := make(map[string]int, a.Frame.Rows())
+		cells := make([]string, len(cs))
+		for row := 0; row < a.Frame.Rows(); row++ {
+			for i, c := range cs {
+				cells[i] = c.Cell(row)
+			}
+			k := RowKey(cells...)
+			if _, dup := idx[k]; !dup {
+				idx[k] = row
+			}
+		}
+		return idx
+	})
+}
+
+// RowKey joins key cells into one RowIndex key. Each cell is
+// length-prefixed, so distinct cell tuples never share a key.
+func RowKey(cells ...string) string {
+	var b strings.Builder
+	for _, c := range cells {
+		b.WriteString(strconv.Itoa(len(c)))
+		b.WriteByte(':')
+		b.WriteString(c)
+	}
+	return b.String()
+}

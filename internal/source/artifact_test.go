@@ -1,0 +1,160 @@
+package source
+
+import (
+	"errors"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/dates"
+	"repro/internal/obsv"
+)
+
+func testArtifact(t *testing.T) (*Registry, *Artifact) {
+	t.Helper()
+	reg := NewRegistry(obsv.NewRegistry(), 4)
+	reg.Register(&countingSource{name: "fake"})
+	a, err := reg.Artifact("fake", dates.New(2024, 3, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reg, a
+}
+
+// TestArtifactBodyOncePerRepr: concurrent callers of one representation
+// share one render; distinct names render independently; a render error
+// is memoized like bytes.
+func TestArtifactBodyOncePerRepr(t *testing.T) {
+	_, a := testArtifact(t)
+	var renders atomic.Int64
+	render := func(f *Frame) Body {
+		renders.Add(1)
+		return Body{Bytes: []byte(f.Source), Hash: "h"}
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 32; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if b := a.Body("x", render); string(b.Bytes) != "fake" || b.Hash != "h" {
+				t.Errorf("Body = %+v", b)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := renders.Load(); n != 1 {
+		t.Fatalf("render ran %d times under concurrent callers, want 1", n)
+	}
+	a.Body("y", render)
+	if n := renders.Load(); n != 2 {
+		t.Fatalf("a second representation rendered %d times in total, want 2", n)
+	}
+
+	boom := errors.New("boom")
+	fail := func(*Frame) Body {
+		renders.Add(1)
+		return Body{Err: boom}
+	}
+	for i := 0; i < 2; i++ {
+		if b := a.Body("bad", fail); !errors.Is(b.Err, boom) {
+			t.Fatalf("Body err = %v", b.Err)
+		}
+	}
+	if n := renders.Load(); n != 3 {
+		t.Fatalf("a failed render was retried: %d renders, want 3", n)
+	}
+}
+
+// TestArtifactCodecs: Bin and Binz encode with the registry's codec once,
+// read the codec at fill time, and report a missing codec unmemoized.
+func TestArtifactCodecs(t *testing.T) {
+	reg, a := testArtifact(t)
+	if _, err := a.Bin(); !errors.Is(err, ErrNoBinCodec) {
+		t.Fatalf("Bin without codec: %v", err)
+	}
+	if _, err := a.Binz(); !errors.Is(err, ErrNoBinzCodec) {
+		t.Fatalf("Binz without codec: %v", err)
+	}
+	var calls atomic.Int64
+	codec := func(tag string) BinCodec {
+		return func(f *Frame) ([]byte, error) {
+			calls.Add(1)
+			return []byte(tag), nil
+		}
+	}
+	// Injected after the artifact exists: the codec is read at fill time.
+	reg.SetBinCodec(codec("bin"))
+	reg.SetBinzCodec(codec("binz"))
+	for i := 0; i < 3; i++ {
+		if b, err := a.Bin(); err != nil || string(b) != "bin" {
+			t.Fatalf("Bin = %q, %v", b, err)
+		}
+		if b, err := reg.FrameBinz("fake", a.Frame.Date); err != nil || string(b) != "binz" {
+			t.Fatalf("FrameBinz = %q, %v", b, err)
+		}
+	}
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("codecs ran %d times, want once each", n)
+	}
+	if a.Hash() != a.Frame.ContentHash() {
+		t.Fatal("Hash differs from the frame's content hash")
+	}
+}
+
+// TestArtifactRowIndex: keys are codec-form cells, the first row of a
+// duplicated key wins, and a missing column yields a nil index.
+func TestArtifactRowIndex(t *testing.T) {
+	f := NewFrame("rows", dates.New(2024, 1, 1))
+	as := f.AddInts("AS")
+	as.Ints = []int64{7, 2435, 2435, 7}
+	cc := f.AddStrings("CC")
+	cc.Strs = []string{"FR", "CN", "CN", "DE"}
+	a := &Artifact{Frame: f}
+
+	idx := a.RowIndex("AS", "CC")
+	for key, want := range map[string]int{
+		RowKey("7", "FR"):    0,
+		RowKey("2435", "CN"): 1,
+		RowKey("7", "DE"):    3,
+	} {
+		if got, ok := idx[key]; !ok || got != want {
+			t.Errorf("idx[%q] = %d, %v; want %d", key, got, ok, want)
+		}
+	}
+	if len(idx) != 3 {
+		t.Errorf("index has %d keys, want 3", len(idx))
+	}
+	if _, ok := idx[RowKey("002435", "CN")]; ok {
+		t.Error("index matched a non-canonical decimal")
+	}
+	if RowKey("a", "bc") == RowKey("ab", "c") {
+		t.Error("RowKey is ambiguous across cell boundaries")
+	}
+	if a.RowIndex("AS", "Nope") != nil {
+		t.Error("index over a missing column is not nil")
+	}
+}
+
+// TestArtifactEvictedWithDay: an evicted day comes back as a new
+// artifact, with none of the old parts.
+func TestArtifactEvictedWithDay(t *testing.T) {
+	src := &countingSource{name: "fake"}
+	reg := NewRegistry(obsv.NewRegistry(), 1)
+	reg.Register(src)
+	d1, d2 := dates.New(2024, 3, 9), dates.New(2024, 3, 10)
+	a, _ := reg.Artifact("fake", d1)
+	a.Body("x", func(*Frame) Body { return Body{Bytes: []byte("old")} })
+	reg.Artifact("fake", d2) // evicts d1
+	b, _ := reg.Artifact("fake", d1)
+	if b == a {
+		t.Fatal("evicted day returned the old artifact")
+	}
+	filled := false
+	b.Body("x", func(*Frame) Body { filled = true; return Body{} })
+	if !filled {
+		t.Fatal("a refilled day kept a representation of the evicted artifact")
+	}
+	if got := src.gens.Load(); got != 3 {
+		t.Fatalf("Generate ran %d times, want 3", got)
+	}
+}

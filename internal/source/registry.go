@@ -26,19 +26,12 @@ var ErrNoBinzCodec = errors.New("source: no compressed binary frame codec regist
 // binfmt.Encode and framez.Encode.
 type BinCodec func(*Frame) ([]byte, error)
 
-// binResult memoizes one day's encoded bytes together with the encode
-// error, so a deterministic failure is not retried per request.
-type binResult struct {
-	b   []byte
-	err error
-}
-
-// DefaultCacheDays bounds each dataset's frame cache when no capacity is
-// given: a year of frames per dataset.
+// DefaultCacheDays bounds each dataset's artifact cache when no capacity
+// is given: a year of days per dataset.
 const DefaultCacheDays = 365
 
-// Registry resolves dataset names to sources and memoizes their frames
-// with per-(dataset, day) singleflight caching — the single place both
+// Registry resolves dataset names to sources and memoizes one Artifact
+// per (dataset, day) with singleflight fills — the single day cache both
 // the experiment lab and the HTTP server go through, so memoization and
 // metrics are uniform across all seven datasets.
 type Registry struct {
@@ -53,15 +46,13 @@ type Registry struct {
 }
 
 type regEntry struct {
-	src    Source
-	frames *Days[*Frame]
-	bins   *Days[binResult]
-	binzs  *Days[binResult]
+	src  Source
+	days *Days[*Artifact]
 }
 
-// NewRegistry returns a registry whose per-dataset frame caches hold at
-// most cacheDays days each (DefaultCacheDays when cacheDays < 1). A nil
-// metrics registry gets a private one.
+// NewRegistry returns a registry whose per-dataset artifact caches hold
+// at most cacheDays days each (DefaultCacheDays when cacheDays < 1). A
+// nil metrics registry gets a private one.
 func NewRegistry(metrics *obsv.Registry, cacheDays int) *Registry {
 	if metrics == nil {
 		metrics = obsv.NewRegistry()
@@ -76,7 +67,7 @@ func NewRegistry(metrics *obsv.Registry, cacheDays int) *Registry {
 	}
 }
 
-// Metrics returns the obsv registry the frame caches report into.
+// Metrics returns the obsv registry the artifact caches report into.
 func (r *Registry) Metrics() *obsv.Registry { return r.metrics }
 
 // Register adds a source under its name. Registering a duplicate name is
@@ -88,12 +79,9 @@ func (r *Registry) Register(s Source) {
 	if _, dup := r.entries[name]; dup {
 		panic(fmt.Sprintf("source: duplicate registration of dataset %q", name))
 	}
-	r.entries[name] = &regEntry{
-		src:    s,
-		frames: NewDays[*Frame](r.metrics, "source_frame", name, r.capacity),
-		bins:   NewDays[binResult](r.metrics, "source_bin", name, r.capacity),
-		binzs:  NewDays[binResult](r.metrics, "source_binz", name, r.capacity),
-	}
+	// The artifact cache keeps the "source_frame" metrics family: every
+	// artifact is a frame plus what is derived from it.
+	r.entries[name] = &regEntry{src: s, days: NewDays[*Artifact](r.metrics, "source_frame", name, r.capacity)}
 	r.names = append(r.names, name)
 }
 
@@ -122,15 +110,28 @@ func (r *Registry) entry(name string) (*regEntry, bool) {
 	return e, ok
 }
 
-// Frame returns the memoized frame for one dataset-day, generating it at
-// most once while the day stays resident even under concurrent callers.
-// The returned frame is shared: callers must treat it as read-only.
-func (r *Registry) Frame(name string, d dates.Date) (*Frame, error) {
+// Artifact returns the resident artifact for one dataset-day, generating
+// its frame at most once while the day stays resident even under
+// concurrent callers. Everything derived from the day hangs off the
+// artifact and is evicted with it.
+func (r *Registry) Artifact(name string, d dates.Date) (*Artifact, error) {
 	e, ok := r.entry(name)
 	if !ok {
 		return nil, fmt.Errorf("%w %q", ErrUnknownSource, name)
 	}
-	return e.frames.Get(d, e.src.Generate), nil
+	return e.days.Get(d, func(d dates.Date) *Artifact {
+		return &Artifact{Frame: e.src.Generate(d), reg: r}
+	}), nil
+}
+
+// Frame returns the memoized frame for one dataset-day. The returned
+// frame is shared: callers must treat it as read-only.
+func (r *Registry) Frame(name string, d dates.Date) (*Frame, error) {
+	a, err := r.Artifact(name, d)
+	if err != nil {
+		return nil, err
+	}
+	return a.Frame, nil
 }
 
 // SetBinCodec injects the binary frame codec FrameBin encodes with.
@@ -138,39 +139,6 @@ func (r *Registry) SetBinCodec(codec BinCodec) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.bin = codec
-}
-
-// FrameBin returns the memoized binary encoding of one dataset-day,
-// sharing the frame layer's memoization: a cold binary request fills the
-// frame cache too, and the encoded bytes are then cached independently
-// (prefix "source_bin") so repeat binary hits skip the frame entirely.
-// The returned slice is shared: callers must treat it as read-only.
-func (r *Registry) FrameBin(name string, d dates.Date) ([]byte, error) {
-	e, ok := r.entry(name)
-	if !ok {
-		return nil, fmt.Errorf("%w %q", ErrUnknownSource, name)
-	}
-	r.mu.RLock()
-	codec := r.bin
-	r.mu.RUnlock()
-	if codec == nil {
-		return nil, ErrNoBinCodec
-	}
-	res := e.bins.Get(d, func(d dates.Date) binResult {
-		b, err := codec(e.frames.Get(d, e.src.Generate))
-		return binResult{b: b, err: err}
-	})
-	return res.b, res.err
-}
-
-// FrameBinCacheStats returns the binary-encoding cache activity for one
-// dataset.
-func (r *Registry) FrameBinCacheStats(name string) (CacheStats, bool) {
-	e, ok := r.entry(name)
-	if !ok {
-		return CacheStats{}, false
-	}
-	return e.bins.Stats(), true
 }
 
 // SetBinzCodec injects the compressed binary frame codec FrameBinz
@@ -181,38 +149,34 @@ func (r *Registry) SetBinzCodec(codec BinCodec) {
 	r.binz = codec
 }
 
-// FrameBinz returns the memoized compressed binary encoding of one
-// dataset-day, mirroring FrameBin: a cold request fills the frame cache,
-// and the compressed bytes are cached independently (prefix
-// "source_binz") so repeat hits pay neither the generate nor the
-// transform+deflate cost. The returned slice is shared: callers must
-// treat it as read-only.
-func (r *Registry) FrameBinz(name string, d dates.Date) ([]byte, error) {
-	e, ok := r.entry(name)
-	if !ok {
-		return nil, fmt.Errorf("%w %q", ErrUnknownSource, name)
-	}
+// codecs returns the injected codecs. Artifacts read them at fill time,
+// so a codec swapped in after construction encodes every later fill.
+func (r *Registry) codecs() (bin, binz BinCodec) {
 	r.mu.RLock()
-	codec := r.binz
-	r.mu.RUnlock()
-	if codec == nil {
-		return nil, ErrNoBinzCodec
-	}
-	res := e.binzs.Get(d, func(d dates.Date) binResult {
-		b, err := codec(e.frames.Get(d, e.src.Generate))
-		return binResult{b: b, err: err}
-	})
-	return res.b, res.err
+	defer r.mu.RUnlock()
+	return r.bin, r.binz
 }
 
-// FrameBinzCacheStats returns the compressed-encoding cache activity
-// for one dataset.
-func (r *Registry) FrameBinzCacheStats(name string) (CacheStats, bool) {
-	e, ok := r.entry(name)
-	if !ok {
-		return CacheStats{}, false
+// FrameBin returns the memoized binary encoding of one dataset-day (see
+// Artifact.Bin). The returned slice is shared: callers must treat it as
+// read-only.
+func (r *Registry) FrameBin(name string, d dates.Date) ([]byte, error) {
+	a, err := r.Artifact(name, d)
+	if err != nil {
+		return nil, err
 	}
-	return e.binzs.Stats(), true
+	return a.Bin()
+}
+
+// FrameBinz returns the memoized compressed binary encoding of one
+// dataset-day (see Artifact.Binz). The returned slice is shared: callers
+// must treat it as read-only.
+func (r *Registry) FrameBinz(name string, d dates.Date) ([]byte, error) {
+	a, err := r.Artifact(name, d)
+	if err != nil {
+		return nil, err
+	}
+	return a.Binz()
 }
 
 // Window returns the registered source's window.
@@ -224,11 +188,11 @@ func (r *Registry) Window(name string) (Window, bool) {
 	return s.Window(), true
 }
 
-// FrameCacheStats returns the frame cache activity for one dataset.
+// FrameCacheStats returns the artifact cache activity for one dataset.
 func (r *Registry) FrameCacheStats(name string) (CacheStats, bool) {
 	e, ok := r.entry(name)
 	if !ok {
 		return CacheStats{}, false
 	}
-	return e.frames.Stats(), true
+	return e.days.Stats(), true
 }

@@ -58,9 +58,9 @@ type CacheStats struct {
 
 // Days is the uniform bounded day cache every dataset artifact sits
 // behind: per-day singleflight fills, LRU eviction, and per-dataset
-// metrics on a shared registry. It replaces the ad-hoc per-consumer
-// caches (Lab's syncx.Cache fields, apnicweb's report LRU) so
-// memoization and metrics behave identically across all seven datasets.
+// metrics on a shared registry. The registry keeps one per dataset for
+// its artifacts; the adapters keep one each for the native values their
+// typed accessors return to the experiment lab.
 type Days[T any] struct {
 	lru  *syncx.LRU[int, T]
 	reqs *obsv.Counter
