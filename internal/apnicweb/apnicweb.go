@@ -34,9 +34,9 @@
 // function of (seed, date)): responses carry strong ETags derived from
 // the frame content hash, If-None-Match revalidation answers 304 without
 // rendering, Accept-Encoding negotiates gzip bodies pre-compressed once
-// per resident day, and identity CSV/JSON bodies stream row-by-row
-// without materializing the rendered report. See conditional.go and
-// serveImmutable.
+// per resident day, and identity CSV/JSON bodies stream in chunks of at
+// most 32 KiB without materializing the rendered report. See
+// conditional.go and serveImmutable.
 package apnicweb
 
 import (
@@ -297,8 +297,9 @@ func (s *Server) handleDatasetDates(w http.ResponseWriter, r *http.Request) {
 // hash (variant-suffixed, so no two representations share a validator)
 // and negotiate gzip through serveImmutable — except binz, which is
 // already entropy-coded and always serves identity. Text identity
-// bodies stream row-by-row and are never materialized server-side;
-// binary bodies are the day artifact's memoized encodings.
+// bodies stream in chunks of at most 32 KiB and are never materialized
+// whole server-side; binary bodies are the day artifact's memoized
+// encodings.
 func (s *Server) handleDatasetReport(w http.ResponseWriter, r *http.Request) {
 	src, ok := s.lookupDataset(w, r)
 	if !ok {
@@ -509,9 +510,10 @@ func (s *Server) serveImmutable(w http.ResponseWriter, r *http.Request, b immuta
 	s.streamBody(w, b)
 }
 
-// streamBody writes an identity body row-by-row. The whole rendered
-// report never exists in server memory — the CSV/JSON writers flush
-// through their small encoder buffers straight into the chunked response.
+// streamBody writes an identity body as it renders. The whole rendered
+// report never exists in server memory — the CSV/JSON encoders append
+// into one pooled buffer and hand it to the chunked response 32 KiB at a
+// time.
 //
 // A mid-stream failure cannot change the status code (it is already on
 // the wire as 200) and must not be papered over: returning normally would

@@ -19,8 +19,9 @@ package apnicweb
 // artifact, under its ETag variant, and evicted with the day. It is
 // always rendered from the artifact, never from a live client stream, so
 // a client that disconnects mid-response can never poison it with a
-// truncated body. Identity CSV/JSON responses stream row-by-row instead
-// (see streamBody in apnicweb.go) and are deliberately not byte-cached.
+// truncated body. Identity CSV/JSON responses stream instead, in chunks
+// of at most 32 KiB (see streamBody in apnicweb.go), and are deliberately
+// not byte-cached.
 
 import (
 	"crypto/sha256"
@@ -58,25 +59,26 @@ func etagMatch(ifNoneMatch, etag string) bool {
 }
 
 // acceptsGzip reports whether the request's Accept-Encoding header
-// permits a gzip-coded response: a "gzip" (or "*") entry whose q-value is
-// not zero. An absent header means identity only — proxies that strip
-// Accept-Encoding must get uncompressed bytes.
+// permits a gzip-coded response. A member naming gzip (or x-gzip)
+// decides on its own, wherever it appears in the list: per RFC 9110
+// §12.5.3 "*" only covers codings the header does not name, so
+// "*, gzip;q=0" refuses gzip. Without a named member, a "*" whose
+// q-value is not zero accepts it. An absent header means identity only
+// — proxies that strip Accept-Encoding must get uncompressed bytes.
 func acceptsGzip(acceptEncoding string) bool {
+	wildcard := false
 	for _, part := range strings.Split(acceptEncoding, ",") {
 		coding, params, _ := strings.Cut(part, ";")
-		coding = strings.ToLower(strings.TrimSpace(coding))
-		if coding != "gzip" && coding != "x-gzip" && coding != "*" {
-			continue
+		q, ok := qValue(params)
+		refused := ok && q == 0
+		switch strings.ToLower(strings.TrimSpace(coding)) {
+		case "gzip", "x-gzip":
+			return !refused
+		case "*":
+			wildcard = wildcard || !refused
 		}
-		if q, ok := qValue(params); ok && q == 0 {
-			if coding != "*" {
-				return false // explicit "gzip;q=0" refusal
-			}
-			continue // "*;q=0" refuses the wildcard, not gzip itself
-		}
-		return true
 	}
-	return false
+	return wildcard
 }
 
 // acceptsFrameBin reports whether the request's Accept header asks for

@@ -65,6 +65,14 @@ func TestAcceptsGzip(t *testing.T) {
 		{`*;q=0`, false},       // wildcard refused, gzip never named
 		{`identity`, false},
 		{`gzip;q=banana`, true}, // malformed q: stay acceptable
+		// A named gzip member overrides "*" in either order (RFC 9110 §12.5.3).
+		{`*, gzip;q=0`, false},
+		{`*;q=0.5, gzip;q=0`, false},
+		{`gzip;q=0, *`, false},
+		{`*, x-gzip;q=0`, false},
+		{`*;q=0, gzip`, true},
+		{`*;q=0, gzip;q=0.2`, true},
+		{`br, *;q=0.1`, true},
 	}
 	for _, tc := range cases {
 		if got := acceptsGzip(tc.header); got != tc.want {

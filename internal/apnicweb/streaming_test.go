@@ -40,9 +40,9 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 }
 
 // TestStreamingCSVChunks proves the identity CSV path streams instead of
-// buffering: the handler performs many Writes (the csv encoder flushes
-// every ~4KB), the response goes out chunked, and Content-Length is
-// omitted — not set to a guess.
+// buffering: the handler performs many Writes (the frame encoders hand
+// over 32 KiB chunks), the response goes out chunked, and Content-Length
+// is omitted — not set to a guess.
 func TestStreamingCSVChunks(t *testing.T) {
 	srv, ts, _ := multiServer(t)
 	d := dates.New(2024, 7, 1)

@@ -4,7 +4,10 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/dates"
 )
@@ -23,38 +26,94 @@ import (
 // csvMagic starts the metadata record of every frame CSV.
 const csvMagic = "#source"
 
-// WriteCSV serializes the frame.
+// WriteCSV serializes the frame. The output is exactly what
+// encoding/csv's Writer produces for the same records (comma separator,
+// LF line endings, its quoting rule), rendered by appending cells into
+// a pooled buffer handed to w in 32 KiB chunks (textbuf.go).
 func (f *Frame) WriteCSV(w io.Writer) error {
 	if err := f.Check(); err != nil {
 		return err
 	}
-	cw := csv.NewWriter(w)
-	meta := make([]string, 0, 4+2*len(f.Meta))
-	meta = append(meta, csvMagic, f.Source, "date", f.Date.String())
+	cw, b := newChunkWriter(w)
+	defer func() { cw.release(b) }()
+	b = append(b, csvMagic+","...)
+	b = appendCSVField(b, f.Source)
+	b = append(b, ",date,"...)
+	b = appendCSVField(b, f.Date.String())
 	for _, kv := range f.Meta {
-		meta = append(meta, kv[0], kv[1])
+		b = append(b, ',')
+		b = appendCSVField(b, kv[0])
+		b = append(b, ',')
+		b = appendCSVField(b, kv[1])
 	}
-	if err := cw.Write(meta); err != nil {
-		return err
-	}
-	header := make([]string, len(f.Cols))
-	for i := range f.Cols {
-		header[i] = f.Cols[i].Name + ":" + f.Cols[i].Kind.String()
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	rec := make([]string, len(f.Cols))
-	for r := 0; r < f.Rows(); r++ {
-		for i := range f.Cols {
-			rec[i] = f.Cols[i].Cell(r)
+	b = append(b, '\n')
+	for i, c := range f.Cols {
+		if i > 0 {
+			b = append(b, ',')
 		}
-		if err := cw.Write(rec); err != nil {
+		b = appendCSVField(b, c.Name+":"+c.Kind.String())
+	}
+	b = append(b, '\n')
+	var err error
+	for r := 0; r < f.Rows(); r++ {
+		for i, c := range f.Cols {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			switch c.Kind {
+			case String:
+				b = appendCSVField(b, c.Strs[r])
+			case Int:
+				b = strconv.AppendInt(b, c.Ints[r], 10)
+			default:
+				b = strconv.AppendFloat(b, c.Floats[r], 'g', -1, 64)
+			}
+		}
+		b = append(b, '\n')
+		if b, err = cw.spill(b); err != nil {
 			return err
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return cw.flush(b)
+}
+
+// appendCSVField appends one field under encoding/csv's quoting rule: a
+// field is quoted only when it contains the separator, a quote, CR or
+// LF, begins with a Unicode space, or is exactly `\.`; inside quotes an
+// embedded quote is doubled and every other byte is copied.
+func appendCSVField(b []byte, s string) []byte {
+	if !csvNeedsQuotes(s) {
+		return append(b, s...)
+	}
+	b = append(b, '"')
+	for {
+		i := strings.IndexByte(s, '"')
+		if i < 0 {
+			break
+		}
+		b = append(b, s[:i+1]...)
+		b = append(b, '"')
+		s = s[i+1:]
+	}
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+func csvNeedsQuotes(s string) bool {
+	if s == "" {
+		return false
+	}
+	if s == `\.` {
+		return true
+	}
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case ',', '"', '\r', '\n':
+			return true
+		}
+	}
+	r, _ := utf8.DecodeRuneInString(s)
+	return unicode.IsSpace(r)
 }
 
 // ReadCSV parses a frame written by WriteCSV.
