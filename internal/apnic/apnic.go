@@ -152,17 +152,46 @@ type Report struct {
 	aggMu    sync.Mutex
 	aggReg   *orgs.Registry
 	aggUsers map[orgs.CountryOrg]float64
+	aggIndex *orgs.CountryIndex[float64] // aggUsers by country
 }
 
-// adReach returns the effective country ad reach on a date: the geo
+// apnicDay is one market resolved on one date: every factor of an org's
+// expected sample count that is the same for all orgs in the country
+// that day, so the per-entry loops only draw noise.
+type apnicDay struct {
+	m     *world.Market
+	users world.MarketDay
+	reach float64 // adReach
+	// shut is the fraction of window sampling surviving government
+	// shutdowns: the window-average of the world's shared shutdown
+	// realization — APNIC's 60-day smoothing blunts individual days.
+	shut float64
+	week uint64 // windowNoise's derivation key
+	day  uint64 // the Poisson draw's derivation key
+}
+
+// resolve resolves a market on a date.
+func (g *Generator) resolve(m *world.Market, d dates.Date) apnicDay {
+	dn := d.DayNumber()
+	return apnicDay{
+		m:     m,
+		users: g.W.Day(m, d),
+		reach: g.adReach(m, dn),
+		shut:  g.W.ShutdownWindowFactor(m.Country.Code, d, g.Window),
+		week:  uint64(int64(dn / 7)),
+		day:   uint64(int64(dn)),
+	}
+}
+
+// adReach returns the effective country ad reach on a day: the geo
 // registry's baseline times whatever sampling shocks the world's scenario
 // has active (ad-market exits, CGNAT rollouts). The paper scenario
 // compiles Russia's 2022-03-10 ads pause to a single 0.25 step, so this
 // computes exactly the `reach *= 0.25` the pre-scenario code did.
-func (g *Generator) adReach(m *world.Market, d dates.Date) float64 {
+func (g *Generator) adReach(m *world.Market, dayNumber int) float64 {
 	reach := m.Country.AdReach
 	if sh := m.Shocks(); sh != nil && sh.HasSampling() {
-		reach *= sh.SamplingFactor(d.DayNumber())
+		reach *= sh.SamplingFactor(dayNumber)
 	}
 	return reach
 }
@@ -170,17 +199,9 @@ func (g *Generator) adReach(m *world.Market, d dates.Date) float64 {
 // windowNoise returns the residual multiplicative volatility of the
 // 60-day-averaged sample count for an org, drawn per (org, week) so that
 // consecutive days share most of their window.
-func (g *Generator) windowNoise(m *world.Market, e *world.Entry, d dates.Date) float64 {
-	wk := d.DayNumber() / 7
-	s := g.root.Derive(chanVolatility, m.Key(), e.Key, uint64(int64(wk)))
-	return s.LogNormal(0, m.Country.AdVolatility)
-}
-
-// shutdownFactor returns the fraction of window sampling surviving
-// government shutdowns: the window-average of the world's shared shutdown
-// realization — APNIC's 60-day smoothing blunts individual shutdown days.
-func (g *Generator) shutdownFactor(country string, d dates.Date) float64 {
-	return g.W.ShutdownWindowFactor(country, d, g.Window)
+func (g *Generator) windowNoise(ad *apnicDay, e *world.Entry) float64 {
+	s := g.root.Derive(chanVolatility, ad.m.Key(), e.Key, ad.week)
+	return s.LogNormal(0, ad.m.Country.AdVolatility)
 }
 
 // OrgSamples returns the expected-plus-noise ad-impression count for one
@@ -190,20 +211,39 @@ func (g *Generator) OrgSamples(country, orgID string, d dates.Date) int64 {
 	if e == nil {
 		return 0
 	}
-	return g.orgSamples(g.W.Market(country), country, e, d)
+	ad := g.resolve(g.W.Market(country), d)
+	return g.orgSamples(&ad, e)
 }
 
-// orgSamples is OrgSamples for an already-resolved (market, entry) pair —
-// the allocation-free inner loop of Generate and the per-country scans.
-func (g *Generator) orgSamples(m *world.Market, country string, e *world.Entry, d dates.Date) int64 {
-	apparent := g.W.APNICUsers(country, e.Org.ID, d)
-	mean := apparent * g.adReach(m, d) * e.AdFactor * e.APNICBias *
-		g.SampleRate * g.windowNoise(m, e, d) * g.shutdownFactor(country, d)
+// orgSamples is OrgSamples for an entry of a resolved market-day — the
+// allocation-free inner loop of Generate and the per-country scans. The
+// factor order of mean is pinned: reordering the product changes its
+// last bits, and with them the Poisson realizations.
+func (g *Generator) orgSamples(ad *apnicDay, e *world.Entry) int64 {
+	mean := ad.users.APNICUsers(e) * ad.reach * e.AdFactor * e.APNICBias *
+		g.SampleRate * g.windowNoise(ad, e) * ad.shut
 	if mean <= 0 {
 		return 0
 	}
-	s := g.root.Derive(chanPoisson, m.Key(), e.Key, uint64(int64(d.DayNumber())))
+	s := g.root.Derive(chanPoisson, ad.m.Key(), e.Key, ad.day)
 	return s.Poisson(mean)
+}
+
+// asnSplit splits an org's sample total across its sibling ASes by their
+// fixed weights; the last AS takes the rounding remainder. It calls fn
+// once per AS, in AS order, with the AS's share (possibly <= 0).
+func asnSplit(e *world.Entry, total int64, fn func(asn uint32, share int64)) {
+	var assigned int64
+	for i, asn := range e.Org.ASNs {
+		var share int64
+		if i == len(e.Org.ASNs)-1 {
+			share = total - assigned
+		} else {
+			share = int64(float64(total) * e.ASNWeights[i])
+		}
+		assigned += share
+		fn(asn, share)
+	}
 }
 
 // ASCount is one (country, AS) raw window-sample count before the
@@ -226,25 +266,17 @@ func (g *Generator) DayCounts(d dates.Date) []ASCount {
 	counts := make([]ASCount, 0, 4096)
 	for _, code := range g.W.Countries() {
 		m := g.W.Market(code)
+		ad := g.resolve(m, d)
 		for _, e := range m.ActiveEntries(d) {
-			total := g.orgSamples(m, code, e, d)
+			total := g.orgSamples(&ad, e)
 			if total == 0 {
 				continue
 			}
-			var assigned int64
-			for i, asn := range e.Org.ASNs {
-				var share int64
-				if i == len(e.Org.ASNs)-1 {
-					share = total - assigned
-				} else {
-					share = int64(float64(total) * e.ASNWeights[i])
+			asnSplit(e, total, func(asn uint32, share int64) {
+				if share > 0 {
+					counts = append(counts, ASCount{CC: code, ASN: asn, Samples: share})
 				}
-				assigned += share
-				if share <= 0 {
-					continue
-				}
-				counts = append(counts, ASCount{CC: code, ASN: asn, Samples: share})
-			}
+			})
 		}
 	}
 	return counts
@@ -342,13 +374,30 @@ func (r *Report) OrgUsers(reg *orgs.Registry) map[orgs.CountryOrg]float64 {
 // per country, as TopOrgs used to) dominated their cost. The returned map
 // is shared: callers must not modify it.
 func (r *Report) OrgUsersCached(reg *orgs.Registry) map[orgs.CountryOrg]float64 {
+	users, _ := r.aggregation(reg)
+	return users
+}
+
+// CountryOrgUsers returns one country's org→estimated-users map from the
+// cached aggregation. The aggregation is indexed by country once per
+// (report, registry), so per-country loops read one row each instead of
+// scanning every pair. The map is fresh and caller-owned.
+func (r *Report) CountryOrgUsers(reg *orgs.Registry, country string) map[string]float64 {
+	users, byCountry := r.aggregation(reg)
+	return byCountry.Copy(users, country)
+}
+
+// aggregation returns the cached OrgUsers aggregation and its country
+// index, (re)computing both when the registry changes.
+func (r *Report) aggregation(reg *orgs.Registry) (map[orgs.CountryOrg]float64, *orgs.CountryIndex[float64]) {
 	r.aggMu.Lock()
 	defer r.aggMu.Unlock()
 	if r.aggUsers == nil || r.aggReg != reg {
 		r.aggUsers = r.OrgUsers(reg)
 		r.aggReg = reg
+		r.aggIndex = new(orgs.CountryIndex[float64])
 	}
-	return r.aggUsers
+	return r.aggUsers, r.aggIndex
 }
 
 // OrgSamples aggregates a report's raw samples to (country, org) pairs.
@@ -379,10 +428,10 @@ func (r *Report) CountrySamples() map[string]int64 {
 }
 
 // TopOrgs returns a country's org IDs ordered by estimated users,
-// descending. It reads the cached aggregation, so looping it over every
-// country costs one OrgUsers pass, not one per country.
+// descending. It reads the cached aggregation's country index, so looping
+// it over every country costs one OrgUsers pass, not one per country.
 func (r *Report) TopOrgs(reg *orgs.Registry, country string) []string {
-	users := orgs.CountryShares(r.OrgUsersCached(reg), country)
+	users := r.CountryOrgUsers(reg, country)
 	ids := make([]string, 0, len(users))
 	for id := range users {
 		ids = append(ids, id)
@@ -420,24 +469,17 @@ func (g *Generator) countryTotalsScan(country string, d dates.Date) (samples int
 	if m == nil {
 		return 0, 0
 	}
+	ad := g.resolve(m, d)
 	for _, e := range m.ActiveEntries(d) {
-		total := g.orgSamples(m, country, e, d)
+		total := g.orgSamples(&ad, e)
 		if total == 0 {
 			continue
 		}
-		var assigned int64
-		for i := range e.Org.ASNs {
-			var share int64
-			if i == len(e.Org.ASNs)-1 {
-				share = total - assigned
-			} else {
-				share = int64(float64(total) * e.ASNWeights[i])
-			}
-			assigned += share
+		asnSplit(e, total, func(_ uint32, share int64) {
 			if share >= g.MinSamples {
 				samples += share
 			}
-		}
+		})
 	}
 	if samples > 0 {
 		users = g.ITU.Users(country, d)
@@ -469,26 +511,20 @@ func (g *Generator) countryOrgSharesScan(country string, d dates.Date) map[strin
 	if m == nil {
 		return nil
 	}
+	ad := g.resolve(m, d)
 	out := map[string]float64{}
 	var total int64
 	for _, e := range m.ActiveEntries(d) {
-		orgTotal := g.orgSamples(m, country, e, d)
+		orgTotal := g.orgSamples(&ad, e)
 		if orgTotal == 0 {
 			continue
 		}
-		var assigned, included int64
-		for i := range e.Org.ASNs {
-			var share int64
-			if i == len(e.Org.ASNs)-1 {
-				share = orgTotal - assigned
-			} else {
-				share = int64(float64(orgTotal) * e.ASNWeights[i])
-			}
-			assigned += share
+		var included int64
+		asnSplit(e, orgTotal, func(_ uint32, share int64) {
 			if share >= g.MinSamples {
 				included += share
 			}
-		}
+		})
 		if included > 0 {
 			out[e.Org.ID] = float64(included)
 			total += included

@@ -287,3 +287,28 @@ func TestCountryOrgSharesMatchesReport(t *testing.T) {
 		}
 	}
 }
+
+// TestCountryOrgUsersMatchesScan checks the report's country index
+// against the one-country scan of the full aggregation for every
+// country, and that returned maps are caller-owned.
+func TestCountryOrgUsersMatchesScan(t *testing.T) {
+	rep := testGen().Generate(dates.New(2023, 7, 20))
+	all := rep.OrgUsers(testW.Registry)
+	for _, cc := range append(testW.Countries(), "T1", "ZZ") {
+		got, want := rep.CountryOrgUsers(testW.Registry, cc), orgs.CountryShares(all, cc)
+		if got == nil || len(got) != len(want) {
+			t.Fatalf("CountryOrgUsers(%s): %d orgs, scan %d", cc, len(got), len(want))
+		}
+		for id, v := range want {
+			if math.Float64bits(got[id]) != math.Float64bits(v) {
+				t.Fatalf("CountryOrgUsers(%s)[%s] = %v, scan %v", cc, id, got[id], v)
+			}
+		}
+		for id := range got {
+			got[id] = -1
+		}
+	}
+	if fr := rep.CountryOrgUsers(testW.Registry, "FR"); fr[rep.TopOrgs(testW.Registry, "FR")[0]] <= 0 {
+		t.Fatal("mutating a returned map reached the index")
+	}
+}

@@ -148,7 +148,7 @@ func (a *Archive) CountrySeries(country string) []Point {
 func (a *Archive) OrgShareSeries(reg *orgs.Registry, country string) []map[string]float64 {
 	var out []map[string]float64
 	for _, d := range a.days {
-		users := orgs.CountryShares(a.reports[d].OrgUsersCached(reg), country)
+		users := a.reports[d].CountryOrgUsers(reg, country)
 		// Sorted-order summation keeps the shares bit-reproducible.
 		if stats.SumMap(users) == 0 {
 			continue

@@ -109,11 +109,12 @@ func (c *Campaign) Run(d dates.Date, tracesPerVantage int) *Popularity {
 	var dstW []float64
 	for _, cc := range c.W.Countries() {
 		m := c.W.Market(cc)
+		md := c.W.Day(m, d)
 		for _, e := range m.ActiveEntries(d) {
 			if e.Org.Home != cc {
 				continue
 			}
-			attract := c.W.TrueUsers(cc, e.Org.ID, d) * e.TrafficPerUser
+			attract := md.TrueUsers(e) * e.TrafficPerUser
 			if attract <= 0 {
 				continue
 			}

@@ -74,11 +74,12 @@ func (g *Generator) Generate(d dates.Date) *Dataset {
 		}
 		row := map[string]float64{}
 		total := 0.0
+		md := g.W.Day(m, d)
 		for _, e := range m.ActiveEntries(d) {
 			if !e.Org.Type.IsAccess() {
 				continue
 			}
-			fixedUsers := g.W.TrueUsers(cc, e.Org.ID, d) * (1 - e.MobileShare)
+			fixedUsers := md.TrueUsers(e) * (1 - e.MobileShare)
 			subs := fixedUsers / m.Country.HouseholdSize
 			if subs < 1000 {
 				continue // below any survey's radar

@@ -86,10 +86,13 @@ type OrgStats struct {
 	Bytes           float64 // outbound traffic volume (total, not sampled)
 }
 
-// Snapshot is one day of aggregated CDN logs.
+// Snapshot is one day of aggregated CDN logs. Stats must not change
+// after the first per-country query.
 type Snapshot struct {
 	Date  dates.Date
 	Stats map[orgs.CountryOrg]OrgStats
+
+	byCountry orgs.CountryIndex[OrgStats] // Stats grouped by country
 }
 
 // entryFor resolves the simulation parameters for a (country, org) pair:
@@ -261,20 +264,21 @@ func (s *Snapshot) Volumes() map[orgs.CountryOrg]float64 {
 // 1 — the form the paper receives the proprietary data in ("we are
 // provided with the percentages for each (country, org)").
 func (s *Snapshot) UAShares(country string) map[string]float64 {
-	return shares(s.Stats, country, func(st OrgStats) float64 { return st.UserAgents })
+	return s.shares(country, func(st OrgStats) float64 { return st.UserAgents })
 }
 
 // VolumeShares returns one country's per-org share of traffic volume.
 func (s *Snapshot) VolumeShares(country string) map[string]float64 {
-	return shares(s.Stats, country, func(st OrgStats) float64 { return st.Bytes })
+	return s.shares(country, func(st OrgStats) float64 { return st.Bytes })
 }
 
-func shares(byPair map[orgs.CountryOrg]OrgStats, country string, f func(OrgStats) float64) map[string]float64 {
-	out := map[string]float64{}
-	for k, st := range byPair {
-		if k.Country == country {
-			out[k.Org] = f(st)
-		}
+// shares returns a fresh, caller-owned map of one country's per-org
+// metric, normalized to sum to 1.
+func (s *Snapshot) shares(country string, f func(OrgStats) float64) map[string]float64 {
+	row := s.byCountry.Row(s.Stats, country)
+	out := make(map[string]float64, len(row))
+	for _, ov := range row {
+		out[ov.Org] = f(ov.Value)
 	}
 	// NormalizeMap sums in sorted key order so map iteration cannot leak
 	// into the shares' last bits.

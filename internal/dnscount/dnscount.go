@@ -57,9 +57,12 @@ func New(w *world.World, seed uint64) *Generator {
 }
 
 // Dataset is one day of per-(country, org) upstream query counts.
+// Queries must not change after the first per-country query.
 type Dataset struct {
 	Date    dates.Date
 	Queries map[orgs.CountryOrg]float64
+
+	byCountry orgs.CountryIndex[float64] // Queries grouped by country
 }
 
 // Generate produces the query counts observed on a day.
@@ -68,8 +71,9 @@ func (g *Generator) Generate(d dates.Date) *Dataset {
 	for _, cc := range g.W.Countries() {
 		m := g.W.Market(cc)
 		shut := g.W.ShutdownFactor(cc, d)
+		md := g.W.Day(m, d)
 		for _, e := range m.ActiveEntries(d) {
-			users := g.W.TrueUsers(cc, e.Org.ID, d)
+			users := md.TrueUsers(e)
 			if users <= 0 {
 				continue
 			}
@@ -111,15 +115,8 @@ func pow(x, y float64) float64 {
 
 // CountryShares returns one country's per-org query shares, summing to 1.
 func (ds *Dataset) CountryShares(country string) map[string]float64 {
-	out := map[string]float64{}
-	for k, v := range ds.Queries {
-		if k.Country == country {
-			out[k.Org] = v
-		}
-	}
 	// Sorted-order summation keeps the shares bit-reproducible.
-	stats.NormalizeMap(out)
-	return out
+	return stats.NormalizeMap(ds.byCountry.Copy(ds.Queries, country))
 }
 
 // Pairs returns the detected (country, org) pairs, sorted.

@@ -8,7 +8,6 @@ import (
 	"repro/internal/cdn"
 	"repro/internal/core"
 	"repro/internal/dates"
-	"repro/internal/orgs"
 	"repro/internal/stats"
 )
 
@@ -24,11 +23,10 @@ import (
 func AblationKendallFilter(l *Lab, minShare float64) float64 {
 	rep := l.Report(PrimaryCDNDay)
 	snap := l.Snapshot(PrimaryCDNDay)
-	apnicUsers := rep.OrgUsersCached(l.W.Registry)
 
 	strong, total := 0, 0
 	for _, cc := range snap.Countries() {
-		apnicShares := orgs.CountryShares(apnicUsers, cc)
+		apnicShares := rep.CountryOrgUsers(l.W.Registry, cc)
 		if len(apnicShares) == 0 {
 			continue
 		}
@@ -66,12 +64,11 @@ func AblationBotFilter(l *Lab, threshold int) float64 {
 	gen.BotThreshold = threshold
 	snap := gen.Generate(PrimaryCDNDay)
 	rep := l.Report(PrimaryCDNDay)
-	apnicUsers := rep.OrgUsersCached(l.W.Registry)
 
 	var sum float64
 	n := 0
 	for _, cc := range snap.Countries() {
-		apnicShares := orgs.CountryShares(apnicUsers, cc)
+		apnicShares := rep.CountryOrgUsers(l.W.Registry, cc)
 		if len(apnicShares) == 0 {
 			continue
 		}
@@ -112,7 +109,6 @@ func AblationSamplingRate(l *Lab, rate float64) float64 {
 func AblationMICGrid(l *Lab, exponent float64) float64 {
 	rep := l.Report(PrimaryCDNDay)
 	snap := l.Snapshot(PrimaryCDNDay)
-	apnicUsers := rep.OrgUsersCached(l.W.Registry)
 
 	var gains []float64
 	for _, cc := range l.W.Countries() {
@@ -120,7 +116,7 @@ func AblationMICGrid(l *Lab, exponent float64) float64 {
 		if m.Country.Continent() != "Europe" {
 			continue
 		}
-		apnicShares := orgs.CountryShares(apnicUsers, cc)
+		apnicShares := rep.CountryOrgUsers(l.W.Registry, cc)
 		vol := snap.VolumeShares(cc)
 		keys := map[string]bool{}
 		for k := range apnicShares {

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/orgs"
 	"repro/internal/report"
 )
 
@@ -54,11 +53,10 @@ func ExtTrafficModel(l *Lab) *Result {
 	rep := l.Report(PrimaryCDNDay)
 	snap := l.Snapshot(PrimaryCDNDay)
 	ix := l.IXPData(PrimaryCDNDay)
-	apnicUsers := rep.OrgUsersCached(l.W.Registry)
 
 	var ta, tx, tv []float64
 	for _, cc := range l.W.Countries() {
-		aSh := orgs.CountryShares(apnicUsers, cc)
+		aSh := rep.CountryOrgUsers(l.W.Registry, cc)
 		caps := ix.CountryCapacities(cc)
 		// Sorted summation: float addition order must not depend on map
 		// iteration, or tx (and the fitted R²) drifts in the last bits

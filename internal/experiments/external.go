@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geo"
-	"repro/internal/orgs"
 	"repro/internal/report"
 	"repro/internal/stats"
 )
@@ -17,13 +16,12 @@ import (
 // shares and another per-country share map provider.
 func countryKendall(l *Lab, other func(cc string) map[string]float64, only func(cc string) bool) map[string]float64 {
 	rep := l.Report(PrimaryCDNDay)
-	apnicUsers := rep.OrgUsersCached(l.W.Registry)
 	out := map[string]float64{}
 	for _, cc := range l.W.Countries() {
 		if only != nil && !only(cc) {
 			continue
 		}
-		apnicShares := orgs.CountryShares(apnicUsers, cc)
+		apnicShares := rep.CountryOrgUsers(l.W.Registry, cc)
 		o := other(cc)
 		if len(apnicShares) < 3 || len(o) < 3 {
 			continue
@@ -115,7 +113,6 @@ func Figure10(l *Lab) *Result {
 	rep := l.Report(PrimaryCDNDay)
 	snap := l.Snapshot(PrimaryCDNDay)
 	ix := l.IXPData(PrimaryCDNDay)
-	apnicUsers := rep.OrgUsersCached(l.W.Registry)
 
 	// Within-country IXP capacity shares, so that all three quantities
 	// are commensurate relative measures.
@@ -138,7 +135,7 @@ func Figure10(l *Lab) *Result {
 	// on map iteration.
 	var ta, tx, tv []float64
 	for _, cc := range l.W.Countries() {
-		aSh := orgs.CountryShares(apnicUsers, cc)
+		aSh := rep.CountryOrgUsers(l.W.Registry, cc)
 		iSh := ixpShares(cc)
 		vols := snap.VolumeShares(cc)
 		ids := make([]string, 0, len(vols))
@@ -169,7 +166,7 @@ func Figure10(l *Lab) *Result {
 			continue
 		}
 		cmp, ok := core.CompareMIC(cc, model,
-			orgs.CountryShares(apnicUsers, cc),
+			rep.CountryOrgUsers(l.W.Registry, cc),
 			ixpShares(cc),
 			snap.VolumeShares(cc))
 		if ok {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 
-	"repro/internal/orgs"
 	"repro/internal/report"
 	"repro/internal/stats"
 )
@@ -34,15 +33,13 @@ func ExtProxies(l *Lab) *Result {
 	campaign := l.Campaign()
 	popularity := l.PathPopularity(PrimaryCDNDay, 150)
 
-	apnicUsers := rep.OrgUsersCached(l.W.Registry)
-
 	type proxy struct {
 		name   string
 		shares func(cc string) map[string]float64
 	}
 	proxies := []proxy{
 		{"apnic-users", func(cc string) map[string]float64 {
-			return normalize(orgs.CountryShares(apnicUsers, cc))
+			return normalize(rep.CountryOrgUsers(l.W.Registry, cc))
 		}},
 		{"dns-queries", dns.CountryShares},
 		{"ixp-capacity", func(cc string) map[string]float64 {

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/orgs"
 	"repro/internal/report"
 	"repro/internal/stats"
 )
@@ -20,7 +19,6 @@ import (
 func Figure2(l *Lab) *Result {
 	bb := l.BroadbandData(BroadbandDay)
 	rep := l.Report(BroadbandDay)
-	apnicUsers := rep.OrgUsersCached(l.W.Registry)
 
 	var allX, allY []float64
 	type ccRow struct {
@@ -33,7 +31,7 @@ func Figure2(l *Lab) *Result {
 
 	for _, cc := range bb.Countries() {
 		survey := bb.Shares[cc]
-		apnicCountry := orgs.CountryShares(apnicUsers, cc)
+		apnicCountry := rep.CountryOrgUsers(l.W.Registry, cc)
 
 		// Renormalize APNIC over the surveyed orgs (§4.1). Sorted-order
 		// iteration keeps the float sums (and the R² fits below, whose
@@ -237,12 +235,11 @@ func medianCoverage(cov []core.CountryCoverage) float64 {
 func figure4Side(l *Lab, metric string) (map[string]core.Agreement, map[string]bool) {
 	rep := l.Report(PrimaryCDNDay)
 	snap := l.Snapshot(PrimaryCDNDay)
-	apnicUsers := rep.OrgUsersCached(l.W.Registry)
 
 	agreements := map[string]core.Agreement{}
 	principal := map[string]bool{}
 	for _, cc := range snap.Countries() {
-		apnicShares := orgs.CountryShares(apnicUsers, cc)
+		apnicShares := rep.CountryOrgUsers(l.W.Registry, cc)
 		var other map[string]float64
 		if metric == "ua" {
 			other = snap.UAShares(cc)
@@ -320,10 +317,9 @@ func Figure4(l *Lab) *Result {
 func Figure5(l *Lab) *Result {
 	rep := l.Report(PrimaryCDNDay)
 	snap := l.Snapshot(PrimaryCDNDay)
-	apnicUsers := rep.OrgUsersCached(l.W.Registry)
 
 	slope := func(cc, metric string) (float64, float64) {
-		apnicShares := orgs.CountryShares(apnicUsers, cc)
+		apnicShares := rep.CountryOrgUsers(l.W.Registry, cc)
 		var other map[string]float64
 		if metric == "ua" {
 			other = snap.UAShares(cc)

@@ -61,6 +61,10 @@ type Snapshot struct {
 	// PNI is the hidden private-interconnect capacity in bit/s; the
 	// paper could only observe it through the CDN's own interconnects.
 	PNI map[orgs.CountryOrg]float64
+
+	// byCountry groups Capacities by country; Capacities must not change
+	// after the first per-country query.
+	byCountry orgs.CountryIndex[float64]
 }
 
 // registryCoverage is the probability an org registers its IXP ports,
@@ -90,9 +94,10 @@ func (g *Generator) Generate(d dates.Date) *Snapshot {
 	for _, cc := range g.W.Countries() {
 		m := g.W.Market(cc)
 		cover := registryCoverage(string(m.Country.Continent()))
+		md := g.W.Day(m, d)
 		for _, e := range m.ActiveEntries(d) {
 			pair := orgs.CountryOrg{Country: cc, Org: e.Org.ID}
-			users := g.W.TrueUsers(cc, e.Org.ID, d)
+			users := md.TrueUsers(e)
 			if users <= 0 {
 				continue
 			}
@@ -159,13 +164,7 @@ func quantize(raw float64) float64 {
 
 // CountryCapacities returns one country's per-org public capacities.
 func (s *Snapshot) CountryCapacities(country string) map[string]float64 {
-	out := map[string]float64{}
-	for k, v := range s.Capacities {
-		if k.Country == country {
-			out[k.Org] = v
-		}
-	}
-	return out
+	return s.byCountry.Copy(s.Capacities, country)
 }
 
 // Pairs returns the registered (country, org) pairs, sorted.

@@ -46,10 +46,13 @@ func New(w *world.World, seed uint64) *Generator {
 	return &Generator{W: w, BaseRate: 0.02, root: rng.New(seed).Split("mlab")}
 }
 
-// Dataset holds one month of test counts.
+// Dataset holds one month of test counts. Counts must not change after
+// the first per-country query.
 type Dataset struct {
 	Month  dates.Date // first day of the month
 	Counts map[orgs.CountryOrg]float64
+
+	byCountry orgs.CountryIndex[float64] // Counts grouped by country
 }
 
 // Integrated reports whether M-Lab is surfaced in search results for a
@@ -72,11 +75,12 @@ func (g *Generator) Generate(d dates.Date) *Dataset {
 		}
 		shut := g.W.ShutdownWindowFactor(cc, month.AddDays(27), 28)
 		monthKey := uint64(int64(month.DayNumber()))
+		md := g.W.Day(m, month)
 		for _, e := range m.ActiveEntries(month) {
 			if !e.Org.Type.HostsUsers() {
 				continue
 			}
-			users := g.W.TrueUsers(cc, e.Org.ID, month)
+			users := md.TrueUsers(e)
 			// Persistent voluntary-tester skew per org.
 			ss := g.root.Derive(chanSavvy, m.Key(), e.Key)
 			savvy := ss.LogNormal(0, 0.25)
@@ -101,14 +105,8 @@ func (g *Generator) Generate(d dates.Date) *Dataset {
 // CountryShares returns one country's per-org share of tests, summing
 // to 1.
 func (ds *Dataset) CountryShares(country string) map[string]float64 {
-	out := map[string]float64{}
-	for k, v := range ds.Counts {
-		if k.Country == country {
-			out[k.Org] = v
-		}
-	}
 	// Sorted-order summation keeps the shares bit-reproducible.
-	return stats.NormalizeMap(out)
+	return stats.NormalizeMap(ds.byCountry.Copy(ds.Counts, country))
 }
 
 // Countries returns the sorted countries with published counts.

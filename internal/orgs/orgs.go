@@ -7,7 +7,10 @@ package orgs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
+	"sync"
 )
 
 // Type classifies what kind of network an organization operates. The type
@@ -123,8 +126,9 @@ func (r *Registry) Add(o *Org) error {
 	for _, asn := range o.ASNs {
 		r.byASN[asn] = o
 	}
-	r.ids = append(r.ids, o.ID)
-	sort.Strings(r.ids)
+	// A sorted insert, not a re-sort per Add, keeps registry builds cheap.
+	i, _ := slices.BinarySearch(r.ids, o.ID)
+	r.ids = slices.Insert(r.ids, i, o.ID)
 	return nil
 }
 
@@ -187,13 +191,72 @@ func (r *Registry) Aggregate(byAS map[CountryAS]float64) map[CountryOrg]float64 
 }
 
 // CountryShares extracts one country's org→value map from a
-// (country, org) keyed measurement.
+// (country, org) keyed measurement. It scans the whole map; callers that
+// ask for many countries should index it once with a CountryIndex.
 func CountryShares(m map[CountryOrg]float64, country string) map[string]float64 {
 	out := map[string]float64{}
 	for k, v := range m {
 		if k.Country == country {
 			out[k.Org] = v
 		}
+	}
+	return out
+}
+
+// OrgValue is one org's value in a country's row of a (country, org)
+// keyed measurement.
+type OrgValue[V any] struct {
+	Org   string
+	Value V
+}
+
+// CountryIndex is a lazily built per-country view of one (country, org)
+// keyed map, for datasets that answer per-country queries many times:
+// the first query groups the whole map once, later ones read one row.
+// The zero value is ready to use and safe for concurrent callers; the
+// indexed map must not change after the first query.
+type CountryIndex[V any] struct {
+	once sync.Once
+	rows map[string][]OrgValue[V]
+}
+
+// Row returns country's (org, value) pairs of m, sorted by org ID. The
+// slice is shared between callers: treat it as read-only.
+func (ix *CountryIndex[V]) Row(m map[CountryOrg]V, country string) []OrgValue[V] {
+	ix.once.Do(func() { ix.rows = groupByCountry(m) })
+	return ix.rows[country]
+}
+
+// groupByCountry splits m into per-country rows sorted by org ID, all
+// backed by one array.
+func groupByCountry[V any](m map[CountryOrg]V) map[string][]OrgValue[V] {
+	sizes := make(map[string]int, 256)
+	for k := range m {
+		sizes[k.Country]++
+	}
+	backing := make([]OrgValue[V], len(m))
+	rows := make(map[string][]OrgValue[V], len(sizes))
+	off := 0
+	for cc, n := range sizes {
+		rows[cc] = backing[off : off : off+n]
+		off += n
+	}
+	for k, v := range m {
+		rows[k.Country] = append(rows[k.Country], OrgValue[V]{Org: k.Org, Value: v})
+	}
+	for _, row := range rows {
+		slices.SortFunc(row, func(a, b OrgValue[V]) int { return strings.Compare(a.Org, b.Org) })
+	}
+	return rows
+}
+
+// Copy returns country's row of m as a fresh, caller-owned org→value map
+// (empty, not nil, when the country is absent).
+func (ix *CountryIndex[V]) Copy(m map[CountryOrg]V, country string) map[string]V {
+	row := ix.Row(m, country)
+	out := make(map[string]V, len(row))
+	for _, ov := range row {
+		out[ov.Org] = ov.Value
 	}
 	return out
 }

@@ -1,6 +1,10 @@
 package orgs
 
 import (
+	"fmt"
+	"maps"
+	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -120,5 +124,83 @@ func TestIDsSortedAndAll(t *testing.T) {
 	all := r.All()
 	if len(all) != 3 || all[0].ID != "A" {
 		t.Fatalf("All = %v", all)
+	}
+}
+
+// TestRegistryAddShuffledKeepsOrder inserts a few hundred orgs in
+// shuffled order: IDs and All must come out sorted, and every rejected
+// Add (duplicate ID, already-owned ASN, no ASNs) must leave IDs as it was.
+func TestRegistryAddShuffledKeepsOrder(t *testing.T) {
+	const n = 400
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("%s-FIX-%03d", []string{"DE", "FR", "BR", "IN"}[i%4], i)
+	}
+	rand.New(rand.NewPCG(1, 2)).Shuffle(n, func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+
+	r := NewRegistry()
+	for i, id := range ids {
+		if err := r.Add(&Org{ID: id, ASNs: []uint32{uint32(1000 + i)}}); err != nil {
+			t.Fatal(err)
+		}
+		if i%50 != 0 {
+			continue
+		}
+		before := r.IDs()
+		rejects := []*Org{
+			{ID: id, ASNs: []uint32{99999}},                 // duplicate ID
+			{ID: "ZZ-NEW-00", ASNs: []uint32{uint32(1000)}}, // ASN owned by the first org
+			{ID: "ZZ-NEW-01"},                               // no ASNs
+		}
+		for _, o := range rejects {
+			if err := r.Add(o); err == nil {
+				t.Fatalf("Add(%q, %v) accepted", o.ID, o.ASNs)
+			}
+			if got := r.IDs(); !slices.Equal(got, before) {
+				t.Fatalf("rejected Add(%q) changed IDs: %d → %d", o.ID, len(before), len(got))
+			}
+		}
+	}
+	got := r.IDs()
+	want := slices.Clone(ids)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("IDs not sorted: %v…", got[:5])
+	}
+	for i, o := range r.All() {
+		if o.ID != want[i] {
+			t.Fatalf("All()[%d] = %s, want %s", i, o.ID, want[i])
+		}
+	}
+}
+
+// TestCountryIndexMatchesCountryShares checks the index against the
+// one-country scan: sorted rows, equal maps, caller-owned copies.
+func TestCountryIndexMatchesCountryShares(t *testing.T) {
+	m := map[CountryOrg]float64{
+		{Country: "FR", Org: "b"}: 2,
+		{Country: "FR", Org: "a"}: 1,
+		{Country: "DE", Org: "c"}: 3,
+		{Country: "T1", Org: "t"}: 4,
+	}
+	var ix CountryIndex[float64]
+	for _, cc := range []string{"FR", "DE", "T1", "ZZ"} {
+		if got, want := ix.Copy(m, cc), CountryShares(m, cc); !maps.Equal(got, want) {
+			t.Fatalf("Copy(%s) = %v, CountryShares %v", cc, got, want)
+		}
+	}
+	if row := ix.Row(m, "FR"); len(row) != 2 || row[0] != (OrgValue[float64]{"a", 1}) || row[1] != (OrgValue[float64]{"b", 2}) {
+		t.Fatalf("Row(FR) = %v, want sorted by org", row)
+	}
+	if row := ix.Row(m, "ZZ"); row != nil {
+		t.Fatalf("Row of an absent country = %v", row)
+	}
+	c := ix.Copy(m, "FR")
+	c["a"] = -1
+	if got := ix.Copy(m, "FR"); got["a"] != 1 {
+		t.Fatal("mutating a Copy reached the index")
+	}
+	if got := ix.Copy(m, "ZZ"); got == nil || len(got) != 0 {
+		t.Fatalf("Copy of an absent country = %v, want empty map", got)
 	}
 }

@@ -3,6 +3,7 @@ package world
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/geo"
@@ -475,53 +476,82 @@ func consolidationGamma(region geo.Subregion, year int) float64 {
 	}
 }
 
-// computeShares fills the market's per-year normalized share table.
+// computeShares fills every entry's dense Jan-1 share slice for
+// FirstYear..LastYear+1 (one backing array per market). Orgs occupy
+// slots in sorted ID order, which fixes the float summation order.
 func (w *World) computeShares(m *Market) {
-	m.shares = map[int]map[string]float64{}
+	ids := make([]string, 0, len(m.Entries))
+	for _, e := range m.Entries {
+		ids = append(ids, e.Org.ID)
+	}
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	slotOf := func(id string) int {
+		if i, ok := slices.BinarySearch(ids, id); ok {
+			return i
+		}
+		return -1
+	}
+	slot := make([]int, len(m.Entries))     // entry → its org's slot
+	absorber := make([]int, len(m.Entries)) // entry → AbsorbedBy's slot, or -1
+	for i, e := range m.Entries {
+		slot[i] = slotOf(e.Org.ID)
+		absorber[i] = -1
+		if e.AbsorbedBy != "" {
+			absorber[i] = slotOf(e.AbsorbedBy)
+		}
+	}
+
+	n := w.Cfg.LastYear + 2 - w.Cfg.FirstYear
+	buf := make([]float64, n*len(m.Entries))
+	for i, e := range m.Entries {
+		e.shares = buf[i*n : (i+1)*n : (i+1)*n]
+	}
+	eff := make([]float64, len(ids))
+	active := make([]bool, len(ids))
+	eyeball := make([]bool, len(ids))
 	for y := w.Cfg.FirstYear; y <= w.Cfg.LastYear+1; y++ {
 		gamma := consolidationGamma(m.Country.Subregion, y)
-		row := map[string]float64{}
-		total := 0.0
+		clear(eff)
+		clear(active)
 		// Effective weight: active orgs plus mass inherited from
 		// absorbed orgs.
-		eff := map[string]float64{}
-		eyeball := map[string]bool{}
-		for _, e := range m.Entries {
+		for i, e := range m.Entries {
 			if !activeIn(e, y) {
 				continue
 			}
-			eff[e.Org.ID] += e.BaseWeight
-			eyeball[e.Org.ID] = e.Org.Type.HostsUsers()
+			eff[slot[i]] += e.BaseWeight
+			active[slot[i]] = true
+			eyeball[slot[i]] = e.Org.Type.HostsUsers()
 		}
-		for _, e := range m.Entries {
-			if e.ExitYear != 0 && y >= e.ExitYear && e.AbsorbedBy != "" {
-				if _, ok := eff[e.AbsorbedBy]; ok {
-					eff[e.AbsorbedBy] += e.BaseWeight
-				}
+		for i, e := range m.Entries {
+			if e.ExitYear != 0 && y >= e.ExitYear && absorber[i] >= 0 && active[absorber[i]] {
+				eff[absorber[i]] += e.BaseWeight
 			}
 		}
-		ids := make([]string, 0, len(eff))
-		for id := range eff {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids) // deterministic summation order
-		for _, id := range ids {
-			v := eff[id]
-			if eyeball[id] {
+		total := 0.0
+		for k := range eff {
+			if !active[k] {
+				continue
+			}
+			if eyeball[k] {
 				// The consolidation tilt models the *access-market*
 				// dynamics of §6; enterprise, cloud, CDN and VPN orgs
 				// keep their base weight.
-				v = math.Pow(v, gamma)
+				eff[k] = math.Pow(eff[k], gamma)
 			}
-			row[id] = v
-			total += v
+			total += eff[k]
 		}
-		if total > 0 {
-			for _, id := range ids {
-				row[id] /= total
+		for i, e := range m.Entries {
+			v := 0.0 // inactive orgs hold no share
+			if active[slot[i]] {
+				v = eff[slot[i]]
+				if total > 0 {
+					v /= total
+				}
 			}
+			e.shares[y-w.Cfg.FirstYear] = v
 		}
-		m.shares[y] = row
 	}
 }
 
@@ -535,13 +565,14 @@ func activeIn(e *Entry, year int) bool {
 	return true
 }
 
-// shareInYear returns the Jan-1 share for an org in a market's country.
-func (w *World) shareInYear(m *Market, orgID string, year int) float64 {
+// yearIndex maps a year to its index in the entries' share slices,
+// clamped to FirstYear..LastYear+1.
+func (w *World) yearIndex(year int) int {
 	if year < w.Cfg.FirstYear {
 		year = w.Cfg.FirstYear
 	}
 	if year > w.Cfg.LastYear+1 {
 		year = w.Cfg.LastYear + 1
 	}
-	return m.shares[year][orgID]
+	return year - w.Cfg.FirstYear
 }

@@ -14,36 +14,129 @@ func yearFrac(d dates.Date) (year int, frac float64) {
 	return d.Year, float64(d.Sub(start)) / float64(span)
 }
 
-// TotalUsers returns the country's Internet user count on a date,
+// MarketDay is one market resolved on one date: the share-interpolation
+// anchors, the country's user total and the VPN funnel, which are the
+// same for every org in the market that day. Resolve it once per
+// (market, day) with World.Day; its per-entry methods then cost two
+// slice loads and a few flops, with no map lookup.
+type MarketDay struct {
+	i0, i1 int     // share-slice indexes of the anchor year and the next
+	frac   float64 // fraction of the anchor year elapsed
+	total  float64 // TotalUsers
+	vpnID  string  // the world's VPN org ID
+	hub    bool    // the market is the VPN hub
+	funnel float64 // VPNFunnelTotal; resolved for the hub and origins only
+	origin float64 // the country's share of the funnel (0 off-origin)
+}
+
+// Day resolves a market on a date.
+func (w *World) Day(m *Market, d dates.Date) MarketDay {
+	y, f := yearFrac(d)
+	u0 := m.Country.InternetUsers(y)
+	u1 := m.Country.InternetUsers(y + 1)
+	md := MarketDay{
+		i0:     w.yearIndex(y),
+		i1:     w.yearIndex(y + 1),
+		frac:   f,
+		total:  u0 + f*(u1-u0),
+		vpnID:  w.VPNOrgID,
+		hub:    m.Country.VPNHub,
+		origin: w.vpnOrigin[m.Country.Code],
+	}
+	// Elsewhere the funnel only ever enters as funnel*0, which adds
+	// nothing; skip resolving it.
+	if md.hub || md.origin > 0 {
+		md.funnel = w.VPNFunnelTotal(d)
+	}
+	return md
+}
+
+// TotalUsers returns the country's Internet user count on the day,
 // interpolating the yearly penetration anchors.
+func (md *MarketDay) TotalUsers() float64 { return md.total }
+
+// Share returns an entry's user share in the market on the day,
+// interpolating its Jan-1 share anchors. A nil entry (an org absent from
+// the market) has share 0.
+func (md *MarketDay) Share(e *Entry) float64 {
+	if e == nil {
+		return 0
+	}
+	s0, s1 := e.shares[md.i0], e.shares[md.i1]
+	return s0 + md.frac*(s1-s0)
+}
+
+// TrueUsers returns the actual number of human users of an entry on the
+// day — the quantity every dataset is trying to estimate.
+func (md *MarketDay) TrueUsers(e *Entry) float64 {
+	return md.total * md.Share(e)
+}
+
+// APNICUsers returns the users an IP-geolocation-based measurement (the
+// APNIC pipeline) attributes to an entry on the day: true users, plus —
+// for the VPN org in its hub country — all funneled foreign users,
+// whose egress IPs geolocate to the hub.
+func (md *MarketDay) APNICUsers(e *Entry) float64 {
+	return md.apnicUsers(e.Org.ID, e)
+}
+
+// CDNUsers returns the users a true-geolocation measurement (the CDN
+// pipeline) attributes to an entry on the day: true users, plus — for the
+// VPN org in an *origin* country — that country's slice of the funnel.
+// The hub sees only the VPN's real local users.
+func (md *MarketDay) CDNUsers(e *Entry) float64 {
+	return md.cdnUsers(e.Org.ID, e)
+}
+
+// apnicUsers and cdnUsers take the org ID apart from its entry because
+// the VPN org appears in origin countries' CDN view without a market
+// entry there (e == nil).
+func (md *MarketDay) apnicUsers(orgID string, e *Entry) float64 {
+	u := md.TrueUsers(e)
+	if md.hub && orgID == md.vpnID {
+		u += md.funnel
+	}
+	return u
+}
+
+func (md *MarketDay) cdnUsers(orgID string, e *Entry) float64 {
+	u := md.TrueUsers(e)
+	if !md.hub && orgID == md.vpnID {
+		u += md.funnel * md.origin
+	}
+	return u
+}
+
+// TotalUsers returns the country's Internet user count on a date.
 func (w *World) TotalUsers(country string, d dates.Date) float64 {
 	m := w.markets[country]
 	if m == nil {
 		return 0
 	}
-	y, f := yearFrac(d)
-	u0 := m.Country.InternetUsers(y)
-	u1 := m.Country.InternetUsers(y + 1)
-	return u0 + f*(u1-u0)
+	md := w.Day(m, d)
+	return md.TotalUsers()
 }
 
-// Share returns the org's user share in a country on a date,
-// interpolating Jan-1 share anchors.
+// Share returns the org's user share in a country on a date.
 func (w *World) Share(country, orgID string, d dates.Date) float64 {
 	m := w.markets[country]
 	if m == nil {
 		return 0
 	}
-	y, f := yearFrac(d)
-	s0 := w.shareInYear(m, orgID, y)
-	s1 := w.shareInYear(m, orgID, y+1)
-	return s0 + f*(s1-s0)
+	md := w.Day(m, d)
+	return md.Share(m.byOrg[orgID])
 }
 
 // TrueUsers returns the actual number of human users of an org in a
-// country on a date — the quantity every dataset is trying to estimate.
+// country on a date. Loops over a market's entries should resolve the
+// day once with Day instead.
 func (w *World) TrueUsers(country, orgID string, d dates.Date) float64 {
-	return w.TotalUsers(country, d) * w.Share(country, orgID, d)
+	m := w.markets[country]
+	if m == nil {
+		return 0
+	}
+	md := w.Day(m, d)
+	return md.TrueUsers(m.byOrg[orgID])
 }
 
 // Entry returns the market entry for an org in a country, or nil. Lookups
@@ -101,33 +194,26 @@ func (w *World) VPNOrigins() map[string]float64 {
 	return out
 }
 
-// APNICUsers returns the users an IP-geolocation-based measurement (the
-// APNIC pipeline) attributes to (country, org) on a date: true users,
-// plus — for the VPN org in its hub country — all funneled foreign users,
-// whose egress IPs geolocate to the hub.
+// APNICUsers is MarketDay.APNICUsers for an org in a country on a date.
 func (w *World) APNICUsers(country, orgID string, d dates.Date) float64 {
-	u := w.TrueUsers(country, orgID, d)
-	if orgID == w.VPNOrgID && w.isVPNHub(country) {
-		u += w.VPNFunnelTotal(d)
-	}
-	return u
-}
-
-// CDNUsers returns the users a true-geolocation measurement (the CDN
-// pipeline) attributes to (country, org) on a date: true users, plus —
-// for the VPN org in an *origin* country — that country's slice of the
-// funnel. The hub sees only the VPN's real local users.
-func (w *World) CDNUsers(country, orgID string, d dates.Date) float64 {
-	u := w.TrueUsers(country, orgID, d)
-	if orgID == w.VPNOrgID && !w.isVPNHub(country) {
-		u += w.VPNFunnelTotal(d) * w.vpnOrigin[country]
-	}
-	return u
-}
-
-func (w *World) isVPNHub(country string) bool {
 	m := w.markets[country]
-	return m != nil && m.Country.VPNHub
+	if m == nil {
+		return 0
+	}
+	md := w.Day(m, d)
+	return md.apnicUsers(orgID, m.byOrg[orgID])
+}
+
+// CDNUsers is MarketDay.CDNUsers for an org in a country on a date,
+// including the VPN org's origin-country appearances, which have no
+// market entry.
+func (w *World) CDNUsers(country, orgID string, d dates.Date) float64 {
+	m := w.markets[country]
+	if m == nil {
+		return 0
+	}
+	md := w.Day(m, d)
+	return md.cdnUsers(orgID, m.byOrg[orgID])
 }
 
 // CountryOrgPairs enumerates every (country, org) pair with nonzero CDN

@@ -106,15 +106,16 @@ type Entry struct {
 	// ASNWeights splits the org's users across its sibling ASes; it has
 	// the same length as Org.ASNs and sums to 1.
 	ASNWeights []float64
+
+	// shares[y-FirstYear] is the org's normalized user share in this
+	// entry's market at Jan 1 of year y, for FirstYear..LastYear+1.
+	shares []float64
 }
 
 // Market is one country's organization market.
 type Market struct {
 	Country geo.Country
-	Entries []*Entry
-
-	// shares[year][orgID] is the normalized user share at Jan 1 of year.
-	shares map[int]map[string]float64
+	Entries []*Entry // each holds its yearly Jan-1 shares (Entry.shares)
 
 	key   uint64            // precomputed country derivation key
 	byOrg map[string]*Entry // org ID → entry index for O(1) Entry lookups
@@ -214,7 +215,7 @@ func Build(cfg Config) (*World, error) {
 		return nil, err
 	}
 
-	// Precompute yearly share tables (address sizing depends on them) and
+	// Precompute the yearly shares (address sizing depends on them) and
 	// the per-market indexes: the org→entry map behind Entry lookups and
 	// the integer derivation keys the hot loops use instead of labels.
 	for _, code := range w.codes {
@@ -373,7 +374,7 @@ func (w *World) allocateAddresses(alloc *netdb.Allocator) error {
 func (w *World) peakUsers(m *Market, e *Entry) float64 {
 	peak := 0.0
 	for y := w.Cfg.FirstYear; y <= w.Cfg.LastYear; y++ {
-		u := m.Country.InternetUsers(y) * w.shareInYear(m, e.Org.ID, y)
+		u := m.Country.InternetUsers(y) * e.shares[y-w.Cfg.FirstYear]
 		if u > peak {
 			peak = u
 		}
