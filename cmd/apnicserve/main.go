@@ -37,6 +37,7 @@ import (
 
 	"repro/internal/apnicweb"
 	"repro/internal/dates"
+	"repro/internal/source"
 	"repro/internal/world"
 )
 
@@ -47,16 +48,11 @@ func main() {
 	to := flag.String("to", "2024-12-31", "last served date")
 	logReqs := flag.Bool("log", false, "log every request (structured, to stderr)")
 	dumpMetrics := flag.Bool("dump-metrics", false, "print the metrics registry as JSON on shutdown")
-	cacheDays := flag.Int("cache-days", apnicweb.DefaultCacheDays,
+	cacheDays := flag.Int("cache-days", source.DefaultCacheDays,
 		"max days held in each dataset's in-memory artifact cache; LRU eviction beyond this")
 	flag.Parse()
 
-	first, err := dates.Parse(*from)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "apnicserve:", err)
-		os.Exit(2)
-	}
-	last, err := dates.Parse(*to)
+	first, last, err := parseRange(*from, *to)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "apnicserve:", err)
 		os.Exit(2)
@@ -97,6 +93,22 @@ func main() {
 			log.Printf("dumping metrics: %v", err)
 		}
 	}
+}
+
+// parseRange parses the -from and -to flags into the served range,
+// rejecting one that no dataset can serve: inverted (every report would
+// 404 and every series request 400) or outside the simulated span.
+func parseRange(from, to string) (first, last dates.Date, err error) {
+	if first, err = dates.Parse(from); err != nil {
+		return first, last, fmt.Errorf("-from: %w", err)
+	}
+	if last, err = dates.Parse(to); err != nil {
+		return first, last, fmt.Errorf("-to: %w", err)
+	}
+	if err = source.CheckRange(first, last); err != nil {
+		return first, last, fmt.Errorf("-from/-to: %w", err)
+	}
+	return first, last, nil
 }
 
 // buildServer assembles the seven-dataset server; split out of main so

@@ -78,3 +78,32 @@ func TestServeAllDatasets(t *testing.T) {
 		t.Fatalf("legacy report lacks native header: %.120q", body)
 	}
 }
+
+// TestParseRange pins the flag check: a range main would accept but no
+// dataset can serve (inverted, or leaving the simulated span) is refused
+// before the world is built.
+func TestParseRange(t *testing.T) {
+	for _, tc := range []struct {
+		from, to string
+		wantErr  string // substring; empty means accepted
+	}{
+		{"2013-11-01", "2024-12-31", ""},
+		{"2024-04-21", "2024-04-21", ""},
+		{"2024-12-31", "2024-01-01", "is after"},
+		{"2013-10-31", "2024-12-31", "outside the simulated span"},
+		{"2023-01-01", "2025-01-01", "outside the simulated span"},
+		{"2026-01-01", "2025-01-01", "is after"},
+		{"2024-13-01", "2024-12-31", "-from"},
+		{"2024-01-01", "soon", "-to"},
+	} {
+		first, last, err := parseRange(tc.from, tc.to)
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("parseRange(%s, %s): %v", tc.from, tc.to, err)
+		case tc.wantErr == "" && (first.String() != tc.from || last.String() != tc.to):
+			t.Errorf("parseRange(%s, %s) = %s, %s", tc.from, tc.to, first, last)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("parseRange(%s, %s) error = %v, want one containing %q", tc.from, tc.to, err, tc.wantErr)
+		}
+	}
+}

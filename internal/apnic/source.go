@@ -5,7 +5,6 @@ import (
 	"strconv"
 
 	"repro/internal/dates"
-	"repro/internal/obsv"
 	"repro/internal/source"
 )
 
@@ -72,44 +71,9 @@ func ReportFromFrame(f *source.Frame) (*Report, error) {
 	return r, nil
 }
 
-// Source adapts the generator to the uniform source interface. Its typed
-// accessor caches native reports day-keyed for the experiment lab.
-type Source struct {
-	gen  *Generator
-	days *source.Days[*Report]
+// NewSource adapts a generator to the uniform source interface.
+func NewSource(gen *Generator) source.Source {
+	return source.NewFunc(DatasetName, source.CadenceDaily, func(d dates.Date) *source.Frame {
+		return gen.Generate(d).Frame()
+	})
 }
-
-// NewSource wraps a generator as a registrable source whose native-report
-// cache holds at most cacheDays days.
-func NewSource(gen *Generator, metrics *obsv.Registry, cacheDays int) *Source {
-	return &Source{
-		gen:  gen,
-		days: source.NewDays[*Report](metrics, "source", DatasetName, cacheDays),
-	}
-}
-
-// Generator returns the wrapped generator.
-func (s *Source) Generator() *Generator { return s.gen }
-
-// Name implements source.Source.
-func (s *Source) Name() string { return DatasetName }
-
-// Window implements source.Source.
-func (s *Source) Window() source.Window {
-	return source.Window{First: source.SpanFirst, Last: source.SpanLast, Cadence: source.CadenceDaily}
-}
-
-// Report returns the memoized native report for a day.
-func (s *Source) Report(d dates.Date) *Report {
-	return s.days.Get(d, s.gen.Generate)
-}
-
-// Generate implements source.Source. It builds the frame straight from
-// the generator, bypassing the native cache: the registry memoizes the
-// frame itself, so a native copy would only double the resident day.
-func (s *Source) Generate(d dates.Date) *source.Frame {
-	return s.gen.Generate(d).Frame()
-}
-
-// CacheStats reports the native report cache's activity.
-func (s *Source) CacheStats() source.CacheStats { return s.days.Stats() }

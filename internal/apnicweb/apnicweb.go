@@ -73,10 +73,10 @@ import (
 // gzip) and the series row index. Concurrent requests for one day share
 // one generation and one fill per part; distinct days fill in parallel.
 // The artifact cache is a bounded LRU per dataset (NewServerCached sets
-// the capacity, default DefaultCacheDays), and a day's parts are evicted
-// with it. Eviction is safe because every part is a pure function of
-// (seed, date): an evicted day regenerates byte-identically on the next
-// request.
+// the capacity, default source.DefaultCacheDays), and a day's parts are
+// evicted with it. Eviction is safe because every part is a pure
+// function of (seed, date): an evicted day regenerates byte-identically
+// on the next request.
 type Server struct {
 	reg   *source.Registry
 	first dates.Date
@@ -105,15 +105,10 @@ type Server struct {
 	liveState
 }
 
-// DefaultCacheDays bounds each dataset's artifact cache when NewServer
-// is used: a year of days, which covers the usual serving window while
-// keeping a multi-year scan from growing the process without limit.
-const DefaultCacheDays = 365
-
 // NewServer returns an APNIC-only server for [first, last] with
-// DefaultCacheDays of bounded day caching.
+// source.DefaultCacheDays of bounded day caching.
 func NewServer(gen *apnic.Generator, first, last dates.Date) *Server {
-	return NewServerCached(gen, first, last, DefaultCacheDays)
+	return NewServerCached(gen, first, last, source.DefaultCacheDays)
 }
 
 // NewServerCached returns an APNIC-only server whose artifact cache holds
@@ -124,7 +119,7 @@ func NewServerCached(gen *apnic.Generator, first, last dates.Date, cacheDays int
 	cacheDays = max(1, cacheDays)
 	metrics := obsv.NewRegistry()
 	reg := source.NewRegistry(metrics, cacheDays)
-	reg.Register(apnic.NewSource(gen, metrics, cacheDays))
+	reg.Register(apnic.NewSource(gen))
 	return newServer(reg, first, last, metrics)
 }
 

@@ -104,12 +104,6 @@ func TestArtifactLifecycle(t *testing.T) {
 	if want := (counts{capacity, capacity, capacity, capacity, capacity * streamsPerFill}); afterFirst != want {
 		t.Fatalf("first pass fills = %+v, want one per day each: %+v", afterFirst, want)
 	}
-	// The server reads only the artifact: the adapter's native cache,
-	// kept for the experiment lab's typed accessors, stays empty.
-	native, _ := srv.Registry().Lookup(apnic.DatasetName)
-	if n := native.(*apnic.Source).CacheStats().Gens; n != 0 {
-		t.Errorf("serving filled the native report cache %d times, want 0", n)
-	}
 
 	for _, d := range days {
 		again := serve(d)

@@ -23,15 +23,15 @@ func multiServer(t *testing.T) (*Server, *httptest.Server, *Client) {
 	return srv, ts, &Client{BaseURL: ts.URL, HTTPClient: ts.Client()}
 }
 
-// nativeGen returns the APNIC generator behind the server's "apnic"
-// dataset: the reference the legacy routes' bytes are checked against.
+// nativeGen returns the reference the legacy routes' bytes are checked
+// against: testGen, built from (testW, 11) like multiServer's roster, so
+// it generates exactly what the server's "apnic" dataset serves.
 func nativeGen(t *testing.T, srv *Server) *apnic.Generator {
 	t.Helper()
-	src, ok := srv.Registry().Lookup(apnic.DatasetName)
-	if !ok {
+	if _, ok := srv.Registry().Lookup(apnic.DatasetName); !ok {
 		t.Fatal("no apnic dataset registered")
 	}
-	return src.(*apnic.Source).Generator()
+	return testGen
 }
 
 var allDatasets = []string{"apnic", "cdn", "itu", "mlab", "dnscount", "broadband", "ixp"}
@@ -67,6 +67,42 @@ func TestAllDatasetsServed(t *testing.T) {
 		if !f.Equal(want) {
 			t.Fatalf("%s: fetched frame differs from generated frame", name)
 		}
+	}
+}
+
+// TestMultiServerMetricsOnlyFrameCaches pins that a server keeps one day
+// cache per dataset: after serving every dataset, /metrics carries the
+// artifact caches' source_frame_* series and no other source_* family
+// (the native-value caches belong to the experiment lab alone).
+func TestMultiServerMetricsOnlyFrameCaches(t *testing.T) {
+	_, ts, c := multiServer(t)
+	for _, name := range allDatasets {
+		if _, err := c.Frame(context.Background(), name, dates.New(2024, 4, 21)); err != nil {
+			t.Fatalf("%s report: %v", name, err)
+		}
+	}
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frameSeries := map[string]bool{}
+	for _, line := range strings.Split(string(body), "\n") {
+		name, labels, ok := strings.Cut(line, "{dataset=")
+		if !ok || !strings.HasPrefix(name, "source_") {
+			continue
+		}
+		if !strings.HasPrefix(name, "source_frame_") {
+			t.Errorf("server exports a non-artifact day-cache series: %s", line)
+		}
+		frameSeries[labels[:strings.Index(labels, "}")]] = true
+	}
+	if len(frameSeries) != len(allDatasets) {
+		t.Errorf("source_frame_* series cover %d datasets, want %d:\n%s", len(frameSeries), len(allDatasets), body)
 	}
 }
 

@@ -2,10 +2,8 @@ package cdn
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/dates"
-	"repro/internal/obsv"
 	"repro/internal/orgs"
 	"repro/internal/source"
 )
@@ -17,16 +15,7 @@ const DatasetName = "cdn"
 // observed (country, org) pair sorted by country then org. Lossless:
 // SnapshotFromFrame reconstructs an equal snapshot.
 func (s *Snapshot) Frame() *source.Frame {
-	pairs := make([]orgs.CountryOrg, 0, len(s.Stats))
-	for pair := range s.Stats {
-		pairs = append(pairs, pair)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].Country != pairs[j].Country {
-			return pairs[i].Country < pairs[j].Country
-		}
-		return pairs[i].Org < pairs[j].Org
-	})
+	pairs := orgs.SortedPairs(s.Stats)
 	f := source.NewFrame(DatasetName, s.Date)
 	cc := f.AddStrings("CC")
 	org := f.AddStrings("Org")
@@ -66,43 +55,9 @@ func SnapshotFromFrame(f *source.Frame) (*Snapshot, error) {
 	return s, nil
 }
 
-// Source adapts the generator to the uniform source interface. Its typed
-// accessor caches the native snapshots day-keyed for the experiment lab.
-type Source struct {
-	gen  *Generator
-	days *source.Days[*Snapshot]
+// NewSource adapts a generator to the uniform source interface.
+func NewSource(gen *Generator) source.Source {
+	return source.NewFunc(DatasetName, source.CadenceDaily, func(d dates.Date) *source.Frame {
+		return gen.Generate(d).Frame()
+	})
 }
-
-// NewSource wraps a generator as a registrable source.
-func NewSource(gen *Generator, metrics *obsv.Registry, cacheDays int) *Source {
-	return &Source{
-		gen:  gen,
-		days: source.NewDays[*Snapshot](metrics, "source", DatasetName, cacheDays),
-	}
-}
-
-// Generator returns the wrapped generator.
-func (s *Source) Generator() *Generator { return s.gen }
-
-// Name implements source.Source.
-func (s *Source) Name() string { return DatasetName }
-
-// Window implements source.Source.
-func (s *Source) Window() source.Window {
-	return source.Window{First: source.SpanFirst, Last: source.SpanLast, Cadence: source.CadenceDaily}
-}
-
-// Snapshot returns the memoized native snapshot for a day.
-func (s *Source) Snapshot(d dates.Date) *Snapshot {
-	return s.days.Get(d, s.gen.Generate)
-}
-
-// Generate implements source.Source. It builds the frame straight from
-// the generator, bypassing the native cache: the registry memoizes the
-// frame itself, so a native copy would only double the resident day.
-func (s *Source) Generate(d dates.Date) *source.Frame {
-	return s.gen.Generate(d).Frame()
-}
-
-// CacheStats reports the native snapshot cache's activity.
-func (s *Source) CacheStats() source.CacheStats { return s.days.Stats() }

@@ -24,7 +24,7 @@ type Overlap struct {
 func ComputeOverlap(a, b map[orgs.CountryOrg]float64) Overlap {
 	var o Overlap
 	var aBoth, aTotal, bBoth, bTotal float64
-	for _, k := range sortedPairs(a) {
+	for _, k := range orgs.SortedPairs(a) {
 		v := a[k]
 		aTotal += v
 		if _, ok := b[k]; ok {
@@ -34,7 +34,7 @@ func ComputeOverlap(a, b map[orgs.CountryOrg]float64) Overlap {
 			o.AOnly++
 		}
 	}
-	for _, k := range sortedPairs(b) {
+	for _, k := range orgs.SortedPairs(b) {
 		v := b[k]
 		bTotal += v
 		if _, ok := a[k]; ok {
@@ -50,20 +50,6 @@ func ComputeOverlap(a, b map[orgs.CountryOrg]float64) Overlap {
 		o.BothPctB = 100 * bBoth / bTotal
 	}
 	return o
-}
-
-func sortedPairs(m map[orgs.CountryOrg]float64) []orgs.CountryOrg {
-	keys := make([]orgs.CountryOrg, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Country != keys[j].Country {
-			return keys[i].Country < keys[j].Country
-		}
-		return keys[i].Org < keys[j].Org
-	})
-	return keys
 }
 
 // CountryCoverage is one row of the paper's Tables 3/5: within one
@@ -82,7 +68,7 @@ func PerCountryCoverage(a, b map[orgs.CountryOrg]float64) []CountryCoverage {
 	byCountry := map[string]*acc{}
 	// Sorted key order keeps the per-country float sums bit-reproducible
 	// across runs, as in ComputeOverlap.
-	for _, k := range sortedPairs(b) {
+	for _, k := range orgs.SortedPairs(b) {
 		v := b[k]
 		c := byCountry[k.Country]
 		if c == nil {

@@ -22,7 +22,6 @@ package dnscount
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/dates"
 	"repro/internal/orgs"
@@ -121,15 +120,5 @@ func (ds *Dataset) CountryShares(country string) map[string]float64 {
 
 // Pairs returns the detected (country, org) pairs, sorted.
 func (ds *Dataset) Pairs() []orgs.CountryOrg {
-	out := make([]orgs.CountryOrg, 0, len(ds.Queries))
-	for k := range ds.Queries {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Country != out[j].Country {
-			return out[i].Country < out[j].Country
-		}
-		return out[i].Org < out[j].Org
-	})
-	return out
+	return orgs.SortedPairs(ds.Queries)
 }

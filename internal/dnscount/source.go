@@ -2,10 +2,8 @@ package dnscount
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/dates"
-	"repro/internal/obsv"
 	"repro/internal/orgs"
 	"repro/internal/source"
 )
@@ -17,16 +15,7 @@ const DatasetName = "dnscount"
 // (country, org) pair sorted by country then org. Lossless:
 // DatasetFromFrame reconstructs an equal dataset.
 func (ds *Dataset) Frame() *source.Frame {
-	pairs := make([]orgs.CountryOrg, 0, len(ds.Queries))
-	for pair := range ds.Queries {
-		pairs = append(pairs, pair)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].Country != pairs[j].Country {
-			return pairs[i].Country < pairs[j].Country
-		}
-		return pairs[i].Org < pairs[j].Org
-	})
+	pairs := orgs.SortedPairs(ds.Queries)
 	f := source.NewFrame(DatasetName, ds.Date)
 	cc := f.AddStrings("CC")
 	org := f.AddStrings("Org")
@@ -52,43 +41,9 @@ func DatasetFromFrame(f *source.Frame) (*Dataset, error) {
 	return ds, nil
 }
 
-// Source adapts the generator to the uniform source interface. Its typed
-// accessor caches the native datasets day-keyed for the experiment lab.
-type Source struct {
-	gen  *Generator
-	days *source.Days[*Dataset]
+// NewSource adapts a generator to the uniform source interface.
+func NewSource(gen *Generator) source.Source {
+	return source.NewFunc(DatasetName, source.CadenceDaily, func(d dates.Date) *source.Frame {
+		return gen.Generate(d).Frame()
+	})
 }
-
-// NewSource wraps a generator as a registrable source.
-func NewSource(gen *Generator, metrics *obsv.Registry, cacheDays int) *Source {
-	return &Source{
-		gen:  gen,
-		days: source.NewDays[*Dataset](metrics, "source", DatasetName, cacheDays),
-	}
-}
-
-// Generator returns the wrapped generator.
-func (s *Source) Generator() *Generator { return s.gen }
-
-// Name implements source.Source.
-func (s *Source) Name() string { return DatasetName }
-
-// Window implements source.Source.
-func (s *Source) Window() source.Window {
-	return source.Window{First: source.SpanFirst, Last: source.SpanLast, Cadence: source.CadenceDaily}
-}
-
-// Dataset returns the memoized native dataset for a day.
-func (s *Source) Dataset(d dates.Date) *Dataset {
-	return s.days.Get(d, s.gen.Generate)
-}
-
-// Generate implements source.Source. It builds the frame straight from
-// the generator, bypassing the native cache: the registry memoizes the
-// frame itself, so a native copy would only double the resident day.
-func (s *Source) Generate(d dates.Date) *source.Frame {
-	return s.gen.Generate(d).Frame()
-}
-
-// CacheStats reports the native dataset cache's activity.
-func (s *Source) CacheStats() source.CacheStats { return s.days.Stats() }

@@ -4,6 +4,17 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"repro/internal/apnic"
+	"repro/internal/broadband"
+	"repro/internal/cdn"
+	"repro/internal/dates"
+	"repro/internal/dnscount"
+	"repro/internal/itu"
+	"repro/internal/ixp"
+	"repro/internal/mlab"
+	"repro/internal/source"
+	"repro/internal/source/bundle"
 )
 
 // The lab is expensive enough to share across tests; runners must not
@@ -306,6 +317,41 @@ func TestLabCaching(t *testing.T) {
 	s2 := l.Snapshot(PrimaryCDNDay)
 	if s1 != s2 {
 		t.Error("snapshots not cached")
+	}
+}
+
+// TestLabMatchesRegistry pins that the lab's native day caches and a
+// server's registry over the same (world, seed) hold the same data: for
+// every dataset, the lab's value converts to exactly the frame the
+// registry serves. The day is mid-month so mlab's month-start keying is
+// exercised on both sides, and the lab must resolve it to the dataset it
+// caches for the month start.
+func TestLabMatchesRegistry(t *testing.T) {
+	l := testLab(t)
+	d := dates.New(2024, 4, 17)
+	reg := bundle.New(l.W, l.Seed, bundle.Config{}).Registry
+	for name, f := range map[string]*source.Frame{
+		apnic.DatasetName:     l.Report(d).Frame(),
+		cdn.DatasetName:       l.Snapshot(d).Frame(),
+		itu.DatasetName:       l.ITUTable(d).Frame(),
+		mlab.DatasetName:      l.MLabData(d).Frame(),
+		dnscount.DatasetName:  l.DNSData(d).Frame(),
+		broadband.DatasetName: l.BroadbandData(d).Frame(),
+		ixp.DatasetName:       l.IXPData(d).Frame(),
+	} {
+		want, err := reg.Frame(name, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !f.Equal(want) {
+			t.Errorf("%s: lab frame differs from the registry's for %s", name, d)
+		}
+	}
+	if n := len(reg.Names()); n != 7 {
+		t.Errorf("registry serves %d datasets, the lab covers 7", n)
+	}
+	if l.MLabData(d) != l.MLabData(dates.New(2024, 4, 1)) {
+		t.Error("mlab: days of one month resolve to different cached datasets")
 	}
 }
 

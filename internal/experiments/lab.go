@@ -22,7 +22,7 @@ import (
 	"repro/internal/obsv"
 	"repro/internal/rir"
 	"repro/internal/scenario"
-	"repro/internal/source/bundle"
+	"repro/internal/source"
 	"repro/internal/syncx"
 	"repro/internal/world"
 )
@@ -68,17 +68,24 @@ type Lab struct {
 	IXP       *ixp.Generator
 	RIR       *rir.Generator
 
-	// Sources is the uniform dataset roster over the lab's generators.
-	// Every day artifact the runners consume resolves through its
-	// adapters, so memoization and per-dataset metrics are the same here
-	// as in the HTTP server (source_requests_total{dataset="apnic"}, ...).
-	Sources *bundle.Bundle
-
 	// Metrics is the lab's observability registry. The source day caches
 	// count their requests and generations here, RunAll records
 	// per-runner wall time into it, and cmd/experiments can dump it on
 	// exit.
 	Metrics *obsv.Registry
+
+	// Day caches of the native values the runners read, one per dataset
+	// and each bounded by LabCacheDays, filled straight from the
+	// generators above. They report as the "source" metrics family
+	// (source_requests_total{dataset="apnic"}, ...). The runners never
+	// read frames, so the lab holds no registry and no frame cache.
+	reports   *source.Days[*apnic.Report]
+	snapshots *source.Days[*cdn.Snapshot]
+	ituTables *source.Days[*itu.Table]
+	mlabData  *source.Days[*mlab.Dataset]
+	dnsData   *source.Days[*dnscount.Dataset]
+	bbData    *source.Days[*broadband.Dataset]
+	ixpData   *source.Days[*ixp.Snapshot]
 
 	// Shared traceroute artifacts: the AS graph and campaign are built at
 	// most once per lab, and each (day, traces) campaign run at most once.
@@ -141,17 +148,13 @@ func NewLabScenario(seed uint64, scn *scenario.Scenario) (*Lab, error) {
 		RIR:       rir.New(w, seed),
 		Metrics:   obsv.NewRegistry(),
 	}
-	l.Sources = bundle.New(w, seed, bundle.Config{
-		Metrics:   l.Metrics,
-		CacheDays: LabCacheDays,
-		ITU:       l.ITU,
-		APNIC:     l.APNIC,
-		CDN:       l.CDN,
-		MLab:      l.MLab,
-		DNS:       l.DNS,
-		Broadband: l.Broadband,
-		IXP:       l.IXP,
-	})
+	l.reports = source.NewDays[*apnic.Report](l.Metrics, "source", apnic.DatasetName, LabCacheDays)
+	l.snapshots = source.NewDays[*cdn.Snapshot](l.Metrics, "source", cdn.DatasetName, LabCacheDays)
+	l.ituTables = source.NewDays[*itu.Table](l.Metrics, "source", itu.DatasetName, LabCacheDays)
+	l.mlabData = source.NewDays[*mlab.Dataset](l.Metrics, "source", mlab.DatasetName, LabCacheDays)
+	l.dnsData = source.NewDays[*dnscount.Dataset](l.Metrics, "source", dnscount.DatasetName, LabCacheDays)
+	l.bbData = source.NewDays[*broadband.Dataset](l.Metrics, "source", broadband.DatasetName, LabCacheDays)
+	l.ixpData = source.NewDays[*ixp.Snapshot](l.Metrics, "source", ixp.DatasetName, LabCacheDays)
 	l.popReqs = l.Metrics.Counter("lab_path_popularity_requests_total")
 	l.popGens = l.Metrics.Counter("lab_path_popularity_runs_total")
 	l.Metrics.GaugeFunc("lab_path_popularity_cache_entries", func() float64 { return float64(l.pops.Len()) })
@@ -161,38 +164,38 @@ func NewLabScenario(seed uint64, scn *scenario.Scenario) (*Lab, error) {
 // Report returns the cached APNIC report for a day, generating it at most
 // once even under concurrent access.
 func (l *Lab) Report(d dates.Date) *apnic.Report {
-	return l.Sources.APNIC.Report(d)
+	return l.reports.Get(d, l.APNIC.Generate)
 }
 
 // Snapshot returns the cached CDN snapshot for a day, generating it at
 // most once even under concurrent access.
 func (l *Lab) Snapshot(d dates.Date) *cdn.Snapshot {
-	return l.Sources.CDN.Snapshot(d)
+	return l.snapshots.Get(d, l.CDN.Generate)
 }
 
 // MLabData returns the cached M-Lab dataset for the month containing d.
 func (l *Lab) MLabData(d dates.Date) *mlab.Dataset {
-	return l.Sources.MLab.Dataset(d)
+	return l.mlabData.Get(dates.New(d.Year, d.Month, 1), l.MLab.Generate)
 }
 
 // DNSData returns the cached open-resolver query dataset for a day.
 func (l *Lab) DNSData(d dates.Date) *dnscount.Dataset {
-	return l.Sources.DNS.Dataset(d)
+	return l.dnsData.Get(d, l.DNS.Generate)
 }
 
 // BroadbandData returns the cached broadband survey for a day.
 func (l *Lab) BroadbandData(d dates.Date) *broadband.Dataset {
-	return l.Sources.Broadband.Dataset(d)
+	return l.bbData.Get(d, l.Broadband.Generate)
 }
 
 // IXPData returns the cached IXP registry scrape for a day.
 func (l *Lab) IXPData(d dates.Date) *ixp.Snapshot {
-	return l.Sources.IXP.Snapshot(d)
+	return l.ixpData.Get(d, l.IXP.Generate)
 }
 
 // ITUTable returns the cached per-country ITU table for a day.
 func (l *Lab) ITUTable(d dates.Date) *itu.Table {
-	return l.Sources.ITU.Table(d)
+	return l.ituTables.Get(d, l.ITU.Generate)
 }
 
 // Topology returns the lab's shared AS-relationship graph, built at most
@@ -227,7 +230,7 @@ func (l *Lab) PathPopularity(d dates.Date, tracesPerVantage int) *astopo.Popular
 // Under the singleflight contract each counter equals the number of
 // distinct days requested, no matter how many goroutines asked.
 func (l *Lab) CacheStats() (apnicDays, cdnDays int64) {
-	return l.Sources.APNIC.CacheStats().Gens, l.Sources.CDN.CacheStats().Gens
+	return l.reports.Stats().Gens, l.snapshots.Stats().Gens
 }
 
 // Result is one regenerated table or figure.

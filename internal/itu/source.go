@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/dates"
-	"repro/internal/obsv"
 	"repro/internal/source"
 )
 
@@ -74,43 +73,10 @@ func TableFromFrame(f *source.Frame) (*Table, error) {
 	return t, nil
 }
 
-// Source adapts the estimator to the uniform source interface. Its typed
-// accessor caches the native tables day-keyed for the experiment lab.
-type Source struct {
-	est  *Estimator
-	days *source.Days[*Table]
+// NewSource adapts an estimator to the uniform source interface: each
+// day's frame is the table for the week containing it.
+func NewSource(est *Estimator) source.Source {
+	return source.NewFunc(DatasetName, source.CadenceWeekly, func(d dates.Date) *source.Frame {
+		return est.Generate(d).Frame()
+	})
 }
-
-// NewSource wraps an estimator as a registrable source.
-func NewSource(est *Estimator, metrics *obsv.Registry, cacheDays int) *Source {
-	return &Source{
-		est:  est,
-		days: source.NewDays[*Table](metrics, "source", DatasetName, cacheDays),
-	}
-}
-
-// Estimator returns the wrapped estimator.
-func (s *Source) Estimator() *Estimator { return s.est }
-
-// Name implements source.Source.
-func (s *Source) Name() string { return DatasetName }
-
-// Window implements source.Source.
-func (s *Source) Window() source.Window {
-	return source.Window{First: source.SpanFirst, Last: source.SpanLast, Cadence: source.CadenceWeekly}
-}
-
-// Table returns the memoized native table for a day.
-func (s *Source) Table(d dates.Date) *Table {
-	return s.days.Get(d, s.est.Generate)
-}
-
-// Generate implements source.Source. It builds the frame straight from
-// the generator, bypassing the native cache: the registry memoizes the
-// frame itself, so a native copy would only double the resident day.
-func (s *Source) Generate(d dates.Date) *source.Frame {
-	return s.est.Generate(d).Frame()
-}
-
-// CacheStats reports the native table cache's activity.
-func (s *Source) CacheStats() source.CacheStats { return s.days.Stats() }

@@ -18,8 +18,6 @@
 package ixp
 
 import (
-	"sort"
-
 	"repro/internal/dates"
 	"repro/internal/orgs"
 	"repro/internal/rng"
@@ -169,15 +167,5 @@ func (s *Snapshot) CountryCapacities(country string) map[string]float64 {
 
 // Pairs returns the registered (country, org) pairs, sorted.
 func (s *Snapshot) Pairs() []orgs.CountryOrg {
-	out := make([]orgs.CountryOrg, 0, len(s.Capacities))
-	for k := range s.Capacities {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Country != out[j].Country {
-			return out[i].Country < out[j].Country
-		}
-		return out[i].Org < out[j].Org
-	})
-	return out
+	return orgs.SortedPairs(s.Capacities)
 }

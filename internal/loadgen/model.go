@@ -116,11 +116,11 @@ func NewModel(seed uint64, cfg ModelConfig) (*Model, error) {
 	}
 	rng := rand.New(rand.NewSource(int64(seed)))
 	return &Model{
-		rng:          rng,
-		zipf:         rand.NewZipf(rng, s, 1, uint64(len(cfg.Datasets)-1)),
-		datasets:     cfg.Datasets,
-		first:        cfg.First,
-		days:         days,
+		rng:           rng,
+		zipf:          rand.NewZipf(rng, s, 1, uint64(len(cfg.Datasets)-1)),
+		datasets:      cfg.Datasets,
+		first:         cfg.First,
+		days:          days,
 		hotHalfLife:   cfg.HotDayHalfLife,
 		gzipFraction:  cfg.GzipFraction,
 		condFraction:  cfg.CondFraction,

@@ -261,6 +261,23 @@ func (ix *CountryIndex[V]) Copy(m map[CountryOrg]V, country string) map[string]V
 	return out
 }
 
+// SortedPairs returns m's keys sorted by country, then org: the row order
+// of every (country, org) keyed frame, and the iteration order that keeps
+// float sums over such maps bit-reproducible.
+func SortedPairs[V any](m map[CountryOrg]V) []CountryOrg {
+	out := make([]CountryOrg, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	slices.SortFunc(out, func(a, b CountryOrg) int {
+		if c := strings.Compare(a.Country, b.Country); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Org, b.Org)
+	})
+	return out
+}
+
 // Countries returns the sorted set of countries present in a measurement.
 func Countries(m map[CountryOrg]float64) []string {
 	seen := map[string]bool{}

@@ -350,7 +350,7 @@ func Decode(buf []byte) (*source.Frame, error) {
 		switch source.Kind(kind) {
 		case source.Int:
 			c.Kind = source.Int
-			c.Ints = aliasInt64(r.need(uint64(rows) * 8), int(rows))
+			c.Ints = aliasInt64(r.need(uint64(rows)*8), int(rows))
 		case source.Float:
 			c.Kind = source.Float
 			c.Floats = aliasFloat64(r.need(uint64(rows)*8), int(rows))

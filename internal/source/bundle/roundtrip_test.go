@@ -26,6 +26,17 @@ var (
 // AllDatasets is the expected roster, in registration order.
 var allDatasets = []string{"apnic", "cdn", "itu", "mlab", "dnscount", "broadband", "ixp"}
 
+// cadences is each dataset's expected publication cadence.
+var cadences = map[string]string{
+	"apnic":     source.CadenceDaily,
+	"cdn":       source.CadenceDaily,
+	"itu":       source.CadenceWeekly,
+	"mlab":      source.CadenceMonthly,
+	"dnscount":  source.CadenceDaily,
+	"broadband": source.CadenceSurvey,
+	"ixp":       source.CadenceScrape,
+}
+
 func TestBundleRoster(t *testing.T) {
 	b := New(testW, 42, Config{})
 	names := b.Registry.Names()
@@ -37,8 +48,9 @@ func TestBundleRoster(t *testing.T) {
 			t.Errorf("dataset %d = %q; want %q", i, names[i], want)
 		}
 		w, ok := b.Registry.Window(want)
-		if !ok || w.Cadence == "" {
-			t.Errorf("dataset %q has no usable window: %+v ok=%v", want, w, ok)
+		wantW := source.Window{First: source.SpanFirst, Last: source.SpanLast, Cadence: cadences[want]}
+		if !ok || w != wantW {
+			t.Errorf("dataset %q window = %+v ok=%v; want %+v", want, w, ok, wantW)
 		}
 	}
 }

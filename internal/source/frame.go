@@ -8,8 +8,8 @@
 // singleflight caching and metrics.
 //
 // The simulators keep their rich native types (apnic.Report,
-// cdn.Snapshot, ...); the adapters in each simulator package convert at
-// the boundary, and the round-trip tests pin that the conversion is
+// cdn.Snapshot, ...); each simulator package's Frame method and NewSource
+// convert at the boundary, and the round-trip tests pin that the conversion is
 // lossless for every column the experiments consume.
 package source
 

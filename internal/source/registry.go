@@ -27,13 +27,15 @@ var ErrNoBinzCodec = errors.New("source: no compressed binary frame codec regist
 type BinCodec func(*Frame) ([]byte, error)
 
 // DefaultCacheDays bounds each dataset's artifact cache when no capacity
-// is given: a year of days per dataset.
+// is given: a year of days per dataset, which covers the usual serving
+// window while keeping a multi-year scan from growing the process without
+// limit.
 const DefaultCacheDays = 365
 
 // Registry resolves dataset names to sources and memoizes one Artifact
-// per (dataset, day) with singleflight fills — the single day cache both
-// the experiment lab and the HTTP server go through, so memoization and
-// metrics are uniform across all seven datasets.
+// per (dataset, day) with singleflight fills — the HTTP server's single
+// day cache, with memoization and metrics uniform across all seven
+// datasets.
 type Registry struct {
 	metrics  *obsv.Registry
 	capacity int

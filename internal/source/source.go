@@ -38,16 +38,59 @@ func (w Window) Contains(d dates.Date) bool {
 	return !d.Before(w.First) && !d.After(w.Last)
 }
 
+// CheckRange reports why first..last cannot be served: it is inverted, or
+// it reaches outside SpanFirst..SpanLast, which no dataset's window
+// covers.
+func CheckRange(first, last dates.Date) error {
+	if first.After(last) {
+		return fmt.Errorf("first date %s is after last date %s", first, last)
+	}
+	span := Window{First: SpanFirst, Last: SpanLast}
+	if !span.Contains(first) || !span.Contains(last) {
+		return fmt.Errorf("range %s..%s is outside the simulated span %s..%s", first, last, SpanFirst, SpanLast)
+	}
+	return nil
+}
+
 // Source is one dataset simulator seen through the uniform lens: a name,
-// a covered window, and a day-keyed frame generator. Adapters in each
-// simulator package implement it over the package's rich native type,
+// a covered window, and a day-keyed frame generator. Each simulator
+// package's NewSource builds one over the package's rich native type,
 // converting at this boundary; Generate must be a pure function of
-// (adapter construction, date) so caches may treat frames as immutable.
+// (source construction, date) so caches may treat frames as immutable.
 type Source interface {
 	Name() string
 	Window() Window
 	Generate(d dates.Date) *Frame
 }
+
+// Func is the Source every dataset registers: a name and cadence over the
+// simulated span, with frames built by a function of the date. Each
+// simulator package's NewSource supplies the function that generates its
+// native artifact and converts it to a frame.
+type Func struct {
+	name   string
+	window Window
+	gen    func(dates.Date) *Frame
+}
+
+// NewFunc returns a source named name whose window is SpanFirst..SpanLast
+// at the given cadence and whose frames come from gen.
+func NewFunc(name, cadence string, gen func(dates.Date) *Frame) *Func {
+	return &Func{
+		name:   name,
+		window: Window{First: SpanFirst, Last: SpanLast, Cadence: cadence},
+		gen:    gen,
+	}
+}
+
+// Name implements Source.
+func (s *Func) Name() string { return s.name }
+
+// Window implements Source.
+func (s *Func) Window() Window { return s.window }
+
+// Generate implements Source.
+func (s *Func) Generate(d dates.Date) *Frame { return s.gen(d) }
 
 // CacheStats is one day cache's activity snapshot.
 type CacheStats struct {
@@ -58,9 +101,10 @@ type CacheStats struct {
 
 // Days is the uniform bounded day cache every dataset artifact sits
 // behind: per-day singleflight fills, LRU eviction, and per-dataset
-// metrics on a shared registry. The registry keeps one per dataset for
-// its artifacts; the adapters keep one each for the native values their
-// typed accessors return to the experiment lab.
+// metrics on a shared registry. Each consumer keeps one per dataset for
+// the values it reads: the registry for its frame artifacts (the HTTP
+// server's only day cache), the experiment lab for the native values its
+// typed accessors return.
 type Days[T any] struct {
 	lru  *syncx.LRU[int, T]
 	reqs *obsv.Counter
@@ -68,9 +112,9 @@ type Days[T any] struct {
 }
 
 // NewDays returns a day cache holding at most capacity days, reporting
-// into metrics under the bounded dataset label. prefix distinguishes
-// cache layers ("source" for native artifacts, "source_frame" for the
-// registry's frame layer).
+// into metrics under the bounded dataset label. prefix names the
+// consumer's metrics family ("source" for the lab's native values,
+// "source_frame" for the registry's artifacts).
 func NewDays[T any](metrics *obsv.Registry, prefix, dataset string, capacity int) *Days[T] {
 	if metrics == nil {
 		metrics = obsv.NewRegistry()

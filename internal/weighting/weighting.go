@@ -9,7 +9,6 @@ package weighting
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/orgs"
 	"repro/internal/stats"
@@ -117,16 +116,7 @@ type Evaluation struct {
 
 // Evaluate compares a scheme against the true per-pair user distribution.
 func Evaluate(s Scheme, truth map[orgs.CountryOrg]float64) Evaluation {
-	pairs := make([]orgs.CountryOrg, 0, len(truth))
-	for p := range truth {
-		pairs = append(pairs, p)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].Country != pairs[j].Country {
-			return pairs[i].Country < pairs[j].Country
-		}
-		return pairs[i].Org < pairs[j].Org
-	})
+	pairs := orgs.SortedPairs(truth)
 
 	weights := s.Weights(pairs)
 
