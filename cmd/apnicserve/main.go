@@ -64,11 +64,7 @@ func main() {
 		srv.Log = log.New(os.Stderr, "", log.LstdFlags|log.Lmicroseconds)
 	}
 
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -109,6 +105,29 @@ func parseRange(from, to string) (first, last dates.Date, err error) {
 		return first, last, fmt.Errorf("-from/-to: %w", err)
 	}
 	return first, last, nil
+}
+
+// Connection limits. Every response is rendered from memory, so the
+// write timeout only cuts off a client that stopped reading; the idle
+// timeout closes keep-alive connections nobody reuses, which would
+// otherwise stay open for the life of the process.
+const (
+	readHeaderTimeout = 10 * time.Second
+	writeTimeout      = 60 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 16 << 10
+)
+
+// newHTTPServer wraps h in the listener configuration main serves with.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
 }
 
 // buildServer assembles the seven-dataset server; split out of main so

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/dates"
 )
@@ -104,6 +105,53 @@ func TestParseRange(t *testing.T) {
 			t.Errorf("parseRange(%s, %s) = %s, %s", tc.from, tc.to, first, last)
 		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
 			t.Errorf("parseRange(%s, %s) error = %v, want one containing %q", tc.from, tc.to, err, tc.wantErr)
+		}
+	}
+}
+
+// TestHTTPServerLimits pins the listener configuration: every timeout is
+// set, so idle keep-alive connections are eventually closed, and a
+// request whose headers exceed the limit is refused with a 431 while one
+// well under it is served.
+func TestHTTPServerLimits(t *testing.T) {
+	ok := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {})
+	srv := newHTTPServer("127.0.0.1:0", ok)
+	for name, v := range map[string]time.Duration{
+		"ReadHeaderTimeout": srv.ReadHeaderTimeout,
+		"WriteTimeout":      srv.WriteTimeout,
+		"IdleTimeout":       srv.IdleTimeout,
+	} {
+		if v <= 0 {
+			t.Errorf("%s = %v, want a positive limit", name, v)
+		}
+	}
+	if srv.MaxHeaderBytes != maxHeaderBytes || srv.Addr != "127.0.0.1:0" {
+		t.Errorf("MaxHeaderBytes = %d, Addr = %q", srv.MaxHeaderBytes, srv.Addr)
+	}
+
+	ts := httptest.NewUnstartedServer(ok)
+	ts.Config = srv
+	ts.Start()
+	defer ts.Close()
+	for _, tc := range []struct {
+		pad  int
+		want int
+	}{
+		{maxHeaderBytes / 2, http.StatusOK},
+		{2 * maxHeaderBytes, http.StatusRequestHeaderFieldsTooLarge},
+	} {
+		req, err := http.NewRequest(http.MethodGet, ts.URL+"/", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Pad", strings.Repeat("a", tc.pad))
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatalf("%d-byte header: %v", tc.pad, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%d-byte header: status %d, want %d", tc.pad, resp.StatusCode, tc.want)
 		}
 	}
 }

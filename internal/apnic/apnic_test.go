@@ -8,6 +8,7 @@ import (
 	"repro/internal/dates"
 	"repro/internal/itu"
 	"repro/internal/orgs"
+	"repro/internal/source"
 	"repro/internal/world"
 )
 
@@ -231,6 +232,26 @@ func TestReadCSVRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadCSV(bytes.NewBufferString("")); err == nil {
 		t.Error("empty CSV should fail")
+	}
+}
+
+func TestReportFromFrameRejectsIncomplete(t *testing.T) {
+	d := dates.New(2024, 4, 21)
+	for _, tc := range []struct {
+		name   string
+		mutate func(f *source.Frame)
+	}{
+		{"no window-days", func(f *source.Frame) { f.Meta = nil }},
+		{"bad window-days", func(f *source.Frame) { f.Meta = [][2]string{{"window-days", "sixty"}} }},
+		{"missing column", func(f *source.Frame) { f.Cols = f.Cols[:len(f.Cols)-1] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := testGen().Generate(d).Frame()
+			tc.mutate(f)
+			if _, err := ReportFromFrame(f); err == nil {
+				t.Fatal("incomplete frame decoded without error")
+			}
+		})
 	}
 }
 

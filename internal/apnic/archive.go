@@ -1,21 +1,15 @@
 package apnic
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 
 	"repro/internal/dates"
-	"repro/internal/orgs"
-	"repro/internal/stats"
 )
 
-// Archive is a collection of daily reports loaded from disk — the form in
-// which researchers consume the real dataset (one CSV per day). It
-// supports per-day lookup and per-(country, AS) time-series queries like
-// the ones behind the paper's Figure 1.
+// Archive is a collection of daily reports — the form in which
+// researchers consume the real dataset (one CSV per day). It supports
+// per-day lookup and per-(country, AS) time-series queries like the ones
+// behind the paper's Figure 1.
 type Archive struct {
 	reports map[dates.Date]*Report
 	days    []dates.Date // sorted
@@ -35,33 +29,6 @@ func (a *Archive) Add(rep *Report) {
 	a.reports[rep.Date] = rep
 }
 
-// LoadArchive reads every "apnic-*.csv" file in a directory (the layout
-// cmd/apnicgen writes).
-func LoadArchive(dir string) (*Archive, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "apnic-*.csv"))
-	if err != nil {
-		return nil, err
-	}
-	if len(matches) == 0 {
-		return nil, fmt.Errorf("apnic: no apnic-*.csv files in %s", dir)
-	}
-	sort.Strings(matches)
-	a := NewArchive()
-	for _, path := range matches {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		rep, err := ReadCSV(f)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("apnic: loading %s: %w", filepath.Base(path), err)
-		}
-		a.Add(rep)
-	}
-	return a, nil
-}
-
 // Len returns the number of days in the archive.
 func (a *Archive) Len() int { return len(a.reports) }
 
@@ -74,29 +41,6 @@ func (a *Archive) Days() []dates.Date {
 func (a *Archive) Report(d dates.Date) (*Report, bool) {
 	r, ok := a.reports[d]
 	return r, ok
-}
-
-// Nearest returns the archived report closest to d (ties resolve to the
-// earlier day). ok is false for an empty archive.
-func (a *Archive) Nearest(d dates.Date) (*Report, bool) {
-	if len(a.days) == 0 {
-		return nil, false
-	}
-	best := a.days[0]
-	bestDist := abs(d.Sub(best))
-	for _, day := range a.days[1:] {
-		if dist := abs(d.Sub(day)); dist < bestDist {
-			best, bestDist = day, dist
-		}
-	}
-	return a.reports[best], true
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // Point is one day of a per-(country, AS) series.
@@ -118,42 +62,6 @@ func (a *Archive) Series(country string, asn uint32) []Point {
 				break
 			}
 		}
-	}
-	return out
-}
-
-// CountrySeries returns per-day totals for one country.
-func (a *Archive) CountrySeries(country string) []Point {
-	var out []Point
-	for _, d := range a.days {
-		var p Point
-		p.Date = d
-		found := false
-		for _, row := range a.reports[d].Rows {
-			if row.CC == country {
-				p.Users += row.Users
-				p.Samples += row.Samples
-				found = true
-			}
-		}
-		if found {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// OrgShareSeries returns, for each archived day, a country's per-org user
-// shares — the input to the temporal-stability analysis (§5.1.2).
-func (a *Archive) OrgShareSeries(reg *orgs.Registry, country string) []map[string]float64 {
-	var out []map[string]float64
-	for _, d := range a.days {
-		users := a.reports[d].CountryOrgUsers(reg, country)
-		// Sorted-order summation keeps the shares bit-reproducible.
-		if stats.SumMap(users) == 0 {
-			continue
-		}
-		out = append(out, stats.NormalizeMap(users))
 	}
 	return out
 }
@@ -180,23 +88,4 @@ func (a *Archive) ASNsIn(country string) []uint32 {
 		return out[i] < out[j]
 	})
 	return out
-}
-
-// WriteDir writes every report as apnic-<date>.csv into dir, creating it
-// if needed — the inverse of LoadArchive.
-func (a *Archive) WriteDir(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for _, d := range a.days {
-		var b strings.Builder
-		if err := a.reports[d].WriteCSV(&b); err != nil {
-			return err
-		}
-		path := filepath.Join(dir, fmt.Sprintf("apnic-%s.csv", d))
-		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -50,21 +50,6 @@ func TestArchiveReplace(t *testing.T) {
 	}
 }
 
-func TestArchiveNearest(t *testing.T) {
-	a := buildArchive(t)
-	rep, ok := a.Nearest(dates.New(2024, 4, 10))
-	if !ok || rep.Date != dates.New(2024, 4, 5) {
-		t.Fatalf("Nearest after range = %v", rep.Date)
-	}
-	rep, _ = a.Nearest(dates.New(2024, 3, 1))
-	if rep.Date != dates.New(2024, 4, 1) {
-		t.Fatalf("Nearest before range = %v", rep.Date)
-	}
-	if _, ok := NewArchive().Nearest(dates.New(2024, 1, 1)); ok {
-		t.Fatal("empty archive should have no nearest")
-	}
-}
-
 func TestArchiveSeries(t *testing.T) {
 	a := buildArchive(t)
 	asns := a.ASNsIn("FR")
@@ -87,63 +72,5 @@ func TestArchiveSeries(t *testing.T) {
 	}
 	if got := a.Series("FR", 4_000_000_000); len(got) != 0 {
 		t.Fatal("unknown ASN should give empty series")
-	}
-}
-
-func TestArchiveCountrySeries(t *testing.T) {
-	a := buildArchive(t)
-	series := a.CountrySeries("DE")
-	if len(series) != 5 {
-		t.Fatalf("Germany present on %d of 5 days", len(series))
-	}
-	for _, p := range series {
-		if p.Users < 1e6 {
-			t.Fatalf("German user total %v too small", p.Users)
-		}
-	}
-}
-
-func TestArchiveOrgShareSeries(t *testing.T) {
-	a := buildArchive(t)
-	shares := a.OrgShareSeries(testW.Registry, "FR")
-	if len(shares) != 5 {
-		t.Fatalf("%d share snapshots", len(shares))
-	}
-	for _, snap := range shares {
-		total := 0.0
-		for _, v := range snap {
-			total += v
-		}
-		if total < 0.999 || total > 1.001 {
-			t.Fatalf("shares sum to %v", total)
-		}
-	}
-}
-
-func TestArchiveDiskRoundTrip(t *testing.T) {
-	a := buildArchive(t)
-	dir := t.TempDir()
-	if err := a.WriteDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadArchive(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Len() != a.Len() {
-		t.Fatalf("loaded %d days, want %d", loaded.Len(), a.Len())
-	}
-	for _, d := range a.Days() {
-		orig, _ := a.Report(d)
-		got, ok := loaded.Report(d)
-		if !ok || len(got.Rows) != len(orig.Rows) {
-			t.Fatalf("day %v mismatch after round trip", d)
-		}
-	}
-}
-
-func TestLoadArchiveEmptyDir(t *testing.T) {
-	if _, err := LoadArchive(t.TempDir()); err == nil {
-		t.Fatal("empty directory should fail")
 	}
 }

@@ -11,7 +11,7 @@
 //	GET /v1/{dataset}/reports/{date}           one day's frame as JSON
 //	GET /v1/{dataset}/series/{key}?cc=XX&from=&to=&step=   per-row series, JSON
 //
-// Legacy APNIC aliases (responses byte-identical to the APNIC-only server):
+// Legacy APNIC aliases (responses byte-identical to the original APNIC routes):
 //
 //	GET /v1/reports/{date}                     <YYYY-MM-DD>.csv, native CSV
 //	GET /v1/dates                              served date range, JSON
@@ -72,11 +72,11 @@ import (
 // frame plus its content hash, every encoded body (bin, binz, legacy CSV,
 // gzip) and the series row index. Concurrent requests for one day share
 // one generation and one fill per part; distinct days fill in parallel.
-// The artifact cache is a bounded LRU per dataset (NewServerCached sets
-// the capacity, default source.DefaultCacheDays), and a day's parts are
-// evicted with it. Eviction is safe because every part is a pure
-// function of (seed, date): an evicted day regenerates byte-identically
-// on the next request.
+// The artifact cache is a bounded LRU per dataset (NewMultiServer's
+// cacheDays sets the capacity, default source.DefaultCacheDays), and a
+// day's parts are evicted with it. Eviction is safe because every part
+// is a pure function of (seed, date): an evicted day regenerates
+// byte-identically on the next request.
 type Server struct {
 	reg   *source.Registry
 	first dates.Date
@@ -105,41 +105,15 @@ type Server struct {
 	liveState
 }
 
-// NewServer returns an APNIC-only server for [first, last] with
-// source.DefaultCacheDays of bounded day caching.
-func NewServer(gen *apnic.Generator, first, last dates.Date) *Server {
-	return NewServerCached(gen, first, last, source.DefaultCacheDays)
-}
-
-// NewServerCached returns an APNIC-only server whose artifact cache holds
-// at most cacheDays days, evicting least recently used days. cacheDays
-// < 1 is clamped to 1. The generic routes serve the single "apnic"
-// dataset; NewMultiServer serves the full roster.
-func NewServerCached(gen *apnic.Generator, first, last dates.Date, cacheDays int) *Server {
-	cacheDays = max(1, cacheDays)
-	metrics := obsv.NewRegistry()
-	reg := source.NewRegistry(metrics, cacheDays)
-	reg.Register(apnic.NewSource(gen))
-	return newServer(reg, first, last, metrics)
-}
-
 // NewMultiServer builds the full seven-dataset roster over one world and
 // serves every dataset under /v1/{dataset}/..., with the legacy APNIC
 // routes aliasing the "apnic" dataset. cacheDays bounds each dataset's
-// artifact cache.
+// artifact cache (source.DefaultCacheDays when < 1).
 func NewMultiServer(w *world.World, seed uint64, first, last dates.Date, cacheDays int) *Server {
 	metrics := obsv.NewRegistry()
 	b := bundle.New(w, seed, bundle.Config{Metrics: metrics, CacheDays: cacheDays})
-	return newServer(b.Registry, first, last, metrics)
-}
-
-func newServer(reg *source.Registry, first, last dates.Date, metrics *obsv.Registry) *Server {
-	// Idempotent when the bundle already injected them; the APNIC-only
-	// constructors build a bare registry that must learn the codecs here.
-	reg.SetBinCodec(binfmt.Encode)
-	reg.SetBinzCodec(framez.Encode)
 	s := &Server{
-		reg:            reg,
+		reg:            b.Registry,
 		first:          first,
 		last:           last,
 		metrics:        metrics,
@@ -147,11 +121,11 @@ func newServer(reg *source.Registry, first, last dates.Date, metrics *obsv.Regis
 		writeFrameCSV:  (*source.Frame).WriteCSV,
 		writeFrameJSON: (*source.Frame).WriteJSON,
 	}
-	s.renderErrs = s.metrics.Counter("apnicweb_render_errors_total")
-	s.streamAborts = s.metrics.Counter("apnicweb_stream_aborts_total")
-	s.notModified = s.metrics.Counter("apnicweb_not_modified_total")
-	s.encGzip = s.metrics.Counter(`apnicweb_responses_total{encoding="gzip"}`)
-	s.encIdentity = s.metrics.Counter(`apnicweb_responses_total{encoding="identity"}`)
+	s.renderErrs = metrics.Counter("apnicweb_render_errors_total")
+	s.streamAborts = metrics.Counter("apnicweb_stream_aborts_total")
+	s.notModified = metrics.Counter("apnicweb_not_modified_total")
+	s.encGzip = metrics.Counter(`apnicweb_responses_total{encoding="gzip"}`)
+	s.encIdentity = metrics.Counter(`apnicweb_responses_total{encoding="identity"}`)
 	// Day-cache series (source_frame_*{dataset=...}) are registered by the
 	// source layer on the same registry.
 	return s
@@ -1012,7 +986,7 @@ func (c *Client) FrameJSON(ctx context.Context, dataset string, d dates.Date) (*
 }
 
 func (c *Client) textFrame(ctx context.Context, dataset string, d dates.Date, suffix string, parse func(io.Reader) (*source.Frame, error)) (*source.Frame, error) {
-	resp, _, err := c.get(ctx, "", "/v1/", dataset, "/reports/", d.String()+suffix)
+	resp, u, err := c.get(ctx, "", "/v1/", dataset, "/reports/", d.String()+suffix)
 	if err != nil {
 		return nil, err
 	}
@@ -1020,6 +994,16 @@ func (c *Client) textFrame(ctx context.Context, dataset string, d dates.Date, su
 	f, err := parse(resp.Body)
 	if err != nil {
 		return nil, fmt.Errorf("apnicweb: parsing %s %s: %w", dataset, d, err)
+	}
+	return requested(u, dataset, f)
+}
+
+// requested returns f if it is the requested dataset's frame. A server
+// or proxy that answers with another dataset's frame is an error, not a
+// well-formed but wrong result.
+func requested(u, dataset string, f *source.Frame) (*source.Frame, error) {
+	if f.Source != dataset {
+		return nil, fmt.Errorf("apnicweb: GET %s: server sent a %q frame, not %q", u, f.Source, dataset)
 	}
 	return f, nil
 }
@@ -1061,5 +1045,5 @@ func (c *Client) binaryFrame(ctx context.Context, dataset string, d dates.Date, 
 	if err != nil {
 		return nil, fmt.Errorf("apnicweb: decoding %s %s: %w", dataset, d, err)
 	}
-	return f, nil
+	return requested(u, dataset, f)
 }

@@ -23,9 +23,17 @@ var (
 	testGen = apnic.New(testW, itu.New(testW, 11), 11)
 )
 
+// newTestServer serves the full roster over testW for 2024, holding at
+// most cacheDays days per dataset (source.DefaultCacheDays when < 1). The
+// roster builds its apnic dataset as apnic.New(testW, itu.New(testW, 11),
+// 11), so the server's apnic bytes are exactly testGen's.
+func newTestServer(cacheDays int) *Server {
+	return NewMultiServer(testW, 11, dates.New(2024, 1, 1), dates.New(2024, 12, 31), cacheDays)
+}
+
 func testServer(t *testing.T) (*httptest.Server, *Client) {
 	t.Helper()
-	srv := NewServer(testGen, dates.New(2024, 1, 1), dates.New(2024, 12, 31))
+	srv := newTestServer(0)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return ts, &Client{BaseURL: ts.URL, HTTPClient: ts.Client()}
@@ -212,7 +220,7 @@ func itoa(v uint32) string { return strconv.FormatUint(uint64(v), 10) }
 // the generator ran exactly once per distinct day (singleflight), every
 // response is served, and repeated days return byte-identical CSV.
 func TestServerSingleflightHammer(t *testing.T) {
-	srv := NewServer(testGen, dates.New(2024, 1, 1), dates.New(2024, 12, 31))
+	srv := newTestServer(0)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -285,7 +293,7 @@ func legacyBody(srv *Server, d dates.Date) ([]byte, error) {
 // serialize on a global lock: total singleflight fills equal distinct
 // days and each day's bytes are stable.
 func TestServerRenderConcurrentDistinctDays(t *testing.T) {
-	srv := NewServer(testGen, dates.New(2024, 1, 1), dates.New(2024, 12, 31))
+	srv := newTestServer(0)
 	days := make([]dates.Date, 8)
 	for i := range days {
 		days[i] = dates.New(2024, 6, 1+i)

@@ -19,7 +19,7 @@ import (
 // /metrics, and an evicted day regenerates byte-identically.
 func TestBoundedCacheEviction(t *testing.T) {
 	const capacity = 4
-	srv := NewServerCached(testGen, dates.New(2024, 1, 1), dates.New(2024, 12, 31), capacity)
+	srv := newTestServer(capacity)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -89,7 +89,7 @@ func TestBoundedCacheEviction(t *testing.T) {
 // for concurrent serving with in-flight eviction on the full HTTP path.
 func TestBoundedCacheHammer(t *testing.T) {
 	const capacity, days, goroutines, reqs = 3, 12, 8, 30
-	srv := NewServerCached(testGen, dates.New(2024, 1, 1), dates.New(2024, 12, 31), capacity)
+	srv := newTestServer(capacity)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

@@ -48,7 +48,7 @@ func TestSeriesFromAfterTo(t *testing.T) {
 // be cached (same message on repeat, underlying render ran once), and the
 // render-error counter must count both requests.
 func TestRenderErrorPropagates(t *testing.T) {
-	srv := NewServer(testGen, dates.New(2024, 1, 1), dates.New(2024, 12, 31))
+	srv := newTestServer(0)
 	var renders atomic.Int64
 	srv.writeCSV = func(rep *apnic.Report, w io.Writer) error {
 		renders.Add(1)
@@ -207,7 +207,7 @@ func TestClientDrainsDatesBody(t *testing.T) {
 // client must recover transparently and surface attempt counts in its
 // metrics and a retry line in its logs.
 func TestClientRetriesFlakyBackend(t *testing.T) {
-	srv := NewServer(testGen, dates.New(2024, 1, 1), dates.New(2024, 12, 31))
+	srv := newTestServer(0)
 	inner := srv.Handler()
 	var calls atomic.Int64
 	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -250,7 +250,7 @@ func TestClientRetriesFlakyBackend(t *testing.T) {
 // overlapping cold days through the real handler and verifies each
 // report was generated exactly once per distinct day.
 func TestSeriesColdDayHammer(t *testing.T) {
-	srv := NewServer(testGen, dates.New(2024, 1, 1), dates.New(2024, 12, 31))
+	srv := newTestServer(0)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

@@ -22,7 +22,7 @@ import (
 // no body — even when the underlying renderer would fail, because HEAD
 // never renders.
 func TestHeadStreamingRoutes(t *testing.T) {
-	srv := NewServer(testGen, dates.New(2024, 1, 1), dates.New(2024, 12, 31))
+	srv := newTestServer(0)
 	// Poison the streaming seams: any attempt to render a body on the
 	// HEAD path shows up as a failure.
 	srv.writeFrameCSV = func(*source.Frame, io.Writer) error {
@@ -130,7 +130,7 @@ func TestHeadGzipAndLegacyRoutes(t *testing.T) {
 // ranks, revision ETag + 304 revalidation, and the stream_* pipeline
 // metrics visible on the same /metrics the server already serves.
 func TestLiveEndpoint(t *testing.T) {
-	srv := NewServer(testGen, dates.New(2024, 1, 1), dates.New(2024, 12, 31))
+	srv := newTestServer(0)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -267,7 +267,7 @@ func TestLiveEndpoint(t *testing.T) {
 
 // TestLiveHead: HEAD on the live route carries the validator, no body.
 func TestLiveHead(t *testing.T) {
-	srv := NewServer(testGen, dates.New(2024, 1, 1), dates.New(2024, 12, 31))
+	srv := newTestServer(0)
 	est := stream.NewRollingEstimator(testGen)
 	d := dates.New(2024, 4, 21)
 	est.Observe(stream.Impression{Day: d, CC: "FR", ASN: 64500, Weight: 200})
@@ -294,7 +294,7 @@ func TestLiveHead(t *testing.T) {
 // snapshot is read. A quote used to mint an invalid entity-tag and a
 // comma split the tag in etagMatch.
 func TestLiveCountryValidation(t *testing.T) {
-	srv := NewServer(testGen, dates.New(2024, 1, 1), dates.New(2024, 12, 31))
+	srv := newTestServer(0)
 	est := stream.NewRollingEstimator(testGen)
 	est.Observe(stream.Impression{Day: dates.New(2024, 4, 21), CC: "FR", ASN: 64500, Weight: 200})
 	srv.SetLive(est)

@@ -17,7 +17,7 @@ import (
 
 func multiServer(t *testing.T) (*Server, *httptest.Server, *Client) {
 	t.Helper()
-	srv := NewMultiServer(testW, 11, dates.New(2024, 1, 1), dates.New(2024, 12, 31), 30)
+	srv := newTestServer(30)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts, &Client{BaseURL: ts.URL, HTTPClient: ts.Client()}
@@ -178,20 +178,25 @@ func TestLegacyAliasesByteIdentical(t *testing.T) {
 		t.Errorf("legacy /v1/dates = %q, want %q", got, wantDates)
 	}
 
-	// The series alias must serve the same bytes as an APNIC-only server
-	// built over the same generator.
+	// The series alias must serve the native generator's rows in the
+	// legacy response shape.
 	row := nativeGen(t, srv).Generate(d).Rows[0]
 	q := "/v1/series/AS" + itoa(row.ASN) + "?cc=" + row.CC + "&from=2024-04-20&to=2024-04-22"
-	solo := httptest.NewServer(NewServer(nativeGen(t, srv), dates.New(2024, 1, 1), dates.New(2024, 12, 31)).Handler())
-	defer solo.Close()
-	soloResp, err := http.Get(solo.URL + q)
-	if err != nil {
+	want := SeriesResponse{ASN: row.ASN, Country: row.CC}
+	for _, day := range dates.Range(dates.New(2024, 4, 20), dates.New(2024, 4, 22), 1) {
+		for _, r := range nativeGen(t, srv).Generate(day).Rows {
+			if r.ASN == row.ASN && r.CC == row.CC {
+				want.Points = append(want.Points, SeriesPoint{Date: day.String(), Users: r.Users, Samples: r.Samples})
+				break
+			}
+		}
+	}
+	var wantSeries bytes.Buffer
+	if err := json.NewEncoder(&wantSeries).Encode(want); err != nil {
 		t.Fatal(err)
 	}
-	soloBody, _ := io.ReadAll(soloResp.Body)
-	soloResp.Body.Close()
-	if got := get(q); !bytes.Equal(got, soloBody) {
-		t.Errorf("legacy series alias differs:\n%q\nvs\n%q", got, soloBody)
+	if got := get(q); !bytes.Equal(got, wantSeries.Bytes()) {
+		t.Errorf("legacy series alias differs:\n%q\nvs\n%q", got, wantSeries.Bytes())
 	}
 }
 

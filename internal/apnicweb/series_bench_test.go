@@ -39,7 +39,7 @@ func BenchmarkSeriesLookupLinearScan(b *testing.B) {
 }
 
 func BenchmarkSeriesLookupIndexed(b *testing.B) {
-	srv := NewServer(testGen, dates.New(2024, 1, 1), dates.New(2024, 12, 31))
+	srv := newTestServer(0)
 	d := dates.New(2024, 4, 10)
 	a, err := srv.Registry().Artifact(apnic.DatasetName, d)
 	if err != nil {

@@ -16,7 +16,6 @@ import (
 	"sort"
 
 	"repro/internal/dates"
-	"repro/internal/orgs"
 	"repro/internal/rng"
 	"repro/internal/world"
 )
@@ -124,16 +123,5 @@ func (ds *Dataset) Orgs(country string) []string {
 		}
 		return out[i] < out[j]
 	})
-	return out
-}
-
-// PairShares re-keys the dataset to (country, org) pairs.
-func (ds *Dataset) PairShares() map[orgs.CountryOrg]float64 {
-	out := map[orgs.CountryOrg]float64{}
-	for c, row := range ds.Shares {
-		for id, v := range row {
-			out[orgs.CountryOrg{Country: c, Org: id}] = v
-		}
-	}
 	return out
 }

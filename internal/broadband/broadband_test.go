@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/dates"
-	"repro/internal/orgs"
 	"repro/internal/world"
 )
 
@@ -110,23 +109,6 @@ func TestOrgsSorted(t *testing.T) {
 	}
 }
 
-func TestPairShares(t *testing.T) {
-	ds := New(testW, 3).Generate(dates.New(2024, 3, 1))
-	pairs := ds.PairShares()
-	count := 0
-	for k := range pairs {
-		if k.Country == "FR" {
-			count++
-		}
-	}
-	if count != len(ds.Shares["FR"]) {
-		t.Fatalf("pair count %d != row size %d", count, len(ds.Shares["FR"]))
-	}
-	if _, ok := pairs[orgs.CountryOrg{Country: "VU", Org: "anything"}]; ok {
-		t.Fatal("non-survey country leaked into pairs")
-	}
-}
-
 func TestCountriesSorted(t *testing.T) {
 	ds := New(testW, 3).Generate(dates.New(2024, 3, 1))
 	cs := ds.Countries()
@@ -134,5 +116,13 @@ func TestCountriesSorted(t *testing.T) {
 		if cs[i] < cs[i-1] {
 			t.Fatal("Countries not sorted")
 		}
+	}
+}
+
+func TestDatasetFromFrameMissingColumns(t *testing.T) {
+	f := New(testW, 3).Generate(dates.New(2024, 3, 1)).Frame()
+	f.Cols = f.Cols[:len(f.Cols)-1]
+	if _, err := DatasetFromFrame(f); err == nil {
+		t.Fatal("frame without a Share column decoded without error")
 	}
 }

@@ -49,20 +49,6 @@ func StabilityDistance(sharesT, sharesT1 map[string]float64) float64 {
 	return stats.MaxShareDiff(a, b)
 }
 
-// StabilitySeries computes consecutive-step distances for one country
-// over a sequence of share snapshots (already spaced at the granularity's
-// step). The result feeds one curve of Figure 8's CDF.
-func StabilitySeries(snapshots []map[string]float64) []float64 {
-	var out []float64
-	for i := 1; i < len(snapshots); i++ {
-		d := StabilityDistance(snapshots[i-1], snapshots[i])
-		if !math.IsNaN(d) {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // BestDay picks, from a window of candidate days, the one with the
 // smallest users-per-sample (elasticity) ratio — the paper's §5.1.2
 // aggregation rule for choosing which daily APNIC snapshot to trust.

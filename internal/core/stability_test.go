@@ -26,24 +26,6 @@ func TestStabilityDistance(t *testing.T) {
 	}
 }
 
-func TestStabilitySeries(t *testing.T) {
-	snaps := []map[string]float64{
-		{"x": 0.5, "y": 0.5},
-		{"x": 0.5, "y": 0.5},
-		{"x": 0.8, "y": 0.2},
-	}
-	series := StabilitySeries(snaps)
-	if len(series) != 2 {
-		t.Fatalf("series length = %d", len(series))
-	}
-	if series[0] != 0 || math.Abs(series[1]-0.3) > 1e-12 {
-		t.Fatalf("series = %v", series)
-	}
-	if len(StabilitySeries(snaps[:1])) != 0 {
-		t.Fatal("single snapshot should give empty series")
-	}
-}
-
 func TestBestDay(t *testing.T) {
 	ratios := map[string]float64{
 		"2024-01-01": 40,

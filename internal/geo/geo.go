@@ -376,32 +376,11 @@ func ByCode(code string) (Country, bool) {
 	return c, ok
 }
 
-// Codes returns all country codes, sorted.
-func Codes() []string {
-	out := make([]string, 0, len(registry))
-	for _, c := range registry {
-		out = append(out, c.Code)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // InSubregion returns all countries in a subregion, sorted by code.
 func InSubregion(s Subregion) []Country {
 	var out []Country
 	for _, c := range All() {
 		if c.Subregion == s {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// InContinent returns all countries on a continent, sorted by code.
-func InContinent(ct Continent) []Country {
-	var out []Country
-	for _, c := range All() {
-		if c.Continent() == ct {
 			out = append(out, c)
 		}
 	}

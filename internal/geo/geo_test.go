@@ -143,26 +143,10 @@ func TestAllSorted(t *testing.T) {
 	if !sort.SliceIsSorted(all, func(i, j int) bool { return all[i].Code < all[j].Code }) {
 		t.Error("All() not sorted by code")
 	}
-	codes := Codes()
-	if len(codes) != len(all) {
-		t.Error("Codes() length mismatch")
-	}
 }
 
 func TestByCodeMiss(t *testing.T) {
 	if _, ok := ByCode("XX"); ok {
 		t.Error("ByCode(XX) should miss")
-	}
-}
-
-func TestInContinent(t *testing.T) {
-	eu := InContinent(Europe)
-	if len(eu) < 20 {
-		t.Errorf("Europe has %d countries, want >= 20", len(eu))
-	}
-	for _, c := range eu {
-		if c.Continent() != Europe {
-			t.Errorf("%s leaked into Europe", c.Code)
-		}
 	}
 }

@@ -117,11 +117,6 @@ func (s *Stream) Intn(n int) int {
 	return int(s.Uint64() % uint64(n))
 }
 
-// Int63 returns a uniform non-negative int64.
-func (s *Stream) Int63() int64 {
-	return int64(s.Uint64() >> 1)
-}
-
 // Range returns a uniform float64 in [lo, hi).
 func (s *Stream) Range(lo, hi float64) float64 {
 	return lo + (hi-lo)*s.Float64()
@@ -158,12 +153,6 @@ func (s *Stream) LogNormal(mu, sigma float64) float64 {
 // ExpFloat64 returns an exponential deviate with rate 1.
 func (s *Stream) ExpFloat64() float64 {
 	return -math.Log(1 - s.Float64())
-}
-
-// Pareto returns a Pareto(alpha) deviate with minimum xmin.
-// Heavy-tailed: used for traffic-per-user and org-size distributions.
-func (s *Stream) Pareto(xmin, alpha float64) float64 {
-	return xmin / math.Pow(1-s.Float64(), 1/alpha)
 }
 
 // Poisson returns a Poisson(lambda) deviate. For small lambda it uses
@@ -226,24 +215,8 @@ func (s *Stream) Binomial(n int64, p float64) int64 {
 	return int64(v + 0.5)
 }
 
-// Zipf samples k in [0, n) with probability proportional to 1/(k+1)^alpha.
-// It draws against precomputed cumulative weights supplied by ZipfWeights,
-// so callers sampling repeatedly should cache the weights.
-func ZipfWeights(n int, alpha float64) []float64 {
-	w := make([]float64, n)
-	sum := 0.0
-	for k := 0; k < n; k++ {
-		sum += 1 / math.Pow(float64(k+1), alpha)
-		w[k] = sum
-	}
-	for k := range w {
-		w[k] /= sum
-	}
-	return w
-}
-
 // Categorical samples an index from cumulative weights cum (non-decreasing,
-// ending at 1.0), as produced by ZipfWeights or Cumulative.
+// ending at 1.0), as produced by Cumulative.
 func (s *Stream) Categorical(cum []float64) int {
 	u := s.Float64()
 	lo, hi := 0, len(cum)-1

@@ -190,25 +190,6 @@ func TestBinomialMean(t *testing.T) {
 	}
 }
 
-func TestZipfWeights(t *testing.T) {
-	w := ZipfWeights(10, 1.0)
-	if len(w) != 10 {
-		t.Fatalf("len = %d", len(w))
-	}
-	if math.Abs(w[9]-1) > 1e-12 {
-		t.Fatalf("last cumulative weight = %v, want 1", w[9])
-	}
-	for i := 1; i < len(w); i++ {
-		if w[i] < w[i-1] {
-			t.Fatal("cumulative weights not monotone")
-		}
-	}
-	// Rank-1 mass must exceed rank-2 mass.
-	if w[0] <= w[1]-w[0] {
-		t.Fatal("Zipf mass not decreasing in rank")
-	}
-}
-
 func TestCategoricalDistribution(t *testing.T) {
 	cum := Cumulative([]float64{1, 2, 7})
 	s := New(41)
@@ -240,16 +221,6 @@ func TestPermIsPermutation(t *testing.T) {
 			t.Fatalf("invalid permutation: %v", p)
 		}
 		seen[v] = true
-	}
-}
-
-func TestParetoTail(t *testing.T) {
-	s := New(47)
-	for i := 0; i < 10000; i++ {
-		v := s.Pareto(2.0, 1.5)
-		if v < 2.0 {
-			t.Fatalf("Pareto below xmin: %v", v)
-		}
 	}
 }
 
@@ -313,5 +284,55 @@ func BenchmarkPoissonLarge(b *testing.B) {
 	s := New(1)
 	for i := 0; i < b.N; i++ {
 		s.Poisson(1e6)
+	}
+}
+
+func TestRangeBounds(t *testing.T) {
+	s := New(19)
+	for i := 0; i < 10000; i++ {
+		v := s.Range(-2, 3)
+		if v < -2 || v >= 3 {
+			t.Fatalf("Range(-2, 3) out of range: %v", v)
+		}
+	}
+}
+
+func TestBoolFrequency(t *testing.T) {
+	s := New(23)
+	n, hits := 100000, 0
+	for i := 0; i < n; i++ {
+		if s.Bool(0.3) {
+			hits++
+		}
+	}
+	if f := float64(hits) / float64(n); math.Abs(f-0.3) > 0.01 {
+		t.Fatalf("Bool(0.3) frequency = %v, want ~0.3", f)
+	}
+	for i := 0; i < 1000; i++ {
+		if s.Bool(0) || !s.Bool(1) {
+			t.Fatal("Bool(0) must never and Bool(1) must always be true")
+		}
+	}
+}
+
+func TestExpFloat64Moments(t *testing.T) {
+	s := New(29)
+	n := 100000
+	sum, sumSq := 0.0, 0.0
+	for i := 0; i < n; i++ {
+		x := s.ExpFloat64()
+		if x < 0 || math.IsInf(x, 0) {
+			t.Fatalf("ExpFloat64 = %v, want finite and non-negative", x)
+		}
+		sum += x
+		sumSq += x * x
+	}
+	mean := sum / float64(n)
+	variance := sumSq/float64(n) - mean*mean
+	if math.Abs(mean-1) > 0.02 {
+		t.Errorf("exponential mean = %v, want ~1", mean)
+	}
+	if math.Abs(variance-1) > 0.05 {
+		t.Errorf("exponential variance = %v, want ~1", variance)
 	}
 }

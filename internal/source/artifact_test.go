@@ -89,8 +89,12 @@ func TestArtifactCodecs(t *testing.T) {
 		if b, err := a.Bin(); err != nil || string(b) != "bin" {
 			t.Fatalf("Bin = %q, %v", b, err)
 		}
-		if b, err := reg.FrameBinz("fake", a.Frame.Date); err != nil || string(b) != "binz" {
-			t.Fatalf("FrameBinz = %q, %v", b, err)
+		same, err := reg.Artifact("fake", a.Frame.Date)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b, err := same.Binz(); err != nil || string(b) != "binz" {
+			t.Fatalf("Binz = %q, %v", b, err)
 		}
 	}
 	if n := calls.Load(); n != 2 {

@@ -38,9 +38,9 @@ type Bundle struct {
 func New(w *world.World, seed uint64, cfg Config) *Bundle {
 	reg := source.NewRegistry(cfg.Metrics, cfg.CacheDays)
 	// The binary frame codecs live above source (binfmt and framez both
-	// import it), so this is also where the registry learns to encode
+	// import it), so this is the one place the registry learns to encode
 	// frames; every consumer built from the bundle can then serve both
-	// FrameBin and FrameBinz.
+	// Artifact.Bin and Artifact.Binz.
 	reg.SetBinCodec(binfmt.Encode)
 	reg.SetBinzCodec(framez.Encode)
 	ituEst := itu.New(w, seed)

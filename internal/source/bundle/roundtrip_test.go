@@ -47,10 +47,14 @@ func TestBundleRoster(t *testing.T) {
 		if names[i] != want {
 			t.Errorf("dataset %d = %q; want %q", i, names[i], want)
 		}
-		w, ok := b.Registry.Window(want)
+		src, ok := b.Registry.Lookup(want)
+		if !ok {
+			t.Errorf("dataset %q not registered", want)
+			continue
+		}
 		wantW := source.Window{First: source.SpanFirst, Last: source.SpanLast, Cadence: cadences[want]}
-		if !ok || w != wantW {
-			t.Errorf("dataset %q window = %+v ok=%v; want %+v", want, w, ok, wantW)
+		if w := src.Window(); w != wantW {
+			t.Errorf("dataset %q window = %+v; want %+v", want, w, wantW)
 		}
 	}
 }
@@ -258,11 +262,12 @@ func TestBinzRoundTripAllSources(t *testing.T) {
 	b := New(testW, 42, Config{})
 	for _, name := range b.Registry.Names() {
 		t.Run(name, func(t *testing.T) {
-			f, err := b.Registry.Frame(name, testDay)
+			a, err := b.Registry.Artifact(name, testDay)
 			if err != nil {
 				t.Fatal(err)
 			}
-			z, err := b.Registry.FrameBinz(name, testDay)
+			f := a.Frame
+			z, err := a.Binz()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -280,15 +285,19 @@ func TestBinzRoundTripAllSources(t *testing.T) {
 			if !bytes.Equal(z, again) {
 				t.Fatal("re-encoded compressed bytes differ")
 			}
-			raw, err := b.Registry.FrameBin(name, testDay)
+			raw, err := a.Bin()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(z) >= len(raw) {
 				t.Fatalf("binz %d bytes is not smaller than bin %d bytes", len(z), len(raw))
 			}
-			if memo, err := b.Registry.FrameBinz(name, testDay); err != nil || !bytes.Equal(memo, z) {
-				t.Fatalf("memoized FrameBinz differs: %v", err)
+			resident, err := b.Registry.Artifact(name, testDay)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if memo, err := resident.Binz(); err != nil || !bytes.Equal(memo, z) {
+				t.Fatalf("memoized Binz differs: %v", err)
 			}
 		})
 	}

@@ -12,11 +12,11 @@ import (
 // ErrUnknownSource is returned when a dataset name is not registered.
 var ErrUnknownSource = errors.New("source: unknown dataset")
 
-// ErrNoBinCodec is returned by FrameBin when no binary codec has been
-// injected with SetBinCodec.
+// ErrNoBinCodec is returned by Artifact.Bin when no binary codec has
+// been injected with SetBinCodec.
 var ErrNoBinCodec = errors.New("source: no binary frame codec registered")
 
-// ErrNoBinzCodec is returned by FrameBinz when no compressed binary
+// ErrNoBinzCodec is returned by Artifact.Binz when no compressed binary
 // codec has been injected with SetBinzCodec.
 var ErrNoBinzCodec = errors.New("source: no compressed binary frame codec registered")
 
@@ -136,14 +136,14 @@ func (r *Registry) Frame(name string, d dates.Date) (*Frame, error) {
 	return a.Frame, nil
 }
 
-// SetBinCodec injects the binary frame codec FrameBin encodes with.
+// SetBinCodec injects the binary frame codec Artifact.Bin encodes with.
 func (r *Registry) SetBinCodec(codec BinCodec) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.bin = codec
 }
 
-// SetBinzCodec injects the compressed binary frame codec FrameBinz
+// SetBinzCodec injects the compressed binary frame codec Artifact.Binz
 // encodes with.
 func (r *Registry) SetBinzCodec(codec BinCodec) {
 	r.mu.Lock()
@@ -157,37 +157,6 @@ func (r *Registry) codecs() (bin, binz BinCodec) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.bin, r.binz
-}
-
-// FrameBin returns the memoized binary encoding of one dataset-day (see
-// Artifact.Bin). The returned slice is shared: callers must treat it as
-// read-only.
-func (r *Registry) FrameBin(name string, d dates.Date) ([]byte, error) {
-	a, err := r.Artifact(name, d)
-	if err != nil {
-		return nil, err
-	}
-	return a.Bin()
-}
-
-// FrameBinz returns the memoized compressed binary encoding of one
-// dataset-day (see Artifact.Binz). The returned slice is shared: callers
-// must treat it as read-only.
-func (r *Registry) FrameBinz(name string, d dates.Date) ([]byte, error) {
-	a, err := r.Artifact(name, d)
-	if err != nil {
-		return nil, err
-	}
-	return a.Binz()
-}
-
-// Window returns the registered source's window.
-func (r *Registry) Window(name string) (Window, bool) {
-	s, ok := r.Lookup(name)
-	if !ok {
-		return Window{}, false
-	}
-	return s.Window(), true
 }
 
 // FrameCacheStats returns the artifact cache activity for one dataset.

@@ -78,9 +78,6 @@ func TestRegistryUnknownDataset(t *testing.T) {
 	if _, ok := reg.Lookup("nope"); ok {
 		t.Fatal("Lookup found an unregistered dataset")
 	}
-	if _, ok := reg.Window("nope"); ok {
-		t.Fatal("Window found an unregistered dataset")
-	}
 }
 
 func TestRegistryNamesAndDuplicate(t *testing.T) {

@@ -82,11 +82,6 @@ func Variance(xs []float64) float64 {
 	return ss / float64(n-1)
 }
 
-// StdDev returns the unbiased sample standard deviation.
-func StdDev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
-}
-
 // Min returns the minimum of xs, or NaN for empty input.
 func Min(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -160,36 +155,6 @@ func Normalize(xs []float64) []float64 {
 		out[i] = x / total
 	}
 	return out
-}
-
-// HHI returns the Herfindahl–Hirschman concentration index of a share
-// vector (shares need not be pre-normalized). 1 = monopoly, 1/n = uniform.
-func HHI(shares []float64) float64 {
-	p := Normalize(shares)
-	var h float64
-	for _, s := range p {
-		h += s * s
-	}
-	return h
-}
-
-// Gini returns the Gini coefficient of non-negative values xs.
-func Gini(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	var cum, weighted float64
-	for i, x := range s {
-		weighted += float64(i+1) * x
-		cum += x
-	}
-	if cum == 0 {
-		return 0
-	}
-	return (2*weighted/(float64(n)*cum) - float64(n+1)/float64(n))
 }
 
 // CoverCount returns the minimum number of the largest shares needed for

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -23,7 +24,6 @@ func TestMeanVariance(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	approx(t, Mean(xs), 5, 1e-12, "Mean")
 	approx(t, Variance(xs), 32.0/7.0, 1e-12, "Variance")
-	approx(t, StdDev(xs), math.Sqrt(32.0/7.0), 1e-12, "StdDev")
 }
 
 func TestMeanEmpty(t *testing.T) {
@@ -86,22 +86,6 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
-func TestHHI(t *testing.T) {
-	approx(t, HHI([]float64{1, 0, 0}), 1, 1e-12, "monopoly HHI")
-	approx(t, HHI([]float64{1, 1, 1, 1}), 0.25, 1e-12, "uniform HHI")
-}
-
-func TestGini(t *testing.T) {
-	approx(t, Gini([]float64{1, 1, 1, 1}), 0, 1e-12, "uniform Gini")
-	g := Gini([]float64{0, 0, 0, 100})
-	if g < 0.7 {
-		t.Fatalf("concentrated Gini = %v, want high", g)
-	}
-	if Gini([]float64{0, 0}) != 0 {
-		t.Fatal("all-zero Gini should be 0")
-	}
-}
-
 func TestCoverCount(t *testing.T) {
 	// 50/30/15/5: 95% needs 3 orgs, 50% needs 1, 100% needs all 4.
 	shares := []float64{5, 50, 15, 30}
@@ -159,5 +143,44 @@ func TestQuickNormalizeSums(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// SumMap must add in sorted key order whatever order the map iterates
+// in, so its result is bit-identical from call to call.
+func TestSumMapSortedOrder(t *testing.T) {
+	m := map[string]float64{}
+	vals := make([]float64, 0, 50)
+	for i := 0; i < 50; i++ {
+		v := math.Pow(10, float64(i%17-8)) * float64(i+1)
+		m[fmt.Sprintf("k%02d", i)] = v
+		vals = append(vals, v)
+	}
+	want := Sum(vals)
+	for rep := 0; rep < 20; rep++ {
+		if got := SumMap(m); got != want {
+			t.Fatalf("SumMap = %v, want %v (sorted-key Sum)", got, want)
+		}
+	}
+	if got := SumMap(nil); got != 0 {
+		t.Fatalf("SumMap(nil) = %v, want 0", got)
+	}
+}
+
+func TestNormalizeMap(t *testing.T) {
+	m := map[string]float64{"a": 1, "b": 3}
+	NormalizeMap(m)
+	approx(t, m["a"], 0.25, 1e-12, "a share")
+	approx(t, m["b"], 0.75, 1e-12, "b share")
+
+	for _, in := range []map[string]float64{
+		{"a": 0, "b": 0},
+		{"a": -1, "b": 0.5},
+	} {
+		a, b := in["a"], in["b"]
+		out := NormalizeMap(in)
+		if out["a"] != a || out["b"] != b {
+			t.Errorf("non-positive total rescaled: got %v, want a=%v b=%v", out, a, b)
+		}
 	}
 }

@@ -35,33 +35,6 @@ func KSTwoSample(xs, ys []float64) float64 {
 	return d
 }
 
-// KSCategorical returns the Kolmogorov–Smirnov-style distance between two
-// probability distributions over the same categorical domain: the maximum
-// absolute difference of cumulative mass when categories are walked in a
-// fixed canonical order. p and q are aligned by index (use AlignShares to
-// build them from keyed maps) and are normalized internally.
-//
-// This is the distance the paper applies to per-country organization share
-// distributions at consecutive times (§5.1.2): a large value means at least
-// one organization's estimated user share moved substantially between t and
-// t+1.
-func KSCategorical(p, q []float64) float64 {
-	if len(p) != len(q) || len(p) == 0 {
-		return math.NaN()
-	}
-	pn := Normalize(p)
-	qn := Normalize(q)
-	var cp, cq, d float64
-	for i := range pn {
-		cp += pn[i]
-		cq += qn[i]
-		if diff := math.Abs(cp - cq); diff > d {
-			d = diff
-		}
-	}
-	return d
-}
-
 // MaxShareDiff returns the L∞ distance between two normalized share
 // vectors: max_i |p_i − q_i|. The paper's reading of "K-S distance larger
 // than 0.2" — an organization differing by at least 20% of a country's

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -29,23 +30,6 @@ func TestKSTwoSampleKnown(t *testing.T) {
 func TestKSTwoSampleEmpty(t *testing.T) {
 	if !math.IsNaN(KSTwoSample(nil, []float64{1})) {
 		t.Fatal("KS with empty sample should be NaN")
-	}
-}
-
-func TestKSCategorical(t *testing.T) {
-	p := []float64{0.5, 0.3, 0.2}
-	approx(t, KSCategorical(p, p), 0, 1e-12, "identical distributions")
-
-	q := []float64{0.3, 0.5, 0.2} // 20-point swap between first two orgs
-	approx(t, KSCategorical(p, q), 0.2, 1e-12, "swap distance")
-
-	// Unnormalized inputs are normalized internally.
-	approx(t, KSCategorical([]float64{5, 3, 2}, []float64{3, 5, 2}), 0.2, 1e-12, "unnormalized")
-}
-
-func TestKSCategoricalMismatch(t *testing.T) {
-	if !math.IsNaN(KSCategorical([]float64{1}, []float64{1, 2})) {
-		t.Fatal("mismatched lengths should be NaN")
 	}
 }
 
@@ -116,29 +100,6 @@ func TestQuickKSSymmetricBounded(t *testing.T) {
 	}
 }
 
-// Property: the categorical KS distance satisfies the triangle inequality.
-func TestQuickKSCategoricalTriangle(t *testing.T) {
-	f := func(seed uint64) bool {
-		s := rng.New(seed)
-		n := 2 + s.Intn(10)
-		mk := func() []float64 {
-			v := make([]float64, n)
-			for i := range v {
-				v[i] = s.Float64() + 0.01
-			}
-			return v
-		}
-		p, q, r := mk(), mk(), mk()
-		dpq := KSCategorical(p, q)
-		dqr := KSCategorical(q, r)
-		dpr := KSCategorical(p, r)
-		return dpr <= dpq+dqr+1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: ECDF is monotone non-decreasing.
 func TestQuickECDFMonotone(t *testing.T) {
 	f := func(seed uint64) bool {
@@ -162,4 +123,13 @@ func TestQuickECDFMonotone(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestECDFQuantile(t *testing.T) {
+	xs := []float64{5, 1, 4, 2, 3}
+	e := NewECDF(xs)
+	for _, q := range []float64{0, 0.1, 0.25, 0.5, 0.9, 1} {
+		approx(t, e.Quantile(q), Quantile(xs, q), 0, fmt.Sprintf("Quantile(%v)", q))
+	}
+	approx(t, NewECDF(nil).Quantile(0.5), math.NaN(), 0, "empty Quantile")
 }

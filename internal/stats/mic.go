@@ -123,20 +123,3 @@ func mutualInformation(xbins, ybins []int, a, b int) float64 {
 	}
 	return mi
 }
-
-// MICMulti returns the best MIC between target and any single predictor,
-// mirroring the paper's use of "APNIC alone" vs "APNIC + IXP capacity":
-// adding a predictor can only increase the maximal information available.
-func MICMulti(target []float64, predictors ...[]float64) float64 {
-	best := math.NaN()
-	for _, p := range predictors {
-		v := MIC(p, target)
-		if math.IsNaN(v) {
-			continue
-		}
-		if math.IsNaN(best) || v > best {
-			best = v
-		}
-	}
-	return best
-}

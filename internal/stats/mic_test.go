@@ -93,27 +93,6 @@ func TestMICSymmetry(t *testing.T) {
 	}
 }
 
-func TestMICMulti(t *testing.T) {
-	s := rng.New(7)
-	n := 300
-	target := make([]float64, n)
-	good := make([]float64, n)
-	junk := make([]float64, n)
-	for i := range target {
-		good[i] = s.Float64()
-		target[i] = good[i] + s.Norm(0, 0.05)
-		junk[i] = s.Float64()
-	}
-	alone := MICMulti(target, junk)
-	both := MICMulti(target, junk, good)
-	if both <= alone {
-		t.Fatalf("adding an informative predictor should raise MICMulti: %v vs %v", both, alone)
-	}
-	if !math.IsNaN(MICMulti(target)) {
-		t.Fatal("MICMulti with no predictors should be NaN")
-	}
-}
-
 func TestEqualFreqBins(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8}
 	bins := equalFreqBins(xs, 4)

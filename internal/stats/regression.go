@@ -114,13 +114,11 @@ type ElasticityFit struct {
 	Beta       float64 // alias of Slope: the elasticity coefficient
 	Used       int     // points that survived the positivity filter
 	Discarded  int     // non-positive points dropped
-	logXs      []float64
-	logYs      []float64
 	confidence float64
 }
 
-// Elasticity fits a log-log regression at the given confidence level
-// (e.g. 0.95) and retains the transformed points for outlier queries.
+// Elasticity fits a log-log regression whose Above/Below bounds use the
+// given confidence level (e.g. 0.95).
 func Elasticity(xs, ys []float64, confidence float64) ElasticityFit {
 	var lx, ly []float64
 	discarded := 0
@@ -138,8 +136,6 @@ func Elasticity(xs, ys []float64, confidence float64) ElasticityFit {
 		Beta:       fit.Slope,
 		Used:       len(lx),
 		Discarded:  discarded,
-		logXs:      lx,
-		logYs:      ly,
 		confidence: confidence,
 	}
 }
@@ -170,23 +166,6 @@ func (e ElasticityFit) Below(x, y float64) bool {
 		return false
 	}
 	return ly < e.Predict(lx)-hw
-}
-
-// Outliers returns the indices (into the filtered point set) of points
-// outside the prediction band.
-func (e ElasticityFit) Outliers() []int {
-	var out []int
-	for i := range e.logXs {
-		hw := e.PredictionInterval(e.logXs[i], e.confidence)
-		if math.IsNaN(hw) {
-			continue
-		}
-		pred := e.Predict(e.logXs[i])
-		if e.logYs[i] > pred+hw || e.logYs[i] < pred-hw {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // OLS2 fits y = b0 + b1*x1 + b2*x2 by ordinary least squares (normal

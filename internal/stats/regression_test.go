@@ -157,34 +157,6 @@ func TestElasticityOutlierDetection(t *testing.T) {
 	}
 }
 
-func TestElasticityOutliersIndices(t *testing.T) {
-	s := rng.New(17)
-	xs := make([]float64, 0, 101)
-	ys := make([]float64, 0, 101)
-	for i := 0; i < 100; i++ {
-		x := math.Pow(10, s.Range(3, 7))
-		xs = append(xs, x)
-		ys = append(ys, math.Pow(x, 1.0)*s.LogNormal(0, 0.05))
-	}
-	// Append one gross outlier.
-	xs = append(xs, 1e5)
-	ys = append(ys, 1e5*1000)
-	fit := Elasticity(xs, ys, 0.95)
-	out := fit.Outliers()
-	found := false
-	for _, i := range out {
-		if i == 100 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("planted outlier not in Outliers(): %v", out)
-	}
-	if len(out) > 12 {
-		t.Fatalf("too many outliers flagged at 95%%: %d", len(out))
-	}
-}
-
 func TestTQuantile(t *testing.T) {
 	// Known values: t_{0.975, 10} = 2.2281, t_{0.975, 30} = 2.0423,
 	// t_{0.95, 5} = 2.0150; large nu approaches the normal 1.95996.
@@ -203,12 +175,6 @@ func TestTCDFSymmetry(t *testing.T) {
 			approx(t, lo+hi, 1, 1e-9, "t CDF symmetry")
 		}
 	}
-}
-
-func TestNormalCDF(t *testing.T) {
-	approx(t, NormalCDF(0), 0.5, 1e-12, "Phi(0)")
-	approx(t, NormalCDF(1.959964), 0.975, 1e-5, "Phi(1.96)")
-	approx(t, NormalCDF(-1.959964), 0.025, 1e-5, "Phi(-1.96)")
 }
 
 // Property: TCDF and TQuantile are inverse functions.

@@ -136,8 +136,3 @@ func TQuantile(p, nu float64) float64 {
 	tqMemo.Store(k, v)
 	return v
 }
-
-// NormalCDF returns the standard normal CDF Φ(x).
-func NormalCDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/math.Sqrt2)
-}

@@ -186,3 +186,34 @@ func TestEstimatorReportCache(t *testing.T) {
 		t.Fatal("report cache served a stale report after a mutation")
 	}
 }
+
+// TestEstimatorCounts checks the raw per-day accumulators: weights for
+// one (CC, ASN) add up, rows come back in (CC, ASN) order, and a day
+// with nothing retained has no counts.
+func TestEstimatorCounts(t *testing.T) {
+	gen := newTestGen()
+	est := NewRollingEstimator(gen)
+	if est.Window() != gen.Window {
+		t.Fatalf("Window = %d, want the generator's %d", est.Window(), gen.Window)
+	}
+	d := dates.MustParse("2024-04-21")
+	for _, imp := range []Impression{
+		{Day: d, CC: "FR", ASN: 64501, Weight: 2},
+		{Day: d, CC: "DE", ASN: 64502, Weight: 1},
+		{Day: d, CC: "FR", ASN: 64500, Weight: 4},
+		{Day: d, CC: "FR", ASN: 64501, Weight: 3},
+	} {
+		est.Observe(imp)
+	}
+	want := []apnic.ASCount{
+		{CC: "DE", ASN: 64502, Samples: 1},
+		{CC: "FR", ASN: 64500, Samples: 4},
+		{CC: "FR", ASN: 64501, Samples: 5},
+	}
+	if got := est.Counts(d); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Counts = %+v, want %+v", got, want)
+	}
+	if got := est.Counts(d.AddDays(-1)); got != nil {
+		t.Fatalf("Counts for an unobserved day = %+v, want nil", got)
+	}
+}

@@ -40,15 +40,6 @@ type Batch struct {
 	Imps []Impression
 }
 
-// Records sums the batch's impression weights.
-func (b Batch) Records() int64 {
-	var n int64
-	for _, imp := range b.Imps {
-		n += imp.Weight
-	}
-	return n
-}
-
 // Clock is the injectable time seam: Now for pacing arithmetic, After
 // for timers (source pacing, batch age flushes). The zero-dependency
 // analogue of a beats pipeline's ticker plumbing; tests drive manual

@@ -179,12 +179,6 @@ func (w *World) VPNFunnelTotal(d dates.Date) float64 {
 	return base
 }
 
-// VPNOriginShare returns the fraction of funneled VPN users originating
-// from a country (zero for non-origins).
-func (w *World) VPNOriginShare(country string) float64 {
-	return w.vpnOrigin[country]
-}
-
 // VPNOrigins returns the origin-country mix of the VPN funnel.
 func (w *World) VPNOrigins() map[string]float64 {
 	out := make(map[string]float64, len(w.vpnOrigin))

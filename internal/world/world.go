@@ -284,11 +284,6 @@ func (w *World) Market(code string) *Market {
 	return w.markets[code]
 }
 
-// Years returns the simulated year range.
-func (w *World) Years() (first, last int) {
-	return w.Cfg.FirstYear, w.Cfg.LastYear
-}
-
 // Scenario returns the compiled scenario the world was built under;
 // never nil.
 func (w *World) Scenario() *scenario.Compiled { return w.shocks }
