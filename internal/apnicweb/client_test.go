@@ -54,25 +54,36 @@ func TestClientRejectsBadResponses(t *testing.T) {
 		contentType string
 		body        []byte
 		missing     int // bytes declared in Content-Length but never sent
+		chunked     int // filler bytes streamed after body with no Content-Length
 		want        string
 	}{
-		{"non-200 with body", frame, http.StatusNotFound, "text/plain", []byte("no such day\n"), 0, "404 Not Found: no such day"},
-		{"bin wrong content type", frameBin, http.StatusOK, "text/csv", csvBody.Bytes(), 0, `server answered "text/csv"`},
-		{"binz wrong content type", frameBinz, http.StatusOK, binfmt.ContentType, binBody, 0, `server answered "` + binfmt.ContentType + `"`},
-		{"csv short body", frame, http.StatusOK, "text/csv", csvBody.Bytes(), 64, "unexpected EOF"},
-		{"bin short body", frameBin, http.StatusOK, binfmt.ContentType, binBody, 64, "unexpected EOF"},
-		{"csv wrong dataset", frame, http.StatusOK, "text/csv", csvBody.Bytes(), 0, `server sent a "cdn" frame, not "apnic"`},
-		{"json wrong dataset", frameJSON, http.StatusOK, "application/json", jsonBody.Bytes(), 0, `server sent a "cdn" frame, not "apnic"`},
-		{"bin wrong dataset", frameBin, http.StatusOK, binfmt.ContentType, binBody, 0, `server sent a "cdn" frame, not "apnic"`},
-		{"binz wrong dataset", frameBinz, http.StatusOK, framez.ContentType, binzBody, 0, `server sent a "cdn" frame, not "apnic"`},
+		{"non-200 with body", frame, http.StatusNotFound, "text/plain", []byte("no such day\n"), 0, 0, "404 Not Found: no such day"},
+		{"bin wrong content type", frameBin, http.StatusOK, "text/csv", csvBody.Bytes(), 0, 0, `server answered "text/csv"`},
+		{"binz wrong content type", frameBinz, http.StatusOK, binfmt.ContentType, binBody, 0, 0, `server answered "` + binfmt.ContentType + `"`},
+		{"csv short body", frame, http.StatusOK, "text/csv", csvBody.Bytes(), 64, 0, "unexpected EOF"},
+		{"bin short body", frameBin, http.StatusOK, binfmt.ContentType, binBody, 64, 0, "unexpected EOF"},
+		{"csv wrong dataset", frame, http.StatusOK, "text/csv", csvBody.Bytes(), 0, 0, `server sent a "cdn" frame, not "apnic"`},
+		{"json wrong dataset", frameJSON, http.StatusOK, "application/json", jsonBody.Bytes(), 0, 0, `server sent a "cdn" frame, not "apnic"`},
+		{"bin wrong dataset", frameBin, http.StatusOK, binfmt.ContentType, binBody, 0, 0, `server sent a "cdn" frame, not "apnic"`},
+		{"binz wrong dataset", frameBinz, http.StatusOK, framez.ContentType, binzBody, 0, 0, `server sent a "cdn" frame, not "apnic"`},
+		{"declared length over cap", frame, http.StatusOK, "text/csv", nil, maxBodyBytes + 1, 0, "exceeds the"},
+		{"chunked body over cap", frameBin, http.StatusOK, binfmt.ContentType, binBody, 0, maxBodyBytes, "exceeds the"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				w.Header().Set("Content-Type", tc.contentType)
-				w.Header().Set("Content-Length", strconv.Itoa(len(tc.body)+tc.missing))
+				if tc.chunked == 0 {
+					w.Header().Set("Content-Length", strconv.Itoa(len(tc.body)+tc.missing))
+				}
 				w.WriteHeader(tc.status)
 				w.Write(tc.body)
+				filler := make([]byte, 32<<10)
+				for n := 0; n < tc.chunked; n += len(filler) {
+					if _, err := w.Write(filler); err != nil {
+						return // the client gave up at the cap
+					}
+				}
 			}))
 			defer ts.Close()
 			c := &Client{BaseURL: ts.URL, HTTPClient: ts.Client()}

@@ -28,9 +28,9 @@ const (
 	// fixed client population; throughput self-limits to what the server
 	// sustains.
 	Closed Mode = "closed"
-	// Open: requests are dispatched on a fixed schedule (Rate per
-	// second) regardless of response times. Latency is measured from the
-	// intended dispatch instant, so server-side queueing shows up as
+	// Open: request i is due at t0 + i/Rate and is sent on its own
+	// goroutine at that instant, regardless of response times. Latency
+	// is measured from the due time, so server-side queueing shows up as
 	// client-visible latency instead of being absorbed silently.
 	Open Mode = "open"
 )
@@ -41,8 +41,11 @@ type Config struct {
 	Model   ModelConfig
 	Seed    uint64
 
-	Mode        Mode
-	Concurrency int           // worker count (both modes)
+	Mode Mode
+	// Concurrency is the closed loop's worker count. In the open loop it
+	// only sizes the default client's idle connection pool: every
+	// request runs on its own goroutine.
+	Concurrency int
 	Requests    int           // total request budget; 0 = unlimited (needs Duration)
 	Duration    time.Duration // wall-clock budget; 0 = unlimited (needs Requests)
 	Rate        float64       // open loop: intended requests/second
@@ -50,7 +53,8 @@ type Config struct {
 	// HerdEvery triggers a thundering herd after every N regular
 	// dispatches: HerdSize goroutines barrier-released at one cache-cold
 	// day (stepped from the window's first day so each herd is cold).
-	// 0 disables herds.
+	// The herd runs beside the regular traffic and never holds up the
+	// dispatcher or a closed-loop worker. 0 disables herds.
 	HerdEvery int
 	HerdSize  int
 
@@ -65,18 +69,10 @@ type Config struct {
 }
 
 // RouteStats is one route kind's ledger for a run.
-//
-// Requests counts every *intended* request of the route, including
-// dispatches shed at a full queue: the coordinated-omission rule says a
-// request the schedule wanted but the system couldn't absorb belongs in
-// the denominator, with a latency sample measured from its intended
-// start — hiding it would make an overloaded run look faster. Shed
-// breaks out how many of those were shed; sheds are never errors.
 type RouteStats struct {
 	Route       string  `json:"route"`
 	Requests    int64   `json:"requests"`
-	Shed        int64   `json:"shed,omitempty"` // open loop: dispatches dropped at a full queue
-	Errors      int64   `json:"errors"`         // transport failures + 5xx/4xx statuses
+	Errors      int64   `json:"errors"` // transport failures + 5xx/4xx statuses
 	NotModified int64   `json:"not_modified"`
 	Gzipped     int64   `json:"gzipped"`
 	Mismatches  int64   `json:"mismatches"` // body-hash violations (VerifyBodies)
@@ -90,17 +86,20 @@ type RouteStats struct {
 
 // RunResult is the outcome of one Run.
 type RunResult struct {
-	Mode        Mode         `json:"mode"`
-	Concurrency int          `json:"concurrency"`
-	RateHz      float64      `json:"rate_hz,omitempty"`
-	WallNS      int64        `json:"wall_ns"`
-	Requests    int64        `json:"requests"`   // recorded requests: completions plus open-loop sheds (the intended-start denominator)
-	Dispatched  int64        `json:"dispatched"` // schedule ticks consumed; open-loop dispatches still in flight or queued at the deadline are dispatched but not completed
-	Errors      int64        `json:"errors"`
-	Dropped     int64        `json:"dropped"` // open loop: dispatches shed at a full queue (== sum of per-route Shed)
-	Herds       int64        `json:"herds"`
-	Throughput  float64      `json:"throughput_rps"`
-	Routes      []RouteStats `json:"routes"`
+	Mode        Mode    `json:"mode"`
+	Concurrency int     `json:"concurrency"`
+	RateHz      float64 `json:"rate_hz,omitempty"`
+	WallNS      int64   `json:"wall_ns"`
+	Requests    int64   `json:"requests"`   // recorded requests, herds included
+	Dispatched  int64   `json:"dispatched"` // regular requests sent; those cancelled at a Duration deadline are dispatched but not recorded
+	Errors      int64   `json:"errors"`
+	Herds       int64   `json:"herds"`
+	Throughput  float64 `json:"throughput_rps"`
+	// LateP99 is the open loop's schedule health: the p99 of how long
+	// after its due time each regular request's goroutine started. A
+	// healthy generator reads well under one dispatch interval.
+	LateP99 float64      `json:"late_p99_seconds,omitempty"`
+	Routes  []RouteStats `json:"routes"`
 }
 
 // recorder accumulates one route's samples. Exact latencies are kept so
@@ -135,21 +134,6 @@ func (rec *recorder) observe(lat float64, status int, gz bool, n int64, failed b
 	if gz {
 		rec.stats.Gzipped++
 	}
-}
-
-// observeShed records one shed dispatch: a request the schedule
-// intended that never reached a worker. It joins the request count and
-// the latency population (its sample runs from the intended start to
-// the shed decision) but is not an error — the server never saw it.
-func (rec *recorder) observeShed(lat float64) {
-	if rec.hist != nil {
-		rec.hist.Observe(lat)
-	}
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	rec.latencies = append(rec.latencies, lat)
-	rec.stats.Requests++
-	rec.stats.Shed++
 }
 
 func (rec *recorder) finalize() RouteStats {
@@ -193,11 +177,14 @@ type runner struct {
 	etags  sync.Map // path+"|"+variant -> ETag of the last 200
 	hashes sync.Map // path+"|"+variant -> body hash of the first 200
 
-	dispatched atomic.Int64 // regular requests handed to workers
+	dispatched atomic.Int64 // regular requests sent
 	errors     atomic.Int64
-	dropped    atomic.Int64
 	herds      atomic.Int64
-	herdDay    atomic.Int64 // next cold-day offset from the window start
+	herdDay    atomic.Int64   // next cold-day offset from the window start
+	inflight   sync.WaitGroup // open-loop dispatches and herd members
+
+	lateMu sync.Mutex
+	late   []float64 // open loop: goroutine start minus due time, seconds
 }
 
 // Run executes one load run and returns its ledger. The context bounds
@@ -241,6 +228,7 @@ func Run(ctx context.Context, cfg Config) (*RunResult, error) {
 	default:
 		return nil, fmt.Errorf("loadgen: unknown mode %q", cfg.Mode)
 	}
+	r.inflight.Wait()
 	wall := time.Since(t0)
 
 	res := &RunResult{
@@ -250,7 +238,6 @@ func Run(ctx context.Context, cfg Config) (*RunResult, error) {
 		WallNS:      wall.Nanoseconds(),
 		Dispatched:  min(r.dispatched.Load(), int64(max(cfg.Requests, 0))),
 		Errors:      r.errors.Load(),
-		Dropped:     r.dropped.Load(),
 		Herds:       r.herds.Load(),
 	}
 	if cfg.Requests <= 0 {
@@ -268,11 +255,10 @@ func Run(ctx context.Context, cfg Config) (*RunResult, error) {
 		res.Routes = append(res.Routes, s)
 	}
 	r.recMu.Unlock()
+	sort.Float64s(r.late)
+	res.LateP99 = sampleQuantile(r.late, 0.99)
 	if wall > 0 {
-		// Throughput counts only requests the server actually answered;
-		// sheds are in Requests for the latency/error denominators but
-		// never produced server work.
-		res.Throughput = float64(res.Requests-res.Dropped) / wall.Seconds()
+		res.Throughput = float64(res.Requests) / wall.Seconds()
 	}
 	return res, nil
 }
@@ -299,65 +285,41 @@ func (r *runner) runClosed(ctx context.Context) {
 	wg.Wait()
 }
 
-// runOpen dispatches intended start times on a fixed schedule into a
-// bounded queue; a worker pool executes them. Latency for each request
-// runs from its *intended* start, so queue wait is charged to the
-// server. A full queue sheds the dispatch (counted, never blocking the
-// schedule — blocking would re-introduce coordinated omission).
+// runOpen sends regular request i at its due time t0 + i/Rate, each on
+// its own goroutine, so a slow response never delays a later send.
+// After any oversleep the dispatcher sends every request that is
+// already due before sleeping again, so a stall (a GC pause, a starved
+// CPU) never moves a later due time; a ticker would drop ticks instead,
+// and every dropped tick would shift the rest of the schedule and charge
+// the generator's own lag to the server. Latency runs from the due time.
 func (r *runner) runOpen(ctx context.Context) {
-	type tick struct {
-		req      Request
-		intended time.Time
-	}
-	queue := make(chan tick, r.cfg.Concurrency*4)
-	var wg sync.WaitGroup
-	for w := 0; w < r.cfg.Concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for tk := range queue {
-				r.do(ctx, tk.req, tk.intended)
-			}
-		}()
-	}
-
 	model, _ := NewModel(r.cfg.Seed, r.cfg.Model)
-	interval := time.Duration(float64(time.Second) / r.cfg.Rate)
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	// Intended start times come from the schedule itself (t0 + n·interval),
-	// NOT from the ticker's delivery timestamps: deliveries slip whenever
-	// the dispatch loop stalls (a herd's barrier, a GC pause), and using
-	// them as the measurement origin would silently forgive exactly the
-	// delay an open-loop generator exists to expose.
+	interval := float64(time.Second) / r.cfg.Rate
 	t0 := time.Now()
-dispatch:
-	for {
-		select {
-		case <-ctx.Done():
-			break dispatch
-		case <-ticker.C:
-			n := r.dispatched.Add(1)
-			if r.cfg.Requests > 0 && n > int64(r.cfg.Requests) {
-				break dispatch
-			}
-			plan := model.Next()
-			intended := t0.Add(time.Duration(n) * interval)
+	for i := 0; r.cfg.Requests <= 0 || i < r.cfg.Requests; i++ {
+		due := t0.Add(time.Duration(float64(i) * interval))
+		if wait := time.Until(due); wait > 0 {
 			select {
-			case queue <- tick{plan, intended}:
-			default:
-				// Shed, and account for it where it belongs: in the
-				// intended-start ledger of the route it would have hit.
-				// A shed is not an error — the server never saw it — and
-				// it must never be double-counted as one.
-				r.dropped.Add(1)
-				r.rec(plan.Route).observeShed(time.Since(intended).Seconds())
+			case <-ctx.Done():
+			case <-time.After(wait):
 			}
-			r.maybeHerd(ctx, n)
 		}
+		if ctx.Err() != nil {
+			return
+		}
+		n := r.dispatched.Add(1)
+		plan := model.Next()
+		r.inflight.Add(1)
+		go func() {
+			defer r.inflight.Done()
+			late := time.Since(due).Seconds()
+			r.lateMu.Lock()
+			r.late = append(r.late, late)
+			r.lateMu.Unlock()
+			r.do(ctx, plan, due)
+		}()
+		r.maybeHerd(ctx, n)
 	}
-	close(queue)
-	wg.Wait()
 }
 
 // maybeHerd barrier-releases HerdSize concurrent fetches of one
@@ -376,17 +338,15 @@ func (r *runner) maybeHerd(ctx context.Context, n int64) {
 	req := Request{Route: RouteHerd, Path: "/v1/" + ds + "/reports/" + day.String() + ".csv"}
 
 	start := make(chan struct{})
-	var wg sync.WaitGroup
 	for i := 0; i < r.cfg.HerdSize; i++ {
-		wg.Add(1)
+		r.inflight.Add(1)
 		go func() {
-			defer wg.Done()
+			defer r.inflight.Done()
 			<-start
 			r.do(ctx, req, time.Now())
 		}()
 	}
-	close(start) // release the herd in one instant
-	wg.Wait()
+	close(start) // release the herd in one instant; Run joins it
 }
 
 // rec returns the route's recorder, creating it on first use.
@@ -408,8 +368,8 @@ func (r *runner) rec(route string) *recorder {
 }
 
 // do executes one planned request and records it. Latency runs from
-// intended (the dispatch schedule's timestamp in the open loop; now in
-// the closed loop) through the last body byte.
+// intended (the request's due time in the open loop; now in the closed
+// loop) through the last body byte.
 func (r *runner) do(ctx context.Context, plan Request, intended time.Time) {
 	variant := "identity"
 	if plan.Gzip {

@@ -4,7 +4,11 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
-	"sync/atomic"
+	"os"
+	"os/exec"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,6 +22,20 @@ import (
 )
 
 var loadW = world.MustBuild(world.Config{Seed: 11})
+
+// hogEnv makes the test binary a CPU hog: run with it set to a duration,
+// the binary busy-loops for that long and exits, so a hog orphaned by a
+// killed test run still stops on its own.
+const hogEnv = "LOADGEN_TEST_CPU_HOG"
+
+func TestMain(m *testing.M) {
+	if d, err := time.ParseDuration(os.Getenv(hogEnv)); err == nil {
+		for end := time.Now().Add(d); time.Now().Before(end); {
+		}
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 // loadServer starts a full seven-dataset multi-server over a two-week
 // window — narrow enough that the Zipf/recency model keeps the cache
@@ -155,6 +173,10 @@ func TestOpenLoopSchedule(t *testing.T) {
 	}
 }
 
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
 // TestRunValidation: impossible configs fail fast instead of hanging.
 func TestRunValidation(t *testing.T) {
 	_, _, model := loadServer(t)
@@ -205,80 +227,96 @@ func TestClosedLoopContextCancel(t *testing.T) {
 	}
 }
 
-// TestOpenLoopShedAccounting is the regression test for the shed
-// ledger: wedge the server so the open-loop queue fills, and pin the
-// coordinated-omission invariants —
-//
-//   - sheds land in the per-route request counts (the intended-start
-//     denominator), each with a latency sample;
-//   - sum of per-route Shed equals RunResult.Dropped;
-//   - sheds are never counted as errors;
-//   - completions + sheds reconcile with the recorded request total.
-func TestOpenLoopShedAccounting(t *testing.T) {
-	var served atomic.Int64
-	gate := make(chan struct{})
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		<-gate // every request wedges until the schedule has finished
-		served.Add(1)
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer ts.Close()
+// TestOpenLoopKeepsSchedule drives the open loop at 250 requests/second
+// for 2 s against a stub server, under three stresses: none, herds the
+// stub holds for 100 ms each, and a busy-loop process on every core. In
+// each, the last regular request must be sent within 1% of the
+// schedule's length of its due time, and every instant route's p50
+// latency must stay at a few milliseconds, so what the open loop
+// reports is the server, not the generator's own drift.
+func TestOpenLoopKeepsSchedule(t *testing.T) {
+	const rate, total = 250, 500
+	schedule := time.Duration(total) * time.Second / rate
+	lastDue := time.Duration(total-1) * time.Second / rate
+	for _, tc := range []struct {
+		name      string
+		herdEvery int
+		hog       bool
+	}{
+		{"instant", 0, false},
+		{"blocking herds", 50, false},
+		{"cpu hog", 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Herds step through the window's first days; with a one-day
+			// half-life over a quarter, regular traffic never reaches
+			// January, so only herd requests are held.
+			herdDay := func(r *http.Request) bool { return strings.Contains(r.URL.Path, "/2024-01-") }
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if herdDay(r) {
+					time.Sleep(100 * time.Millisecond)
+				}
+			}))
+			defer ts.Close()
+			var mu sync.Mutex
+			var lastSend time.Time
+			client := &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+				if !herdDay(r) {
+					mu.Lock()
+					if now := time.Now(); now.After(lastSend) {
+						lastSend = now
+					}
+					mu.Unlock()
+				}
+				return ts.Client().Transport.RoundTrip(r)
+			})}
+			if tc.hog {
+				for i := 0; i < runtime.NumCPU(); i++ {
+					hog := exec.Command(os.Args[0])
+					hog.Env = append(os.Environ(), hogEnv+"=10s")
+					if err := hog.Start(); err != nil {
+						t.Fatal(err)
+					}
+					defer hog.Wait()
+					defer hog.Process.Kill()
+				}
+			}
 
-	// One worker, queue capacity Concurrency*4 = 4: the worker wedges on
-	// its first request, the queue fills within a handful of ticks, and
-	// the remaining dispatches of the 200-tick schedule (100ms at
-	// 2000/s) shed. The gate opens well after the schedule has drained;
-	// every invariant below holds regardless of where the release lands,
-	// the timing margin only maximizes the shed count.
-	const budget = 200
-	go func() {
-		time.Sleep(500 * time.Millisecond)
-		close(gate)
-	}()
-
-	model := DefaultModel(dates.New(2024, 4, 1), dates.New(2024, 4, 14))
-	res, err := Run(context.Background(), Config{
-		BaseURL:     ts.URL,
-		Model:       model,
-		Seed:        31,
-		Mode:        Open,
-		Concurrency: 1,
-		Requests:    budget,
-		Rate:        2000,
-		Client:      ts.Client(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if res.Dropped == 0 {
-		t.Fatal("no sheds despite a wedged single worker and a 4-slot queue")
-	}
-	if res.Errors != 0 {
-		t.Fatalf("%d errors; sheds must never be double-counted as errors", res.Errors)
-	}
-	var shed, reqs, errs int64
-	for _, rt := range res.Routes {
-		shed += rt.Shed
-		reqs += rt.Requests
-		errs += rt.Errors
-		if rt.Shed > rt.Requests {
-			t.Fatalf("route %s: Shed %d > Requests %d", rt.Route, rt.Shed, rt.Requests)
-		}
-	}
-	if shed != res.Dropped {
-		t.Fatalf("per-route Shed sums to %d, RunResult.Dropped is %d", shed, res.Dropped)
-	}
-	if errs != 0 {
-		t.Fatalf("route ledgers carry %d errors", errs)
-	}
-	if reqs != res.Requests {
-		t.Fatalf("route requests sum to %d, RunResult.Requests is %d", reqs, res.Requests)
-	}
-	// Completions + sheds == recorded requests: nothing lost, nothing
-	// double-counted. (In-flight/queued dispatches at close are neither.)
-	if completed := res.Requests - res.Dropped; completed != served.Load() {
-		t.Fatalf("ledger says %d completions, server answered %d", completed, served.Load())
+			model := DefaultModel(dates.New(2024, 1, 1), dates.New(2024, 3, 31))
+			model.HotDayHalfLife = 1
+			start := time.Now()
+			res, err := Run(context.Background(), Config{
+				BaseURL:     ts.URL,
+				Model:       model,
+				Seed:        17,
+				Mode:        Open,
+				Concurrency: 4,
+				Requests:    total,
+				Rate:        rate,
+				HerdEvery:   tc.herdEvery,
+				HerdSize:    4,
+				Client:      client,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Errors != 0 {
+				t.Fatalf("%d errors", res.Errors)
+			}
+			mu.Lock()
+			drift := lastSend.Sub(start) - lastDue
+			mu.Unlock()
+			t.Logf("last request sent %v after its due time", drift)
+			if drift < -schedule/100 || drift > schedule/100 {
+				t.Errorf("last request sent %v after its due time; want within %v", drift, schedule/100)
+			}
+			for _, rs := range res.Routes {
+				t.Logf("%-12s n=%-4d p50=%.2fms p99=%.2fms", rs.Route, rs.Requests, rs.P50*1e3, rs.P99*1e3)
+				if rs.Route != RouteHerd && rs.P50 > 0.005 {
+					t.Errorf("route %s: p50 %.2f ms against an instant handler", rs.Route, rs.P50*1e3)
+				}
+			}
+		})
 	}
 }
 

@@ -4,14 +4,17 @@
 // conditional revalidations, gzip negotiation, thundering herds on
 // cache-cold days) driven in either a closed loop (N clients, each
 // waiting for its response before issuing the next request) or an open
-// loop (requests dispatched on a fixed schedule regardless of how slowly
-// the server answers — the arrival model that actually exposes queueing
-// collapse, which a closed loop structurally cannot).
+// loop (request i sent at its due time t0 + i/rate on its own goroutine,
+// regardless of how slowly the server answers — the arrival model that
+// actually exposes queueing collapse, which a closed loop structurally
+// cannot).
 //
-// Latency in the open loop is measured from each request's *intended*
-// start time, not from when a worker got around to sending it, so slow
-// responses cannot hide behind their own backpressure (the classic
-// coordinated-omission mistake).
+// Latency in the open loop is measured from each request's due time, so
+// slow responses cannot hide behind their own backpressure (the classic
+// coordinated-omission mistake). A stalled dispatcher sends every
+// request already due as soon as it runs again, so its own lag never
+// shifts later due times; that lag is reported apart from the server's
+// latency, as RunResult.LateP99.
 package loadgen
 
 import (

@@ -116,11 +116,12 @@ func (rep *Report) WriteReport(path string) error {
 
 // Gate applies the CI regression policy and returns the first violation:
 //
-//   - the current report's first run must keep its error rate at or
+//   - every run in the current report must keep its error rate at or
 //     below maxErrorRate (<0 disables), and
-//   - its worst per-route p99 must not exceed the baseline's same-mode
-//     headline by more than maxRegressPct percent (<=0, or no usable
-//     baseline, disables — mirroring benchsweep's -max-regress-pct).
+//   - the first run's worst per-route p99 must not exceed the
+//     baseline's same-mode headline by more than maxRegressPct percent
+//     (<=0, or no usable baseline, disables — mirroring benchsweep's
+//     -max-regress-pct).
 //
 // Latency gates on shared CI runners need generous percentages; the gate
 // exists to catch step-function regressions (a lost cache, an accidental
@@ -129,13 +130,13 @@ func Gate(rep, base *Report, maxRegressPct, maxErrorRate float64) error {
 	if len(rep.Runs) == 0 {
 		return fmt.Errorf("loadgen: report has no runs to gate")
 	}
-	run := rep.Runs[0]
-	if maxErrorRate >= 0 {
-		if er := run.ErrorRate(); er > maxErrorRate {
-			return fmt.Errorf("error rate %.4f exceeds budget %.4f (%d/%d requests failed)",
-				er, maxErrorRate, run.Errors, run.Requests)
+	for _, run := range rep.Runs {
+		if er := run.ErrorRate(); maxErrorRate >= 0 && er > maxErrorRate {
+			return fmt.Errorf("%s run: error rate %.4f exceeds budget %.4f (%d/%d requests failed)",
+				run.Mode, er, maxErrorRate, run.Errors, run.Requests)
 		}
 	}
+	run := rep.Runs[0]
 	if maxRegressPct <= 0 || base == nil {
 		return nil
 	}

@@ -41,6 +41,8 @@ func TestFoldHistoryCapsAndOrders(t *testing.T) {
 }
 
 func TestGatePolicies(t *testing.T) {
+	closedThenOpen := mkReport(2, Closed, 0.010, 0)
+	closedThenOpen.Runs = append(closedThenOpen.Runs, mkReport(2, Open, 0.010, 0.002).Runs[0])
 	cases := []struct {
 		name    string
 		rep     *Report
@@ -55,6 +57,7 @@ func TestGatePolicies(t *testing.T) {
 		{"error budget blown", mkReport(2, Closed, 0.010, 0.05), nil, 50, 0.01, "error rate"},
 		{"zero errors allowed", mkReport(2, Closed, 0.010, 0.001), nil, 50, 0, "error rate"},
 		{"error gate disabled", mkReport(2, Closed, 0.010, 0.5), nil, 50, -1, ""},
+		{"errors in a later run", closedThenOpen, nil, 50, 0, "open run: error rate"},
 		{"mode mismatch skips latency gate", mkReport(2, Open, 9.0, 0), mkReport(1, Closed, 0.010, 0), 50, 0.01, ""},
 		{"pct 0 disables latency gate", mkReport(2, Closed, 9.0, 0), mkReport(1, Closed, 0.010, 0), 0, 0.01, ""},
 		{"empty report", &Report{}, nil, 50, 0.01, "no runs"},
