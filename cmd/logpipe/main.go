@@ -25,6 +25,7 @@ import (
 	"repro/internal/apnic"
 	"repro/internal/cdnlog"
 	"repro/internal/dates"
+	"repro/internal/geo"
 	"repro/internal/itu"
 	"repro/internal/report"
 	"repro/internal/stream"
@@ -43,9 +44,10 @@ func main() {
 	verify := flag.Bool("verify", false, "stream mode: check convergence against the batch pipeline; exit 1 on mismatch")
 	flag.Parse()
 
-	d, err := dates.Parse(*dateStr)
+	d, err := checkFlags(*mode, *streamSrc, *country, *dateStr, *days, *perOrg)
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(os.Stderr, "logpipe:", err)
+		os.Exit(2)
 	}
 	w := world.MustBuild(world.Config{Seed: *seed})
 
@@ -59,8 +61,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "logpipe: wrote %d records for %s on %s\n", n, *country, d)
 
 	case "aggregate":
-		// Resolve against the compiled routing artifact: same answers as
-		// the live trie, one flat immutable build shared by the process.
 		agg := cdnlog.NewAggregator(w.RoutingDB(), w.Registry, *botThreshold)
 		parsed, err := agg.ReadFrom(os.Stdin)
 		if err != nil {
@@ -94,11 +94,37 @@ func main() {
 
 	case "stream":
 		runStream(w, d, *seed, *country, *days, *perOrg, *botThreshold, *streamSrc, *verify)
-
-	default:
-		fmt.Fprintf(os.Stderr, "logpipe: unknown mode %q\n", *mode)
-		os.Exit(2)
 	}
+}
+
+// checkFlags validates the command line before any world is built and
+// returns the parsed -date. It rejects every value that would make a run
+// check nothing: an empty stream window, no records per organization, or
+// a country without a market (the sampler would emit no records, and
+// -verify would compare two empty ledgers).
+func checkFlags(mode, streamSrc, country, date string, days, perOrg int) (dates.Date, error) {
+	switch mode {
+	case "sample", "aggregate", "stream":
+	default:
+		return dates.Date{}, fmt.Errorf("unknown mode %q (want sample, aggregate or stream)", mode)
+	}
+	if streamSrc != "apnic" && streamSrc != "cdnlog" {
+		return dates.Date{}, fmt.Errorf("unknown stream source %q (want apnic or cdnlog)", streamSrc)
+	}
+	if _, ok := geo.ByCode(country); !ok {
+		return dates.Date{}, fmt.Errorf("-country: unknown country %q", country)
+	}
+	if days < 1 {
+		return dates.Date{}, fmt.Errorf("-days must be at least 1, got %d", days)
+	}
+	if perOrg < 1 {
+		return dates.Date{}, fmt.Errorf("-per-org must be at least 1, got %d", perOrg)
+	}
+	d, err := dates.Parse(date)
+	if err != nil {
+		return dates.Date{}, fmt.Errorf("-date: %w", err)
+	}
+	return d, nil
 }
 
 // runStream drives the continuous pipeline end to end: source →
@@ -127,9 +153,6 @@ func runStream(w *world.World, from dates.Date, seed uint64, country string, day
 			PerOrg:    perOrg,
 		}
 		enr = &stream.CDNEnricher{DB: w.RoutingDB(), Registry: w.Registry, BotThreshold: botThreshold}
-	default:
-		fmt.Fprintf(os.Stderr, "logpipe: unknown stream source %q (want apnic or cdnlog)\n", srcName)
-		os.Exit(2)
 	}
 
 	p, err := stream.New(stream.Config{Source: src, Enrich: enr, Publisher: &stream.EstimatorSink{Est: est}})
@@ -169,6 +192,11 @@ func runStream(w *world.World, from dates.Date, seed uint64, country string, day
 
 	if !verify {
 		return
+	}
+	if st.Emitted == 0 {
+		// Two empty ledgers agree trivially; a check over nothing fails.
+		fmt.Fprintln(os.Stderr, "logpipe: VERIFY FAILED: the stream emitted no events")
+		os.Exit(1)
 	}
 	switch srcName {
 	case "apnic":

@@ -22,6 +22,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/netdb"
 	"repro/internal/orgs"
 )
 
@@ -78,13 +79,6 @@ func ParseRecord(line string) (Record, error) {
 	return rec, nil
 }
 
-// Resolver maps a client address to its route (ASN + geolocation views).
-// *netdb.DB satisfies it.
-type Resolver interface {
-	ASN(addr netip.Addr) uint32
-	TrueCountry(addr netip.Addr) string
-}
-
 // PairStats is the aggregator's per-(country, org) reduction.
 type PairStats struct {
 	Requests int64 // human-classified sampled requests
@@ -99,7 +93,7 @@ func (p *PairStats) UserAgents() int { return len(p.uas) }
 
 // Aggregator reduces a stream of records to per-(country, org) stats.
 type Aggregator struct {
-	resolver     Resolver
+	db           *netdb.DB
 	registry     *orgs.Registry
 	botThreshold int
 
@@ -111,29 +105,29 @@ type Aggregator struct {
 // NewAggregator returns an aggregator using the CDN's attribution rules:
 // ASN from the routing table, country from the internal true-location
 // view, bot filter at the given score threshold (the paper keeps >= 50).
-func NewAggregator(resolver Resolver, registry *orgs.Registry, botThreshold int) *Aggregator {
+func NewAggregator(db *netdb.DB, registry *orgs.Registry, botThreshold int) *Aggregator {
 	return &Aggregator{
-		resolver:     resolver,
+		db:           db,
 		registry:     registry,
 		botThreshold: botThreshold,
 		stats:        map[orgs.CountryOrg]*PairStats{},
 	}
 }
 
-// Add processes one record.
+// Add processes one record. One longest-prefix match gives both the
+// origin ASN and the true country; ASN 0 (no route) counts as unrouted.
 func (a *Aggregator) Add(rec Record) {
-	asn := a.resolver.ASN(rec.Client)
-	if asn == 0 {
+	route, _ := a.db.Lookup(rec.Client)
+	if route.ASN == 0 {
 		a.unrouted++
 		return
 	}
-	org, ok := a.registry.ByASN(asn)
+	org, ok := a.registry.ByASN(route.ASN)
 	if !ok {
 		a.unassigned++
 		return
 	}
-	country := a.resolver.TrueCountry(rec.Client)
-	key := orgs.CountryOrg{Country: country, Org: org.ID}
+	key := orgs.CountryOrg{Country: route.TrueCountry, Org: org.ID}
 	st := a.stats[key]
 	if st == nil {
 		st = &PairStats{uas: map[string]struct{}{}}

@@ -146,11 +146,15 @@ func TestSamplerVPNGeolocation(t *testing.T) {
 	}
 	agg := NewAggregator(testW.DB, testW.Registry, 50)
 	for _, r := range recs {
-		if got := testW.DB.PublicCountry(r.Client); got != "NO" {
-			t.Fatalf("VPN client %v publicly geolocates to %q, want NO", r.Client, got)
+		route, ok := testW.DB.Lookup(r.Client)
+		if !ok {
+			t.Fatalf("VPN client %v is unrouted", r.Client)
 		}
-		if got := testW.DB.TrueCountry(r.Client); got != origin {
-			t.Fatalf("VPN client %v truly locates to %q, want %s", r.Client, got, origin)
+		if route.RegisteredCountry != "NO" {
+			t.Fatalf("VPN client %v publicly geolocates to %q, want NO", r.Client, route.RegisteredCountry)
+		}
+		if route.TrueCountry != origin {
+			t.Fatalf("VPN client %v truly locates to %q, want %s", r.Client, route.TrueCountry, origin)
 		}
 		agg.Add(r)
 	}

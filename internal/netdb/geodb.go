@@ -32,40 +32,15 @@ func (db *DB) Announce(p netip.Prefix, r Route) error {
 	return db.table.Insert(p, r)
 }
 
-// Lookup resolves an address to its route.
+// Lookup resolves an address to its route by longest-prefix match. One
+// call answers every question a measurement pipeline asks of an address:
+// the origin ASN ("deriving the client IP's ASN using BGP feeds", §3.4),
+// the registered country a public MaxMind-style database reports (the
+// view APNIC's pipeline uses) and the true user country the CDN's
+// internal geolocation resolves. ok is false for unrouted addresses.
 func (db *DB) Lookup(addr netip.Addr) (Route, bool) {
 	r, _, ok := db.table.Lookup(addr)
 	return r, ok
-}
-
-// ASN resolves an address to its origin ASN ("deriving the client IP's
-// ASN using BGP feeds", §3.4). Returns 0 if unrouted.
-func (db *DB) ASN(addr netip.Addr) uint32 {
-	r, ok := db.Lookup(addr)
-	if !ok {
-		return 0
-	}
-	return r.ASN
-}
-
-// PublicCountry geolocates an address the way a public database would —
-// the view APNIC's pipeline uses.
-func (db *DB) PublicCountry(addr netip.Addr) string {
-	r, ok := db.Lookup(addr)
-	if !ok {
-		return ""
-	}
-	return r.RegisteredCountry
-}
-
-// TrueCountry geolocates an address to the actual user location — the
-// view the CDN's internal tool produces.
-func (db *DB) TrueCountry(addr netip.Addr) string {
-	r, ok := db.Lookup(addr)
-	if !ok {
-		return ""
-	}
-	return r.TrueCountry
 }
 
 // Len returns the number of announced prefixes.

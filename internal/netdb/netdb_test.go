@@ -45,7 +45,7 @@ func TestTrieLongestPrefixMatch(t *testing.T) {
 	}
 }
 
-func TestTrieReplaceAndExact(t *testing.T) {
+func TestTrieReplaceInPlace(t *testing.T) {
 	tbl := NewTable[string]()
 	p := mustPrefix("192.0.1.0/24")
 	_ = tbl.Insert(p, "a")
@@ -53,12 +53,12 @@ func TestTrieReplaceAndExact(t *testing.T) {
 	if tbl.Len() != 1 {
 		t.Fatalf("replacing should not grow Len: %d", tbl.Len())
 	}
-	v, ok := tbl.Exact(p)
-	if !ok || v != "b" {
-		t.Fatalf("Exact = (%q, %v)", v, ok)
+	v, got, ok := tbl.Lookup(netip.MustParseAddr("192.0.1.77"))
+	if !ok || v != "b" || got != p {
+		t.Fatalf("Lookup after replace = (%q, %v, %v), want (\"b\", %v, true)", v, got, ok, p)
 	}
-	if _, ok := tbl.Exact(mustPrefix("192.0.0.0/16")); ok {
-		t.Error("Exact on uninstalled prefix should miss")
+	if _, _, ok := tbl.Lookup(netip.MustParseAddr("192.0.0.1")); ok {
+		t.Error("Lookup outside the replaced prefix should miss")
 	}
 }
 
@@ -188,25 +188,55 @@ func TestDBDualGeolocation(t *testing.T) {
 	// VPN egress block: registered in Norway, users actually in Germany.
 	_ = db.Announce(mustPrefix("4.0.0.0/20"), Route{ASN: 64501, RegisteredCountry: "NO", TrueCountry: "DE"})
 
-	fr := netip.MustParseAddr("3.0.1.2")
-	if db.PublicCountry(fr) != "FR" || db.TrueCountry(fr) != "FR" {
-		t.Error("normal block views should agree on FR")
+	fr, ok := db.Lookup(netip.MustParseAddr("3.0.1.2"))
+	if !ok || fr.RegisteredCountry != "FR" || fr.TrueCountry != "FR" {
+		t.Errorf("normal block = (%+v, %v), want both views FR", fr, ok)
 	}
-	vpn := netip.MustParseAddr("4.0.0.9")
-	if db.PublicCountry(vpn) != "NO" {
-		t.Errorf("public geolocation of VPN block = %q, want NO", db.PublicCountry(vpn))
+	vpn, ok := db.Lookup(netip.MustParseAddr("4.0.0.9"))
+	if !ok {
+		t.Fatal("VPN block is unrouted")
 	}
-	if db.TrueCountry(vpn) != "DE" {
-		t.Errorf("true geolocation of VPN block = %q, want DE", db.TrueCountry(vpn))
+	if vpn.RegisteredCountry != "NO" {
+		t.Errorf("public geolocation of VPN block = %q, want NO", vpn.RegisteredCountry)
 	}
-	if db.ASN(vpn) != 64501 {
-		t.Errorf("ASN = %d", db.ASN(vpn))
+	if vpn.TrueCountry != "DE" {
+		t.Errorf("true geolocation of VPN block = %q, want DE", vpn.TrueCountry)
 	}
-	if db.ASN(netip.MustParseAddr("8.8.8.8")) != 0 {
-		t.Error("unrouted ASN should be 0")
+	if vpn.ASN != 64501 {
+		t.Errorf("ASN = %d", vpn.ASN)
+	}
+	if r, ok := db.Lookup(netip.MustParseAddr("8.8.8.8")); ok || r != (Route{}) {
+		t.Errorf("unrouted lookup = (%+v, %v), want the zero route (ASN 0) and false", r, ok)
 	}
 	if db.Len() != 2 {
 		t.Errorf("Len = %d", db.Len())
+	}
+}
+
+// TestDBLookupAllocs pins the ingest hot path: a routing lookup
+// allocates nothing.
+func TestDBLookupAllocs(t *testing.T) {
+	db := NewDB()
+	for _, e := range []struct {
+		cidr string
+		r    Route
+	}{
+		{"0.0.0.0/0", Route{1, "ZZ", "ZZ"}},
+		{"10.0.0.0/8", Route{64500, "DE", "DE"}},
+		{"10.1.0.0/16", Route{64501, "DE", "FR"}},
+		{"10.1.2.0/24", Route{64502, "FR", "FR"}},
+	} {
+		if err := db.Announce(mustPrefix(e.cidr), e.r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	addr := netip.MustParseAddr("10.1.2.3")
+	if n := testing.AllocsPerRun(1000, func() {
+		if r, ok := db.Lookup(addr); !ok || r.ASN != 64502 {
+			t.Fatalf("Lookup(%v) = (%+v, %v)", addr, r, ok)
+		}
+	}); n != 0 {
+		t.Errorf("Lookup allocates %.1f times per call, want 0", n)
 	}
 }
 

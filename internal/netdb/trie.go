@@ -87,27 +87,6 @@ func (t *Table[V]) Lookup(addr netip.Addr) (value V, prefix netip.Prefix, ok boo
 	}
 }
 
-// Exact returns the value installed at exactly prefix, if any.
-func (t *Table[V]) Exact(p netip.Prefix) (V, bool) {
-	var zero V
-	if !p.IsValid() || !p.Addr().Is4() {
-		return zero, false
-	}
-	p = p.Masked()
-	cur := t.root
-	for i := 0; i < p.Bits(); i++ {
-		b := bitAt(p.Addr(), i)
-		if cur.children[b] == nil {
-			return zero, false
-		}
-		cur = cur.children[b]
-	}
-	if cur.hasValue && cur.prefix == p {
-		return cur.value, true
-	}
-	return zero, false
-}
-
 // Walk visits every installed (prefix, value) pair in trie (address) order.
 // The walk stops early if fn returns false.
 func (t *Table[V]) Walk(fn func(p netip.Prefix, v V) bool) {

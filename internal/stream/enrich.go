@@ -16,22 +16,21 @@ type Enricher interface {
 // with the same semantics and ordering as cdnlog.Aggregator.Add: resolve
 // the client ASN by longest-prefix match (unrouted drops), map it to an
 // organization (unassigned drops), geolocate with the CDN's internal
-// true-country view, then apply the bot-score filter. The resolver is
-// the netdb read interface, so the compiled artifact (World.RoutingDB)
-// serves lookups allocation-free on this hot path.
+// true-country view, then apply the bot-score filter. One allocation-free
+// trie lookup per event answers both the ASN and the country.
 type CDNEnricher struct {
-	DB           netdb.Database
+	DB           *netdb.DB
 	Registry     *orgs.Registry
 	BotThreshold int // drop records scoring below this (the paper keeps >= 50)
 }
 
 // Enrich resolves one record-level event.
 func (e *CDNEnricher) Enrich(ev Event) (Impression, string) {
-	asn := e.DB.ASN(ev.Rec.Client)
-	if asn == 0 {
+	route, _ := e.DB.Lookup(ev.Rec.Client)
+	if route.ASN == 0 {
 		return Impression{}, ReasonUnrouted
 	}
-	if _, ok := e.Registry.ByASN(asn); !ok {
+	if _, ok := e.Registry.ByASN(route.ASN); !ok {
 		return Impression{}, ReasonUnassigned
 	}
 	if ev.Rec.BotScore < e.BotThreshold {
@@ -39,8 +38,8 @@ func (e *CDNEnricher) Enrich(ev Event) (Impression, string) {
 	}
 	return Impression{
 		Day:    ev.Day,
-		CC:     e.DB.TrueCountry(ev.Rec.Client),
-		ASN:    asn,
+		CC:     route.TrueCountry,
+		ASN:    route.ASN,
 		Weight: 1,
 		Bytes:  ev.Rec.Bytes,
 	}, ""

@@ -1,6 +1,6 @@
 // Package stream turns the batch cdnlog layer into a continuous
 // ingestion pipeline, in the beats mold: a replayable source emits raw
-// log events, a filter/enrich stage resolves them against the compiled
+// log events, a filter/enrich stage resolves them against the world's
 // routing database and drops bots, a size- and age-bounded batcher
 // groups the survivors, and pluggable publishers consume the batches —
 // all connected by bounded channels with explicit backpressure.

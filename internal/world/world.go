@@ -16,7 +16,6 @@ package world
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/geo"
 	"repro/internal/netdb"
@@ -168,11 +167,6 @@ type World struct {
 	// pairs caches CountryOrgPairs per year: entry/exit is annual, and the
 	// VPN origin mix is static, so a whole year shares one slice.
 	pairs syncx.Cache[int, []orgs.CountryOrg]
-
-	// compiled holds the artifact-backed view of DB, built on first use
-	// and shared by every consumer (HTTP servers, log pipelines, Labs).
-	compiledOnce sync.Once
-	compiled     *netdb.CompiledDB
 }
 
 // Build generates a world from the configuration. Generation is
@@ -244,35 +238,10 @@ func MustBuild(cfg Config) *World {
 	return w
 }
 
-// CompiledDB returns the routing database compiled into its immutable
-// artifact form (netdb.Compile → netdb.LoadBytes), built once per world.
-// The world's announcements are final after Build, so the compiled view
-// answers every query identically to DB while sharing one flat byte
-// artifact across all consumers. Returns nil if compilation fails
-// (callers fall back to the live trie via RoutingDB).
-func (w *World) CompiledDB() *netdb.CompiledDB {
-	w.compiledOnce.Do(func() {
-		buf, err := netdb.Compile(w.DB)
-		if err != nil {
-			return
-		}
-		cdb, err := netdb.LoadBytes(buf)
-		if err != nil {
-			return
-		}
-		w.compiled = cdb
-	})
-	return w.compiled
-}
-
-// RoutingDB returns the preferred read view of the routing database: the
-// compiled artifact when available, the live trie otherwise.
-func (w *World) RoutingDB() netdb.Database {
-	if c := w.CompiledDB(); c != nil {
-		return c
-	}
-	return w.DB
-}
+// RoutingDB returns the world's routing database. Its announcements are
+// final after Build, so every consumer (log pipelines, samplers,
+// benchmarks) shares this one trie read-only.
+func (w *World) RoutingDB() *netdb.DB { return w.DB }
 
 // Countries returns the country codes with markets, sorted.
 func (w *World) Countries() []string {

@@ -471,41 +471,34 @@ func TestShutdownFactorProperties(t *testing.T) {
 	}
 }
 
-// TestCompiledDBMatchesLive: the compiled routing artifact must answer
-// every query over a real world's announcements exactly like the live
-// trie — prefixes, ASNs, and both geolocation views, including the VPN
-// egress blocks whose two views diverge.
-func TestCompiledDBMatchesLive(t *testing.T) {
+// TestRoutingDBResolvesEveryPrefix: over a real world's announcements,
+// the first and last address of every announced prefix resolve through
+// RoutingDB().Lookup to that prefix's own route — ASN and both
+// geolocation views — and the VPN egress blocks keep their two views
+// apart.
+func TestRoutingDBResolvesEveryPrefix(t *testing.T) {
 	w := testWorld(t)
-	cdb := w.CompiledDB()
-	if cdb == nil {
-		t.Fatal("CompiledDB returned nil for a valid world")
+	db := w.RoutingDB()
+	if db != w.DB {
+		t.Fatal("RoutingDB is not the world's trie")
 	}
-	if cdb != w.CompiledDB() {
-		t.Error("CompiledDB is not cached")
-	}
-	if w.RoutingDB() != netdb.Database(cdb) {
-		t.Error("RoutingDB does not prefer the compiled view")
-	}
-	if cdb.Len() != w.DB.Len() {
-		t.Fatalf("compiled %d routes, live %d", cdb.Len(), w.DB.Len())
-	}
-	divergent := 0
-	w.DB.Walk(func(p netip.Prefix, r netdb.Route) bool {
-		addr := p.Addr()
-		cr, ok := cdb.Lookup(addr)
-		if !ok {
-			t.Fatalf("compiled DB misses %v", p)
-		}
-		lr, _ := w.DB.Lookup(addr)
-		if cr != lr {
-			t.Fatalf("route mismatch at %v: live %+v, compiled %+v", p, lr, cr)
+	announced, divergent := 0, 0
+	db.Walk(func(p netip.Prefix, r netdb.Route) bool {
+		announced++
+		last := netdb.AddrFromUint32(netdb.AddrToUint32(p.Addr()) | (1<<(32-p.Bits()) - 1))
+		for _, addr := range []netip.Addr{p.Addr(), last} {
+			if got, ok := db.Lookup(addr); !ok || got != r {
+				t.Fatalf("Lookup(%v) in %v = (%+v, %v), want (%+v, true)", addr, p, got, ok, r)
+			}
 		}
 		if r.RegisteredCountry != r.TrueCountry {
 			divergent++
 		}
 		return true
 	})
+	if announced != db.Len() || announced == 0 {
+		t.Fatalf("walked %d prefixes, Len %d", announced, db.Len())
+	}
 	if divergent == 0 {
 		t.Fatal("world has no VPN egress blocks; test lost its teeth")
 	}
