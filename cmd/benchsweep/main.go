@@ -7,8 +7,6 @@
 // Usage:
 //
 //	benchsweep [-seed N] [-parallel 1,0] [-out BENCH_sweep.json] [-max-allocs N] [-max-regress-pct P] [-baseline FILE]
-//	           [-max-bin-decode-allocs N] [-min-bin-speedup X]
-//	           [-max-binz-decode-allocs N] [-min-binz-ratio X]
 //
 // Parallelism 0 means GOMAXPROCS. Allocation counts are runtime.MemStats
 // deltas around the sweep itself — lab construction (world build) is
@@ -28,12 +26,13 @@
 //
 // The report also carries a wire-format matrix: encode/decode ns per op,
 // bytes/sec, and decode allocs per op for each dataset under the csv,
-// json, binary (bin), and compressed binary (binz) frame codecs.
-// -max-bin-decode-allocs gates the binary decoder's O(1) allocation
-// promise; -min-bin-speedup gates the binary round trip's bytes/sec
+// json, binary (bin), and compressed binary (binz) frame codecs, and
+// four fixed codec gates that always apply (the tool exits 1 when one
+// fails): maxBinDecodeAllocs gates the binary decoder's O(1) allocation
+// promise; minBinSpeedup gates the binary round trip's bytes/sec
 // advantage over CSV (the reason the binary data plane exists);
-// -max-binz-decode-allocs gates the compressed decoder's O(columns)
-// allocation promise; -min-binz-ratio gates the compression win — every
+// maxBinzDecodeAllocs gates the compressed decoder's O(columns)
+// allocation promise; minBinzRatio gates the compression win — every
 // dataset's .bin body must be at least that many times the size of its
 // .binz body.
 package main
@@ -144,6 +143,14 @@ type HistoryEntry struct {
 // historyCap bounds the rolling trajectory carried inside the report.
 const historyCap = 50
 
+// The codec gates, checked on every run.
+const (
+	maxBinDecodeAllocs  = 32  // binary decode allocs per op, any dataset
+	minBinSpeedup       = 3   // apnic bin round trip ÷ csv round trip, bytes/sec
+	maxBinzDecodeAllocs = 192 // compressed binary decode allocs per op, any dataset
+	minBinzRatio        = 1.2 // bin body size ÷ binz body size, every dataset
+)
+
 func main() {
 	seed := flag.Uint64("seed", 42, "world seed")
 	parallel := flag.String("parallel", "1,0", "comma-separated parallelism levels (0 = GOMAXPROCS)")
@@ -152,14 +159,6 @@ func main() {
 	maxRegress := flag.Float64("max-regress-pct", 0,
 		"fail if the first level's wall time regresses more than this percent vs the baseline (0 = no gate)")
 	baseline := flag.String("baseline", "", "baseline report for the regression gate and history (default: the -out path before overwrite)")
-	maxBinDecodeAllocs := flag.Float64("max-bin-decode-allocs", 0,
-		"fail if any dataset's binary decode allocates more than this per op (0 = no gate)")
-	minBinSpeedup := flag.Float64("min-bin-speedup", 0,
-		"fail if the apnic binary encode+decode round trip is not at least this many times the CSV round trip in bytes/sec (0 = no gate)")
-	maxBinzDecodeAllocs := flag.Float64("max-binz-decode-allocs", 0,
-		"fail if any dataset's compressed binary decode allocates more than this per op (0 = no gate)")
-	minBinzRatio := flag.Float64("min-binz-ratio", 0,
-		"fail if any dataset's bin/binz size ratio is below this (0 = no gate)")
 	flag.Parse()
 
 	var levels []int
@@ -256,69 +255,63 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if *maxBinDecodeAllocs > 0 {
-		for _, ct := range rep.Codecs {
-			if ct.Codec == "bin" && ct.DecodeAllocsPerOp > *maxBinDecodeAllocs {
-				fmt.Fprintf(os.Stderr, "binary decode alloc budget exceeded for %s: %.1f > %.1f allocs/op\n",
-					ct.Source, ct.DecodeAllocsPerOp, *maxBinDecodeAllocs)
-				os.Exit(1)
-			}
+	if err := checkCodecs(rep.Codecs); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// checkCodecs applies the four codec gates to the wire-format matrix and
+// returns the first failure.
+func checkCodecs(codecs []CodecTiming) error {
+	size := map[string]map[string]int{}
+	for _, ct := range codecs {
+		if ct.Codec == "bin" && ct.DecodeAllocsPerOp > maxBinDecodeAllocs {
+			return fmt.Errorf("binary decode alloc budget exceeded for %s: %.1f > %d allocs/op",
+				ct.Source, ct.DecodeAllocsPerOp, maxBinDecodeAllocs)
+		}
+		if ct.Codec == "binz" && ct.DecodeAllocsPerOp > maxBinzDecodeAllocs {
+			return fmt.Errorf("compressed binary decode alloc budget exceeded for %s: %.1f > %d allocs/op",
+				ct.Source, ct.DecodeAllocsPerOp, maxBinzDecodeAllocs)
+		}
+		if size[ct.Source] == nil {
+			size[ct.Source] = map[string]int{}
+		}
+		size[ct.Source][ct.Codec] = ct.Bytes
+	}
+
+	// Size ratio per dataset: the compressed plane must beat the raw
+	// binary body everywhere, by at least minBinzRatio. The floor is set
+	// by the least compressible dataset (itu: one column of full-entropy
+	// float64 mantissas bounds its lossless ratio near 1.3x; the other
+	// six sit between 2x and 5x).
+	for src, byCodec := range size {
+		bin, binz := byCodec["bin"], byCodec["binz"]
+		if bin == 0 || binz == 0 {
+			return fmt.Errorf("binz ratio gate: missing bin/binz row for %s", src)
+		}
+		if ratio := float64(bin) / float64(binz); ratio < minBinzRatio {
+			return fmt.Errorf("binz compression gate failed for %s: bin/binz = %.2fx < %.2fx (%d vs %d bytes)",
+				src, ratio, minBinzRatio, bin, binz)
 		}
 	}
-	if *maxBinzDecodeAllocs > 0 {
-		for _, ct := range rep.Codecs {
-			if ct.Codec == "binz" && ct.DecodeAllocsPerOp > *maxBinzDecodeAllocs {
-				fmt.Fprintf(os.Stderr, "compressed binary decode alloc budget exceeded for %s: %.1f > %.1f allocs/op\n",
-					ct.Source, ct.DecodeAllocsPerOp, *maxBinzDecodeAllocs)
-				os.Exit(1)
+
+	// Round-trip throughput for the hottest dataset: encoded bytes over
+	// the combined encode+decode time. The binary plane's reason to exist
+	// is this ratio staying comfortably above 1.
+	roundTrip := func(codec string) float64 {
+		for _, ct := range codecs {
+			if ct.Source == "apnic" && ct.Codec == codec && ct.EncodeNSOp+ct.DecodeNSOp > 0 {
+				return float64(ct.Bytes) / (float64(ct.EncodeNSOp+ct.DecodeNSOp) / 1e9)
 			}
 		}
+		return 0
 	}
-	if *minBinzRatio > 0 {
-		// Size ratio per dataset: the compressed plane must beat the raw
-		// binary body everywhere, by at least the configured factor. The
-		// floor is set by the least compressible dataset (itu: one column
-		// of full-entropy float64 mantissas bounds its lossless ratio near
-		// 1.3x; the other six sit between 2x and 5x).
-		size := map[string]map[string]int{}
-		for _, ct := range rep.Codecs {
-			if size[ct.Source] == nil {
-				size[ct.Source] = map[string]int{}
-			}
-			size[ct.Source][ct.Codec] = ct.Bytes
-		}
-		for src, byCodec := range size {
-			bin, binz := byCodec["bin"], byCodec["binz"]
-			if bin == 0 || binz == 0 {
-				fmt.Fprintf(os.Stderr, "binz ratio gate: missing bin/binz row for %s\n", src)
-				os.Exit(1)
-			}
-			if ratio := float64(bin) / float64(binz); ratio < *minBinzRatio {
-				fmt.Fprintf(os.Stderr, "binz compression gate failed for %s: bin/binz = %.2fx < %.2fx (%d vs %d bytes)\n",
-					src, ratio, *minBinzRatio, bin, binz)
-				os.Exit(1)
-			}
-		}
+	if csvRT, binRT := roundTrip("csv"), roundTrip("bin"); csvRT <= 0 || binRT < minBinSpeedup*csvRT {
+		return fmt.Errorf("binary speedup gate failed: bin round trip %s/s vs csv %s/s (want >= %dx)",
+			fmtBytes(int64(binRT)), fmtBytes(int64(csvRT)), minBinSpeedup)
 	}
-	if *minBinSpeedup > 0 {
-		// Round-trip throughput for the hottest dataset: encoded bytes over
-		// the combined encode+decode time. The binary plane's reason to
-		// exist is this ratio staying comfortably above 1.
-		roundTrip := func(codec string) float64 {
-			for _, ct := range rep.Codecs {
-				if ct.Source == "apnic" && ct.Codec == codec && ct.EncodeNSOp+ct.DecodeNSOp > 0 {
-					return float64(ct.Bytes) / (float64(ct.EncodeNSOp+ct.DecodeNSOp) / 1e9)
-				}
-			}
-			return 0
-		}
-		csvRT, binRT := roundTrip("csv"), roundTrip("bin")
-		if csvRT <= 0 || binRT < *minBinSpeedup*csvRT {
-			fmt.Fprintf(os.Stderr, "binary speedup gate failed: bin round trip %s/s vs csv %s/s (want >= %.1fx)\n",
-				fmtBytes(int64(binRT)), fmtBytes(int64(csvRT)), *minBinSpeedup)
-			os.Exit(1)
-		}
-	}
+	return nil
 }
 
 // loadReport reads a prior BENCH_sweep.json, or nil when the file is

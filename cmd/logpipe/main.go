@@ -164,8 +164,8 @@ func runStream(w *world.World, from dates.Date, seed uint64, country string, day
 	}
 	st := p.Stats()
 	fmt.Fprintf(os.Stderr,
-		"logpipe: stream drained: emitted=%d accepted=%d shed=%d filtered=%d batches=%d published=%d failed=%d\n",
-		st.Emitted, st.Accepted, st.SourceShed, st.Filtered, st.Batches, st.Published, st.PublishFailed)
+		"logpipe: stream drained: emitted=%d accepted=%d filtered=%d batches=%d published=%d failed=%d\n",
+		st.Emitted, st.Accepted, st.Filtered, st.Batches, st.Published, st.PublishFailed)
 
 	last := from.AddDays(days - 1)
 	rep := est.Report(last)

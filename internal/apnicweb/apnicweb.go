@@ -978,6 +978,9 @@ func (c *Client) Report(ctx context.Context, d dates.Date) (*apnic.Report, error
 	if err != nil {
 		return nil, err
 	}
+	if err := checkETag(u, resp, func() string { return bodyHash(buf) }); err != nil {
+		return nil, err
+	}
 	rep, err := apnic.ReadCSV(bytes.NewReader(buf))
 	if err != nil {
 		return nil, fmt.Errorf("apnicweb: parsing %s: %w", d, err)
@@ -1026,17 +1029,37 @@ func (c *Client) textFrame(ctx context.Context, dataset string, d dates.Date, su
 	if err != nil {
 		return nil, fmt.Errorf("apnicweb: parsing %s %s: %w", dataset, d, err)
 	}
-	return requested(u, dataset, f)
+	return requested(u, dataset, resp, f)
 }
 
-// requested returns f if it is the requested dataset's frame. A server
-// or proxy that answers with another dataset's frame is an error, not a
-// well-formed but wrong result.
-func requested(u, dataset string, f *source.Frame) (*source.Frame, error) {
+// requested returns f if it is the requested dataset's frame and the
+// content the response's ETag names. A server or proxy that answers
+// with another dataset's frame, or with a body its ETag does not
+// describe, is an error, not a well-formed but wrong result.
+func requested(u, dataset string, resp *http.Response, f *source.Frame) (*source.Frame, error) {
 	if f.Source != dataset {
 		return nil, fmt.Errorf("apnicweb: GET %s: server sent a %q frame, not %q", u, f.Source, dataset)
 	}
+	if err := checkETag(u, resp, f.ContentHash); err != nil {
+		return nil, err
+	}
 	return f, nil
+}
+
+// checkETag holds a 200 to its ETag: when the response carries one, the
+// tag's hash part (before any "-variant" suffix) must equal hash(), the
+// content hash of what the client decoded. A response without an ETag
+// passes.
+func checkETag(u string, resp *http.Response, hash func() string) error {
+	etag := resp.Header.Get("ETag")
+	if etag == "" {
+		return nil
+	}
+	tag, _, _ := strings.Cut(strings.Trim(strings.TrimPrefix(etag, "W/"), `"`), "-")
+	if want := hash(); tag != want {
+		return fmt.Errorf("apnicweb: GET %s: ETag %s names other content than the body (hash %s)", u, etag, want)
+	}
+	return nil
 }
 
 // FrameBin fetches one dataset-day over the binary representation and
@@ -1076,5 +1099,5 @@ func (c *Client) binaryFrame(ctx context.Context, dataset string, d dates.Date, 
 	if err != nil {
 		return nil, fmt.Errorf("apnicweb: decoding %s %s: %w", dataset, d, err)
 	}
-	return requested(u, dataset, f)
+	return requested(u, dataset, resp, f)
 }

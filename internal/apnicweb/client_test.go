@@ -18,7 +18,7 @@ import (
 // TestClientRejectsBadResponses is the table suite for the client's
 // response checks. A stub server answers every request with one canned
 // response, and each fetch must fail with an error naming the fault
-// instead of returning a frame.
+// instead of returning a frame or report.
 func TestClientRejectsBadResponses(t *testing.T) {
 	d := dates.New(2024, 4, 21)
 	// A well-formed frame of the wrong dataset, in every representation.
@@ -40,12 +40,32 @@ func TestClientRejectsBadResponses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The requested dataset's frame, to pair with an ETag naming the cdn
+	// frame, and a legacy report body to pair with another day's tag.
+	own := source.NewFrame("apnic", d)
+	own.AddStrings("CC").Strs = []string{"FR", "DE"}
+	own.AddInts("Samples").Ints = []int64{7, 9}
+	var ownCSV, legacyBody, otherLegacy bytes.Buffer
+	if err := own.WriteCSV(&ownCSV); err != nil {
+		t.Fatal(err)
+	}
+	ownBin, err := binfmt.Encode(own)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := testGen.Generate(d).WriteCSV(&legacyBody); err != nil {
+		t.Fatal(err)
+	}
+	if err := testGen.Generate(d.AddDays(1)).WriteCSV(&otherLegacy); err != nil {
+		t.Fatal(err)
+	}
 
 	ctx := context.Background()
 	frame := func(c *Client) (*source.Frame, error) { return c.Frame(ctx, "apnic", d) }
 	frameJSON := func(c *Client) (*source.Frame, error) { return c.FrameJSON(ctx, "apnic", d) }
 	frameBin := func(c *Client) (*source.Frame, error) { return c.FrameBin(ctx, "apnic", d) }
 	frameBinz := func(c *Client) (*source.Frame, error) { return c.FrameBinz(ctx, "apnic", d) }
+	legacy := func(c *Client) (*source.Frame, error) { _, err := c.Report(ctx, d); return nil, err }
 
 	cases := []struct {
 		name        string
@@ -55,24 +75,32 @@ func TestClientRejectsBadResponses(t *testing.T) {
 		body        []byte
 		missing     int // bytes declared in Content-Length but never sent
 		chunked     int // filler bytes streamed after body with no Content-Length
+		etag        string
 		want        string
 	}{
-		{"non-200 with body", frame, http.StatusNotFound, "text/plain", []byte("no such day\n"), 0, 0, "404 Not Found: no such day"},
-		{"bin wrong content type", frameBin, http.StatusOK, "text/csv", csvBody.Bytes(), 0, 0, `server answered "text/csv"`},
-		{"binz wrong content type", frameBinz, http.StatusOK, binfmt.ContentType, binBody, 0, 0, `server answered "` + binfmt.ContentType + `"`},
-		{"csv short body", frame, http.StatusOK, "text/csv", csvBody.Bytes(), 64, 0, "unexpected EOF"},
-		{"bin short body", frameBin, http.StatusOK, binfmt.ContentType, binBody, 64, 0, "unexpected EOF"},
-		{"csv wrong dataset", frame, http.StatusOK, "text/csv", csvBody.Bytes(), 0, 0, `server sent a "cdn" frame, not "apnic"`},
-		{"json wrong dataset", frameJSON, http.StatusOK, "application/json", jsonBody.Bytes(), 0, 0, `server sent a "cdn" frame, not "apnic"`},
-		{"bin wrong dataset", frameBin, http.StatusOK, binfmt.ContentType, binBody, 0, 0, `server sent a "cdn" frame, not "apnic"`},
-		{"binz wrong dataset", frameBinz, http.StatusOK, framez.ContentType, binzBody, 0, 0, `server sent a "cdn" frame, not "apnic"`},
-		{"declared length over cap", frame, http.StatusOK, "text/csv", nil, maxBodyBytes + 1, 0, "exceeds the"},
-		{"chunked body over cap", frameBin, http.StatusOK, binfmt.ContentType, binBody, 0, maxBodyBytes, "exceeds the"},
+		{"non-200 with body", frame, http.StatusNotFound, "text/plain", []byte("no such day\n"), 0, 0, "", "404 Not Found: no such day"},
+		{"bin wrong content type", frameBin, http.StatusOK, "text/csv", csvBody.Bytes(), 0, 0, "", `server answered "text/csv"`},
+		{"binz wrong content type", frameBinz, http.StatusOK, binfmt.ContentType, binBody, 0, 0, "", `server answered "` + binfmt.ContentType + `"`},
+		{"csv short body", frame, http.StatusOK, "text/csv", csvBody.Bytes(), 64, 0, "", "unexpected EOF"},
+		{"bin short body", frameBin, http.StatusOK, binfmt.ContentType, binBody, 64, 0, "", "unexpected EOF"},
+		{"csv wrong dataset", frame, http.StatusOK, "text/csv", csvBody.Bytes(), 0, 0, "", `server sent a "cdn" frame, not "apnic"`},
+		{"json wrong dataset", frameJSON, http.StatusOK, "application/json", jsonBody.Bytes(), 0, 0, "", `server sent a "cdn" frame, not "apnic"`},
+		{"bin wrong dataset", frameBin, http.StatusOK, binfmt.ContentType, binBody, 0, 0, "", `server sent a "cdn" frame, not "apnic"`},
+		{"binz wrong dataset", frameBinz, http.StatusOK, framez.ContentType, binzBody, 0, 0, "", `server sent a "cdn" frame, not "apnic"`},
+		{"declared length over cap", frame, http.StatusOK, "text/csv", nil, maxBodyBytes + 1, 0, "", "exceeds the"},
+		{"chunked body over cap", frameBin, http.StatusOK, binfmt.ContentType, binBody, 0, maxBodyBytes, "", "exceeds the"},
+		{"csv etag names other content", frame, http.StatusOK, "text/csv", ownCSV.Bytes(), 0, 0, cdn.ETag("csv"), "names other content"},
+		{"bin etag names other content", frameBin, http.StatusOK, binfmt.ContentType, ownBin, 0, 0, cdn.ETag("bin"), "names other content"},
+		{"legacy report etag names other content", legacy, http.StatusOK, "text/csv", legacyBody.Bytes(), 0, 0,
+			source.FormatETag(bodyHash(otherLegacy.Bytes()), "csv"), "names other content"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				w.Header().Set("Content-Type", tc.contentType)
+				if tc.etag != "" {
+					w.Header().Set("ETag", tc.etag)
+				}
 				if tc.chunked == 0 {
 					w.Header().Set("Content-Length", strconv.Itoa(len(tc.body)+tc.missing))
 				}
@@ -87,13 +115,33 @@ func TestClientRejectsBadResponses(t *testing.T) {
 			}))
 			defer ts.Close()
 			c := &Client{BaseURL: ts.URL, HTTPClient: ts.Client()}
-			f, err := tc.fetch(c)
-			if err == nil {
-				t.Fatalf("fetch returned a %q frame and no error", f.Source)
-			}
-			if !strings.Contains(err.Error(), tc.want) {
+			if _, err := tc.fetch(c); err == nil {
+				t.Fatalf("fetch succeeded; want an error mentioning %q", tc.want)
+			} else if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestClientAcceptsTaggedBodies fetches the text representations from a
+// real server, identity and gzip, and requires the client to accept
+// every body its ETag describes (the tag's variant suffix differs per
+// representation and coding; its hash part does not).
+func TestClientAcceptsTaggedBodies(t *testing.T) {
+	ts, gz := testServer(t)
+	identity := &Client{BaseURL: ts.URL, HTTPClient: &http.Client{Transport: &http.Transport{DisableCompression: true}}}
+	ctx := context.Background()
+	d := dates.New(2024, 4, 21)
+	for name, c := range map[string]*Client{"gzip": gz, "identity": identity} {
+		if _, err := c.Report(ctx, d); err != nil {
+			t.Errorf("%s legacy report: %v", name, err)
+		}
+		if _, err := c.Frame(ctx, "apnic", d); err != nil {
+			t.Errorf("%s csv frame: %v", name, err)
+		}
+		if _, err := c.FrameJSON(ctx, "apnic", d); err != nil {
+			t.Errorf("%s json frame: %v", name, err)
+		}
 	}
 }

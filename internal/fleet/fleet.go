@@ -12,14 +12,13 @@ package fleet
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/dates"
 	"repro/internal/experiments"
 	"repro/internal/scenario"
+	"repro/internal/syncx"
 )
 
 // Config parameterizes one sweep.
@@ -51,8 +50,8 @@ type worldOutcome struct {
 
 // Run executes the sweep and aggregates the stability report.
 //
-// Scheduling mirrors experiments.RunAll: a fixed worker pool drains an
-// index channel into a results slice, so output order never depends on
+// Scheduling runs the jobs through syncx.ParallelEach, each writing its
+// own slot of a results slice, so output order never depends on
 // completion order. Each job builds its own Lab (worlds share nothing),
 // which keeps the pool embarrassingly parallel; the singleflight caches
 // inside a Lab only matter within one job's CheckAll.
@@ -64,11 +63,6 @@ func Run(cfg Config) (*Report, error) {
 	if (day == dates.Date{}) {
 		day = experiments.Table2Day
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
 	scns := rosterWithPaper(cfg.Scenarios)
 	for i, s := range scns {
 		if err := s.Validate(); err != nil {
@@ -88,34 +82,18 @@ func Run(cfg Config) (*Report, error) {
 		outcomes[i] = make([]worldOutcome, cfg.Seeds)
 	}
 
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				j := jobs[i]
-				seed := cfg.SeedBase + uint64(j.seed)
-				out := worldOutcome{seed: seed}
-				l, err := experiments.NewLabScenario(seed, scns[j.scn])
-				if err != nil {
-					out.err = err
-				} else {
-					out.reports = experiments.CheckAll(l, day)
-				}
-				outcomes[j.scn][j.seed] = out
-			}
-		}()
-	}
-	for i := range jobs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	syncx.ParallelEach(len(jobs), cfg.Workers, func(i int) {
+		j := jobs[i]
+		seed := cfg.SeedBase + uint64(j.seed)
+		out := worldOutcome{seed: seed}
+		l, err := experiments.NewLabScenario(seed, scns[j.scn])
+		if err != nil {
+			out.err = err
+		} else {
+			out.reports = experiments.CheckAll(l, day)
+		}
+		outcomes[j.scn][j.seed] = out
+	})
 
 	for si, row := range outcomes {
 		for _, out := range row {

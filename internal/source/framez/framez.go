@@ -82,13 +82,13 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"runtime"
 	"sort"
 	"sync"
 	"unsafe"
 
 	"repro/internal/dates"
 	"repro/internal/source"
+	"repro/internal/syncx"
 )
 
 // Version is the wire-format version this package encodes.
@@ -134,8 +134,8 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 var le = binary.LittleEndian
 
-// encodeWorkers and decodeWorkers override the column worker count when
-// nonzero; the determinism tests pin that any value yields identical
+// encodeWorkers and decodeWorkers are the column parallelism handed to
+// syncx.ParallelEach (zero means GOMAXPROCS); the determinism tests pin that any value yields identical
 // bytes (encode) and an identical frame or identical error (decode).
 var (
 	encodeWorkers = 0
@@ -221,42 +221,18 @@ func Write(f *source.Frame, w io.Writer) error {
 	return err
 }
 
-// encodeColumns fills encs, one worker per column up to GOMAXPROCS.
+// encodeColumns fills encs, one worker per column up to GOMAXPROCS
+// (or encodeWorkers). The first error in column order wins.
 func encodeColumns(cols []*source.Column, rows int, encs []colEnc) error {
-	workers := runtime.GOMAXPROCS(0)
-	if encodeWorkers > 0 {
-		workers = encodeWorkers
-	}
-	if workers > len(cols) {
-		workers = len(cols)
-	}
-	if workers <= 1 {
-		for i, c := range cols {
-			e, err := encodeColumn(c, rows)
-			if err != nil {
-				return err
-			}
-			encs[i] = e
-		}
-		return nil
-	}
 	errs := make([]error, len(cols))
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				encs[i], errs[i] = encodeColumn(cols[i], rows)
-			}
-		}()
-	}
-	for i := range cols {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
+	syncx.ParallelEach(len(cols), encodeWorkers, func(i int) {
+		encs[i], errs[i] = encodeColumn(cols[i], rows)
+	})
+	return firstError(errs)
+}
+
+// firstError returns the first non-nil error in errs.
+func firstError(errs []error) error {
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -796,46 +772,12 @@ func Decode(buf []byte) (*source.Frame, error) {
 // worker-count independent: columns land in their own slots, and the
 // first error in column order wins.
 func decodeColumns(cols []source.Column, descs []colDesc, rows int) error {
-	workers := runtime.GOMAXPROCS(0)
-	if decodeWorkers > 0 {
-		workers = decodeWorkers
-	}
-	if workers > len(cols) {
-		workers = len(cols)
-	}
-	if workers <= 1 {
-		for i := range cols {
-			d := &descs[i]
-			if err := decodeColumn(&cols[i], d.kind, d.tag, d.payload, d.tLen, rows); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	errs := make([]error, len(cols))
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				d := &descs[i]
-				errs[i] = decodeColumn(&cols[i], d.kind, d.tag, d.payload, d.tLen, rows)
-			}
-		}()
-	}
-	for i := range cols {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	syncx.ParallelEach(len(cols), decodeWorkers, func(i int) {
+		d := &descs[i]
+		errs[i] = decodeColumn(&cols[i], d.kind, d.tag, d.payload, d.tLen, rows)
+	})
+	return firstError(errs)
 }
 
 // decodeColumn reconstructs one column and verifies every canonical

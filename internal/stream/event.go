@@ -1,8 +1,6 @@
 package stream
 
 import (
-	"time"
-
 	"repro/internal/cdnlog"
 	"repro/internal/dates"
 )
@@ -39,17 +37,3 @@ type Batch struct {
 	Seq  int64
 	Imps []Impression
 }
-
-// Clock is the injectable time seam: Now for pacing arithmetic, After
-// for timers (source pacing, batch age flushes). The zero-dependency
-// analogue of a beats pipeline's ticker plumbing; tests drive manual
-// clocks for deterministic flushes.
-type Clock interface {
-	Now() time.Time
-	After(d time.Duration) <-chan time.Time
-}
-
-type realClock struct{}
-
-func (realClock) Now() time.Time                         { return time.Now() }
-func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"strings"
@@ -65,11 +64,11 @@ func preEvent(day dates.Date, asn uint32, weight int64) Event {
 	return Event{Day: day, Pre: &Impression{Day: day, CC: "FR", ASN: asn, Weight: weight}}
 }
 
-// TestShedPolicy wedges the publisher behind a gate so every queue
-// fills, and verifies the open-loop contract: the source is never
-// delayed, overflow is shed and counted, and the ledger still
-// reconciles exactly — nothing accepted is ever lost.
-func TestShedPolicy(t *testing.T) {
+// TestBlockPolicy wedges the publisher behind a gate so every queue
+// fills, and verifies the lossless contract: the source is held back
+// rather than losing events, and once the publisher is released every
+// emitted event is accepted and published exactly once.
+func TestBlockPolicy(t *testing.T) {
 	const total = 1000
 	d := dates.MustParse("2024-04-21")
 	gate := make(chan struct{})
@@ -81,79 +80,14 @@ func TestShedPolicy(t *testing.T) {
 				break
 			}
 		}
-		close(gate) // source done; let the publisher drain
-		return nil
-	})
-
-	p, err := New(Config{
-		Source:        src,
-		Publisher:     sink,
-		OnFull:        Shed,
-		QueueLen:      1,
-		BatchQueueLen: 1,
-		MaxBatch:      1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
-	st := p.Stats()
-	if st.Emitted != total {
-		t.Fatalf("Emitted = %d, want %d", st.Emitted, total)
-	}
-	if st.SourceShed == 0 {
-		t.Fatal("expected sheds with a wedged publisher and queue length 1")
-	}
-	if st.Emitted != st.Accepted+st.SourceShed {
-		t.Fatalf("admission ledger broken: emitted %d != accepted %d + shed %d",
-			st.Emitted, st.Accepted, st.SourceShed)
-	}
-	if st.Accepted != st.Published || st.Filtered != 0 || st.PublishFailed != 0 {
-		t.Fatalf("drain ledger broken: %+v", st)
-	}
-	if got := sink.impressions(); got != st.Published {
-		t.Fatalf("publisher saw %d impressions, counters say %d", got, st.Published)
-	}
-	if sink.closed != 1 {
-		t.Fatalf("Close called %d times, want 1", sink.closed)
-	}
-}
-
-// testClock is a manual clock: After always hands back the same
-// unbuffered channel, so the test fires timers by sending on it.
-type testClock struct{ ch chan time.Time }
-
-func (c *testClock) Now() time.Time                       { return time.Time{} }
-func (c *testClock) After(time.Duration) <-chan time.Time { return c.ch }
-
-// TestAgeFlush proves a quiet stream still publishes: three impressions
-// sit below MaxBatch while the source stays alive, and only the age
-// timer (driven by the injected clock) can flush them.
-func TestAgeFlush(t *testing.T) {
-	d := dates.MustParse("2024-04-21")
-	clk := &testClock{ch: make(chan time.Time)}
-	first := make(chan struct{})
-	sink := &recordingSink{first: first}
-
-	src := sourceFunc(func(ctx context.Context, emit func(Event) bool) error {
-		for i := 0; i < 3; i++ {
-			if !emit(preEvent(d, uint32(i+1), 1)) {
-				return nil
-			}
-		}
-		<-first // hold the stream open until a batch has been published
 		return nil
 	})
 
 	p, err := New(Config{
 		Source:    src,
 		Publisher: sink,
-		MaxBatch:  100, // never reached
-		MaxAge:    time.Minute,
-		Clock:     clk,
+		OnFull:    Block,
+		MaxBatch:  1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -161,22 +95,36 @@ func TestAgeFlush(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- p.Run(context.Background()) }()
 
-	// The only way anything can flush is the age timer: MaxBatch is out
-	// of reach and the source blocks until the first publish. Fire it.
-	clk.ch <- time.Time{}
-
+	// With the publisher wedged on its first batch, admission stops once
+	// the bounded queues are full: the source waits instead of shedding.
+	pressure := int64(2*queueCap + batchQueueCap)
+	deadline := time.Now().Add(10 * time.Second)
+	for p.Stats().Accepted < pressure {
+		if time.Now().After(deadline) {
+			t.Fatalf("queues never filled: %+v", p.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := p.Stats(); st.Emitted >= total || st.Published != 0 {
+		t.Fatalf("source not held back by the wedged publisher: %+v", st)
+	}
+	close(gate)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if got := sink.impressions(); got != 3 {
-		t.Fatalf("published %d impressions, want 3", got)
+
+	st := p.Stats()
+	if st.Emitted != total || st.Accepted != total || st.Published != total {
+		t.Fatalf("lossless ledger broken: want emitted = accepted = published = %d, got %+v", total, st)
 	}
-	sink.mu.Lock()
-	nb := len(sink.batches)
-	firstLen := len(sink.batches[0].Imps)
-	sink.mu.Unlock()
-	if nb < 1 || firstLen >= 100 {
-		t.Fatalf("first flush should be age-driven: %d batches, first has %d imps", nb, firstLen)
+	if st.Filtered != 0 || st.PublishFailed != 0 {
+		t.Fatalf("drain ledger broken: %+v", st)
+	}
+	if got := sink.impressions(); got != st.Published {
+		t.Fatalf("publisher saw %d impressions, counters say %d", got, st.Published)
+	}
+	if sink.closed != 1 {
+		t.Fatalf("Close called %d times, want 1", sink.closed)
 	}
 }
 
@@ -294,31 +242,6 @@ func TestNoEnricherDropsRawRecords(t *testing.T) {
 	}
 }
 
-// TestWriterSink checks the CSV line shape and the sticky-error rule.
-func TestWriterSink(t *testing.T) {
-	d := dates.MustParse("2024-04-21")
-	var buf bytes.Buffer
-	sink := &WriterSink{W: &buf}
-	b := Batch{Seq: 1, Imps: []Impression{
-		{Day: d, CC: "FR", ASN: 64500, Weight: 3, Bytes: 1234},
-		{Day: d.AddDays(1), CC: "JP", ASN: 64501, Weight: 1, Bytes: 0},
-	}}
-	if err := sink.Publish(b); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	want := "2024-04-21,FR,64500,3,1234\n2024-04-22,JP,64501,1,0\n"
-	if buf.String() != want {
-		t.Fatalf("CSV output:\n got  %q\n want %q", buf.String(), want)
-	}
-}
-
-type failWriter struct{ err error }
-
-func (f failWriter) Write(p []byte) (int, error) { return 0, f.err }
-
 type failingSink struct{ err error }
 
 func (f failingSink) Publish(Batch) error { return f.err }
@@ -353,60 +276,21 @@ func TestPublisherErrorsAreCountedNotFatal(t *testing.T) {
 	}
 }
 
-// TestWriterSinkStickyError pins the sticky-error rule: after a write
-// failure every later Publish refuses with the same error and Close
-// surfaces it.
-func TestWriterSinkStickyError(t *testing.T) {
-	d := dates.MustParse("2024-04-21")
-	werr := errors.New("disk full")
-	sink := &WriterSink{W: failWriter{err: werr}}
-	// Overflow bufio's buffer so the first Publish hits the writer.
-	big := Batch{Seq: 1, Imps: make([]Impression, 0, 200)}
-	for i := 0; i < 200; i++ {
-		big.Imps = append(big.Imps, Impression{Day: d, CC: "FR", ASN: 64500, Weight: 1, Bytes: 123456789})
-	}
-	if err := sink.Publish(big); !errors.Is(err, werr) {
-		t.Fatalf("Publish error = %v, want the write error", err)
-	}
-	if err := sink.Publish(Batch{Seq: 2, Imps: big.Imps[:1]}); !errors.Is(err, werr) {
-		t.Fatalf("sticky error lost: %v", err)
-	}
-	if err := sink.Close(); !errors.Is(err, werr) {
-		t.Fatalf("Close error = %v, want the write error", err)
-	}
-}
-
-// TestTeeFansOut delivers every batch to every publisher.
-func TestTeeFansOut(t *testing.T) {
-	d := dates.MustParse("2024-04-21")
-	a, b := &recordingSink{}, &recordingSink{}
-	src := sourceFunc(func(ctx context.Context, emit func(Event) bool) error {
-		for i := 0; i < 5; i++ {
-			emit(preEvent(d, uint32(i+1), 1))
-		}
-		return nil
-	})
-	p, err := New(Config{Source: src, Publisher: Tee{a, b}, MaxBatch: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if a.impressions() != 5 || b.impressions() != 5 {
-		t.Fatalf("tee delivered %d/%d impressions, want 5/5", a.impressions(), b.impressions())
-	}
-	if a.closed != 1 || b.closed != 1 {
-		t.Fatalf("tee closed %d/%d times, want 1/1", a.closed, b.closed)
-	}
-}
-
-// TestConfigValidation rejects incomplete configs.
+// TestConfigValidation rejects incomplete configs and any admission
+// policy but Block.
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{Publisher: &recordingSink{}}); err == nil || !strings.Contains(err.Error(), "Source") {
-		t.Fatalf("missing source: err = %v", err)
-	}
-	if _, err := New(Config{Source: sourceFunc(func(context.Context, func(Event) bool) error { return nil })}); err == nil || !strings.Contains(err.Error(), "Publisher") {
-		t.Fatalf("missing publisher: err = %v", err)
+	src := sourceFunc(func(context.Context, func(Event) bool) error { return nil })
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"missing source", Config{Publisher: &recordingSink{}}, "Source"},
+		{"missing publisher", Config{Source: src}, "Publisher"},
+		{"unknown policy", Config{Source: src, Publisher: &recordingSink{}, OnFull: Policy(1)}, "OnFull"},
+	} {
+		if _, err := New(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one naming %s", tc.name, err, tc.want)
+		}
 	}
 }

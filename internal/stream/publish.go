@@ -1,11 +1,5 @@
 package stream
 
-import (
-	"bufio"
-	"io"
-	"strconv"
-)
-
 // Publisher consumes the pipeline's output. Publish is called from one
 // goroutine, once per batch, in sequence order; Close runs after the
 // last batch, even on cancelled runs.
@@ -28,82 +22,3 @@ func (s *EstimatorSink) Publish(b Batch) error {
 
 // Close is a no-op; the estimator keeps serving after the stream ends.
 func (s *EstimatorSink) Close() error { return nil }
-
-// WriterSink streams published impressions as CSV lines
-// (date,cc,asn,weight,bytes) to an io.Writer — the durable-log shape of
-// a publisher, for piping a live stream back into batch tooling.
-type WriterSink struct {
-	W io.Writer
-
-	bw  *bufio.Writer
-	buf []byte
-	err error
-}
-
-// Publish appends one line per impression. After a write error every
-// later Publish returns the same error without writing (the pipeline
-// counts the batches as failed).
-func (s *WriterSink) Publish(b Batch) error {
-	if s.err != nil {
-		return s.err
-	}
-	if s.bw == nil {
-		s.bw = bufio.NewWriter(s.W)
-	}
-	for _, imp := range b.Imps {
-		s.buf = s.buf[:0]
-		s.buf = append(s.buf, imp.Day.String()...)
-		s.buf = append(s.buf, ',')
-		s.buf = append(s.buf, imp.CC...)
-		s.buf = append(s.buf, ',')
-		s.buf = strconv.AppendUint(s.buf, uint64(imp.ASN), 10)
-		s.buf = append(s.buf, ',')
-		s.buf = strconv.AppendInt(s.buf, imp.Weight, 10)
-		s.buf = append(s.buf, ',')
-		s.buf = strconv.AppendInt(s.buf, imp.Bytes, 10)
-		s.buf = append(s.buf, '\n')
-		if _, err := s.bw.Write(s.buf); err != nil {
-			s.err = err
-			return err
-		}
-	}
-	return nil
-}
-
-// Close flushes the buffered tail.
-func (s *WriterSink) Close() error {
-	if s.bw == nil {
-		return s.err
-	}
-	if err := s.bw.Flush(); err != nil && s.err == nil {
-		s.err = err
-	}
-	return s.err
-}
-
-// Tee fans one batch stream out to several publishers: every publisher
-// sees every batch. Publish returns the first error but still delivers
-// to the rest (their ledgers stay consistent).
-type Tee []Publisher
-
-// Publish delivers the batch to every publisher.
-func (t Tee) Publish(b Batch) error {
-	var first error
-	for _, p := range t {
-		if err := p.Publish(b); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// Close closes every publisher, returning the first error.
-func (t Tee) Close() error {
-	var first error
-	for _, p := range t {
-		if err := p.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}

@@ -72,11 +72,9 @@ func TestShutdownDrainHammer(t *testing.T) {
 			published := make(chan Batch, 4)
 			sink := &notifySink{out: published}
 			p, err := New(Config{
-				Source:        src,
-				Publisher:     sink,
-				QueueLen:      4,
-				BatchQueueLen: 2,
-				MaxBatch:      8,
+				Source:    src,
+				Publisher: sink,
+				MaxBatch:  8,
 			})
 			if err != nil {
 				t.Fatal(err)

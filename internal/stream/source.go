@@ -2,7 +2,6 @@ package stream
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/apnic"
 	"repro/internal/cdnlog"
@@ -19,46 +18,25 @@ type Source interface {
 
 // SamplerSource replays the cdnlog sampler's synthetic request records
 // as a live stream: for each day in [From, From+Days), every country's
-// records in the sampler's deterministic order, optionally paced to Rate
-// events per second through the pipeline clock.
+// records in the sampler's deterministic order, as fast as the pipeline
+// accepts them.
 type SamplerSource struct {
 	Sampler   *cdnlog.Sampler
 	Countries []string
 	From      dates.Date
 	Days      int
 	PerOrg    int // records per (country, org) pair per day
-
-	// Rate paces emission in events/second; <= 0 replays as fast as the
-	// pipeline accepts. Pacing waits on Clock, so tests with manual
-	// clocks control the schedule.
-	Rate  float64
-	Clock Clock
 }
 
 // Run replays the configured window. It never returns a non-nil error:
-// the sampler is infallible; the pipeline's admission edge handles loss.
+// the sampler is infallible.
 func (s *SamplerSource) Run(ctx context.Context, emit func(Event) bool) error {
-	clock := s.Clock
-	if clock == nil {
-		clock = realClock{}
-	}
-	pace := func() bool {
-		if s.Rate <= 0 {
-			return true
-		}
-		select {
-		case <-clock.After(time.Duration(float64(time.Second) / s.Rate)):
-			return true
-		case <-ctx.Done():
-			return false
-		}
-	}
 	for i := 0; i < s.Days; i++ {
 		d := s.From.AddDays(i)
 		for _, cc := range s.Countries {
 			stop := false
 			s.Sampler.EachDayRecord(cc, d, s.PerOrg, func(rec cdnlog.Record) bool {
-				if !pace() || !emit(Event{Day: d, Rec: rec}) {
+				if !emit(Event{Day: d, Rec: rec}) {
 					stop = true
 					return false
 				}

@@ -1,22 +1,20 @@
 // Package stream turns the batch cdnlog layer into a continuous
 // ingestion pipeline, in the beats mold: a replayable source emits raw
 // log events, a filter/enrich stage resolves them against the world's
-// routing database and drops bots, a size- and age-bounded batcher
-// groups the survivors, and pluggable publishers consume the batches —
-// all connected by bounded channels with explicit backpressure.
+// routing database and drops bots, a size-bounded batcher groups the
+// survivors, and a publisher consumes the batches — all connected by
+// bounded channels.
 //
 // Stage graph:
 //
 //	Source ──emit──▶ [events] ──▶ Enrich ──▶ [imps] ──▶ Batch ──▶ [batches] ──▶ Publish
 //	                 bounded        drops      bounded    flush on    bounded       sink
-//	                 block/shed     counted               size/age
+//	                 blocking       counted               size
 //
-// Backpressure is explicit at the admission edge: with Policy Block the
-// source's emit blocks until the events queue has space (lossless, the
-// source slows to the pipeline's pace); with Shed a full queue drops the
-// event and counts it, keeping the source's schedule intact (the
-// open-loop discipline). Every later edge blocks: once an event is
-// accepted it is never dropped, so after a graceful drain
+// The pipeline is lossless. The source's emit blocks until the events
+// queue has space, so the source runs at the pipeline's pace, and every
+// later edge blocks too: once an event is accepted it is never dropped,
+// so after a graceful drain
 //
 //	accepted == filtered + published + publish_failed
 //
@@ -38,23 +36,21 @@ import (
 	"context"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obsv"
 )
 
-// Policy selects what the admission edge does when the events queue is
-// full.
+// Policy names what the admission edge does when the events queue is
+// full. Block is the only one.
 type Policy int
 
+// Block makes emit wait for queue space: lossless, the source runs at
+// the pipeline's pace.
+const Block Policy = 0
+
 const (
-	// Block makes emit wait for queue space: lossless, the source runs
-	// at the pipeline's pace (closed-loop backpressure).
-	Block Policy = iota
-	// Shed makes emit drop the event when the queue is full, counting
-	// it, so the source's own schedule is never delayed (open-loop
-	// backpressure; the loadgen discipline applied to ingestion).
-	Shed
+	queueCap      = 256 // capacity of the events and impressions channels
+	batchQueueCap = 8   // capacity of the batches channel
 )
 
 // Config parameterizes one pipeline.
@@ -63,23 +59,14 @@ type Config struct {
 	Enrich    Enricher  // nil: only pre-resolved events pass; raw records drop as "unresolvable"
 	Publisher Publisher // required
 
-	// QueueLen bounds the events and impressions channels (default 256).
-	QueueLen int
-	// BatchQueueLen bounds the batches channel (default 8).
-	BatchQueueLen int
-	// OnFull is the admission policy at the source edge.
+	// OnFull is the admission policy at the source edge; New rejects
+	// anything but Block.
 	OnFull Policy
 
 	// MaxBatch flushes a batch when it reaches this many impressions
-	// (default 512). MaxAge, when > 0, also flushes a non-empty batch
-	// this long after its first impression, so a quiet stream still
-	// publishes promptly.
+	// (default 512). The last, partial batch flushes when the input
+	// drains.
 	MaxBatch int
-	MaxAge   time.Duration
-
-	// Clock paces the source and drives age-based flushes; nil means the
-	// real clock. Tests inject manual clocks.
-	Clock Clock
 
 	// Metrics, when non-nil, receives the per-stage counters and queue
 	// depth gauges (stream_* series). A nil registry records to a
@@ -91,7 +78,6 @@ type Config struct {
 type Stats struct {
 	Emitted       int64 // events the source offered to the admission edge
 	Accepted      int64 // events admitted into the pipeline
-	SourceShed    int64 // events dropped at the full events queue (Shed policy)
 	Filtered      int64 // accepted events dropped by the enrich stage (all reasons)
 	Batches       int64 // batches handed to the publisher
 	Published     int64 // impressions inside successfully published batches
@@ -115,7 +101,6 @@ type Pipeline struct {
 
 	emitted       atomic.Int64
 	accepted      *obsv.Counter
-	shed          *obsv.Counter
 	filtered      map[string]*obsv.Counter
 	filteredTotal atomic.Int64
 	batches       *obsv.Counter
@@ -131,17 +116,11 @@ func New(cfg Config) (*Pipeline, error) {
 	if cfg.Publisher == nil {
 		return nil, fmt.Errorf("stream: config needs a Publisher")
 	}
-	if cfg.QueueLen <= 0 {
-		cfg.QueueLen = 256
-	}
-	if cfg.BatchQueueLen <= 0 {
-		cfg.BatchQueueLen = 8
+	if cfg.OnFull != Block {
+		return nil, fmt.Errorf("stream: unknown OnFull policy %d (only Block)", cfg.OnFull)
 	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 512
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = realClock{}
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -150,7 +129,6 @@ func New(cfg Config) (*Pipeline, error) {
 	p := &Pipeline{
 		cfg:           cfg,
 		accepted:      reg.Counter("stream_accepted_total"),
-		shed:          reg.Counter("stream_shed_total"),
 		filtered:      map[string]*obsv.Counter{},
 		batches:       reg.Counter("stream_batches_total"),
 		published:     reg.Counter("stream_published_records_total"),
@@ -169,7 +147,6 @@ func (p *Pipeline) Stats() Stats {
 	return Stats{
 		Emitted:       p.emitted.Load(),
 		Accepted:      p.accepted.Value(),
-		SourceShed:    p.shed.Value(),
 		Filtered:      p.filteredTotal.Load(),
 		Batches:       p.batches.Value(),
 		Published:     p.published.Value(),
@@ -184,9 +161,9 @@ func (p *Pipeline) Stats() Stats {
 // counted per batch, not fatal — a log pipeline must outlive its sink's
 // bad moments).
 func (p *Pipeline) Run(ctx context.Context) error {
-	events := make(chan Event, p.cfg.QueueLen)
-	imps := make(chan Impression, p.cfg.QueueLen)
-	batches := make(chan Batch, p.cfg.BatchQueueLen)
+	events := make(chan Event, queueCap)
+	imps := make(chan Impression, queueCap)
+	batches := make(chan Batch, batchQueueCap)
 
 	if p.cfg.Metrics != nil {
 		p.cfg.Metrics.GaugeFunc(`stream_queue_depth{stage="events"}`, func() float64 { return float64(len(events)) })
@@ -194,8 +171,8 @@ func (p *Pipeline) Run(ctx context.Context) error {
 		p.cfg.Metrics.GaugeFunc(`stream_queue_depth{stage="batches"}`, func() float64 { return float64(len(batches)) })
 	}
 
-	// Source. The emit closure is the admission edge: it owns the
-	// block-vs-shed decision and the accepted/shed ledger, and reports
+	// Source. The emit closure is the admission edge: it blocks until
+	// the events queue has space, counts the admission, and reports
 	// shutdown to the source by returning false.
 	srcErr := make(chan error, 1)
 	go func() {
@@ -207,23 +184,12 @@ func (p *Pipeline) Run(ctx context.Context) error {
 				return false
 			default:
 			}
-			switch p.cfg.OnFull {
-			case Shed:
-				select {
-				case events <- ev:
-					p.accepted.Inc()
-				default:
-					p.shed.Inc()
-				}
+			select {
+			case events <- ev:
+				p.accepted.Inc()
 				return true
-			default: // Block
-				select {
-				case events <- ev:
-					p.accepted.Inc()
-					return true
-				case <-ctx.Done():
-					return false
-				}
+			case <-ctx.Done():
+				return false
 			}
 		})
 	}()
@@ -280,40 +246,23 @@ func (p *Pipeline) enrich(ev Event) (Impression, string) {
 	return p.cfg.Enrich.Enrich(ev)
 }
 
-// batch groups impressions into size- and age-bounded batches. The age
-// timer arms when a batch gets its first impression and is read through
-// the injected clock, so tests drive flushes deterministically.
+// batch groups impressions into batches of at most MaxBatch, flushing
+// the partial tail when the input closes.
 func (p *Pipeline) batch(in <-chan Impression, out chan<- Batch) {
-	var (
-		seq     int64
-		pending []Impression
-		ageUp   <-chan time.Time
-	)
+	var seq int64
+	var pending []Impression
 	flush := func() {
-		if len(pending) == 0 {
-			return
-		}
 		seq++
 		out <- Batch{Seq: seq, Imps: pending}
 		pending = nil
-		ageUp = nil
 	}
-	for {
-		select {
-		case imp, ok := <-in:
-			if !ok {
-				flush()
-				return
-			}
-			if len(pending) == 0 && p.cfg.MaxAge > 0 {
-				ageUp = p.cfg.Clock.After(p.cfg.MaxAge)
-			}
-			pending = append(pending, imp)
-			if len(pending) >= p.cfg.MaxBatch {
-				flush()
-			}
-		case <-ageUp:
+	for imp := range in {
+		pending = append(pending, imp)
+		if len(pending) >= p.cfg.MaxBatch {
 			flush()
 		}
+	}
+	if len(pending) > 0 {
+		flush()
 	}
 }
