@@ -198,6 +198,10 @@ func runStream(w *world.World, from dates.Date, seed uint64, country string, day
 		fmt.Fprintln(os.Stderr, "logpipe: VERIFY FAILED: the stream emitted no events")
 		os.Exit(1)
 	}
+	if msg := ledgerDiff(st); msg != "" {
+		fmt.Fprintf(os.Stderr, "logpipe: VERIFY FAILED: drain ledger: %s\n", msg)
+		os.Exit(1)
+	}
 	switch srcName {
 	case "apnic":
 		// Exact equality with the batch generator, day by day.
@@ -236,6 +240,23 @@ func runStream(w *world.World, from dates.Date, seed uint64, country string, day
 		fmt.Fprintf(os.Stderr, "logpipe: verify ok — stream ledger matches batch aggregator (%d human, %d dropped)\n",
 			human, wantFiltered)
 	}
+}
+
+// ledgerDiff returns "" when a drained pipeline's ledger reconciles —
+// every emitted event was accepted, every accepted event was filtered
+// or published, and no publish failed — or a short description of the
+// first broken equation.
+func ledgerDiff(st stream.Stats) string {
+	switch {
+	case st.Emitted != st.Accepted:
+		return fmt.Sprintf("emitted %d != accepted %d", st.Emitted, st.Accepted)
+	case st.Accepted != st.Filtered+st.Published+st.PublishFailed:
+		return fmt.Sprintf("accepted %d != filtered %d + published %d + publish_failed %d",
+			st.Accepted, st.Filtered, st.Published, st.PublishFailed)
+	case st.PublishFailed != 0:
+		return fmt.Sprintf("%d impressions in failed publishes", st.PublishFailed)
+	}
+	return ""
 }
 
 // reportDiff returns "" when the reports agree exactly, or a short

@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/stream"
 )
 
 func TestCheckFlags(t *testing.T) {
@@ -36,6 +38,31 @@ func TestCheckFlags(t *testing.T) {
 				t.Errorf("checkFlags date = %s, want %s", d, tc.date)
 			case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
 				t.Errorf("checkFlags error = %v, want one containing %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+func TestLedgerDiff(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		st      stream.Stats
+		wantErr string // substring; empty means the ledger reconciles
+	}{
+		{"reconciled", stream.Stats{Emitted: 1900, Accepted: 1900, Filtered: 205, Batches: 4, Published: 1695}, ""},
+		{"all filtered", stream.Stats{Emitted: 7, Accepted: 7, Filtered: 7}, ""},
+		{"emitted not accepted", stream.Stats{Emitted: 1900, Accepted: 1899, Filtered: 205, Published: 1694}, "emitted 1900 != accepted 1899"},
+		{"lost in the pipeline", stream.Stats{Emitted: 1900, Accepted: 1900, Filtered: 205, Published: 1694}, "accepted 1900 != filtered 205 + published 1694"},
+		{"duplicated", stream.Stats{Emitted: 10, Accepted: 10, Published: 11}, "accepted 10"},
+		{"publish failed", stream.Stats{Emitted: 1900, Accepted: 1900, Filtered: 205, Published: 1183, PublishFailed: 512}, "512 impressions in failed publishes"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := ledgerDiff(tc.st)
+			switch {
+			case tc.wantErr == "" && got != "":
+				t.Errorf("ledgerDiff(%+v) = %q, want reconciled", tc.st, got)
+			case tc.wantErr != "" && !strings.Contains(got, tc.wantErr):
+				t.Errorf("ledgerDiff(%+v) = %q, want one containing %q", tc.st, got, tc.wantErr)
 			}
 		})
 	}

@@ -73,6 +73,17 @@ func TestQuickRecordRoundTrip(t *testing.T) {
 	}
 }
 
+// pairRecords collects one (country, org) pair's records from the
+// sampler's iterator.
+func pairRecords(s *Sampler, pair orgs.CountryOrg, d dates.Date, n int) []Record {
+	var out []Record
+	s.eachPairRecord(pair, d, n, func(rec Record) bool {
+		out = append(out, rec)
+		return true
+	})
+	return out
+}
+
 func TestSamplerAttribution(t *testing.T) {
 	s := NewSampler(testW, 3)
 	d := dates.New(2024, 4, 1)
@@ -87,7 +98,7 @@ func TestSamplerAttribution(t *testing.T) {
 	}
 	perPair := 200
 	for _, p := range pairs {
-		recs := s.PairRecords(p, d, perPair)
+		recs := pairRecords(s, p, d, perPair)
 		if len(recs) != perPair {
 			t.Fatalf("%v: got %d records", p, len(recs))
 		}
@@ -140,7 +151,7 @@ func TestSamplerVPNGeolocation(t *testing.T) {
 		t.Fatal("no VPN origins")
 	}
 	pair := orgs.CountryOrg{Country: origin, Org: vpn}
-	recs := s.PairRecords(pair, d, 50)
+	recs := pairRecords(s, pair, d, 50)
 	if len(recs) == 0 {
 		t.Fatal("no VPN records")
 	}
@@ -242,8 +253,11 @@ func TestReadFromSkipsBadLines(t *testing.T) {
 func TestSamplerDeterministic(t *testing.T) {
 	d := dates.New(2024, 4, 1)
 	pair := orgs.CountryOrg{Country: "FR", Org: testW.Market("FR").Entries[0].Org.ID}
-	a := NewSampler(testW, 9).PairRecords(pair, d, 20)
-	b := NewSampler(testW, 9).PairRecords(pair, d, 20)
+	a := pairRecords(NewSampler(testW, 9), pair, d, 20)
+	b := pairRecords(NewSampler(testW, 9), pair, d, 20)
+	if len(a) != 20 || len(b) != 20 {
+		t.Fatalf("got %d and %d records, want 20", len(a), len(b))
+	}
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("record %d differs", i)

@@ -56,14 +56,15 @@ func addrIn(p netip.Prefix, stream *rng.Stream) netip.Addr {
 	return netdb.AddrFromUint32(base + off)
 }
 
-// PairRecords synthesizes n records for one (country, org) pair on a day.
-// VPN pairs draw addresses from the egress block registered for the
+// eachPairRecord synthesizes n records for one (country, org) pair on a
+// day and yields each to fn, reporting false if fn stopped it early. VPN
+// pairs draw addresses from the egress block registered for the
 // record's true country, so the aggregator's geolocation step can be
-// verified end to end. It returns nil if the org announces no space.
-func (s *Sampler) PairRecords(pair orgs.CountryOrg, d dates.Date, n int) []Record {
+// verified end to end. An org that announces no space yields nothing.
+func (s *Sampler) eachPairRecord(pair orgs.CountryOrg, d dates.Date, n int, fn func(Record) bool) bool {
 	o, ok := s.w.Registry.ByID(pair.Org)
 	if !ok {
-		return nil
+		return true
 	}
 	// Candidate prefixes: those of the org's ASNs whose true country is
 	// the pair's country (for VPN orgs, the per-origin egress blocks).
@@ -77,7 +78,7 @@ func (s *Sampler) PairRecords(pair orgs.CountryOrg, d dates.Date, n int) []Recor
 		}
 	}
 	if len(prefixes) == 0 {
-		return nil
+		return true
 	}
 	sort.Slice(prefixes, func(i, j int) bool { return prefixes[i].Addr().Less(prefixes[j].Addr()) })
 
@@ -96,7 +97,6 @@ func (s *Sampler) PairRecords(pair orgs.CountryOrg, d dates.Date, n int) []Recor
 	stream := s.root.Derive(chanPair, ccKey, orgKey, day)
 	uaStream := s.root.Derive(chanUA, ccKey, orgKey, day)
 	gen := ua.NewGenerator(&uaStream, mobileShare)
-	out := make([]Record, 0, n)
 	for i := 0; i < n; i++ {
 		p := prefixes[stream.Intn(len(prefixes))]
 		rec := Record{
@@ -110,26 +110,27 @@ func (s *Sampler) PairRecords(pair orgs.CountryOrg, d dates.Date, n int) []Recor
 			rec.UserAgent = gen.Generate()
 			rec.BotScore = 55 + stream.Intn(45) // humans score high
 		}
-		out = append(out, rec)
+		if !fn(rec) {
+			return false
+		}
 	}
-	return out
+	return true
 }
 
 // EachDayRecord streams the records of every active pair of a country on
 // a day, perOrg records each, in the same deterministic order WriteDay
-// serializes them. fn returning false stops the iteration early. This is
-// the replayable feed behind the streaming pipeline's log source: the
-// same (world, seed, country, day) always replays the same records.
+// serializes them. Each record goes to fn as it is drawn; fn returning
+// false stops the iteration early. This is the replayable feed behind
+// the streaming pipeline's log source: the same (world, seed, country,
+// day) always replays the same records.
 func (s *Sampler) EachDayRecord(country string, d dates.Date, perOrg int, fn func(Record) bool) {
 	m := s.w.Market(country)
 	if m == nil {
 		return
 	}
 	for _, e := range m.ActiveEntries(d) {
-		for _, rec := range s.PairRecords(orgs.CountryOrg{Country: country, Org: e.Org.ID}, d, perOrg) {
-			if !fn(rec) {
-				return
-			}
+		if !s.eachPairRecord(orgs.CountryOrg{Country: country, Org: e.Org.ID}, d, perOrg, fn) {
+			return
 		}
 	}
 }

@@ -76,6 +76,7 @@ func TestStreamConvergence(t *testing.T) {
 	if err := p.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	checkLedger(t, p.Stats())
 
 	st := p.Stats()
 	if st.Emitted != st.Accepted {
@@ -118,6 +119,7 @@ func TestStreamConvergenceUnchunked(t *testing.T) {
 	if err := p.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	checkLedger(t, p.Stats())
 	reportsEqual(t, est.Report(d), gen.Generate(d))
 }
 
@@ -141,6 +143,7 @@ func TestRollingWindowEviction(t *testing.T) {
 	if err := p.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	checkLedger(t, p.Stats())
 
 	if got := est.DaysHeld(); got != 2 {
 		t.Fatalf("DaysHeld = %d, want 2", got)

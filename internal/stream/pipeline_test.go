@@ -60,6 +60,17 @@ func (r *recordingSink) impressions() int64 {
 	return n
 }
 
+// checkLedger asserts the drain ledger of a pipeline whose Run has
+// returned: every accepted event was filtered or delivered to the
+// publisher, and nothing was accepted that was not emitted.
+func checkLedger(t *testing.T, st Stats) {
+	t.Helper()
+	if st.Accepted != st.Filtered+st.Published+st.PublishFailed || st.Emitted < st.Accepted {
+		t.Fatalf("drain ledger broken: accepted %d != filtered %d + published %d + publish_failed %d (emitted %d)",
+			st.Accepted, st.Filtered, st.Published, st.PublishFailed, st.Emitted)
+	}
+}
+
 func preEvent(day dates.Date, asn uint32, weight int64) Event {
 	return Event{Day: day, Pre: &Impression{Day: day, CC: "FR", ASN: asn, Weight: weight}}
 }
@@ -95,9 +106,12 @@ func TestBlockPolicy(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- p.Run(context.Background()) }()
 
-	// With the publisher wedged on its first batch, admission stops once
-	// the bounded queues are full: the source waits instead of shedding.
-	pressure := int64(2*queueCap + batchQueueCap)
+	// With the publisher wedged on its first batch, the enrich stage
+	// stalls inside its first block (the batches queue is full) and the
+	// events queue fills behind it; the source then waits to hand on its
+	// next full block instead of shedding. Admission stops at exactly
+	// those blocks.
+	pressure := int64((1 + queueBlocks) * blockLen)
 	deadline := time.Now().Add(10 * time.Second)
 	for p.Stats().Accepted < pressure {
 		if time.Now().After(deadline) {
@@ -105,13 +119,15 @@ func TestBlockPolicy(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if st := p.Stats(); st.Emitted >= total || st.Published != 0 {
-		t.Fatalf("source not held back by the wedged publisher: %+v", st)
+	time.Sleep(20 * time.Millisecond)
+	if st := p.Stats(); st.Accepted != pressure || st.Emitted >= total || st.Published != 0 {
+		t.Fatalf("source not held back at %d accepted events by the wedged publisher: %+v", pressure, st)
 	}
 	close(gate)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
+	checkLedger(t, p.Stats())
 
 	st := p.Stats()
 	if st.Emitted != total || st.Accepted != total || st.Published != total {
@@ -162,6 +178,7 @@ func TestEnricherMatchesAggregator(t *testing.T) {
 	if err := p.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	checkLedger(t, p.Stats())
 
 	// Fold published impressions to (country, org) through the same
 	// registry the aggregator used.
@@ -233,6 +250,7 @@ func TestNoEnricherDropsRawRecords(t *testing.T) {
 	if err := p.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	checkLedger(t, p.Stats())
 	st := p.Stats()
 	if st.Filtered != 1 || p.filtered[ReasonUnresolvable].Value() != 1 {
 		t.Fatalf("want 1 unresolvable drop, got %+v", st)
@@ -267,6 +285,7 @@ func TestPublisherErrorsAreCountedNotFatal(t *testing.T) {
 	if runErr := p.Run(context.Background()); runErr != nil {
 		t.Fatalf("publish errors must not be fatal, Run returned %v", runErr)
 	}
+	checkLedger(t, p.Stats())
 	st := p.Stats()
 	if st.PublishFailed != 10 || st.Published != 0 {
 		t.Fatalf("want all 10 impressions counted failed: %+v", st)

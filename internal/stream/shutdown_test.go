@@ -44,7 +44,7 @@ func (s *notifySink) Close() error {
 //
 // The source is unbounded, so the pipeline can only stop via the
 // cancel; staggering when the cancel lands (by consuming a varying
-// number of batches first) moves the shutdown point across all four
+// number of batches first) moves the shutdown point across all three
 // stages. Run under -race this doubles as the concurrency proof.
 func TestShutdownDrainHammer(t *testing.T) {
 	d := dates.MustParse("2024-04-21")
@@ -120,6 +120,7 @@ func TestShutdownDrainHammer(t *testing.T) {
 				imps += int64(len(b.Imps))
 			}
 			st := p.Stats()
+			checkLedger(t, st)
 			if st.Accepted != st.Filtered+st.Published {
 				t.Fatalf("drain ledger broken: accepted %d != filtered %d + published %d",
 					st.Accepted, st.Filtered, st.Published)
@@ -164,6 +165,7 @@ func TestCancelBeforeStart(t *testing.T) {
 	if err := p.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
+	checkLedger(t, p.Stats())
 	st := p.Stats()
 	if st.Accepted != 0 || st.Published != 0 {
 		t.Fatalf("pre-cancelled run admitted work: %+v", st)

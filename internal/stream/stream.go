@@ -1,29 +1,35 @@
 // Package stream turns the batch cdnlog layer into a continuous
 // ingestion pipeline, in the beats mold: a replayable source emits raw
-// log events, a filter/enrich stage resolves them against the world's
-// routing database and drops bots, a size-bounded batcher groups the
-// survivors, and a publisher consumes the batches — all connected by
-// bounded channels.
+// log events, an enrich stage resolves them against the world's routing
+// database, drops bots and groups the survivors into size-bounded
+// batches, and a publisher consumes the batches — connected by bounded
+// channels.
 //
 // Stage graph:
 //
-//	Source ──emit──▶ [events] ──▶ Enrich ──▶ [imps] ──▶ Batch ──▶ [batches] ──▶ Publish
-//	                 bounded        drops      bounded    flush on    bounded       sink
-//	                 blocking       counted               size
+//	Source ──emit──▶ [events] ──▶ Enrich+Batch ──▶ [batches] ──▶ Publish
+//	                 bounded       drops counted,    bounded       sink
+//	                 blocking,     flush on size
+//	                 blocks of 64
 //
-// The pipeline is lossless. The source's emit blocks until the events
-// queue has space, so the source runs at the pipeline's pace, and every
-// later edge blocks too: once an event is accepted it is never dropped,
-// so after a graceful drain
+// The source's events cross to the enrich stage in blocks of blockLen
+// (64), so a channel operation is paid per block, not per event. The
+// block being filled lives on the source goroutine; it is handed on when
+// it fills and, partial, when the source returns.
+//
+// The pipeline is lossless. Handing on a full block blocks until the
+// events queue has space, so the source runs at the pipeline's pace,
+// and every later edge blocks too: once an event is accepted it is never
+// dropped, so after a graceful drain
 //
 //	accepted == filtered + published + publish_failed
 //
 // holds exactly (the reconciliation tests pin it).
 //
 // Shutdown is a drain, not an abort: cancelling the Run context stops
-// the source, then each stage closes its output after exhausting its
-// input, so every accepted event reaches the publisher exactly once
-// before Run returns.
+// the source, the source's last block is handed on, then each stage
+// closes its output after exhausting its input, so every accepted event
+// reaches the publisher exactly once before Run returns.
 //
 // On top of the pipeline, RollingEstimator (estimator.go) maintains
 // APNIC-style per-(country, AS) user estimates over a sliding window and
@@ -49,8 +55,9 @@ type Policy int
 const Block Policy = 0
 
 const (
-	queueCap      = 256 // capacity of the events and impressions channels
-	batchQueueCap = 8   // capacity of the batches channel
+	blockLen      = 64 // events per source→enrich handoff
+	queueBlocks   = 4  // capacity of the events channel, in blocks
+	batchQueueCap = 8  // capacity of the batches channel
 )
 
 // Config parameterizes one pipeline.
@@ -142,7 +149,8 @@ func New(cfg Config) (*Pipeline, error) {
 
 // Stats snapshots the ledger. Totals are exact once Run has returned;
 // mid-run they are a consistent-enough monitoring view (each counter is
-// atomic, the set is not).
+// atomic, the set is not), and Emitted and Accepted leave out the events
+// of the block the source is still filling.
 func (p *Pipeline) Stats() Stats {
 	return Stats{
 		Emitted:       p.emitted.Load(),
@@ -161,60 +169,67 @@ func (p *Pipeline) Stats() Stats {
 // counted per batch, not fatal — a log pipeline must outlive its sink's
 // bad moments).
 func (p *Pipeline) Run(ctx context.Context) error {
-	events := make(chan Event, queueCap)
-	imps := make(chan Impression, queueCap)
+	events := make(chan []Event, queueBlocks)
 	batches := make(chan Batch, batchQueueCap)
 
 	if p.cfg.Metrics != nil {
-		p.cfg.Metrics.GaugeFunc(`stream_queue_depth{stage="events"}`, func() float64 { return float64(len(events)) })
-		p.cfg.Metrics.GaugeFunc(`stream_queue_depth{stage="impressions"}`, func() float64 { return float64(len(imps)) })
+		// Counted in events; every queued block but the source's last
+		// is full.
+		p.cfg.Metrics.GaugeFunc(`stream_queue_depth{stage="events"}`, func() float64 { return float64(len(events) * blockLen) })
 		p.cfg.Metrics.GaugeFunc(`stream_queue_depth{stage="batches"}`, func() float64 { return float64(len(batches)) })
 	}
 
-	// Source. The emit closure is the admission edge: it blocks until
-	// the events queue has space, counts the admission, and reports
-	// shutdown to the source by returning false.
+	// Source. The emit closure is the admission edge: it fills a block,
+	// hands it on when full — blocking until the events queue has
+	// space — and reports shutdown to the source by returning false.
+	// Events are counted emitted and accepted as their block is handed
+	// on; an emit refused after cancellation counts emitted only.
 	srcErr := make(chan error, 1)
 	go func() {
 		defer close(events)
-		srcErr <- p.cfg.Source.Run(ctx, func(ev Event) bool {
-			p.emitted.Add(1)
+		done := ctx.Done()
+		block := make([]Event, 0, blockLen)
+		handOff := func() {
+			p.emitted.Add(int64(len(block)))
+			p.accepted.Add(int64(len(block)))
+			block = make([]Event, 0, blockLen)
+		}
+		err := p.cfg.Source.Run(ctx, func(ev Event) bool {
 			select {
-			case <-ctx.Done():
+			case <-done:
+				p.emitted.Add(1)
 				return false
 			default:
 			}
-			select {
-			case events <- ev:
-				p.accepted.Inc()
+			block = append(block, ev)
+			if len(block) < blockLen {
 				return true
-			case <-ctx.Done():
-				return false
+			}
+			select {
+			case events <- block:
+				handOff()
+				return true
+			case <-done:
+				return false // the full block is handed on below
 			}
 		})
-	}()
-
-	// Enrich. Downstream edges deliberately ignore ctx: once an event is
-	// accepted it must reach the publisher (the drain guarantee), and
-	// every consumer runs until its input closes, so blocking sends
-	// cannot deadlock.
-	go func() {
-		defer close(imps)
-		for ev := range events {
-			imp, reason := p.enrich(ev)
-			if reason != "" {
-				p.filteredTotal.Add(1)
-				p.filtered[reason].Inc()
-				continue
-			}
-			imps <- imp
+		// The source has returned: its last block is accepted work.
+		// Enrich drains until the channel closes, so this send ignores
+		// ctx and cannot deadlock.
+		if len(block) > 0 {
+			events <- block
+			handOff()
 		}
+		srcErr <- err
 	}()
 
-	// Batch.
+	// Enrich and batch. Downstream edges deliberately ignore ctx: once
+	// an event is accepted it must reach the publisher (the drain
+	// guarantee), and every consumer runs until its input closes, so
+	// blocking sends cannot deadlock.
 	go func() {
 		defer close(batches)
-		p.batch(imps, batches)
+		p.enrichAndBatch(events, batches)
 	}()
 
 	// Publish, on the Run goroutine: when the batches channel closes the
@@ -236,30 +251,41 @@ func (p *Pipeline) Run(ctx context.Context) error {
 
 // enrich resolves one event, passing pre-resolved impressions straight
 // through. An empty reason means accepted.
-func (p *Pipeline) enrich(ev Event) (Impression, string) {
+func (p *Pipeline) enrich(ev *Event) (Impression, string) {
 	if ev.Pre != nil {
 		return *ev.Pre, ""
 	}
 	if p.cfg.Enrich == nil {
 		return Impression{}, ReasonUnresolvable
 	}
-	return p.cfg.Enrich.Enrich(ev)
+	return p.cfg.Enrich.Enrich(*ev)
 }
 
-// batch groups impressions into batches of at most MaxBatch, flushing
+// enrichAndBatch resolves every event of every block, counts the drops,
+// and groups the survivors into batches of at most MaxBatch, flushing
 // the partial tail when the input closes.
-func (p *Pipeline) batch(in <-chan Impression, out chan<- Batch) {
+func (p *Pipeline) enrichAndBatch(in <-chan []Event, out chan<- Batch) {
 	var seq int64
 	var pending []Impression
 	flush := func() {
 		seq++
 		out <- Batch{Seq: seq, Imps: pending}
-		pending = nil
+		// The publisher owns the sent batch; the next one starts at the
+		// capacity this one grew to.
+		pending = make([]Impression, 0, cap(pending))
 	}
-	for imp := range in {
-		pending = append(pending, imp)
-		if len(pending) >= p.cfg.MaxBatch {
-			flush()
+	for block := range in {
+		for i := range block {
+			imp, reason := p.enrich(&block[i])
+			if reason != "" {
+				p.filteredTotal.Add(1)
+				p.filtered[reason].Inc()
+				continue
+			}
+			pending = append(pending, imp)
+			if len(pending) >= p.cfg.MaxBatch {
+				flush()
+			}
 		}
 	}
 	if len(pending) > 0 {

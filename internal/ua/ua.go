@@ -7,7 +7,7 @@
 package ua
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/rng"
@@ -115,53 +115,94 @@ func NewGenerator(stream *rng.Stream, mobileShare float64) *Generator {
 	return &Generator{stream: stream, mobileShare: mobileShare}
 }
 
+// maxAgentLen bounds a generated human User-Agent (the longest, desktop
+// Edge on macOS with three-digit Chrome patch numbers, is 141 bytes), so
+// Generate can build it in a stack buffer.
+const maxAgentLen = 192
+
 // Generate returns a synthetic human-browser User-Agent. Two calls almost
 // never return identical strings because the browser build number is drawn
 // from a large space — mirroring the empirical near-uniqueness of real UA
-// strings that the paper's user-counting relies on.
+// strings that the paper's user-counting relies on. The agent is appended
+// into a stack buffer, so the returned string is the call's only
+// allocation.
 func (g *Generator) Generate() string {
+	var buf [maxAgentLen]byte
+	var b []byte
 	if g.stream.Bool(g.mobileShare) {
-		return g.mobile()
+		b = g.appendMobile(buf[:0])
+	} else {
+		b = g.appendDesktop(buf[:0])
 	}
-	return g.desktop()
+	return string(b)
 }
 
-func (g *Generator) chromeVersion() string {
+// appendChromeVersion appends "major.0.build.patch".
+func (g *Generator) appendChromeVersion(b []byte) []byte {
 	major := 110 + g.stream.Intn(20)
 	build := 5000 + g.stream.Intn(2000)
 	patch := g.stream.Intn(200)
-	return fmt.Sprintf("%d.0.%d.%d", major, build, patch)
+	b = strconv.AppendInt(b, int64(major), 10)
+	b = append(b, ".0."...)
+	b = strconv.AppendInt(b, int64(build), 10)
+	b = append(b, '.')
+	return strconv.AppendInt(b, int64(patch), 10)
 }
 
-func (g *Generator) desktop() string {
+// appendSafariVersion appends "major.minor" of a Safari release.
+func (g *Generator) appendSafariVersion(b []byte) []byte {
+	v := 16 + g.stream.Intn(2)
+	minor := g.stream.Intn(6)
+	b = strconv.AppendInt(b, int64(v), 10)
+	b = append(b, '.')
+	return strconv.AppendInt(b, int64(minor), 10)
+}
+
+func (g *Generator) appendDesktop(b []byte) []byte {
 	p := desktopPlatforms[g.stream.Categorical(desktopCum)]
+	b = append(b, "Mozilla/5.0 ("...)
+	b = append(b, p.frag...)
 	switch g.stream.Intn(10) {
 	case 0, 1: // Firefox
-		v := 115 + g.stream.Intn(12)
-		return fmt.Sprintf("Mozilla/5.0 (%s; rv:%d.0) Gecko/20100101 Firefox/%d.0", p.frag, v, v)
+		v := int64(115 + g.stream.Intn(12))
+		b = append(b, "; rv:"...)
+		b = strconv.AppendInt(b, v, 10)
+		b = append(b, ".0) Gecko/20100101 Firefox/"...)
+		b = strconv.AppendInt(b, v, 10)
+		return append(b, ".0"...)
 	case 2: // Safari (only plausible on macOS; fall through otherwise)
 		if p.os == "macOS" {
-			v := 16 + g.stream.Intn(2)
-			minor := g.stream.Intn(6)
-			return fmt.Sprintf("Mozilla/5.0 (%s) AppleWebKit/605.1.15 (KHTML, like Gecko) Version/%d.%d Safari/605.1.15", p.frag, v, minor)
+			b = append(b, ") AppleWebKit/605.1.15 (KHTML, like Gecko) Version/"...)
+			b = g.appendSafariVersion(b)
+			return append(b, " Safari/605.1.15"...)
 		}
 		fallthrough
 	case 3: // Edge
-		ver := g.chromeVersion()
-		return fmt.Sprintf("Mozilla/5.0 (%s) AppleWebKit/537.36 (KHTML, like Gecko) Chrome/%s Safari/537.36 Edg/%s", p.frag, ver, ver)
+		b = append(b, ") AppleWebKit/537.36 (KHTML, like Gecko) Chrome/"...)
+		n := len(b)
+		b = g.appendChromeVersion(b)
+		ver := b[n:]
+		b = append(b, " Safari/537.36 Edg/"...)
+		return append(b, ver...) // b's own tail: the copy reads the old bytes
 	default: // Chrome
-		return fmt.Sprintf("Mozilla/5.0 (%s) AppleWebKit/537.36 (KHTML, like Gecko) Chrome/%s Safari/537.36", p.frag, g.chromeVersion())
+		b = append(b, ") AppleWebKit/537.36 (KHTML, like Gecko) Chrome/"...)
+		b = g.appendChromeVersion(b)
+		return append(b, " Safari/537.36"...)
 	}
 }
 
-func (g *Generator) mobile() string {
+func (g *Generator) appendMobile(b []byte) []byte {
 	p := mobilePlatforms[g.stream.Categorical(mobileCum)]
+	b = append(b, "Mozilla/5.0 ("...)
+	b = append(b, p.frag...)
 	if p.os == "iOS" {
-		v := 16 + g.stream.Intn(2)
-		minor := g.stream.Intn(6)
-		return fmt.Sprintf("Mozilla/5.0 (%s) AppleWebKit/605.1.15 (KHTML, like Gecko) Version/%d.%d Mobile/15E148 Safari/604.1", p.frag, v, minor)
+		b = append(b, ") AppleWebKit/605.1.15 (KHTML, like Gecko) Version/"...)
+		b = g.appendSafariVersion(b)
+		return append(b, " Mobile/15E148 Safari/604.1"...)
 	}
-	return fmt.Sprintf("Mozilla/5.0 (%s) AppleWebKit/537.36 (KHTML, like Gecko) Chrome/%s Mobile Safari/537.36", p.frag, g.chromeVersion())
+	b = append(b, ") AppleWebKit/537.36 (KHTML, like Gecko) Chrome/"...)
+	b = g.appendChromeVersion(b)
+	return append(b, " Mobile Safari/537.36"...)
 }
 
 // GenerateBot returns a bot User-Agent.

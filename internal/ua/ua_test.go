@@ -175,3 +175,27 @@ func TestDesktopSafariOnlyOnMac(t *testing.T) {
 		}
 	}
 }
+
+// TestGenerateAllocs holds the synthesis budget: Generate builds the
+// agent in a stack buffer, so its string is the one allocation, and
+// GenerateBot returns a table entry without allocating.
+func TestGenerateAllocs(t *testing.T) {
+	for _, share := range []float64{0, 0.5, 1} {
+		g := NewGenerator(rng.New(6), share)
+		if n := testing.AllocsPerRun(2000, func() { g.Generate() }); n > 1 {
+			t.Errorf("Generate (mobile share %v) makes %v allocations per call, want <= 1", share, n)
+		}
+	}
+	g := NewGenerator(rng.New(7), 0.5)
+	if n := testing.AllocsPerRun(2000, func() { g.GenerateBot() }); n != 0 {
+		t.Errorf("GenerateBot makes %v allocations per call, want 0", n)
+	}
+}
+
+func BenchmarkGenerate(b *testing.B) {
+	g := NewGenerator(rng.New(8), 0.3)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		g.Generate()
+	}
+}
