@@ -25,6 +25,7 @@ func (r *Report) Frame() *source.Frame {
 	pctCC := f.AddFloats("% of Country")
 	pctNet := f.AddFloats("% of Internet")
 	samples := f.AddInts("Samples")
+	f.Grow(len(r.Rows))
 	for _, row := range r.Rows {
 		rank.Ints = append(rank.Ints, int64(row.Rank))
 		as.Ints = append(as.Ints, int64(row.ASN))

@@ -37,6 +37,19 @@
 // per resident day, and identity CSV/JSON bodies stream in chunks of at
 // most 32 KiB without materializing the rendered report. See
 // conditional.go and serveImmutable.
+//
+// Each dataset-day the server touches is one source.Artifact, evicted
+// whole with the day. Besides the frame it holds, each part built on
+// first use: the content hash (the ETag base), the .bin and .binz
+// encodings, the legacy APNIC CSV with its body hash, one gzip body per
+// representation kept at exact size, the series row index, and the
+// digit table of every float cell's shortest round-trip digits.
+// Identity CSV and JSON are the one representation not memoized: held
+// for every hot day, those bodies would raise the server's peak memory
+// by about a quarter. They stream from the frame instead, and take
+// their float text from the digit table, which costs 20 bytes per float
+// cell and spares every request strconv's shortest-digit search, most
+// of a text render's CPU.
 package apnicweb
 
 import (
@@ -70,8 +83,9 @@ import (
 // The server keeps no day cache of its own. Every dataset-day lives in
 // one place, the registry's artifact (source.Registry.Artifact): the
 // frame plus its content hash, every encoded body (bin, binz, legacy CSV,
-// gzip) and the series row index. Concurrent requests for one day share
-// one generation and one fill per part; distinct days fill in parallel.
+// gzip), the series row index and the float digit table. Concurrent
+// requests for one day share one generation and one fill per part;
+// distinct days fill in parallel.
 // The artifact cache is a bounded LRU per dataset (NewMultiServer's
 // cacheDays sets the capacity, default source.DefaultCacheDays), and a
 // day's parts are evicted with it. Eviction is safe because every part
@@ -89,10 +103,11 @@ type Server struct {
 	metrics  *obsv.Registry
 	writeCSV func(*apnic.Report, io.Writer) error // seam for render-failure tests
 
-	// Streaming seams: the identity CSV/JSON report paths write the frame
-	// straight to the client; tests inject mid-stream failures here.
-	writeFrameCSV  func(*source.Frame, io.Writer) error
-	writeFrameJSON func(*source.Frame, io.Writer) error
+	// Streaming seams: the identity CSV/JSON report paths write the day's
+	// artifact straight to the client; tests inject mid-stream failures
+	// here.
+	writeFrameCSV  func(*source.Artifact, io.Writer) error
+	writeFrameJSON func(*source.Artifact, io.Writer) error
 
 	renderErrs   *obsv.Counter
 	streamAborts *obsv.Counter
@@ -118,8 +133,8 @@ func NewMultiServer(w *world.World, seed uint64, first, last dates.Date, cacheDa
 		last:           last,
 		metrics:        metrics,
 		writeCSV:       (*apnic.Report).WriteCSV,
-		writeFrameCSV:  (*source.Frame).WriteCSV,
-		writeFrameJSON: (*source.Frame).WriteJSON,
+		writeFrameCSV:  (*source.Artifact).WriteCSV,
+		writeFrameJSON: (*source.Artifact).WriteJSON,
 	}
 	s.renderErrs = metrics.Counter("apnicweb_render_errors_total")
 	s.streamAborts = metrics.Counter("apnicweb_stream_aborts_total")
@@ -353,10 +368,10 @@ func (s *Server) handleDatasetReport(w http.ResponseWriter, r *http.Request) {
 		b.noGzip = true
 	case wantCSV:
 		b.repr, b.contentType = "csv", "text/csv; charset=utf-8"
-		b.stream = func(w io.Writer) error { return s.writeFrameCSV(a.Frame, w) }
+		b.stream = func(w io.Writer) error { return s.writeFrameCSV(a, w) }
 	default:
 		b.repr, b.contentType = "json", "application/json"
-		b.stream = func(w io.Writer) error { return s.writeFrameJSON(a.Frame, w) }
+		b.stream = func(w io.Writer) error { return s.writeFrameJSON(a, w) }
 	}
 	s.serveImmutable(w, r, b)
 }
@@ -515,6 +530,11 @@ var gzipWriters = sync.Pool{
 	},
 }
 
+// gzipBufs pools the buffers gzip fills compress into. The memo keeps
+// an exact-size copy of each body, so a pooled buffer's growth is paid
+// once, not left behind as garbage by every fill.
+var gzipBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 // gzipBody returns the gzip representation, rendered and compressed at
 // most once per representation while the day's artifact is resident
 // (memoized under the ETag variant, e.g. "csv.gz"). The fill renders from
@@ -523,9 +543,11 @@ var gzipWriters = sync.Pool{
 // and level, so a refill after eviction is byte-identical.
 func (s *Server) gzipBody(b immutableBody) ([]byte, error) {
 	gz := b.art.Body(b.repr+".gz", func(*source.Frame) source.Body {
-		var buf bytes.Buffer
+		buf := gzipBufs.Get().(*bytes.Buffer)
+		defer gzipBufs.Put(buf)
+		buf.Reset()
 		zw := gzipWriters.Get().(*gzip.Writer)
-		zw.Reset(&buf)
+		zw.Reset(buf)
 		var err error
 		if b.body != nil {
 			_, err = zw.Write(b.body)
@@ -541,7 +563,9 @@ func (s *Server) gzipBody(b immutableBody) ([]byte, error) {
 		if err != nil {
 			return source.Body{Err: err}
 		}
-		return source.Body{Bytes: buf.Bytes()}
+		// The body stays resident with the day: keep an exact-size copy,
+		// not the pooled buffer.
+		return source.Body{Bytes: bytes.Clone(buf.Bytes())}
 	})
 	return gz.Bytes, gz.Err
 }

@@ -46,13 +46,13 @@ func TestArtifactLifecycle(t *testing.T) {
 	}
 	// Frame CSV and JSON stream on every identity response and render
 	// once more into each gzip body.
-	srv.writeFrameCSV = func(f *source.Frame, w io.Writer) error {
+	srv.writeFrameCSV = func(a *source.Artifact, w io.Writer) error {
 		streams.Add(1)
-		return f.WriteCSV(w)
+		return a.WriteCSV(w)
 	}
-	srv.writeFrameJSON = func(f *source.Frame, w io.Writer) error {
+	srv.writeFrameJSON = func(a *source.Artifact, w io.Writer) error {
 		streams.Add(1)
-		return f.WriteJSON(w)
+		return a.WriteJSON(w)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

@@ -25,10 +25,10 @@ func TestHeadStreamingRoutes(t *testing.T) {
 	srv := newTestServer(0)
 	// Poison the streaming seams: any attempt to render a body on the
 	// HEAD path shows up as a failure.
-	srv.writeFrameCSV = func(*source.Frame, io.Writer) error {
+	srv.writeFrameCSV = func(*source.Artifact, io.Writer) error {
 		return errors.New("HEAD must not render")
 	}
-	srv.writeFrameJSON = func(*source.Frame, io.Writer) error {
+	srv.writeFrameJSON = func(*source.Artifact, io.Writer) error {
 		return errors.New("HEAD must not render")
 	}
 	ts := httptest.NewServer(srv.Handler())

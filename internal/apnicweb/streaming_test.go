@@ -194,7 +194,7 @@ func TestStreamErrorAbortsConnection(t *testing.T) {
 	path := "/v1/cdn/reports/" + d.String() + ".csv"
 
 	realWrite := srv.writeFrameCSV
-	srv.writeFrameCSV = func(f *source.Frame, w io.Writer) error {
+	srv.writeFrameCSV = func(_ *source.Artifact, w io.Writer) error {
 		// Write past net/http's 4KB response buffer so the 200 and a
 		// partial body are committed to the wire before the failure.
 		row := []byte("FR,example,123456\n")
@@ -257,7 +257,7 @@ func TestGzipRenderErrorCleanrooms500(t *testing.T) {
 	d := dates.New(2024, 10, 3)
 	path := "/v1/mlab/reports/" + d.String() + ".csv"
 
-	srv.writeFrameCSV = func(*source.Frame, io.Writer) error {
+	srv.writeFrameCSV = func(*source.Artifact, io.Writer) error {
 		return errors.New("render failed before any byte")
 	}
 	resp := rawGet(t, ts, path, map[string]string{"Accept-Encoding": "gzip"})

@@ -22,9 +22,12 @@ func (ds *Dataset) Frame() *source.Frame {
 	org := f.AddStrings("Org")
 	share := f.AddFloats("Share")
 	ccs := make([]string, 0, len(ds.Shares))
-	for c := range ds.Shares {
+	rows := 0
+	for c, row := range ds.Shares {
 		ccs = append(ccs, c)
+		rows += len(row)
 	}
+	f.Grow(rows)
 	sort.Strings(ccs)
 	for _, c := range ccs {
 		row := ds.Shares[c]

@@ -23,6 +23,7 @@ func (s *Snapshot) Frame() *source.Frame {
 	bots := f.AddInts("Filtered Bots")
 	uas := f.AddFloats("User Agents")
 	bytes := f.AddFloats("Bytes")
+	f.Grow(len(pairs))
 	for _, pair := range pairs {
 		st := s.Stats[pair]
 		cc.Strs = append(cc.Strs, pair.Country)

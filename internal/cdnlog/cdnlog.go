@@ -40,7 +40,12 @@ const fieldSep = '\t'
 
 // Append serializes the record as one log line (no trailing newline).
 func (r Record) Append(buf []byte) []byte {
-	buf = append(buf, r.Client.String()...)
+	if r.Client.IsValid() {
+		buf = r.Client.AppendTo(buf)
+	} else {
+		// AppendTo writes nothing for the zero Addr; keep String's text.
+		buf = append(buf, r.Client.String()...)
+	}
 	buf = append(buf, fieldSep)
 	buf = strconv.AppendInt(buf, r.Bytes, 10)
 	buf = append(buf, fieldSep)

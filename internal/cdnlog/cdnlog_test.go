@@ -348,3 +348,27 @@ func TestReadFromCRLF(t *testing.T) {
 		t.Fatalf("CRLF record: parsed=%d err=%v", parsed, err)
 	}
 }
+
+// TestRecordAppendClient pins the client field's bytes, which must be
+// netip.Addr.String's for every address, the zero Addr's "invalid IP"
+// included, and that appending into a buffer with room allocates
+// nothing.
+func TestRecordAppendClient(t *testing.T) {
+	buf := make([]byte, 0, 256)
+	for _, addr := range []netip.Addr{
+		netip.MustParseAddr("192.0.2.7"),
+		netip.MustParseAddr("2001:db8::1"),
+		netip.MustParseAddr("::ffff:192.0.2.7"),
+		netip.MustParseAddr("fe80::1%eth0"),
+		{},
+	} {
+		rec := Record{Client: addr, Bytes: 512, BotScore: 42, UserAgent: "ua"}
+		want := addr.String() + "\t512\t42\tua"
+		if got := string(rec.Append(buf[:0])); got != want {
+			t.Errorf("Append(%v) = %q, want %q", addr, got, want)
+		}
+		if n := testing.AllocsPerRun(100, func() { buf = rec.Append(buf[:0]) }); n != 0 {
+			t.Errorf("Append(%v) into a reused buffer: %v allocs, want 0", addr, n)
+		}
+	}
+}

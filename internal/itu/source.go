@@ -53,6 +53,7 @@ func (t *Table) Frame() *source.Frame {
 	f := source.NewFrame(DatasetName, t.Date)
 	cc := f.AddStrings("CC")
 	users := f.AddFloats("Users")
+	f.Grow(len(ccs))
 	for _, c := range ccs {
 		cc.Strs = append(cc.Strs, c)
 		users.Floats = append(users.Floats, t.Users[c])

@@ -30,6 +30,7 @@ func (s *Snapshot) Frame() *source.Frame {
 	org := f.AddStrings("Org")
 	cap := f.AddFloats("Capacity")
 	pni := f.AddFloats("PNI")
+	f.Grow(len(pairs))
 	for _, pair := range pairs {
 		cc.Strs = append(cc.Strs, pair.Country)
 		org.Strs = append(org.Strs, pair.Org)

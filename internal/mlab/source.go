@@ -21,6 +21,7 @@ func (ds *Dataset) Frame() *source.Frame {
 	cc := f.AddStrings("CC")
 	org := f.AddStrings("Org")
 	tests := f.AddFloats("Tests")
+	f.Grow(len(pairs))
 	for _, pair := range pairs {
 		cc.Strs = append(cc.Strs, pair.Country)
 		org.Strs = append(org.Strs, pair.Org)

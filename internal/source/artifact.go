@@ -1,6 +1,7 @@
 package source
 
 import (
+	"io"
 	"strconv"
 	"strings"
 	"sync"
@@ -10,7 +11,8 @@ import (
 
 // Artifact is one resident dataset-day: the frame plus everything the
 // serving path derives from it — the content hash, encoded bodies keyed
-// by representation name, and a series row index. Each part is filled
+// by representation name, a series row index, and the digit table the
+// text encoders format float cells from. Each part is filled
 // lazily at most once (concurrent callers share one fill) and is evicted
 // together with the day. Every part is a pure function of the frame, so
 // a refill after eviction is byte-identical.
@@ -23,6 +25,9 @@ type Artifact struct {
 	hash     string
 	bodies   syncx.Cache[string, Body]
 	indexes  syncx.Cache[string, map[string]int]
+
+	digitsOnce sync.Once
+	digits     digitTable
 }
 
 // Body is one memoized representation of an artifact. A render error is
@@ -38,6 +43,22 @@ type Body struct {
 func (a *Artifact) Hash() string {
 	a.hashOnce.Do(func() { a.hash = a.Frame.ContentHash() })
 	return a.hash
+}
+
+// WriteCSV writes the frame's CSV encoding, byte-identical to
+// Frame.WriteCSV, formatting float cells from the artifact's digit
+// table: the shortest-digit search runs once per cell while the day is
+// resident, not once per encode.
+func (a *Artifact) WriteCSV(w io.Writer) error { return a.Frame.writeCSV(w, a.digitTable()) }
+
+// WriteJSON writes the frame's JSON encoding, byte-identical to
+// Frame.WriteJSON, from the same digit table as WriteCSV.
+func (a *Artifact) WriteJSON(w io.Writer) error { return a.Frame.writeJSON(w, a.digitTable()) }
+
+// digitTable returns the frame's digit table, built on first use.
+func (a *Artifact) digitTable() digitTable {
+	a.digitsOnce.Do(func() { a.digits = newDigitTable(a.Frame) })
+	return a.digits
 }
 
 // Body returns the representation named repr, running render at most

@@ -1,7 +1,10 @@
 package source
 
 import (
+	"bytes"
 	"errors"
+	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -160,5 +163,69 @@ func TestArtifactEvictedWithDay(t *testing.T) {
 	}
 	if got := src.gens.Load(); got != 3 {
 		t.Fatalf("Generate ran %d times, want 3", got)
+	}
+}
+
+// TestArtifactDigitTableOnce: concurrent first text encodes of one
+// artifact share one digit table, every encode matches the frame's
+// per-cell render byte for byte, and a warm encode builds nothing: it
+// allocates no more than the per-cell render does.
+func TestArtifactDigitTableOnce(t *testing.T) {
+	f := wideTextFrame(2000)
+	var wantCSV, wantJSON bytes.Buffer
+	if err := f.WriteCSV(&wantCSV); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.WriteJSON(&wantJSON); err != nil {
+		t.Fatal(err)
+	}
+	a := &Artifact{Frame: f}
+	users := slices.IndexFunc(f.Cols, func(c *Column) bool { return c.Name == "Users" })
+	const workers = 32
+	tables := make([]*floatDigits, workers)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for i := 0; i < workers; i++ {
+		go func(i int) {
+			defer wg.Done()
+			var got bytes.Buffer
+			write, want := a.WriteCSV, wantCSV.Bytes()
+			if i%2 == 1 {
+				write, want = a.WriteJSON, wantJSON.Bytes()
+			}
+			if err := write(&got); err != nil {
+				t.Error(err)
+				return
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("worker %d: artifact render differs from the per-cell render", i)
+			}
+			tables[i] = &a.digitTable()[users][0]
+		}(i)
+	}
+	wg.Wait()
+	for i := 1; i < workers; i++ {
+		if tables[i] != tables[0] {
+			t.Fatalf("worker %d saw a second digit table; concurrent encodes must share one build", i)
+		}
+	}
+
+	if raceEnabled {
+		return // sync.Pool drops items at random under the race detector
+	}
+	for name, c := range map[string]struct{ artifact, frame func(io.Writer) error }{
+		"csv":  {a.WriteCSV, f.WriteCSV},
+		"json": {a.WriteJSON, f.WriteJSON},
+	} {
+		allocs := func(write func(io.Writer) error) float64 {
+			return testing.AllocsPerRun(20, func() {
+				if err := write(io.Discard); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if warm, perCell := allocs(c.artifact), allocs(c.frame); warm > perCell {
+			t.Errorf("%s: warm artifact encode allocates %v, per-cell render %v; the table was rebuilt", name, warm, perCell)
+		}
 	}
 }

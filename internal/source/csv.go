@@ -30,7 +30,12 @@ const csvMagic = "#source"
 // encoding/csv's Writer produces for the same records (comma separator,
 // LF line endings, its quoting rule), rendered by appending cells into
 // a pooled buffer handed to w in 32 KiB chunks (textbuf.go).
-func (f *Frame) WriteCSV(w io.Writer) error {
+func (f *Frame) WriteCSV(w io.Writer) error { return f.writeCSV(w, nil) }
+
+// writeCSV is the CSV encoder. With a digit table built from f it lays
+// float cells out from their stored digits; with nil it formats each
+// cell with strconv, the reference the table path must match.
+func (f *Frame) writeCSV(w io.Writer, digits digitTable) error {
 	if err := f.Check(); err != nil {
 		return err
 	}
@@ -66,7 +71,11 @@ func (f *Frame) WriteCSV(w io.Writer) error {
 			case Int:
 				b = strconv.AppendInt(b, c.Ints[r], 10)
 			default:
-				b = strconv.AppendFloat(b, c.Floats[r], 'g', -1, 64)
+				if digits != nil {
+					b = digits[i][r].appendCSV(b)
+				} else {
+					b = strconv.AppendFloat(b, c.Floats[r], 'g', -1, 64)
+				}
 			}
 		}
 		b = append(b, '\n')

@@ -15,6 +15,7 @@ package source
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/dates"
@@ -194,6 +195,22 @@ func (f *Frame) AddInts(name string) *Column { return f.addCol(name, Int) }
 
 // AddFloats appends an empty float column.
 func (f *Frame) AddFloats(name string) *Column { return f.addCol(name, Float) }
+
+// Grow makes room for n more cells in every column. A converter that
+// knows its row count calls it before appending, so the frame holds no
+// growth slack while it stays resident.
+func (f *Frame) Grow(n int) {
+	for _, c := range f.Cols {
+		switch c.Kind {
+		case String:
+			c.Strs = slices.Grow(c.Strs, n)
+		case Int:
+			c.Ints = slices.Grow(c.Ints, n)
+		default:
+			c.Floats = slices.Grow(c.Floats, n)
+		}
+	}
+}
 
 // Col returns the column with the given name, or nil.
 func (f *Frame) Col(name string) *Column {

@@ -38,7 +38,11 @@ type columnJSON struct {
 // pooled buffer handed to w in 32 KiB chunks (textbuf.go). A NaN or ±Inf
 // cell, which JSON cannot represent, is an error before any byte is
 // written.
-func (f *Frame) WriteJSON(w io.Writer) error {
+func (f *Frame) WriteJSON(w io.Writer) error { return f.writeJSON(w, nil) }
+
+// writeJSON is the JSON encoder, with an optional digit table as for
+// writeCSV.
+func (f *Frame) writeJSON(w io.Writer, digits digitTable) error {
 	if err := f.Check(); err != nil {
 		return err
 	}
@@ -114,7 +118,11 @@ func (f *Frame) WriteJSON(w io.Writer) error {
 			case Int:
 				b = strconv.AppendInt(b, c.Ints[r], 10)
 			default:
-				b = appendJSONFloat(b, c.Floats[r])
+				if digits != nil {
+					b = digits[i][r].appendJSON(b)
+				} else {
+					b = appendJSONFloat(b, c.Floats[r])
+				}
 			}
 			if b, err = cw.spill(b); err != nil {
 				return err

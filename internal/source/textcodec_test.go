@@ -42,28 +42,40 @@ var (
 )
 
 // checkTextCodecs is the differential oracle: WriteCSV and WriteJSON
-// must produce the reference encoders' bytes and errors, a NaN or ±Inf
-// cell must make WriteJSON fail before writing, and wherever the text
-// format can represent the frame the readers must round-trip it.
+// must produce the reference encoders' bytes and errors, rendering
+// through the frame's digit table must produce the per-cell render's
+// bytes and errors, a NaN or ±Inf cell must make WriteJSON fail before
+// writing, and wherever the text format can represent the frame the
+// readers must round-trip it.
 func checkTextCodecs(t *testing.T, f *Frame) {
 	t.Helper()
+	digits := newDigitTable(f)
 	for _, c := range []struct {
-		name       string
-		write, ref func(*Frame, io.Writer) error
-		read       func(io.Reader) (*Frame, error)
-		roundTrips bool
+		name              string
+		write, table, ref func(*Frame, io.Writer) error
+		read              func(io.Reader) (*Frame, error)
+		roundTrips        bool
 	}{
-		{"csv", (*Frame).WriteCSV, RefWriteCSV, ReadCSV, csvRepresentable(f)},
-		{"json", (*Frame).WriteJSON, RefWriteJSON, ReadJSON, jsonRepresentable(f)},
+		{"csv", (*Frame).WriteCSV, func(f *Frame, w io.Writer) error { return f.writeCSV(w, digits) },
+			RefWriteCSV, ReadCSV, csvRepresentable(f)},
+		{"json", (*Frame).WriteJSON, func(f *Frame, w io.Writer) error { return f.writeJSON(w, digits) },
+			RefWriteJSON, ReadJSON, jsonRepresentable(f)},
 	} {
-		var got, want bytes.Buffer
-		err, refErr := c.write(f, &got), c.ref(f, &want)
+		var got, tabled, want bytes.Buffer
+		err, tableErr, refErr := c.write(f, &got), c.table(f, &tabled), c.ref(f, &want)
 		if fmt.Sprint(err) != fmt.Sprint(refErr) {
 			t.Fatalf("%s: error %v, reference error %v", c.name, err, refErr)
 		}
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("%s: bytes differ from the reference at offset %d:\n got  %q\n want %q",
 				c.name, firstDiff(got.Bytes(), want.Bytes()), got.Bytes(), want.Bytes())
+		}
+		if fmt.Sprint(tableErr) != fmt.Sprint(err) {
+			t.Fatalf("%s: digit-table error %v, per-cell error %v", c.name, tableErr, err)
+		}
+		if !bytes.Equal(tabled.Bytes(), got.Bytes()) {
+			t.Fatalf("%s: digit-table bytes differ from the per-cell render at offset %d:\n got  %q\n want %q",
+				c.name, firstDiff(tabled.Bytes(), got.Bytes()), tabled.Bytes(), got.Bytes())
 		}
 		if c.name == "json" && hasFloat(f, nonFiniteFloat) {
 			if err == nil || got.Len() != 0 {
