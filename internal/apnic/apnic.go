@@ -76,6 +76,17 @@ type Generator struct {
 	totalsMemo *syncx.Sharded[ccDay, countryTotals]
 	sharesMemo *syncx.Sharded[ccDay, map[string]float64]
 
+	// noiseMemo holds the scans' window noise: one vector per (country,
+	// year, week), aligned with the market's ActiveEntries for that year.
+	// The noise is drawn per (org, week), so the seven days of a week
+	// share it; a best-day window of 60 days draws each vector once
+	// instead of seven times. Generate and DayCounts draw their noise
+	// inline and never fill it, so generators that only serve reports
+	// hold nothing here.
+	noiseMemo *syncx.Sharded[ccWeek, []float64]
+
+	noiseFills atomic.Int64 // window-noise vectors drawn (memo fills)
+
 	totalsScans atomic.Int64 // uncached CountryTotals scans (memo fills)
 	totalsReqs  atomic.Int64 // CountryTotals lookups
 	sharesScans atomic.Int64 // uncached CountryOrgShares scans (memo fills)
@@ -88,6 +99,15 @@ type ccDay struct {
 	day int // dates.Date.DayNumber()
 }
 
+// ccWeek keys the window-noise memo. The year is part of the key
+// because a noise week can span Dec 31 and Jan 1, and the active entries
+// the vector is aligned with change by calendar year.
+type ccWeek struct {
+	cc   string
+	year int
+	week int // dates.Date.DayNumber() / 7
+}
+
 // countryTotals is the memoized CountryTotals result.
 type countryTotals struct {
 	samples int64
@@ -97,6 +117,11 @@ type countryTotals struct {
 // hashCCDay spreads (country, day) keys across memo shards.
 func hashCCDay(k ccDay) uint64 {
 	return rng.KeyString(k.cc) ^ (uint64(int64(k.day)) * 0x9e3779b97f4a7c15)
+}
+
+// hashCCWeek spreads (country, year, week) keys across memo shards.
+func hashCCWeek(k ccWeek) uint64 {
+	return rng.KeyString(k.cc) ^ (uint64(int64(k.week)) * 0x9e3779b97f4a7c15) ^ uint64(int64(k.year))
 }
 
 // Derivation channel keys for the generator's noise streams. Hot loops
@@ -119,6 +144,7 @@ func New(w *world.World, ituEst *itu.Estimator, seed uint64) *Generator {
 		asName:     map[uint32]string{},
 		totalsMemo: syncx.NewSharded[ccDay, countryTotals](16, hashCCDay),
 		sharesMemo: syncx.NewSharded[ccDay, map[string]float64](16, hashCCDay),
+		noiseMemo:  syncx.NewSharded[ccWeek, []float64](16, hashCCWeek),
 	}
 	for _, o := range w.Registry.All() {
 		for _, asn := range o.ASNs {
@@ -215,13 +241,35 @@ func (g *Generator) OrgSamples(country, orgID string, d dates.Date) int64 {
 	return g.orgSamples(&ad, e)
 }
 
-// orgSamples is OrgSamples for an entry of a resolved market-day — the
-// allocation-free inner loop of Generate and the per-country scans. The
+// weekNoise returns the window noise of every entry in active (the
+// market's ActiveEntries on d), drawn once per (country, year, week) and
+// shared by every later scan of the same week. The slice is shared:
+// callers must not modify it.
+func (g *Generator) weekNoise(ad *apnicDay, d dates.Date, active []*world.Entry) []float64 {
+	key := ccWeek{cc: ad.m.Country.Code, year: d.Year, week: d.DayNumber() / 7}
+	return g.noiseMemo.Get(key, func() []float64 {
+		g.noiseFills.Add(1)
+		noise := make([]float64, len(active))
+		for i, e := range active {
+			noise[i] = g.windowNoise(ad, e)
+		}
+		return noise
+	})
+}
+
+// orgSamples is OrgSamples for an entry of a resolved market-day, with
+// its window noise drawn inline — the allocation-free inner loop of
+// Generate.
+func (g *Generator) orgSamples(ad *apnicDay, e *world.Entry) int64 {
+	return g.orgSamplesNoise(ad, e, g.windowNoise(ad, e))
+}
+
+// orgSamplesNoise is orgSamples with the entry's window noise given. The
 // factor order of mean is pinned: reordering the product changes its
 // last bits, and with them the Poisson realizations.
-func (g *Generator) orgSamples(ad *apnicDay, e *world.Entry) int64 {
+func (g *Generator) orgSamplesNoise(ad *apnicDay, e *world.Entry, noise float64) int64 {
 	mean := ad.users.APNICUsers(e) * ad.reach * e.AdFactor * e.APNICBias *
-		g.SampleRate * g.windowNoise(ad, e) * ad.shut
+		g.SampleRate * noise * ad.shut
 	if mean <= 0 {
 		return 0
 	}
@@ -470,8 +518,10 @@ func (g *Generator) countryTotalsScan(country string, d dates.Date) (samples int
 		return 0, 0
 	}
 	ad := g.resolve(m, d)
-	for _, e := range m.ActiveEntries(d) {
-		total := g.orgSamples(&ad, e)
+	active := m.ActiveEntries(d)
+	noise := g.weekNoise(&ad, d, active)
+	for i, e := range active {
+		total := g.orgSamplesNoise(&ad, e, noise[i])
 		if total == 0 {
 			continue
 		}
@@ -512,10 +562,12 @@ func (g *Generator) countryOrgSharesScan(country string, d dates.Date) map[strin
 		return nil
 	}
 	ad := g.resolve(m, d)
+	active := m.ActiveEntries(d)
+	noise := g.weekNoise(&ad, d, active)
 	out := map[string]float64{}
 	var total int64
-	for _, e := range m.ActiveEntries(d) {
-		orgTotal := g.orgSamples(&ad, e)
+	for i, e := range active {
+		orgTotal := g.orgSamplesNoise(&ad, e, noise[i])
 		if orgTotal == 0 {
 			continue
 		}
@@ -537,17 +589,4 @@ func (g *Generator) countryOrgSharesScan(country string, d dates.Date) map[strin
 		out[k] /= float64(total)
 	}
 	return out
-}
-
-// MemoStats reports the (country, day) memo activity: total lookups and
-// uncached scans for CountryTotals and CountryOrgShares. Hits are
-// reqs − scans; under the singleflight contract scans equal the number
-// of distinct (country, day) pairs requested.
-func (g *Generator) MemoStats() (totalsReqs, totalsScans, sharesReqs, sharesScans int64) {
-	return g.totalsReqs.Load(), g.totalsScans.Load(), g.sharesReqs.Load(), g.sharesScans.Load()
-}
-
-// MemoLen reports how many (country, day) entries each memo cache holds.
-func (g *Generator) MemoLen() (totals, shares int) {
-	return g.totalsMemo.Len(), g.sharesMemo.Len()
 }

@@ -12,3 +12,22 @@ func (g *Generator) CountryTotalsUncached(country string, d dates.Date) (int64, 
 func (g *Generator) CountryOrgSharesUncached(country string, d dates.Date) map[string]float64 {
 	return g.countryOrgSharesScan(country, d)
 }
+
+// MemoStats reports the (country, day) memo activity: total lookups and
+// uncached scans for CountryTotals and CountryOrgShares. Hits are
+// reqs − scans; under the singleflight contract scans equal the number
+// of distinct (country, day) pairs requested.
+func (g *Generator) MemoStats() (totalsReqs, totalsScans, sharesReqs, sharesScans int64) {
+	return g.totalsReqs.Load(), g.totalsScans.Load(), g.sharesReqs.Load(), g.sharesScans.Load()
+}
+
+// MemoLen reports how many (country, day) entries each memo cache holds.
+func (g *Generator) MemoLen() (totals, shares int) {
+	return g.totalsMemo.Len(), g.sharesMemo.Len()
+}
+
+// NoiseMemo reports how many window-noise vectors were drawn and how many
+// (country, year, week) entries the noise memo holds.
+func (g *Generator) NoiseMemo() (fills int64, entries int) {
+	return g.noiseFills.Load(), g.noiseMemo.Len()
+}

@@ -145,8 +145,13 @@ func TestPathsUnknownSource(t *testing.T) {
 	if _, ok := g.PathsFrom("zz").To("a"); ok {
 		t.Fatal("unknown source should reach nothing")
 	}
-	if g.PathsFrom("a").Dist("zz") != -1 {
+	p := g.PathsFrom("a")
+	if p.Dist("zz") != -1 {
 		t.Fatal("unknown destination should be unreachable")
+	}
+	g.AddEdge("b", "A", Customer)
+	if _, ok := p.To("b"); ok {
+		t.Fatal("a node added after the path tree was built should be unreachable in it")
 	}
 }
 

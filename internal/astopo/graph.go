@@ -32,72 +32,61 @@ const (
 	Peer                // settlement-free
 )
 
-// Graph is an AS-organization-level topology.
+// Graph is an AS-organization-level topology. Nodes are dense int32
+// indices in insertion order; each adjacency list is kept sorted by node
+// name, so path computation breaks ties the same way whatever order the
+// edges arrived in.
 type Graph struct {
-	providers map[string][]string // node -> providers (sorted)
-	customers map[string][]string // node -> customers (sorted)
-	peers     map[string][]string // node -> peers (sorted)
-	nodes     []string            // all nodes, sorted
-	tier1     []string
+	names     []string         // node index -> ID
+	index     map[string]int32 // ID -> node index
+	providers [][]int32        // node -> providers
+	customers [][]int32        // node -> customers
+	peers     [][]int32        // node -> peers
 }
 
 // newGraph returns an empty graph.
 func newGraph() *Graph {
-	return &Graph{
-		providers: map[string][]string{},
-		customers: map[string][]string{},
-		peers:     map[string][]string{},
-	}
+	return &Graph{index: map[string]int32{}}
 }
 
-func (g *Graph) addNode(id string) {
-	if _, ok := g.providers[id]; ok {
-		return
+// addNode returns id's node index, adding the node if it is new.
+func (g *Graph) addNode(id string) int32 {
+	if n, ok := g.index[id]; ok {
+		return n
 	}
-	g.providers[id] = nil
-	g.customers[id] = nil
-	g.peers[id] = nil
-	g.nodes = append(g.nodes, id)
+	n := int32(len(g.names))
+	g.index[id] = n
+	g.names = append(g.names, id)
+	g.providers = append(g.providers, nil)
+	g.customers = append(g.customers, nil)
+	g.peers = append(g.peers, nil)
+	return n
 }
 
 // AddEdge installs a relationship; for Customer, a pays b.
 func (g *Graph) AddEdge(a, b string, rel Rel) {
-	g.addNode(a)
-	g.addNode(b)
+	na, nb := g.addNode(a), g.addNode(b)
 	switch rel {
 	case Customer:
-		g.providers[a] = insertSorted(g.providers[a], b)
-		g.customers[b] = insertSorted(g.customers[b], a)
+		g.providers[na] = g.insertSorted(g.providers[na], nb)
+		g.customers[nb] = g.insertSorted(g.customers[nb], na)
 	case Peer:
-		g.peers[a] = insertSorted(g.peers[a], b)
-		g.peers[b] = insertSorted(g.peers[b], a)
+		g.peers[na] = g.insertSorted(g.peers[na], nb)
+		g.peers[nb] = g.insertSorted(g.peers[nb], na)
 	}
 }
 
-func insertSorted(s []string, v string) []string {
-	i := sort.SearchStrings(s, v)
+// insertSorted adds node v to s, kept sorted by node name, unless present.
+func (g *Graph) insertSorted(s []int32, v int32) []int32 {
+	name := g.names[v]
+	i := sort.Search(len(s), func(i int) bool { return g.names[s[i]] >= name })
 	if i < len(s) && s[i] == v {
 		return s
 	}
-	s = append(s, "")
+	s = append(s, 0)
 	copy(s[i+1:], s[i:])
 	s[i] = v
 	return s
-}
-
-// Nodes returns all node IDs, sorted.
-func (g *Graph) Nodes() []string {
-	out := append([]string(nil), g.nodes...)
-	sort.Strings(out)
-	return out
-}
-
-// Tier1 returns the global transit clique.
-func (g *Graph) Tier1() []string { return append([]string(nil), g.tier1...) }
-
-// Degree returns (providers, customers, peers) counts for a node.
-func (g *Graph) Degree(id string) (prov, cust, peer int) {
-	return len(g.providers[id]), len(g.customers[id]), len(g.peers[id])
 }
 
 // BuildGraph synthesizes a topology over the world's organizations:
@@ -114,14 +103,15 @@ func BuildGraph(w *world.World, seed uint64) *Graph {
 
 	// Tier-1 clique.
 	const nTier1 = 12
+	var tier1 []string
 	for i := 0; i < nTier1; i++ {
 		id := fmt.Sprintf("T1-%02d", i)
 		g.addNode(id)
-		g.tier1 = append(g.tier1, id)
+		tier1 = append(tier1, id)
 	}
 	for i := 0; i < nTier1; i++ {
 		for j := i + 1; j < nTier1; j++ {
-			g.AddEdge(g.tier1[i], g.tier1[j], Peer)
+			g.AddEdge(tier1[i], tier1[j], Peer)
 		}
 	}
 
@@ -135,7 +125,7 @@ func BuildGraph(w *world.World, seed uint64) *Graph {
 			g.addNode(id)
 			regional[region] = append(regional[region], id)
 			// Customer of 2-4 tier-1s.
-			for _, t := range pickDistinct(rs, g.tier1, 2+rs.Intn(3)) {
+			for _, t := range pickDistinct(rs, tier1, 2+rs.Intn(3)) {
 				g.AddEdge(id, t, Customer)
 			}
 		}
@@ -167,7 +157,7 @@ func BuildGraph(w *world.World, seed uint64) *Graph {
 			case orgs.ConvergedAccess, orgs.MobileCarrier, orgs.FixedAccess:
 				// The biggest eyeballs multihome directly to a tier-1.
 				if e.BaseWeight > 0.5 && cs.Bool(0.6) {
-					g.AddEdge(id, g.tier1[cs.Intn(len(g.tier1))], Customer)
+					g.AddEdge(id, tier1[cs.Intn(len(tier1))], Customer)
 				}
 			case orgs.CloudProvider, orgs.CDNProvider:
 				// Clouds peer broadly across regions (their off-nets).
@@ -181,7 +171,6 @@ func BuildGraph(w *world.World, seed uint64) *Graph {
 			}
 		}
 	}
-	sort.Strings(g.nodes)
 	return g
 }
 

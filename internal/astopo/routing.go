@@ -7,139 +7,117 @@ package astopo
 
 // Routing phases.
 const (
-	phaseUp   = 0 // still climbing c2p links
-	phasePeer = 1 // crossed the single allowed peer link
-	phaseDown = 2 // descending p2c links
+	phaseUp   int8 = 0 // still climbing c2p links
+	phasePeer int8 = 1 // crossed the single allowed peer link
+	phaseDown int8 = 2 // descending p2c links
 )
 
 // pathState tracks BFS bookkeeping for one (node, phase).
 type pathState struct {
-	dist   int
-	parent string // previous node
-	pphase int    // previous phase
+	dist   int32
+	parent int32 // previous node
+	pphase int8  // previous phase
 	seen   bool
 }
 
 // Paths holds shortest valley-free routes from one source.
 type Paths struct {
-	src    string
-	states map[string]*[3]pathState
+	g      *Graph
+	src    int32
+	states [][3]pathState // by node index; nil when the source is unknown
 }
 
 // PathsFrom computes shortest valley-free paths from src to every
-// reachable node. Adjacency lists are sorted, so tie-breaking (and hence
-// every returned path) is deterministic.
+// reachable node. Adjacency lists are sorted by name, so tie-breaking
+// (and hence every returned path) is deterministic.
 func (g *Graph) PathsFrom(src string) *Paths {
-	p := &Paths{src: src, states: map[string]*[3]pathState{}}
-	get := func(n string) *[3]pathState {
-		st := p.states[n]
-		if st == nil {
-			st = &[3]pathState{}
-			p.states[n] = st
-		}
-		return st
-	}
-	if _, ok := g.providers[src]; !ok {
+	n, ok := g.index[src]
+	p := &Paths{g: g, src: n}
+	if !ok {
 		return p
 	}
+	p.states = make([][3]pathState, len(g.names))
 
 	type item struct {
-		node  string
-		phase int
+		node  int32
+		phase int8
 	}
-	start := get(src)
-	start[phaseUp] = pathState{dist: 0, seen: true}
-	queue := []item{{src, phaseUp}}
+	// Each (node, phase) enters the queue at most once.
+	queue := make([]item, 1, 3*len(g.names))
+	queue[0] = item{n, phaseUp}
+	p.states[n][phaseUp] = pathState{seen: true}
 
-	push := func(n string, phase, dist int, parent string, pphase int) {
-		st := get(n)
-		if st[phase].seen {
+	push := func(n int32, phase int8, dist int32, cur item) {
+		st := &p.states[n][phase]
+		if st.seen {
 			return
 		}
-		st[phase] = pathState{dist: dist, parent: parent, pphase: pphase, seen: true}
+		*st = pathState{dist: dist, parent: cur.node, pphase: cur.phase, seen: true}
 		queue = append(queue, item{n, phase})
 	}
 
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		d := get(cur.node)[cur.phase].dist
+	for head := 0; head < len(queue); head++ {
+		cur := queue[head]
+		d := p.states[cur.node][cur.phase].dist + 1
 		switch cur.phase {
 		case phaseUp:
 			for _, prov := range g.providers[cur.node] {
-				push(prov, phaseUp, d+1, cur.node, cur.phase)
+				push(prov, phaseUp, d, cur)
 			}
 			for _, peer := range g.peers[cur.node] {
-				push(peer, phasePeer, d+1, cur.node, cur.phase)
+				push(peer, phasePeer, d, cur)
 			}
 			for _, cust := range g.customers[cur.node] {
-				push(cust, phaseDown, d+1, cur.node, cur.phase)
+				push(cust, phaseDown, d, cur)
 			}
 		case phasePeer, phaseDown:
 			for _, cust := range g.customers[cur.node] {
-				push(cust, phaseDown, d+1, cur.node, cur.phase)
+				push(cust, phaseDown, d, cur)
 			}
 		}
 	}
 	return p
 }
 
+// best returns dst's node index and its arrival phase with the smallest
+// distance, preferring the later phase on ties (BGP prefers
+// customer/peer routes — descending arrivals). ok is false if dst is
+// unknown or unreachable.
+func (p *Paths) best(dst string) (node int32, phase int8, ok bool) {
+	node, ok = p.g.index[dst]
+	if !ok || int(node) >= len(p.states) { // unknown source, or a node added since
+		return 0, 0, false
+	}
+	st := &p.states[node]
+	phase = -1
+	for ph := phaseDown; ph >= phaseUp; ph-- {
+		if st[ph].seen && (phase == -1 || st[ph].dist < st[phase].dist) {
+			phase = ph
+		}
+	}
+	return node, phase, phase != -1
+}
+
 // To reconstructs the shortest valley-free path from the source to dst
 // (inclusive of both endpoints). ok is false if dst is unreachable.
 func (p *Paths) To(dst string) (path []string, ok bool) {
-	st := p.states[dst]
-	if st == nil {
+	node, phase, ok := p.best(dst)
+	if !ok {
 		return nil, false
 	}
-	// Best phase: smallest distance; prefer the later phase on ties
-	// (BGP prefers customer/peer routes — descending arrivals).
-	best := -1
-	for phase := 2; phase >= 0; phase-- {
-		if !st[phase].seen {
-			continue
-		}
-		if best == -1 || st[phase].dist < st[best].dist {
-			best = phase
-		}
-	}
-	if best == -1 {
-		return nil, false
-	}
-	// Walk parents back to the source.
-	var rev []string
-	node, phase := dst, best
-	for {
-		rev = append(rev, node)
-		if node == p.src && phase == phaseUp {
+	// Walk parents back to the source, filling the path from its end:
+	// every hop back is one shorter, so the path has dist+1 nodes.
+	path = make([]string, p.states[node][phase].dist+1)
+	for i := len(path) - 1; ; i-- {
+		path[i] = p.g.names[node]
+		if i == 0 {
 			break
 		}
-		s := p.states[node]
-		if s == nil || !s[phase].seen {
-			return nil, false
-		}
-		node, phase = s[phase].parent, s[phase].pphase
-		if len(rev) > 64 {
-			return nil, false // defensive: malformed state
-		}
+		s := p.states[node][phase]
+		node, phase = s.parent, s.pphase
 	}
-	// Reverse.
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
+	if node != p.src || phase != phaseUp {
+		return nil, false // defensive: malformed state
 	}
-	return rev, true
-}
-
-// Dist returns the AS-hop distance to dst, or -1 if unreachable.
-func (p *Paths) Dist(dst string) int {
-	st := p.states[dst]
-	if st == nil {
-		return -1
-	}
-	best := -1
-	for phase := 0; phase < 3; phase++ {
-		if st[phase].seen && (best == -1 || st[phase].dist < best) {
-			best = st[phase].dist
-		}
-	}
-	return best
+	return path, true
 }
