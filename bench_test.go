@@ -1,7 +1,8 @@
 // Package repro_test is the benchmark harness: one testing.B benchmark
 // per table and figure of the paper, each regenerating the experiment and
-// reporting its headline metrics via b.ReportMetric, plus ablation
-// benchmarks for the design choices DESIGN.md calls out.
+// reporting its headline metrics via b.ReportMetric, plus full-sweep
+// scheduler benchmarks. The ablations of the paper's design choices are
+// assertions in internal/experiments (DESIGN §4), not benchmarks.
 //
 // Run with:
 //
@@ -17,8 +18,6 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
-	"repro/internal/orgs"
-	"repro/internal/weighting"
 )
 
 var (
@@ -146,79 +145,7 @@ func BenchmarkFullSweepParallel4(b *testing.B) { benchSweep(b, 4) }
 // BenchmarkFullSweepGOMAXPROCS is the cmd/experiments default.
 func BenchmarkFullSweepGOMAXPROCS(b *testing.B) { benchSweep(b, 0) }
 
-// ---- Ablations -------------------------------------------------------
-
-// BenchmarkAblationKendallFilter sweeps the small-org filter of the
-// Kendall statistic (the paper picks 0.5%).
-func BenchmarkAblationKendallFilter(b *testing.B) {
-	l := lab()
-	var at0, at05, at2 float64
-	for i := 0; i < b.N; i++ {
-		at0 = experiments.AblationKendallFilter(l, 0)
-		at05 = experiments.AblationKendallFilter(l, 0.005)
-		at2 = experiments.AblationKendallFilter(l, 0.02)
-	}
-	b.ReportMetric(at0, "rank_pct_nofilter")
-	b.ReportMetric(at05, "rank_pct_0.5pct")
-	b.ReportMetric(at2, "rank_pct_2pct")
-}
-
-// BenchmarkAblationBestDay compares naive snapshot selection against the
-// §5.1.2 best-day rule.
-func BenchmarkAblationBestDay(b *testing.B) {
-	l := lab()
-	var naive, adjusted float64
-	for i := 0; i < b.N; i++ {
-		naive, adjusted = experiments.AblationBestDay(l)
-	}
-	b.ReportMetric(naive, "ks_p90_naive")
-	b.ReportMetric(adjusted, "ks_p90_bestday")
-}
-
-// BenchmarkAblationBotFilter sweeps the CDN bot-score threshold
-// (the paper filters at >= 50).
-func BenchmarkAblationBotFilter(b *testing.B) {
-	l := lab()
-	var off, paper, strict float64
-	for i := 0; i < b.N; i++ {
-		off = experiments.AblationBotFilter(l, 0)
-		paper = experiments.AblationBotFilter(l, 50)
-		strict = experiments.AblationBotFilter(l, 95)
-	}
-	b.ReportMetric(off, "vol_kendall_nofilter")
-	b.ReportMetric(paper, "vol_kendall_t50")
-	b.ReportMetric(strict, "vol_kendall_t95")
-}
-
-// BenchmarkAblationSamplingRate sweeps the CDN request sampling rate
-// (the paper's CDN samples 1%).
-func BenchmarkAblationSamplingRate(b *testing.B) {
-	l := lab()
-	var r001, r01, r1 float64
-	for i := 0; i < b.N; i++ {
-		r001 = experiments.AblationSamplingRate(l, 0.0001)
-		r01 = experiments.AblationSamplingRate(l, 0.001)
-		r1 = experiments.AblationSamplingRate(l, 0.01)
-	}
-	b.ReportMetric(r001, "coverage_0.01pct")
-	b.ReportMetric(r01, "coverage_0.1pct")
-	b.ReportMetric(r1, "coverage_1pct")
-}
-
-// BenchmarkAblationMICGrid sweeps the MIC grid-budget exponent
-// (canonical 0.6).
-func BenchmarkAblationMICGrid(b *testing.B) {
-	l := lab()
-	var lo, mid, hi float64
-	for i := 0; i < b.N; i++ {
-		lo = experiments.AblationMICGrid(l, 0.4)
-		mid = experiments.AblationMICGrid(l, 0.6)
-		hi = experiments.AblationMICGrid(l, 0.8)
-	}
-	b.ReportMetric(lo, "mic_b0.4")
-	b.ReportMetric(mid, "mic_b0.6")
-	b.ReportMetric(hi, "mic_b0.8")
-}
+// ---- Extensions ------------------------------------------------------
 
 func BenchmarkExtDrivers(b *testing.B) {
 	runExperiment(b, "ExtDrivers", "in_top_gain_pp", "ch_top_loss_pp")
@@ -228,47 +155,6 @@ func BenchmarkExtTrafficModel(b *testing.B) {
 	runExperiment(b, "ExtTrafficModel", "in_sample_r2", "out_sample_r2")
 }
 
-// BenchmarkWeightingSchemes quantifies the paper's §1 motivation: how far
-// each AS-weighting tradition strays from the true user distribution
-// (total variation distance; lower is better).
-func BenchmarkWeightingSchemes(b *testing.B) {
-	l := lab()
-	d := experiments.Table2Day
-	truth := map[orgs.CountryOrg]float64{}
-	for _, p := range l.W.CountryOrgPairs(d) {
-		if u := l.W.TrueUsers(p.Country, p.Org, d); u > 0 {
-			truth[p] = u
-		}
-	}
-	apnicUsers := l.Report(d).OrgUsers(l.W.Registry)
-
-	var uniform, perCountry, apnicTV float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		uniform = weighting.Evaluate(weighting.Uniform{}, truth).TotalVariation
-		perCountry = weighting.Evaluate(weighting.PerCountry{}, truth).TotalVariation
-		apnicTV = weighting.Evaluate(weighting.ByMeasure{Label: "apnic", Measure: apnicUsers}, truth).TotalVariation
-	}
-	b.ReportMetric(uniform, "tv_uniform")
-	b.ReportMetric(perCountry, "tv_per_country")
-	b.ReportMetric(apnicTV, "tv_apnic")
-}
-
 func BenchmarkExtProxies(b *testing.B) {
 	runExperiment(b, "ExtProxies", "apnic_users_spearman", "dns_queries_spearman", "path_popularity_spearman")
-}
-
-// BenchmarkAblationMinSamples sweeps APNIC's inclusion floor (the paper's
-// empirical observation is >= 120 samples per AS row).
-func BenchmarkAblationMinSamples(b *testing.B) {
-	l := lab()
-	var none, paper, strict float64
-	for i := 0; i < b.N; i++ {
-		none = experiments.AblationMinSamples(l, 1)
-		paper = experiments.AblationMinSamples(l, 120)
-		strict = experiments.AblationMinSamples(l, 1000)
-	}
-	b.ReportMetric(none, "pair_cov_floor1")
-	b.ReportMetric(paper, "pair_cov_floor120")
-	b.ReportMetric(strict, "pair_cov_floor1000")
 }

@@ -41,7 +41,7 @@ func main() {
 					ratios[d] = core.ElasticityRatio(u, float64(s))
 				}
 			}
-			day, ok := core.BestDayDate(ratios)
+			day, ok := core.BestDay(ratios)
 			if !ok {
 				continue
 			}

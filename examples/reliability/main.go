@@ -47,7 +47,7 @@ func main() {
 			ratios[d] = core.ElasticityRatio(u, float64(s))
 		}
 	}
-	best, ok := core.BestDayDate(ratios)
+	best, ok := core.BestDay(ratios)
 	if !ok {
 		fmt.Printf("\n%s: no day with usable data in the window\n", cc)
 		return

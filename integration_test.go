@@ -2,6 +2,7 @@ package repro_test
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/apnic"
@@ -9,12 +10,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/orgs"
-	"repro/internal/weighting"
 )
 
 // TestEndToEndPipeline exercises the full stack in one flow: world →
 // APNIC CSV round trip → CDN raw-log round trip → agreement analysis →
-// artifact checks → weighting, all on the shared benchmark lab.
+// artifact checks → §1 weighting comparison, all on the shared benchmark lab.
 func TestEndToEndPipeline(t *testing.T) {
 	l := lab()
 	day := experiments.PrimaryCDNDay
@@ -66,17 +66,52 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Error("Turkmenistan should not be Reliable")
 	}
 
-	// Weighting: APNIC approximates the truth far better than uniform.
+	checkWeighting(t, l)
+}
+
+// checkWeighting is the paper's §1 argument on one lab: weighting networks
+// by APNIC's user estimates lands far closer to the true user
+// distribution than the traditions it replaces, counting every network
+// (uniform-per-network) or every country (uniform-per-country) equally.
+// Closeness is total variation, ½ Σ |w − truth| over the (country, org)
+// pairs with true users on the Table 2 day.
+func checkWeighting(t *testing.T, l *experiments.Lab) {
+	t.Helper()
+	d := experiments.Table2Day
 	truth := map[orgs.CountryOrg]float64{}
-	for _, p := range l.W.CountryOrgPairs(day) {
-		if u := l.W.TrueUsers(p.Country, p.Org, day); u > 0 {
+	var truthSum float64
+	for _, p := range l.W.CountryOrgPairs(d) {
+		if u := l.W.TrueUsers(p.Country, p.Org, d); u > 0 {
 			truth[p] = u
+			truthSum += u
 		}
 	}
-	tvAPNIC := weighting.Evaluate(weighting.ByMeasure{Label: "apnic", Measure: apnicUsers}, truth).TotalVariation
-	tvUniform := weighting.Evaluate(weighting.Uniform{}, truth).TotalVariation
+	pairs := orgs.SortedPairs(truth)
+	apnicUsers := l.Report(d).OrgUsers(l.W.Registry)
+	var apnicSum float64
+	perCountry := map[string]int{}
+	for _, p := range pairs {
+		apnicSum += max(apnicUsers[p], 0)
+		perCountry[p.Country]++
+	}
+	var tvAPNIC, tvUniform, tvCountry float64
+	for _, p := range pairs {
+		share := truth[p] / truthSum
+		tvAPNIC += math.Abs(max(apnicUsers[p], 0)/apnicSum - share)
+		tvUniform += math.Abs(1/float64(len(pairs)) - share)
+		tvCountry += math.Abs(1/float64(len(perCountry)*perCountry[p.Country]) - share)
+	}
+	tvAPNIC, tvUniform, tvCountry = tvAPNIC/2, tvUniform/2, tvCountry/2
+	t.Logf("seed %d: total variation APNIC %.3f, uniform-per-network %.3f, uniform-per-country %.3f",
+		l.Seed, tvAPNIC, tvUniform, tvCountry)
 	if tvAPNIC >= tvUniform/2 {
-		t.Errorf("APNIC TV %v not clearly better than uniform %v", tvAPNIC, tvUniform)
+		t.Errorf("seed %d: APNIC TV %v not clearly better than uniform-per-network %v", l.Seed, tvAPNIC, tvUniform)
+	}
+	if tvAPNIC >= tvCountry {
+		t.Errorf("seed %d: APNIC TV %v not better than uniform-per-country %v", l.Seed, tvAPNIC, tvCountry)
+	}
+	if tvAPNIC > 0.35 {
+		t.Errorf("seed %d: APNIC TV %v too far from the truth", l.Seed, tvAPNIC)
 	}
 }
 
@@ -115,5 +150,8 @@ func TestShapeInvariantsAcrossSeeds(t *testing.T) {
 		if f6.Metrics["paper_outliers"] < 3 {
 			t.Errorf("seed %d: only %v paper outliers recovered", seed, f6.Metrics["paper_outliers"])
 		}
+
+		// §1's invariant: weighting by APNIC users beats equal weights.
+		checkWeighting(t, l)
 	}
 }

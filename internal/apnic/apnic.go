@@ -230,17 +230,6 @@ func (g *Generator) windowNoise(ad *apnicDay, e *world.Entry) float64 {
 	return s.LogNormal(0, ad.m.Country.AdVolatility)
 }
 
-// OrgSamples returns the expected-plus-noise ad-impression count for one
-// (country, org) on a date, before the per-AS split and inclusion floor.
-func (g *Generator) OrgSamples(country, orgID string, d dates.Date) int64 {
-	e := g.W.Entry(country, orgID)
-	if e == nil {
-		return 0
-	}
-	ad := g.resolve(g.W.Market(country), d)
-	return g.orgSamples(&ad, e)
-}
-
 // weekNoise returns the window noise of every entry in active (the
 // market's ActiveEntries on d), drawn once per (country, year, week) and
 // shared by every later scan of the same week. The slice is shared:
@@ -257,9 +246,10 @@ func (g *Generator) weekNoise(ad *apnicDay, d dates.Date, active []*world.Entry)
 	})
 }
 
-// orgSamples is OrgSamples for an entry of a resolved market-day, with
-// its window noise drawn inline — the allocation-free inner loop of
-// Generate.
+// orgSamples returns the expected-plus-noise ad-impression count for an
+// entry of a resolved market-day, before the per-AS split and inclusion
+// floor, with its window noise drawn inline — the allocation-free inner
+// loop of Generate.
 func (g *Generator) orgSamples(ad *apnicDay, e *world.Entry) int64 {
 	return g.orgSamplesNoise(ad, e, g.windowNoise(ad, e))
 }
@@ -455,24 +445,6 @@ func (r *Report) OrgSamples(reg *orgs.Registry) map[orgs.CountryOrg]float64 {
 		byAS[orgs.CountryAS{Country: row.CC, ASN: row.ASN}] += float64(row.Samples)
 	}
 	return reg.Aggregate(byAS)
-}
-
-// CountryUsers sums estimated users per country.
-func (r *Report) CountryUsers() map[string]float64 {
-	out := map[string]float64{}
-	for _, row := range r.Rows {
-		out[row.CC] += row.Users
-	}
-	return out
-}
-
-// CountrySamples sums raw samples per country.
-func (r *Report) CountrySamples() map[string]int64 {
-	out := map[string]int64{}
-	for _, row := range r.Rows {
-		out[row.CC] += row.Samples
-	}
-	return out
 }
 
 // TopOrgs returns a country's org IDs ordered by estimated users,

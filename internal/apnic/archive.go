@@ -7,9 +7,9 @@ import (
 )
 
 // Archive is a collection of daily reports — the form in which
-// researchers consume the real dataset (one CSV per day). It supports
-// per-day lookup and per-(country, AS) time-series queries like the ones
-// behind the paper's Figure 1.
+// researchers consume the real dataset (one CSV per day). It answers
+// per-(country, AS) time-series queries like the ones behind the paper's
+// Figure 1.
 type Archive struct {
 	reports map[dates.Date]*Report
 	days    []dates.Date // sorted
@@ -27,20 +27,6 @@ func (a *Archive) Add(rep *Report) {
 		sort.Slice(a.days, func(i, j int) bool { return a.days[i].Before(a.days[j]) })
 	}
 	a.reports[rep.Date] = rep
-}
-
-// Len returns the number of days in the archive.
-func (a *Archive) Len() int { return len(a.reports) }
-
-// Days returns the archived days in ascending order.
-func (a *Archive) Days() []dates.Date {
-	return append([]dates.Date(nil), a.days...)
-}
-
-// Report returns the report for a day.
-func (a *Archive) Report(d dates.Date) (*Report, bool) {
-	r, ok := a.reports[d]
-	return r, ok
 }
 
 // Point is one day of a per-(country, AS) series.

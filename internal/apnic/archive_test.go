@@ -20,22 +20,23 @@ func buildArchive(t *testing.T) *Archive {
 	return a
 }
 
-func TestArchiveAddAndLookup(t *testing.T) {
-	a := buildArchive(t)
-	if a.Len() != 5 {
-		t.Fatalf("Len = %d", a.Len())
+// TestArchiveAddOutOfOrder adds days newest first: the archive keeps
+// them in date order, so a series still comes out chronological.
+func TestArchiveAddOutOfOrder(t *testing.T) {
+	g := testGen()
+	a := NewArchive()
+	days := archiveDays()
+	for i := len(days) - 1; i >= 0; i-- {
+		a.Add(g.Generate(days[i]))
 	}
-	days := a.Days()
-	for i := 1; i < len(days); i++ {
-		if !days[i-1].Before(days[i]) {
-			t.Fatal("Days not sorted")
+	series := a.Series("FR", a.ASNsIn("FR")[0])
+	if len(series) != len(days) {
+		t.Fatalf("top AS present on %d of %d days", len(series), len(days))
+	}
+	for i, p := range series {
+		if p.Date != days[i] {
+			t.Fatalf("series point %d is %s, want %s", i, p.Date, days[i])
 		}
-	}
-	if _, ok := a.Report(dates.New(2024, 4, 3)); !ok {
-		t.Fatal("missing archived day")
-	}
-	if _, ok := a.Report(dates.New(2020, 1, 1)); ok {
-		t.Fatal("phantom day")
 	}
 }
 
@@ -45,8 +46,8 @@ func TestArchiveReplace(t *testing.T) {
 	d := dates.New(2024, 4, 1)
 	a.Add(g.Generate(d))
 	a.Add(g.Generate(d))
-	if a.Len() != 1 {
-		t.Fatalf("replacing same day should not grow archive: %d", a.Len())
+	if n := len(a.Series("FR", a.ASNsIn("FR")[0])); n != 1 {
+		t.Fatalf("replacing same day should not grow archive: %d points", n)
 	}
 }
 

@@ -89,8 +89,8 @@ func TestClientRejectsBadResponses(t *testing.T) {
 		{"binz wrong dataset", frameBinz, http.StatusOK, framez.ContentType, binzBody, 0, 0, "", `server sent a "cdn" frame, not "apnic"`},
 		{"declared length over cap", frame, http.StatusOK, "text/csv", nil, maxBodyBytes + 1, 0, "", "exceeds the"},
 		{"chunked body over cap", frameBin, http.StatusOK, binfmt.ContentType, binBody, 0, maxBodyBytes, "", "exceeds the"},
-		{"csv etag names other content", frame, http.StatusOK, "text/csv", ownCSV.Bytes(), 0, 0, cdn.ETag("csv"), "names other content"},
-		{"bin etag names other content", frameBin, http.StatusOK, binfmt.ContentType, ownBin, 0, 0, cdn.ETag("bin"), "names other content"},
+		{"csv etag names other content", frame, http.StatusOK, "text/csv", ownCSV.Bytes(), 0, 0, source.FormatETag(cdn.ContentHash(), "csv"), "names other content"},
+		{"bin etag names other content", frameBin, http.StatusOK, binfmt.ContentType, ownBin, 0, 0, source.FormatETag(cdn.ContentHash(), "bin"), "names other content"},
 		{"legacy report etag names other content", legacy, http.StatusOK, "text/csv", legacyBody.Bytes(), 0, 0,
 			source.FormatETag(bodyHash(otherLegacy.Bytes()), "csv"), "names other content"},
 	}

@@ -321,7 +321,7 @@ func TestLegacyGoldenBytesWithoutConditionalHeaders(t *testing.T) {
 	}
 
 	// And the frame route's ETag is exactly the frame's own validator.
-	if want := f.ETag("csv"); resp.Header.Get("ETag") != want {
+	if want := source.FormatETag(f.ContentHash(), "csv"); resp.Header.Get("ETag") != want {
 		t.Errorf("frame CSV ETag = %q, want %q", resp.Header.Get("ETag"), want)
 	}
 

@@ -108,20 +108,3 @@ func (ds *Dataset) Countries() []string {
 	sort.Strings(out)
 	return out
 }
-
-// Orgs returns the surveyed org IDs for a country, sorted by share
-// descending.
-func (ds *Dataset) Orgs(country string) []string {
-	row := ds.Shares[country]
-	out := make([]string, 0, len(row))
-	for id := range row {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if row[out[i]] != row[out[j]] {
-			return row[out[i]] > row[out[j]]
-		}
-		return out[i] < out[j]
-	})
-	return out
-}

@@ -98,17 +98,6 @@ func TestTracksFixedLineTruth(t *testing.T) {
 	}
 }
 
-func TestOrgsSorted(t *testing.T) {
-	ds := New(testW, 3).Generate(dates.New(2024, 3, 1))
-	ids := ds.Orgs("FR")
-	row := ds.Shares["FR"]
-	for i := 1; i < len(ids); i++ {
-		if row[ids[i]] > row[ids[i-1]] {
-			t.Fatal("Orgs not sorted by share")
-		}
-	}
-}
-
 func TestCountriesSorted(t *testing.T) {
 	ds := New(testW, 3).Generate(dates.New(2024, 3, 1))
 	cs := ds.Countries()

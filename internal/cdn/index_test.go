@@ -62,7 +62,7 @@ func TestCountryIndexMatchesScan(t *testing.T) {
 	// The comparison must cover the pseudo country and the VPN org's
 	// origin-country pairs, which have no market entry.
 	vpnOrigins := 0
-	for cc := range testW.VPNOrigins() {
+	for _, cc := range vpnOriginCountries(d) {
 		if _, ok := generated.Stats[orgs.CountryOrg{Country: cc, Org: testW.VPNOrgID}]; ok {
 			vpnOrigins++
 		}

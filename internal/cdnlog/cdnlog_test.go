@@ -141,9 +141,9 @@ func TestSamplerVPNGeolocation(t *testing.T) {
 	d := dates.New(2024, 4, 1)
 	vpn := testW.VPNOrgID
 	var origin string
-	for cc, share := range testW.VPNOrigins() {
-		if share > 0 {
-			origin = cc
+	for _, p := range testW.CountryOrgPairs(d) {
+		if p.Org == vpn && p.Country != "NO" { // Norway is the hub, not an origin
+			origin = p.Country
 			break
 		}
 	}

@@ -8,33 +8,6 @@ import (
 	"repro/internal/stats"
 )
 
-// Granularity labels the time steps of the stability analysis (Figure 8).
-type Granularity string
-
-// Granularities in Figure 8.
-const (
-	Daily   Granularity = "days"
-	Weekly  Granularity = "weeks"
-	Monthly Granularity = "months"
-	Yearly  Granularity = "years"
-)
-
-// Step returns the granularity's step in days.
-func (g Granularity) Step() int {
-	switch g {
-	case Daily:
-		return 1
-	case Weekly:
-		return 7
-	case Monthly:
-		return 30
-	case Yearly:
-		return 365
-	default:
-		return 1
-	}
-}
-
 // StabilityDistance computes the Kolmogorov–Smirnov-style distance
 // between a country's per-org user share distributions at two times
 // (§5.1.2): organizations are aligned on the union of keys (absent orgs
@@ -52,33 +25,10 @@ func StabilityDistance(sharesT, sharesT1 map[string]float64) float64 {
 // BestDay picks, from a window of candidate days, the one with the
 // smallest users-per-sample (elasticity) ratio — the paper's §5.1.2
 // aggregation rule for choosing which daily APNIC snapshot to trust.
-// ratios maps a sortable date label to the country's ratio that day;
-// days with ratio <= 0 (no data) are skipped. ok is false if no candidate
-// has data.
-func BestDay(ratios map[string]float64) (day string, ok bool) {
-	keys := make([]string, 0, len(ratios))
-	for k := range ratios {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	best := math.Inf(1)
-	for _, k := range keys {
-		r := ratios[k]
-		if r > 0 && r < best {
-			best = r
-			day = k
-			ok = true
-		}
-	}
-	return day, ok
-}
-
-// BestDayDate is the date-keyed variant of BestDay for per-day hot paths:
-// same rule (smallest positive ratio, ties broken toward the earliest
-// candidate) without the date→string→date round-trip. Selection is
-// identical to BestDay over the same days because "YYYY-MM-DD" labels
-// sort chronologically.
-func BestDayDate(ratios map[dates.Date]float64) (day dates.Date, ok bool) {
+// ratios maps each candidate day to the country's ratio that day; days
+// with ratio <= 0 (no data) are skipped, and ties go to the earliest
+// day. ok is false if no candidate has data.
+func BestDay(ratios map[dates.Date]float64) (day dates.Date, ok bool) {
 	days := make([]dates.Date, 0, len(ratios))
 	for d := range ratios {
 		days = append(days, d)

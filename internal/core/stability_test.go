@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/dates"
@@ -26,76 +27,61 @@ func TestStabilityDistance(t *testing.T) {
 	}
 }
 
-func TestBestDay(t *testing.T) {
-	ratios := map[string]float64{
-		"2024-01-01": 40,
-		"2024-01-02": 25, // best
-		"2024-01-03": 60,
-		"2024-01-04": 0, // no data — skipped
+// bestDayByLabel is the §5.1.2 rule over "YYYY-MM-DD" labels, which sort
+// chronologically: the reference BestDay must agree with.
+func bestDayByLabel(ratios map[string]float64) (day string, ok bool) {
+	keys := make([]string, 0, len(ratios))
+	for k := range ratios {
+		keys = append(keys, k)
 	}
-	day, ok := BestDay(ratios)
-	if !ok || day != "2024-01-02" {
-		t.Fatalf("BestDay = %q, %v", day, ok)
+	sort.Strings(keys)
+	best := math.Inf(1)
+	for _, k := range keys {
+		if r := ratios[k]; r > 0 && r < best {
+			best = r
+			day = k
+			ok = true
+		}
 	}
-	if _, ok := BestDay(map[string]float64{"x": 0}); ok {
-		t.Fatal("all-zero ratios should fail")
-	}
-	if _, ok := BestDay(nil); ok {
-		t.Fatal("empty ratios should fail")
-	}
+	return day, ok
 }
 
-func TestBestDayDeterministicTies(t *testing.T) {
-	// Equal ratios: the earliest day wins (sorted iteration).
-	ratios := map[string]float64{"2024-01-03": 10, "2024-01-01": 10, "2024-01-02": 10}
-	day, _ := BestDay(ratios)
-	if day != "2024-01-01" {
-		t.Fatalf("tie-break day = %s", day)
-	}
-}
-
-// TestBestDayDateMatchesBestDay checks the date-keyed variant selects the
-// same day as the string-keyed rule over identical candidates, including
-// the skip-zero and tie-break behavior.
-func TestBestDayDateMatchesBestDay(t *testing.T) {
-	byDate := map[dates.Date]float64{
-		dates.New(2024, 1, 1): 40,
-		dates.New(2024, 1, 2): 25, // best
-		dates.New(2024, 1, 3): 60,
-		dates.New(2024, 1, 4): 0, // no data — skipped
-	}
-	byLabel := map[string]float64{}
-	for d, r := range byDate {
-		byLabel[d.String()] = r
-	}
-	day, ok := BestDayDate(byDate)
-	label, lok := BestDay(byLabel)
-	if !ok || !lok || day.String() != label {
-		t.Fatalf("BestDayDate = %s (%v), BestDay = %s (%v)", day, ok, label, lok)
-	}
-
-	ties := map[dates.Date]float64{
-		dates.New(2024, 1, 3): 10,
-		dates.New(2024, 1, 1): 10,
-		dates.New(2024, 1, 2): 10,
-	}
-	if day, _ := BestDayDate(ties); day != dates.New(2024, 1, 1) {
-		t.Fatalf("tie-break day = %s, want earliest", day)
-	}
-
-	if _, ok := BestDayDate(map[dates.Date]float64{dates.New(2024, 1, 1): 0}); ok {
-		t.Fatal("all-zero ratios should fail")
-	}
-	if _, ok := BestDayDate(nil); ok {
-		t.Fatal("empty ratios should fail")
-	}
-}
-
-func TestGranularitySteps(t *testing.T) {
-	if Daily.Step() != 1 || Weekly.Step() != 7 || Monthly.Step() != 30 || Yearly.Step() != 365 {
-		t.Fatal("granularity steps wrong")
-	}
-	if Granularity("bogus").Step() != 1 {
-		t.Fatal("unknown granularity should default to 1")
+// TestBestDayMatchesLabelRule checks BestDay selects the same day as the
+// label-keyed reference over identical candidates, including the
+// skip-zero and earliest-day tie-break behavior.
+func TestBestDayMatchesLabelRule(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		ratios map[dates.Date]float64
+		want   dates.Date
+		ok     bool
+	}{
+		{"smallest positive ratio", map[dates.Date]float64{
+			dates.New(2024, 1, 1): 40,
+			dates.New(2024, 1, 2): 25, // best
+			dates.New(2024, 1, 3): 60,
+			dates.New(2024, 1, 4): 0, // no data — skipped
+		}, dates.New(2024, 1, 2), true},
+		{"ties go to the earliest day", map[dates.Date]float64{
+			dates.New(2024, 1, 3): 10,
+			dates.New(2024, 1, 1): 10,
+			dates.New(2024, 1, 2): 10,
+		}, dates.New(2024, 1, 1), true},
+		{"all zero", map[dates.Date]float64{dates.New(2024, 1, 1): 0}, dates.Date{}, false},
+		{"empty", nil, dates.Date{}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			day, ok := BestDay(tc.ratios)
+			if ok != tc.ok || (ok && day != tc.want) {
+				t.Errorf("BestDay = %s (%v), want %s (%v)", day, ok, tc.want, tc.ok)
+			}
+			byLabel := map[string]float64{}
+			for d, r := range tc.ratios {
+				byLabel[d.String()] = r
+			}
+			if label, lok := bestDayByLabel(byLabel); lok != ok || (ok && label != day.String()) {
+				t.Errorf("BestDay = %s (%v), label rule = %s (%v)", day, ok, label, lok)
+			}
+		})
 	}
 }

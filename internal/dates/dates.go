@@ -144,16 +144,6 @@ func (d Date) Before(other Date) bool { return d.DayNumber() < other.DayNumber()
 // After reports whether d is strictly after other.
 func (d Date) After(other Date) bool { return d.DayNumber() > other.DayNumber() }
 
-// Equal reports whether d and other are the same day.
-func (d Date) Equal(other Date) bool { return d == other }
-
-// Weekday returns the ISO weekday (1 = Monday ... 7 = Sunday).
-func (d Date) Weekday() int {
-	// 1970-01-01 was a Thursday (ISO weekday 4).
-	wd := (d.DayNumber()%7 + 7) % 7 // 0 = Thursday
-	return (wd+3)%7 + 1
-}
-
 // Range returns all dates from from to to inclusive, stepping by step days.
 // It returns nil if to is before from or step <= 0.
 func Range(from, to Date, step int) []Date {

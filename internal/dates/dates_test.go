@@ -97,22 +97,6 @@ func TestSubAndComparisons(t *testing.T) {
 	if !b.Before(a) || a.Before(b) || !a.After(b) {
 		t.Fatal("comparison methods inconsistent")
 	}
-	if !a.Equal(a) || a.Equal(b) {
-		t.Fatal("Equal inconsistent")
-	}
-}
-
-func TestWeekday(t *testing.T) {
-	// 2024-01-01 was a Monday; 1970-01-01 was a Thursday.
-	if got := New(2024, 1, 1).Weekday(); got != 1 {
-		t.Errorf("2024-01-01 weekday = %d, want 1 (Monday)", got)
-	}
-	if got := New(1970, 1, 1).Weekday(); got != 4 {
-		t.Errorf("1970-01-01 weekday = %d, want 4 (Thursday)", got)
-	}
-	if got := New(2024, 11, 4).Weekday(); got != 1 { // IMC'24 opened on a Monday
-		t.Errorf("2024-11-04 weekday = %d, want 1", got)
-	}
 }
 
 func TestRange(t *testing.T) {

@@ -117,8 +117,3 @@ func (ds *Dataset) CountryShares(country string) map[string]float64 {
 	// Sorted-order summation keeps the shares bit-reproducible.
 	return stats.NormalizeMap(ds.byCountry.Copy(ds.Queries, country))
 }
-
-// Pairs returns the detected (country, org) pairs, sorted.
-func (ds *Dataset) Pairs() []orgs.CountryOrg {
-	return orgs.SortedPairs(ds.Queries)
-}

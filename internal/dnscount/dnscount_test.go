@@ -2,11 +2,11 @@ package dnscount
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/dates"
 	"repro/internal/orgs"
-	"repro/internal/stats"
 	"repro/internal/world"
 )
 
@@ -132,7 +132,7 @@ func TestInfrastructureNoise(t *testing.T) {
 	}
 }
 
-func TestSharesNormalizedAndSorted(t *testing.T) {
+func TestSharesNormalized(t *testing.T) {
 	ds := New(testW, 2).Generate(dates.New(2023, 7, 20))
 	shares := ds.CountryShares("FR")
 	sum := 0.0
@@ -144,14 +144,7 @@ func TestSharesNormalizedAndSorted(t *testing.T) {
 	if math.Abs(sum-1) > 1e-9 {
 		t.Fatalf("shares sum to %v", sum)
 	}
-	if stats.Max(vals) <= 0 {
+	if len(vals) == 0 || slices.Max(vals) <= 0 {
 		t.Fatal("no positive shares")
-	}
-	pairs := ds.Pairs()
-	for i := 1; i < len(pairs); i++ {
-		a, b := pairs[i-1], pairs[i]
-		if a.Country > b.Country || (a.Country == b.Country && a.Org >= b.Org) {
-			t.Fatal("Pairs not sorted")
-		}
 	}
 }

@@ -333,7 +333,7 @@ func TestLabMatchesRegistry(t *testing.T) {
 	for name, f := range map[string]*source.Frame{
 		apnic.DatasetName:     l.Report(d).Frame(),
 		cdn.DatasetName:       l.Snapshot(d).Frame(),
-		itu.DatasetName:       l.ITUTable(d).Frame(),
+		itu.DatasetName:       l.ITU.Generate(d).Frame(),
 		mlab.DatasetName:      l.MLabData(d).Frame(),
 		dnscount.DatasetName:  l.DNSData(d).Frame(),
 		broadband.DatasetName: l.BroadbandData(d).Frame(),

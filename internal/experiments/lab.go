@@ -75,13 +75,13 @@ type Lab struct {
 	Metrics *obsv.Registry
 
 	// Day caches of the native values the runners read, one per dataset
-	// and each bounded by LabCacheDays, filled straight from the
+	// (ITU reaches the runners only through APNIC's scaling, so it has
+	// none), each bounded by LabCacheDays and filled straight from the
 	// generators above. They report as the "source" metrics family
 	// (source_requests_total{dataset="apnic"}, ...). The runners never
 	// read frames, so the lab holds no registry and no frame cache.
 	reports   *source.Days[*apnic.Report]
 	snapshots *source.Days[*cdn.Snapshot]
-	ituTables *source.Days[*itu.Table]
 	mlabData  *source.Days[*mlab.Dataset]
 	dnsData   *source.Days[*dnscount.Dataset]
 	bbData    *source.Days[*broadband.Dataset]
@@ -150,7 +150,6 @@ func NewLabScenario(seed uint64, scn *scenario.Scenario) (*Lab, error) {
 	}
 	l.reports = source.NewDays[*apnic.Report](l.Metrics, "source", apnic.DatasetName, LabCacheDays)
 	l.snapshots = source.NewDays[*cdn.Snapshot](l.Metrics, "source", cdn.DatasetName, LabCacheDays)
-	l.ituTables = source.NewDays[*itu.Table](l.Metrics, "source", itu.DatasetName, LabCacheDays)
 	l.mlabData = source.NewDays[*mlab.Dataset](l.Metrics, "source", mlab.DatasetName, LabCacheDays)
 	l.dnsData = source.NewDays[*dnscount.Dataset](l.Metrics, "source", dnscount.DatasetName, LabCacheDays)
 	l.bbData = source.NewDays[*broadband.Dataset](l.Metrics, "source", broadband.DatasetName, LabCacheDays)
@@ -191,11 +190,6 @@ func (l *Lab) BroadbandData(d dates.Date) *broadband.Dataset {
 // IXPData returns the cached IXP registry scrape for a day.
 func (l *Lab) IXPData(d dates.Date) *ixp.Snapshot {
 	return l.ixpData.Get(d, l.IXP.Generate)
-}
-
-// ITUTable returns the cached per-country ITU table for a day.
-func (l *Lab) ITUTable(d dates.Date) *itu.Table {
-	return l.ituTables.Get(d, l.ITU.Generate)
 }
 
 // Topology returns the lab's shared AS-relationship graph, built at most

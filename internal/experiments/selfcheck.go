@@ -210,7 +210,7 @@ func bestDayBefore(l *Lab, cc string, d dates.Date, window int) dates.Date {
 			ratios[day] = core.ElasticityRatio(u, float64(s))
 		}
 	}
-	if best, ok := core.BestDayDate(ratios); ok {
+	if best, ok := core.BestDay(ratios); ok {
 		return best
 	}
 	return d

@@ -375,14 +375,3 @@ func ByCode(code string) (Country, bool) {
 	c, ok := byCode[code]
 	return c, ok
 }
-
-// InSubregion returns all countries in a subregion, sorted by code.
-func InSubregion(s Subregion) []Country {
-	var out []Country
-	for _, c := range All() {
-		if c.Subregion == s {
-			out = append(out, c)
-		}
-	}
-	return out
-}

@@ -31,16 +31,6 @@ func (e *Estimator) Generate(d dates.Date) *Table {
 	return t
 }
 
-// Total returns the table's world total, matching WorldTotal for the
-// table's date.
-func (t *Table) Total() float64 {
-	total := 0.0
-	for _, v := range t.Users {
-		total += v
-	}
-	return total
-}
-
 // Frame converts the table to the uniform columnar form, one row per
 // country sorted by code. Lossless: TableFromFrame reconstructs an equal
 // table.

@@ -14,8 +14,6 @@
 package mlab
 
 import (
-	"sort"
-
 	"repro/internal/dates"
 	"repro/internal/orgs"
 	"repro/internal/rng"
@@ -107,18 +105,4 @@ func (g *Generator) Generate(d dates.Date) *Dataset {
 func (ds *Dataset) CountryShares(country string) map[string]float64 {
 	// Sorted-order summation keeps the shares bit-reproducible.
 	return stats.NormalizeMap(ds.byCountry.Copy(ds.Counts, country))
-}
-
-// Countries returns the sorted countries with published counts.
-func (ds *Dataset) Countries() []string {
-	seen := map[string]bool{}
-	for k := range ds.Counts {
-		seen[k.Country] = true
-	}
-	out := make([]string, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }

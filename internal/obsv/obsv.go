@@ -65,17 +65,6 @@ type Gauge struct {
 // Set replaces the gauge value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add increments the gauge by delta (CAS loop; safe for concurrent use).
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
@@ -118,45 +107,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
-
-// Quantile estimates the q-th quantile (0 ≤ q ≤ 1) of the observed
-// distribution from the bucket counts, interpolating linearly inside the
-// bucket that straddles the target rank (Prometheus histogram_quantile
-// semantics). The estimate is bounded by the bucket resolution; callers
-// needing exact percentiles must keep raw samples. Returns NaN when the
-// histogram is empty; a quantile landing in the +Inf bucket clamps to
-// the largest finite bound.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 || len(h.bounds) == 0 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var cum uint64
-	for i := range h.counts {
-		n := h.counts[i].Load()
-		if float64(cum+n) < rank || n == 0 {
-			cum += n
-			continue
-		}
-		if i >= len(h.bounds) { // +Inf bucket: no upper bound to interpolate to
-			return h.bounds[len(h.bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		hi := h.bounds[i]
-		return lo + (hi-lo)*(rank-float64(cum))/float64(n)
-	}
-	return h.bounds[len(h.bounds)-1]
-}
 
 // Buckets returns the bucket upper bounds and their cumulative counts
 // (Prometheus semantics: counts[i] is the number of observations <=

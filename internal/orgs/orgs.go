@@ -147,11 +147,6 @@ func (r *Registry) ByASN(asn uint32) (*Org, bool) {
 // Len returns the number of registered organizations.
 func (r *Registry) Len() int { return len(r.byID) }
 
-// IDs returns all org IDs in sorted order.
-func (r *Registry) IDs() []string {
-	return append([]string(nil), r.ids...)
-}
-
 // All returns all orgs sorted by ID.
 func (r *Registry) All() []*Org {
 	out := make([]*Org, 0, len(r.ids))
@@ -275,19 +270,5 @@ func SortedPairs[V any](m map[CountryOrg]V) []CountryOrg {
 		}
 		return strings.Compare(a.Org, b.Org)
 	})
-	return out
-}
-
-// Countries returns the sorted set of countries present in a measurement.
-func Countries(m map[CountryOrg]float64) []string {
-	seen := map[string]bool{}
-	for k := range m {
-		seen[k.Country] = true
-	}
-	out := make([]string, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Strings(out)
 	return out
 }

@@ -76,7 +76,7 @@ func TestAggregateSumsSiblings(t *testing.T) {
 	}
 }
 
-func TestCountrySharesAndCountries(t *testing.T) {
+func TestCountryShares(t *testing.T) {
 	m := map[CountryOrg]float64{
 		{Country: "FR", Org: "a"}: 1,
 		{Country: "FR", Org: "b"}: 2,
@@ -85,10 +85,6 @@ func TestCountrySharesAndCountries(t *testing.T) {
 	fr := CountryShares(m, "FR")
 	if len(fr) != 2 || fr["a"] != 1 || fr["b"] != 2 {
 		t.Fatalf("CountryShares FR = %v", fr)
-	}
-	cs := Countries(m)
-	if len(cs) != 2 || cs[0] != "DE" || cs[1] != "FR" {
-		t.Fatalf("Countries = %v", cs)
 	}
 }
 

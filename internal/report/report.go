@@ -69,21 +69,6 @@ func Count(n int64) string {
 	return string(out)
 }
 
-// Series renders an (x, y) series as lines of "x<tab>y" — a plottable
-// form for figure data.
-func Series(name string, xs, ys []float64) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# series: %s\n", name)
-	n := len(xs)
-	if len(ys) < n {
-		n = len(ys)
-	}
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&b, "%g\t%g\n", xs[i], ys[i])
-	}
-	return b.String()
-}
-
 // Bar renders a labelled horizontal bar of width proportional to
 // value/max (for the Figure 3 overlap bars).
 func Bar(label string, value, max float64, width int) string {

@@ -62,21 +62,6 @@ func TestCount(t *testing.T) {
 	}
 }
 
-func TestSeries(t *testing.T) {
-	out := Series("demo", []float64{1, 2}, []float64{10, 20})
-	if !strings.HasPrefix(out, "# series: demo\n") {
-		t.Error("missing header")
-	}
-	if !strings.Contains(out, "1\t10\n") || !strings.Contains(out, "2\t20\n") {
-		t.Errorf("points missing:\n%s", out)
-	}
-	// Mismatched lengths truncate to the shorter side.
-	short := Series("s", []float64{1, 2, 3}, []float64{9})
-	if strings.Count(short, "\n") != 2 {
-		t.Errorf("mismatched series not truncated:\n%s", short)
-	}
-}
-
 func TestBar(t *testing.T) {
 	out := Bar("label", 50, 100, 10)
 	if !strings.Contains(out, "#####") {

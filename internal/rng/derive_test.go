@@ -64,8 +64,8 @@ func TestDeriveLengthMatters(t *testing.T) {
 	}
 }
 
-// Mirror of TestSplitNDistinct: sweeping one key coordinate over a large
-// range must not produce colliding streams.
+// Sweeping one key coordinate over a large range must not produce
+// colliding streams.
 func TestDeriveSweepDistinct(t *testing.T) {
 	root := New(3)
 	seen := map[uint64]bool{}

@@ -44,14 +44,6 @@ func (s *Stream) Split(label string) *Stream {
 	return &Stream{state: mix(h.Sum64())}
 }
 
-// SplitN derives an independent child stream from the parent and an index.
-// Useful when fanning out per-entity streams (one per AS, per day, ...).
-func (s *Stream) SplitN(label string, n int) *Stream {
-	c := s.Split(label)
-	c.state = mix(c.state + uint64(n)*0x9e3779b97f4a7c15)
-	return c
-}
-
 // golden is the SplitMix64 increment (2^64 / phi), also used to decorrelate
 // integer derivation keys before mixing.
 const golden = 0x9e3779b97f4a7c15
@@ -148,11 +140,6 @@ func (s *Stream) Norm(mean, stddev float64) float64 {
 // mean mu and standard deviation sigma.
 func (s *Stream) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(s.Norm(mu, sigma))
-}
-
-// ExpFloat64 returns an exponential deviate with rate 1.
-func (s *Stream) ExpFloat64() float64 {
-	return -math.Log(1 - s.Float64())
 }
 
 // Poisson returns a Poisson(lambda) deviate. For small lambda it uses
@@ -262,12 +249,4 @@ func (s *Stream) Perm(n int) []int {
 		p[j] = i
 	}
 	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (s *Stream) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
 }

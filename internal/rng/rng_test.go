@@ -54,18 +54,6 @@ func TestSplitReproducible(t *testing.T) {
 	}
 }
 
-func TestSplitNDistinct(t *testing.T) {
-	root := New(3)
-	seen := map[uint64]bool{}
-	for i := 0; i < 500; i++ {
-		v := root.SplitN("as", i).Uint64()
-		if seen[v] {
-			t.Fatalf("SplitN collision at index %d", i)
-		}
-		seen[v] = true
-	}
-}
-
 func TestFloat64Range(t *testing.T) {
 	s := New(11)
 	for i := 0; i < 10000; i++ {
@@ -312,27 +300,5 @@ func TestBoolFrequency(t *testing.T) {
 		if s.Bool(0) || !s.Bool(1) {
 			t.Fatal("Bool(0) must never and Bool(1) must always be true")
 		}
-	}
-}
-
-func TestExpFloat64Moments(t *testing.T) {
-	s := New(29)
-	n := 100000
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		x := s.ExpFloat64()
-		if x < 0 || math.IsInf(x, 0) {
-			t.Fatalf("ExpFloat64 = %v, want finite and non-negative", x)
-		}
-		sum += x
-		sumSq += x * x
-	}
-	mean := sum / float64(n)
-	variance := sumSq/float64(n) - mean*mean
-	if math.Abs(mean-1) > 0.02 {
-		t.Errorf("exponential mean = %v, want ~1", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Errorf("exponential variance = %v, want ~1", variance)
 	}
 }

@@ -85,27 +85,9 @@ func Compile(s *Scenario) (*Compiled, error) {
 	return c, nil
 }
 
-// MustCompile is Compile for literals known to be valid; it panics on error.
-func MustCompile(s *Scenario) *Compiled {
-	c, err := Compile(s)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// Scenario returns the compiled scenario's source description.
-func (c *Compiled) Scenario() *Scenario { return c.scn }
-
-// Name returns the scenario name.
-func (c *Compiled) Name() string { return c.scn.Name }
-
 // Country returns the compiled shocks for one country, or nil when the
 // scenario leaves it untouched. The result is immutable and shared.
 func (c *Compiled) Country(cc string) *CountryShocks { return c.byCC[cc] }
-
-// Countries returns the shocked country codes, sorted.
-func (c *Compiled) Countries() []string { return sortedCodes(c.byCC) }
 
 // Mergers returns the per-country merger overrides.
 func (c *Compiled) Mergers() map[string]MergerOverride {

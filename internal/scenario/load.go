@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -93,11 +92,6 @@ func Decode(r io.Reader) (*Scenario, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// Parse decodes one scenario from a JSON byte slice.
-func Parse(data []byte) (*Scenario, error) {
-	return Decode(bytes.NewReader(data))
 }
 
 // LoadFile reads and validates a scenario from a JSON file.

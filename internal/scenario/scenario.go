@@ -18,7 +18,6 @@ package scenario
 import (
 	"fmt"
 	"regexp"
-	"sort"
 
 	"repro/internal/dates"
 	"repro/internal/geo"
@@ -345,24 +344,4 @@ func ByName(name string) (*Scenario, bool) {
 		}
 	}
 	return nil, false
-}
-
-// Names returns the builtin scenario names in roster order.
-func Names() []string {
-	bs := Builtins()
-	out := make([]string, len(bs))
-	for i, s := range bs {
-		out[i] = s.Name
-	}
-	return out
-}
-
-// sortedCodes returns a deterministic iteration order for per-country maps.
-func sortedCodes(m map[string]*CountryShocks) []string {
-	out := make([]string, 0, len(m))
-	for cc := range m {
-		out = append(out, cc)
-	}
-	sort.Strings(out)
-	return out
 }

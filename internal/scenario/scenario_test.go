@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -13,9 +15,12 @@ func TestPaperValidatesAndCompiles(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatalf("Paper() must validate: %v", err)
 	}
-	c := MustCompile(p)
-	if c.Name() != "paper" {
-		t.Fatalf("name = %q", c.Name())
+	c, err := Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.scn.Name != "paper" {
+		t.Fatalf("name = %q", c.scn.Name)
 	}
 
 	// Russia's ads pause: one sampling step of exactly 0.25 from
@@ -160,7 +165,10 @@ func TestCompileViews(t *testing.T) {
 			{From: dates.New(2023, 1, 1), Factor: 1.5},
 		},
 	}
-	c := MustCompile(s)
+	c, err := Compile(s)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	br := c.Country("BR")
 	if f := br.SamplingFactor(dates.New(2021, 12, 31).DayNumber()); f != 1 {
@@ -202,15 +210,13 @@ func TestCompileViews(t *testing.T) {
 	if c.Country("FR") != nil {
 		t.Error("untouched country must compile to nil shocks")
 	}
-	got := c.Countries()
-	want := []string{"BR", "IR", "MM"}
-	if len(got) != len(want) {
-		t.Fatalf("Countries() = %v", got)
+	var got []string
+	for cc := range c.byCC {
+		got = append(got, cc)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Countries() = %v, want %v", got, want)
-		}
+	sort.Strings(got)
+	if want := []string{"BR", "IR", "MM"}; !slices.Equal(got, want) {
+		t.Fatalf("shocked countries = %v, want %v", got, want)
 	}
 }
 
@@ -219,8 +225,8 @@ func TestCompileNilIsPaper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Name() != "paper" {
-		t.Errorf("nil scenario compiled to %q, want paper", c.Name())
+	if c.scn.Name != "paper" {
+		t.Errorf("nil scenario compiled to %q, want paper", c.scn.Name)
 	}
 }
 

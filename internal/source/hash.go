@@ -74,18 +74,12 @@ func hashColumn(h hash.Hash, c *Column, writeStr func(string), writeU64 func(uin
 	}
 }
 
-// ETag formats the frame's content hash as a strong HTTP entity tag for
-// one representation of the frame. The variant distinguishes
-// representations of the same content (codec and content-coding), since a
-// strong validator must change whenever the bytes on the wire do:
-// Frame.ETag("csv") != Frame.ETag("csv.gz") != Frame.ETag("json").
-func (f *Frame) ETag(variant string) string {
-	return FormatETag(f.ContentHash(), variant)
-}
-
-// FormatETag builds a quoted strong entity tag from a content hash and a
-// representation variant. Exported so serving layers that cache body
-// hashes (rather than frames) can mint consistent tags.
+// FormatETag builds a quoted strong entity tag from a content hash (a
+// frame's ContentHash, or a cached body hash) and a representation
+// variant. The variant distinguishes representations of the same content
+// (codec and content-coding), since a strong validator must change
+// whenever the bytes on the wire do:
+// FormatETag(h, "csv") != FormatETag(h, "csv.gz") != FormatETag(h, "json").
 func FormatETag(hash, variant string) string {
 	if variant == "" {
 		return `"` + hash + `"`

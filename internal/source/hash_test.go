@@ -87,8 +87,8 @@ func TestContentHashNoLengthConfusion(t *testing.T) {
 // TestETagVariants pins the validator format: quoted, variant-suffixed,
 // distinct per representation of the same content.
 func TestETagVariants(t *testing.T) {
-	f := hashFrame()
-	csv, gz, jsn := f.ETag("csv"), f.ETag("csv.gz"), f.ETag("json")
+	h := hashFrame().ContentHash()
+	csv, gz, jsn := FormatETag(h, "csv"), FormatETag(h, "csv.gz"), FormatETag(h, "json")
 	for _, tag := range []string{csv, gz, jsn} {
 		if !strings.HasPrefix(tag, `"`) || !strings.HasSuffix(tag, `"`) {
 			t.Errorf("etag %s is not a quoted entity tag", tag)

@@ -69,9 +69,6 @@ func NewRegistry(metrics *obsv.Registry, cacheDays int) *Registry {
 	}
 }
 
-// Metrics returns the obsv registry the artifact caches report into.
-func (r *Registry) Metrics() *obsv.Registry { return r.metrics }
-
 // Register adds a source under its name. Registering a duplicate name is
 // a programming error and panics.
 func (r *Registry) Register(s Source) {

@@ -92,26 +92,6 @@ func NewECDF(xs []float64) *ECDF {
 	return &ECDF{sorted: s}
 }
 
-// At returns F(x) = P(X ≤ x).
-func (e *ECDF) At(x float64) float64 {
-	if len(e.sorted) == 0 {
-		return math.NaN()
-	}
-	i := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(e.sorted))
-}
-
-// Quantile returns the q-th quantile of the underlying sample.
-func (e *ECDF) Quantile(q float64) float64 {
-	if len(e.sorted) == 0 {
-		return math.NaN()
-	}
-	return quantileSorted(e.sorted, q)
-}
-
-// Len returns the sample size.
-func (e *ECDF) Len() int { return len(e.sorted) }
-
 // Points returns (x, F(x)) pairs at each distinct sample value, suitable
 // for plotting a CDF curve like the paper's Figures 8, 10 and 12.
 func (e *ECDF) Points() (xs, fs []float64) {

@@ -125,7 +125,7 @@ func TestStreamConvergenceUnchunked(t *testing.T) {
 
 // TestRollingWindowEviction holds the sliding-window semantics: only
 // the newest Window days stay resident, evicted days report empty, and
-// late impressions for evicted days are counted, not applied.
+// late impressions for evicted days are dropped without a revision.
 func TestRollingWindowEviction(t *testing.T) {
 	gen := newTestGen()
 	gen.Window = 2
@@ -148,9 +148,6 @@ func TestRollingWindowEviction(t *testing.T) {
 	if got := est.DaysHeld(); got != 2 {
 		t.Fatalf("DaysHeld = %d, want 2", got)
 	}
-	if est.Evicted() != 2 {
-		t.Fatalf("Evicted = %d, want 2", est.Evicted())
-	}
 	// The retained days still converge exactly.
 	for i := days - 2; i < days; i++ {
 		d := from.AddDays(i)
@@ -160,11 +157,19 @@ func TestRollingWindowEviction(t *testing.T) {
 	if rows := est.Report(from).Rows; len(rows) != 0 {
 		t.Fatalf("evicted day has %d rows, want 0", len(rows))
 	}
-	// A late impression for an evicted day is dropped and counted.
+	// A late impression for an evicted day is dropped: no revision, no
+	// resident day, no change to any report.
 	before := est.Report(from.AddDays(days - 1))
+	_, revBefore, _, _ := est.Snapshot()
 	est.Observe(Impression{Day: from, CC: "FR", ASN: 64500, Weight: 5})
-	if est.Late() != 1 {
-		t.Fatalf("Late = %d, want 1", est.Late())
+	if _, rev, _, _ := est.Snapshot(); rev != revBefore {
+		t.Fatalf("late impression bumped the revision %d → %d", revBefore, rev)
+	}
+	if got := est.DaysHeld(); got != 2 {
+		t.Fatalf("late impression left %d days resident, want 2", got)
+	}
+	if rows := est.Report(from).Rows; len(rows) != 0 {
+		t.Fatalf("late impression resurrected the evicted day with %d rows", len(rows))
 	}
 	reportsEqual(t, est.Report(from.AddDays(days-1)), before)
 }

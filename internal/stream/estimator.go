@@ -33,8 +33,6 @@ type RollingEstimator struct {
 	latest  int                     // newest day number observed (valid when haveAny)
 	haveAny bool
 	rev     uint64 // bumped on every accepted mutation; the live ETag seam
-	late    int64  // impressions for days already evicted from the window
-	evicted int64  // days dropped off the back of the window
 
 	// One-entry report cache: the live endpoint assembles the same
 	// (day, rev) snapshot once, not per request.
@@ -60,8 +58,8 @@ func NewRollingEstimator(gen *apnic.Generator) *RollingEstimator {
 }
 
 // Observe credits one impression to its day's accumulator. Impressions
-// for days that have already slid out of the window are counted as late
-// and dropped — the published dataset never rewrites history either.
+// for days that have already slid out of the window are dropped — the
+// published dataset never rewrites history either.
 func (e *RollingEstimator) Observe(imp Impression) {
 	e.mu.Lock()
 	e.observeLocked(imp)
@@ -80,7 +78,6 @@ func (e *RollingEstimator) ObserveBatch(b Batch) {
 func (e *RollingEstimator) observeLocked(imp Impression) {
 	dn := imp.Day.DayNumber()
 	if e.haveAny && dn <= e.latest-e.window {
-		e.late++
 		return
 	}
 	if !e.haveAny || dn > e.latest {
@@ -90,7 +87,6 @@ func (e *RollingEstimator) observeLocked(imp Impression) {
 		for day := range e.days {
 			if day <= e.latest-e.window {
 				delete(e.days, day)
-				e.evicted++
 			}
 		}
 	}
@@ -103,14 +99,8 @@ func (e *RollingEstimator) observeLocked(imp Impression) {
 	e.rev++
 }
 
-// Counts returns one retained day's raw per-AS counts in (CC, ASN)
+// countsLocked returns one retained day's raw per-AS counts in (CC, ASN)
 // order, or nil for a day outside the window.
-func (e *RollingEstimator) Counts(d dates.Date) []apnic.ASCount {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.countsLocked(d.DayNumber())
-}
-
 func (e *RollingEstimator) countsLocked(dn int) []apnic.ASCount {
 	m := e.days[dn]
 	if m == nil {
@@ -197,18 +187,4 @@ func (e *RollingEstimator) DaysHeld() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return len(e.days)
-}
-
-// Late returns how many impressions arrived for already-evicted days.
-func (e *RollingEstimator) Late() int64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.late
-}
-
-// Evicted returns how many day accumulators have slid out of the window.
-func (e *RollingEstimator) Evicted() int64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.evicted
 }

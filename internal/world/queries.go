@@ -80,14 +80,6 @@ func (md *MarketDay) APNICUsers(e *Entry) float64 {
 	return md.apnicUsers(e.Org.ID, e)
 }
 
-// CDNUsers returns the users a true-geolocation measurement (the CDN
-// pipeline) attributes to an entry on the day: true users, plus — for the
-// VPN org in an *origin* country — that country's slice of the funnel.
-// The hub sees only the VPN's real local users.
-func (md *MarketDay) CDNUsers(e *Entry) float64 {
-	return md.cdnUsers(e.Org.ID, e)
-}
-
 // apnicUsers and cdnUsers take the org ID apart from its entry because
 // the VPN org appears in origin countries' CDN view without a market
 // entry there (e == nil).
@@ -179,15 +171,6 @@ func (w *World) VPNFunnelTotal(d dates.Date) float64 {
 	return base
 }
 
-// VPNOrigins returns the origin-country mix of the VPN funnel.
-func (w *World) VPNOrigins() map[string]float64 {
-	out := make(map[string]float64, len(w.vpnOrigin))
-	for k, v := range w.vpnOrigin {
-		out[k] = v
-	}
-	return out
-}
-
 // APNICUsers is MarketDay.APNICUsers for an org in a country on a date.
 func (w *World) APNICUsers(country, orgID string, d dates.Date) float64 {
 	m := w.markets[country]
@@ -245,22 +228,6 @@ func (m *Market) ActiveEntries(d dates.Date) []*Entry {
 		}
 		return out
 	})
-}
-
-// OrgCount returns the number of organizations active in a country in a
-// year (used by the consolidation analysis and the RIR substrate).
-func (w *World) OrgCount(country string, year int) int {
-	m := w.markets[country]
-	if m == nil {
-		return 0
-	}
-	n := 0
-	for _, e := range m.Entries {
-		if activeIn(e, year) {
-			n++
-		}
-	}
-	return n
 }
 
 // ShutdownFactor returns the fraction of normal Internet activity

@@ -253,13 +253,6 @@ func (w *World) Market(code string) *Market {
 	return w.markets[code]
 }
 
-// Scenario returns the compiled scenario the world was built under;
-// never nil.
-func (w *World) Scenario() *scenario.Compiled { return w.shocks }
-
-// ScenarioName returns the name of the world's scenario.
-func (w *World) ScenarioName() string { return w.shocks.Name() }
-
 // allocateAddresses hands out a prefix per ASN and announces it with both
 // geolocation views. VPN egress blocks are handled in buildVPN.
 func (w *World) allocateAddresses(alloc *netdb.Allocator) error {

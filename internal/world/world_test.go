@@ -231,7 +231,7 @@ func TestVPNViews(t *testing.T) {
 	}
 	// Origin countries see the VPN org in the CDN view only.
 	foundOrigin := false
-	for origin, share := range w.VPNOrigins() {
+	for origin, share := range w.vpnOrigin {
 		if share <= 0 {
 			continue
 		}
@@ -364,15 +364,12 @@ func TestCloudOrgsAreTrafficHeavyAdLight(t *testing.T) {
 	}
 }
 
-func TestOrgCount(t *testing.T) {
-	w := testWorld(t)
-	n2019 := w.OrgCount("BR", 2019)
-	n2024 := w.OrgCount("BR", 2024)
+func TestEntrantsAddOrgs(t *testing.T) {
+	m := testWorld(t).Market("BR")
+	n2019 := len(m.ActiveEntries(dates.New(2019, 6, 1)))
+	n2024 := len(m.ActiveEntries(dates.New(2024, 6, 1)))
 	if n2024 <= n2019 {
 		t.Errorf("Brazil org count %d → %d; entrants should add orgs", n2019, n2024)
-	}
-	if w.OrgCount("XX", 2024) != 0 {
-		t.Error("unknown country should have zero orgs")
 	}
 }
 
