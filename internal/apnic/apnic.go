@@ -38,10 +38,10 @@ import (
 	"repro/internal/world"
 )
 
-// DefaultSampleRate is the mean ad impressions per ad-reachable user per
+// sampleRate is the mean ad impressions per ad-reachable user per
 // 60-day window. Calibrated against the paper's Table 2, where India's
 // largest AS shows ≈278M estimated users and ≈8.4M window samples.
-const DefaultSampleRate = 0.034
+const sampleRate = 0.034
 
 // DefaultMinSamples is the empirical inclusion floor the paper observed.
 const DefaultMinSamples = 120
@@ -51,8 +51,6 @@ type Generator struct {
 	W   *world.World
 	ITU *itu.Estimator
 
-	// SampleRate is impressions per ad-reachable user per window.
-	SampleRate float64
 	// MinSamples is the per-AS inclusion floor.
 	MinSamples int64
 	// Window is the moving-window length in days (APNIC uses 60).
@@ -71,8 +69,8 @@ type Generator struct {
 	// scans are pure functions of (seed, country, day), so each pair is
 	// computed once and shared. Sharded singleflight keeps concurrent
 	// runners from serializing on one cache mutex. Configuration fields
-	// (SampleRate, MinSamples, Window) must be set before first use —
-	// memoized values are not invalidated.
+	// (MinSamples, Window) must be set before first use — memoized values
+	// are not invalidated.
 	totalsMemo *syncx.Sharded[ccDay, countryTotals]
 	sharesMemo *syncx.Sharded[ccDay, map[string]float64]
 
@@ -88,9 +86,7 @@ type Generator struct {
 	noiseFills atomic.Int64 // window-noise vectors drawn (memo fills)
 
 	totalsScans atomic.Int64 // uncached CountryTotals scans (memo fills)
-	totalsReqs  atomic.Int64 // CountryTotals lookups
 	sharesScans atomic.Int64 // uncached CountryOrgShares scans (memo fills)
-	sharesReqs  atomic.Int64 // CountryOrgShares lookups
 }
 
 // ccDay keys the per-(country, day) memo caches.
@@ -137,14 +133,13 @@ func New(w *world.World, ituEst *itu.Estimator, seed uint64) *Generator {
 	g := &Generator{
 		W:          w,
 		ITU:        ituEst,
-		SampleRate: DefaultSampleRate,
 		MinSamples: DefaultMinSamples,
 		Window:     60,
 		root:       rng.New(seed).Split("apnic"),
 		asName:     map[uint32]string{},
-		totalsMemo: syncx.NewSharded[ccDay, countryTotals](16, hashCCDay),
-		sharesMemo: syncx.NewSharded[ccDay, map[string]float64](16, hashCCDay),
-		noiseMemo:  syncx.NewSharded[ccWeek, []float64](16, hashCCWeek),
+		totalsMemo: syncx.NewSharded[ccDay, countryTotals](hashCCDay),
+		sharesMemo: syncx.NewSharded[ccDay, map[string]float64](hashCCDay),
+		noiseMemo:  syncx.NewSharded[ccWeek, []float64](hashCCWeek),
 	}
 	for _, o := range w.Registry.All() {
 		for _, asn := range o.ASNs {
@@ -259,7 +254,7 @@ func (g *Generator) orgSamples(ad *apnicDay, e *world.Entry) int64 {
 // last bits, and with them the Poisson realizations.
 func (g *Generator) orgSamplesNoise(ad *apnicDay, e *world.Entry, noise float64) int64 {
 	mean := ad.users.APNICUsers(e) * ad.reach * e.AdFactor * e.APNICBias *
-		g.SampleRate * noise * ad.shut
+		sampleRate * noise * ad.shut
 	if mean <= 0 {
 		return 0
 	}
@@ -474,7 +469,6 @@ func (r *Report) TopOrgs(reg *orgs.Registry, country string) []string {
 // repeat lookups — Figure 7's weekly 2024 sweep, Figure 8's best-day
 // windows, the artifact checks — share one computation.
 func (g *Generator) CountryTotals(country string, d dates.Date) (samples int64, users float64) {
-	g.totalsReqs.Add(1)
 	t := g.totalsMemo.Get(ccDay{country, d.DayNumber()}, func() countryTotals {
 		g.totalsScans.Add(1)
 		s, u := g.countryTotalsScan(country, d)
@@ -520,7 +514,6 @@ func (g *Generator) countryTotalsScan(country string, d dates.Date) (samples int
 // repository only reads (alignment, K-S, rendering); a caller that needs
 // to mutate must copy first.
 func (g *Generator) CountryOrgShares(country string, d dates.Date) map[string]float64 {
-	g.sharesReqs.Add(1)
 	return g.sharesMemo.Get(ccDay{country, d.DayNumber()}, func() map[string]float64 {
 		g.sharesScans.Add(1)
 		return g.countryOrgSharesScan(country, d)

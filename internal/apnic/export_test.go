@@ -13,12 +13,11 @@ func (g *Generator) CountryOrgSharesUncached(country string, d dates.Date) map[s
 	return g.countryOrgSharesScan(country, d)
 }
 
-// MemoStats reports the (country, day) memo activity: total lookups and
-// uncached scans for CountryTotals and CountryOrgShares. Hits are
-// reqs − scans; under the singleflight contract scans equal the number
-// of distinct (country, day) pairs requested.
-func (g *Generator) MemoStats() (totalsReqs, totalsScans, sharesReqs, sharesScans int64) {
-	return g.totalsReqs.Load(), g.totalsScans.Load(), g.sharesReqs.Load(), g.sharesScans.Load()
+// MemoStats reports the uncached scans behind CountryTotals and
+// CountryOrgShares. Under the singleflight contract each equals the
+// number of distinct (country, day) pairs requested.
+func (g *Generator) MemoStats() (totalsScans, sharesScans int64) {
+	return g.totalsScans.Load(), g.sharesScans.Load()
 }
 
 // MemoLen reports how many (country, day) entries each memo cache holds.

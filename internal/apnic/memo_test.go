@@ -48,7 +48,7 @@ func TestCountryTotalsMemoEqualsUncached(t *testing.T) {
 			}
 		}
 	}
-	_, scans, _, _ := g.MemoStats()
+	scans, _ := g.MemoStats()
 	if want := int64(len(ccs) * len(days)); scans != want {
 		t.Fatalf("totals scans = %d, want %d (one per distinct pair)", scans, want)
 	}
@@ -77,7 +77,7 @@ func TestCountryOrgSharesMemoEqualsUncached(t *testing.T) {
 			}
 		}
 	}
-	_, _, _, scans := g.MemoStats()
+	_, scans := g.MemoStats()
 	if want := int64(len(ccs) * len(days)); scans != want {
 		t.Fatalf("share scans = %d, want %d (one per distinct pair)", scans, want)
 	}
@@ -105,7 +105,7 @@ func TestMemoSingleflightConcurrent(t *testing.T) {
 			t.Fatalf("goroutine %d saw a different map instance", i)
 		}
 	}
-	_, tScans, _, sScans := g.MemoStats()
+	tScans, sScans := g.MemoStats()
 	if tScans != 1 || sScans != 1 {
 		t.Fatalf("scans = (%d totals, %d shares), want 1 each", tScans, sScans)
 	}

@@ -27,7 +27,7 @@ func refOrgSamples(g *Generator, m *world.Market, country string, e *world.Entry
 	ns := g.root.Derive(chanVolatility, m.Key(), e.Key, uint64(int64(wk)))
 	noise := ns.LogNormal(0, m.Country.AdVolatility)
 	mean := apparent * reach * e.AdFactor * e.APNICBias *
-		g.SampleRate * noise * g.W.ShutdownWindowFactor(country, d, g.Window)
+		sampleRate * noise * g.W.ShutdownWindowFactor(country, d, g.Window)
 	if mean <= 0 {
 		return 0
 	}

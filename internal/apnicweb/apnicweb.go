@@ -891,21 +891,14 @@ func readBody(u string, resp *http.Response) ([]byte, error) {
 
 // Client fetches reports from a server. It retries transient failures
 // (connection errors, 429, 5xx) with exponential backoff through
-// obsv.RetryTransport; see Retry.
+// obsv.RetryTransport: 4 attempts, 100ms base backoff, Retry-After
+// honored, and a retry budget shared by the client's requests.
 type Client struct {
 	// BaseURL is the server root, e.g. "http://localhost:8080".
 	BaseURL string
 	// HTTPClient defaults to a client with a 30s timeout. Its transport
 	// is wrapped with the retrying transport on first use.
 	HTTPClient *http.Client
-	// Retry overrides the default retry policy (4 attempts, 100ms base
-	// backoff). Set before first use.
-	Retry obsv.RetryPolicy
-	// Metrics, when non-nil, receives per-attempt client metrics
-	// (httpclient_attempts_total, httpclient_retries_total, ...).
-	Metrics *obsv.Registry
-	// Log, when non-nil, gets one line per retry with delay and cause.
-	Log *log.Logger
 
 	once sync.Once
 	c    *http.Client
@@ -918,12 +911,7 @@ func (c *Client) http() *http.Client {
 			base = &http.Client{Timeout: 30 * time.Second}
 		}
 		wrapped := *base // shallow copy so we never mutate the caller's client
-		wrapped.Transport = &obsv.RetryTransport{
-			Base:    base.Transport,
-			Policy:  c.Retry,
-			Metrics: c.Metrics,
-			Log:     c.Log,
-		}
+		wrapped.Transport = &obsv.RetryTransport{Base: base.Transport}
 		c.c = &wrapped
 	})
 	return c.c

@@ -16,6 +16,10 @@ import (
 // old root.Split("trace/"+v+"/"+d.String()) label format on the hot path.
 const chanTrace uint64 = 1
 
+// hopLossProb is the per-hop probability that a traceroute fails to
+// reveal an AS on the path (the paper's "inaccuracies").
+const hopLossProb = 0.08
+
 // Campaign is a traceroute measurement campaign: vantage points probe
 // destinations across the topology and the observed AS paths are folded
 // into per-organization path popularity — the [69]-style traffic proxy.
@@ -28,15 +32,12 @@ type Campaign struct {
 	// bias the paper cites.
 	Vantages []string
 
-	// HopLossProb is the per-hop probability that a traceroute fails to
-	// reveal an AS on the path (the paper's "inaccuracies").
-	HopLossProb float64
-
-	// Parallelism bounds how many vantages Run traces concurrently
-	// (GOMAXPROCS when <= 0). Every setting produces byte-identical
-	// results: each vantage accumulates into its own partial weight map
-	// and partials are merged in sorted vantage order.
-	Parallelism int
+	// parallelism bounds how many vantages Run traces concurrently
+	// (GOMAXPROCS when <= 0, as every caller but the serial-vs-parallel
+	// test leaves it). Every setting produces byte-identical results:
+	// each vantage accumulates into its own partial weight map and
+	// partials are merged in sorted vantage order.
+	parallelism int
 
 	root        *rng.Stream
 	vantageKeys []uint64 // rng.KeyString per vantage, parallel to Vantages
@@ -51,10 +52,9 @@ type Campaign struct {
 // America, the rest spread across the remaining continents.
 func NewCampaign(w *world.World, g *Graph, seed uint64, nVantages int) *Campaign {
 	c := &Campaign{
-		W:           w,
-		Graph:       g,
-		HopLossProb: 0.08,
-		root:        rng.New(seed).Split("campaign"),
+		W:     w,
+		Graph: g,
+		root:  rng.New(seed).Split("campaign"),
 	}
 	s := c.root.Split("vantages")
 
@@ -132,7 +132,7 @@ func (c *Campaign) Run(d dates.Date, tracesPerVantage int) *Popularity {
 	// function of the (sorted) vantage list, so serial and parallel runs
 	// are byte-identical.
 	parts := make([]tracePartial, len(c.Vantages))
-	syncx.ParallelEach(len(c.Vantages), c.Parallelism, func(i int) {
+	syncx.ParallelEach(len(c.Vantages), c.parallelism, func(i int) {
 		parts[i] = c.trace(d, i, tracesPerVantage, dsts, cum)
 	})
 	for i := range parts {
@@ -176,7 +176,7 @@ func (c *Campaign) trace(d dates.Date, i, tracesPerVantage int, dsts []string, c
 		}
 		part.traces++
 		for _, hop := range path {
-			if s.Bool(c.HopLossProb) {
+			if s.Bool(hopLossProb) {
 				part.lostHops++
 				continue // hop hidden by measurement error
 			}

@@ -16,7 +16,7 @@ func TestCampaignSerialVsParallel(t *testing.T) {
 
 	run := func(parallelism int) *Popularity {
 		c := NewCampaign(testW, g, 11, 16)
-		c.Parallelism = parallelism
+		c.parallelism = parallelism
 		return c.Run(d, 60)
 	}
 

@@ -35,9 +35,11 @@ import (
 
 // Defaults mirroring the paper's description.
 const (
-	DefaultSamplingRate  = 0.01 // 1% uniform request sampling
-	DefaultBotThreshold  = 50   // scores >= 50 are treated as human
-	DefaultMinSampledReq = 10   // visibility floor for a (country, org)
+	DefaultSamplingRate = 0.01 // 1% uniform request sampling
+	DefaultBotThreshold = 50   // scores >= 50 are treated as human
+	// minSampledReq is the visibility floor for a (country, org): fewer
+	// kept sampled requests and the pair is absent from the snapshot.
+	minSampledReq = 10
 	// TorCountry is ANONCDN's pseudo country code for Tor exits.
 	TorCountry = "T1"
 	// TorOrg is the synthetic org ID carrying Tor exit traffic.
@@ -51,9 +53,8 @@ const (
 type Generator struct {
 	W *world.World
 
-	SamplingRate  float64
-	BotThreshold  int
-	MinSampledReq int64
+	SamplingRate float64
+	BotThreshold int
 
 	root *rng.Stream
 }
@@ -70,11 +71,10 @@ const (
 // New returns a generator with the paper defaults.
 func New(w *world.World, seed uint64) *Generator {
 	return &Generator{
-		W:             w,
-		SamplingRate:  DefaultSamplingRate,
-		BotThreshold:  DefaultBotThreshold,
-		MinSampledReq: DefaultMinSampledReq,
-		root:          rng.New(seed).Split("cdn"),
+		W:            w,
+		SamplingRate: DefaultSamplingRate,
+		BotThreshold: DefaultBotThreshold,
+		root:         rng.New(seed).Split("cdn"),
 	}
 }
 
@@ -167,7 +167,7 @@ func (g *Generator) pairStats(pair orgs.CountryOrg, e *world.Entry, d dates.Date
 	human := keptHuman + leakedBot
 	filtered := sampledHuman + sampledBot - human
 
-	if human < g.MinSampledReq {
+	if human < minSampledReq {
 		return OrgStats{}, false
 	}
 

@@ -223,7 +223,7 @@ func TestMinSampledReqFloor(t *testing.T) {
 		if k.Country == TorCountry {
 			continue
 		}
-		if st.SampledRequests < DefaultMinSampledReq {
+		if st.SampledRequests < minSampledReq {
 			t.Fatalf("%v visible with %d sampled requests", k, st.SampledRequests)
 		}
 	}

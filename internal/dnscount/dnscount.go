@@ -40,19 +40,20 @@ const (
 // resolver caching. 1.0 would mean no cache compression.
 const CacheExponent = 0.62
 
+// minQueries is the presence-detection floor: a (country, org) with
+// fewer upstream queries is absent from the day's counts.
+const minQueries = 25
+
 // Generator produces DNS query-count datasets over a world.
 type Generator struct {
 	W *world.World
 
-	// MinQueries is the presence-detection floor.
-	MinQueries int64
-
 	root *rng.Stream
 }
 
-// New returns a generator with defaults.
+// New returns a generator over w.
 func New(w *world.World, seed uint64) *Generator {
-	return &Generator{W: w, MinQueries: 25, root: rng.New(seed).Split("dns")}
+	return &Generator{W: w, root: rng.New(seed).Split("dns")}
 }
 
 // Dataset is one day of per-(country, org) upstream query counts.
@@ -95,7 +96,7 @@ func (g *Generator) Generate(d dates.Date) *Dataset {
 			s := g.root.Derive(chanQueries, m.Key(), e.Key, uint64(int64(d.DayNumber())))
 			mean := (human + auto) * visibility * shut * s.LogNormal(0, 0.15)
 			n := s.Poisson(mean)
-			if n < g.MinQueries {
+			if n < minQueries {
 				continue
 			}
 			ds.Queries[orgs.CountryOrg{Country: cc, Org: e.Org.ID}] = float64(n)

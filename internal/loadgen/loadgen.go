@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/dates"
-	"repro/internal/obsv"
 	"repro/internal/source/binfmt"
 	"repro/internal/source/framez"
 )
@@ -63,9 +62,8 @@ type Config struct {
 	// contract checked under load.
 	VerifyBodies bool
 
-	Metrics *obsv.Registry // optional: per-route latency histograms
-	Client  *http.Client   // optional: defaults to a fresh pooled client
-	Log     *log.Logger    // optional progress/error log
+	Client *http.Client // optional: defaults to a fresh pooled client
+	Log    *log.Logger  // optional progress/error log
 }
 
 // RouteStats is one route kind's ledger for a run.
@@ -109,17 +107,9 @@ type recorder struct {
 	mu        sync.Mutex
 	latencies []float64
 	stats     RouteStats
-	hist      *obsv.Histogram
-	errsCtr   *obsv.Counter
 }
 
 func (rec *recorder) observe(lat float64, status int, gz bool, n int64, failed bool) {
-	if rec.hist != nil {
-		rec.hist.Observe(lat)
-	}
-	if failed && rec.errsCtr != nil {
-		rec.errsCtr.Inc()
-	}
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	rec.latencies = append(rec.latencies, lat)
@@ -356,12 +346,6 @@ func (r *runner) rec(route string) *recorder {
 	rec, ok := r.recs[route]
 	if !ok {
 		rec = &recorder{stats: RouteStats{Route: route}}
-		if r.cfg.Metrics != nil {
-			rec.hist = r.cfg.Metrics.Histogram(
-				obsv.Label("loadgen_request_seconds", "route", route), obsv.LoadBuckets)
-			rec.errsCtr = r.cfg.Metrics.Counter(
-				obsv.Label("loadgen_request_errors_total", "route", route))
-		}
 		r.recs[route] = rec
 	}
 	return rec

@@ -28,20 +28,20 @@ const (
 	chanCount
 )
 
+// baseRate is the expected tests per user per month in integrated
+// countries.
+const baseRate = 0.02
+
 // Generator produces M-Lab-style test-count datasets over a world.
 type Generator struct {
 	W *world.World
 
-	// BaseRate is the expected tests per user per month in integrated
-	// countries.
-	BaseRate float64
-
 	root *rng.Stream
 }
 
-// New returns a generator with defaults.
+// New returns a generator over w.
 func New(w *world.World, seed uint64) *Generator {
-	return &Generator{W: w, BaseRate: 0.02, root: rng.New(seed).Split("mlab")}
+	return &Generator{W: w, root: rng.New(seed).Split("mlab")}
 }
 
 // Dataset holds one month of test counts. Counts must not change after
@@ -66,7 +66,7 @@ func (g *Generator) Generate(d dates.Date) *Dataset {
 	ds := &Dataset{Month: month, Counts: map[orgs.CountryOrg]float64{}}
 	for _, cc := range g.W.Countries() {
 		m := g.W.Market(cc)
-		rate := g.BaseRate
+		rate := baseRate
 		if !m.Country.MLabIntegrated {
 			// Only users who seek out the M-Lab site run tests.
 			rate *= 0.02

@@ -17,7 +17,7 @@ import (
 // log line per request. The route label comes from Route, which callers
 // use to collapse parameterized paths (/v1/reports/2024-01-01.csv →
 // /v1/reports/:date) so series cardinality stays bounded; a nil Route
-// uses the raw URL path.
+// labels every request "other".
 //
 // Metric pointers are resolved once per (route, class) and memoized, so
 // steady-state requests do a lock-free counter add and one histogram
@@ -25,8 +25,7 @@ import (
 type HTTPMetrics struct {
 	Registry *Registry
 	Log      *log.Logger                // nil disables request logging
-	Route    func(*http.Request) string // nil: raw r.URL.Path
-	Buckets  []float64                  // nil: DefBuckets
+	Route    func(*http.Request) string // nil: every request is "other"
 	now      func() time.Time           // test hook; nil: time.Now
 
 	mu     sync.RWMutex
@@ -77,7 +76,7 @@ func (m *HTTPMetrics) lookup(route, class string) *routeSeries {
 	if s = m.series[key]; s == nil {
 		s = &routeSeries{
 			requests: m.Registry.Counter(Label("http_requests_total", "route", route, "class", class)),
-			latency:  m.Registry.Histogram(Label("http_request_seconds", "route", route), m.Buckets),
+			latency:  m.Registry.Histogram(Label("http_request_seconds", "route", route)),
 			bytes:    m.Registry.Counter(Label("http_response_bytes_total", "route", route)),
 		}
 		m.series[key] = s
@@ -124,7 +123,7 @@ func (m *HTTPMetrics) Wrap(next http.Handler) http.Handler {
 		}
 		elapsed := now().Sub(start)
 
-		route := r.URL.Path
+		route := "other"
 		if m.Route != nil {
 			route = m.Route(r)
 		}

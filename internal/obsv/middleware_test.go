@@ -5,6 +5,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -39,8 +40,7 @@ func TestMiddlewareRecords(t *testing.T) {
 			}
 			return r.URL.Path
 		},
-		Buckets: []float64{0.001, 1},
-		now:     fakeNow(10 * time.Millisecond),
+		now: fakeNow(10 * time.Millisecond),
 	}
 	h := m.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
@@ -73,13 +73,13 @@ func TestMiddlewareRecords(t *testing.T) {
 	}
 
 	// Each request sees exactly one 10ms tick between the two now()
-	// calls, so every observation must sit in the (0.001, 1] bucket.
-	hist := reg.Histogram(`http_request_seconds{route="/item/:id"}`, nil)
+	// calls, so every observation must sit in the (0.005, 0.01] bucket.
+	hist := reg.Histogram(`http_request_seconds{route="/item/:id"}`)
 	if hist.Count() != 2 {
 		t.Fatalf("latency observations = %d, want 2", hist.Count())
 	}
 	bounds, cum := hist.Buckets()
-	if cum[0] != 0 || cum[1] != 2 {
+	if cum[2] != 0 || cum[3] != 2 {
 		t.Errorf("latency landed in wrong buckets: bounds %v cumulative %v", bounds, cum)
 	}
 	if got, want := hist.Sum(), 0.020; got < want-1e-9 || got > want+1e-9 {
@@ -98,22 +98,32 @@ func TestMiddlewareRecords(t *testing.T) {
 }
 
 // TestMiddlewareNilLogAndRoute checks the minimal configuration works
-// and the raw path becomes the route label.
+// and, without a Route, labels every path "other": client-chosen paths
+// never become series.
 func TestMiddlewareNilLogAndRoute(t *testing.T) {
 	reg := NewRegistry()
 	m := &HTTPMetrics{Registry: reg}
 	h := m.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotFound)
 	}))
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/raw", nil))
-	if got := reg.Counter(`http_requests_total{route="/raw",class="4xx"}`).Value(); got != 1 {
-		t.Errorf("raw-route 4xx count = %d, want 1", got)
+	for _, path := range []string{"/raw", "/other/path", "/raw?x=1"} {
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", path, nil))
+	}
+	if got := reg.Counter(`http_requests_total{route="other",class="4xx"}`).Value(); got != 3 {
+		t.Errorf("other-route 4xx count = %d, want 3", got)
+	}
+	var prom strings.Builder
+	if err := reg.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(prom.String(), "/raw") || strings.Contains(prom.String(), "/other/path") {
+		t.Errorf("a raw URL path became a route label:\n%s", prom.String())
 	}
 }
 
 // TestMiddlewareConcurrent exercises the per-(route, class) series cache
-// under contention; meaningful under -race.
+// under contention, with every goroutine on its own path and all of them
+// counted on the one bounded "other" series; meaningful under -race.
 func TestMiddlewareConcurrent(t *testing.T) {
 	reg := NewRegistry()
 	m := &HTTPMetrics{Registry: reg}
@@ -128,12 +138,15 @@ func TestMiddlewareConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				rec := httptest.NewRecorder()
-				h.ServeHTTP(rec, httptest.NewRequest("GET", "/hot", nil))
+				h.ServeHTTP(rec, httptest.NewRequest("GET", "/hot/"+strconv.Itoa(g), nil))
 			}
 		}()
 	}
 	wg.Wait()
-	if got := reg.Counter(`http_requests_total{route="/hot",class="2xx"}`).Value(); got != goroutines*iters {
-		t.Errorf("hot route count = %d, want %d", got, goroutines*iters)
+	if got := reg.Counter(`http_requests_total{route="other",class="2xx"}`).Value(); got != goroutines*iters {
+		t.Errorf("other route count = %d, want %d", got, goroutines*iters)
+	}
+	if got := reg.Counter(`http_response_bytes_total{route="other"}`).Value(); got != goroutines*iters {
+		t.Errorf("other route bytes = %d, want %d", got, goroutines*iters)
 	}
 }

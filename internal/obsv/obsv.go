@@ -33,15 +33,6 @@ import (
 // cache hit to a cold full-report generation.
 var DefBuckets = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 
-// LoadBuckets are finer-grained latency bounds for load generation,
-// where warm cache hits sit well under a millisecond and the interesting
-// resolution is 100µs–250ms: DefBuckets would fold the entire warm path
-// into its first bucket and make p99 estimates useless.
-var LoadBuckets = []float64{
-	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
-	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
-}
-
 // Counter is a monotonically increasing integer metric.
 type Counter struct {
 	v atomic.Int64
@@ -190,24 +181,19 @@ func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	r.mu.Unlock()
 }
 
-// Histogram returns the histogram series named name, creating it with the
-// given bucket bounds if needed. If the series already exists the bounds
-// argument is ignored (first registration wins); nil bounds means
-// DefBuckets.
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
+// Histogram returns the latency histogram series named name, with
+// DefBuckets bounds, creating it if needed.
+func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.RLock()
 	h := r.hists[name]
 	r.mu.RUnlock()
 	if h != nil {
 		return h
 	}
-	if bounds == nil {
-		bounds = DefBuckets
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if h = r.hists[name]; h == nil {
-		h = newHistogram(bounds)
+		h = newHistogram(DefBuckets)
 		r.hists[name] = h
 	}
 	return h

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -75,7 +74,7 @@ func TestRegistryConcurrent(t *testing.T) {
 				r.Counter("shared_total").Inc()
 				r.Counter(fmt.Sprintf("per_goroutine_total{g=\"%d\"}", g%4)).Inc()
 				r.Gauge("shared_gauge").Set(float64(g))
-				r.Histogram("shared_seconds", nil).Observe(float64(i) / 1000)
+				r.Histogram("shared_seconds").Observe(float64(i) / 1000)
 				r.GaugeFunc("fn_gauge", func() float64 { return float64(g) })
 				if i%50 == 0 {
 					var b strings.Builder
@@ -97,7 +96,7 @@ func TestRegistryConcurrent(t *testing.T) {
 	if got := r.Gauge("shared_gauge").Value(); got < 0 || got >= goroutines || got != math.Trunc(got) {
 		t.Errorf("shared gauge = %v, want one of the values set (0..%d)", got, goroutines-1)
 	}
-	if got := r.Histogram("shared_seconds", nil).Count(); got != goroutines*iters {
+	if got := r.Histogram("shared_seconds").Count(); got != goroutines*iters {
 		t.Errorf("histogram count = %d, want %d", got, goroutines*iters)
 	}
 	var sum int64
@@ -119,12 +118,12 @@ func TestRegistrySamePointer(t *testing.T) {
 	if r.Gauge("g") != r.Gauge("g") {
 		t.Error("Gauge not memoized")
 	}
-	h := r.Histogram("h", []float64{1, 2})
-	if r.Histogram("h", []float64{9}) != h {
-		t.Error("Histogram not memoized (bounds should be first-wins)")
+	h := r.Histogram("h")
+	if r.Histogram("h") != h {
+		t.Error("Histogram not memoized")
 	}
-	if bounds, _ := h.Buckets(); len(bounds) != 3 {
-		t.Errorf("first registration's bounds lost: %v", bounds)
+	if bounds, _ := h.Buckets(); len(bounds) != len(DefBuckets)+1 {
+		t.Errorf("histogram bounds %v, want DefBuckets and +Inf", bounds)
 	}
 }
 
@@ -134,7 +133,7 @@ func TestExposition(t *testing.T) {
 	r.Counter(`req_total{route="/x",class="2xx"}`).Add(3)
 	r.Gauge("temp").Set(1.5)
 	r.GaugeFunc("fn", func() float64 { return 7 })
-	h := r.Histogram(`lat_seconds{route="/x"}`, []float64{0.5, 1})
+	h := r.Histogram(`lat_seconds{route="/x"}`)
 	h.Observe(0.2)
 	h.Observe(2)
 
@@ -149,8 +148,10 @@ func TestExposition(t *testing.T) {
 		"temp 1.5",
 		"fn 7",
 		"# TYPE lat_seconds histogram",
-		`lat_seconds_bucket{route="/x",le="0.5"} 1`,
+		`lat_seconds_bucket{route="/x",le="0.1"} 0`,
+		`lat_seconds_bucket{route="/x",le="0.25"} 1`,
 		`lat_seconds_bucket{route="/x",le="1"} 1`,
+		`lat_seconds_bucket{route="/x",le="2.5"} 2`,
 		`lat_seconds_bucket{route="/x",le="+Inf"} 2`,
 		`lat_seconds_sum{route="/x"} 2.2`,
 		`lat_seconds_count{route="/x"} 2`,
@@ -186,16 +187,5 @@ func TestLabel(t *testing.T) {
 	}
 	if got, want := Label("m_total", "a", "x", "b", `q"uote`), `m_total{a="x",b="q\"uote"}`; got != want {
 		t.Errorf("Label = %q, want %q", got, want)
-	}
-}
-
-// TestLoadBucketsSorted guards the finer loadgen bucket set: ascending,
-// sub-millisecond resolution at the bottom.
-func TestLoadBucketsSorted(t *testing.T) {
-	if !sort.Float64sAreSorted(LoadBuckets) {
-		t.Fatalf("LoadBuckets not ascending: %v", LoadBuckets)
-	}
-	if LoadBuckets[0] >= 0.001 {
-		t.Fatalf("LoadBuckets[0] = %v; loadgen needs sub-millisecond resolution", LoadBuckets[0])
 	}
 }

@@ -3,95 +3,45 @@ package obsv
 import (
 	"context"
 	"io"
-	"log"
 	"math/rand"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// RetryPolicy configures RetryTransport. The zero value means defaults.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of attempts including the first.
-	// <= 0 means 4.
-	MaxAttempts int
-	// BaseDelay is the backoff before the first retry; it doubles per
-	// attempt. <= 0 means 100ms.
-	BaseDelay time.Duration
-	// MaxDelay caps the computed backoff. <= 0 means 5s. A server's
-	// Retry-After may exceed it (see RoundTrip).
-	MaxDelay time.Duration
-	// Budget is the transport-wide retry budget in tokens: every retry
-	// spends one token, every successful attempt earns back a tenth,
-	// and the pool is capped at Budget. When the pool is dry, requests
-	// fail fast with their last result instead of retrying — the
-	// classic guard against retry storms amplifying an outage.
-	// <= 0 means 32.
-	Budget int
-}
-
-func (p RetryPolicy) maxAttempts() int { return defInt(p.MaxAttempts, 4) }
-
-func (p RetryPolicy) baseDelay() time.Duration {
-	if p.BaseDelay > 0 {
-		return p.BaseDelay
-	}
-	return 100 * time.Millisecond
-}
-
-func (p RetryPolicy) maxDelay() time.Duration {
-	if p.MaxDelay > 0 {
-		return p.MaxDelay
-	}
-	return 5 * time.Second
-}
-
-func (p RetryPolicy) budget() int { return defInt(p.Budget, 32) }
-
-func defInt(v, def int) int {
-	if v > 0 {
-		return v
-	}
-	return def
-}
-
-// retryAfterCap bounds how long a server's Retry-After header can make us
-// wait; respecting a multi-minute value would turn one slow request into
-// a hung client.
-const retryAfterCap = 30 * time.Second
+// The retry policy. A retry costs one token from a transport-wide pool
+// of retryBudget tokens and every successful attempt earns back a tenth;
+// when the pool is dry, requests fail fast with their last result
+// instead of retrying, the classic guard against retry storms
+// amplifying an outage.
+const (
+	maxAttempts = 4                      // attempts per request, the first included
+	baseDelay   = 100 * time.Millisecond // backoff before the first retry; doubles per retry
+	maxDelay    = 5 * time.Second        // cap on the computed backoff
+	retryBudget = 32                     // tokens in the transport-wide pool
+	// retryAfterCap bounds how long a server's Retry-After header can
+	// make us wait; respecting a multi-minute value would turn one slow
+	// request into a hung client.
+	retryAfterCap = 30 * time.Second
+)
 
 // RetryTransport is an http.RoundTripper that retries transient failures
 // (transport errors, 429, 5xx) with exponential backoff and equal
-// jitter, honors Retry-After, spends from a transport-wide retry budget,
-// and records per-attempt metrics:
-//
-//	httpclient_attempts_total                    every attempt
-//	httpclient_retries_total{reason=...}         retries by cause (error|status)
-//	httpclient_retry_exhausted_total             gave up with attempts left... none
-//	httpclient_retry_budget_dry_total            retry suppressed by the budget
-//
-// Requests whose context is done are never retried, and a request with a
-// consumed, non-rewindable body is returned as-is after its first
-// attempt.
+// jitter, honors Retry-After, and spends from a transport-wide retry
+// budget. Requests whose context is done are never retried, and a
+// request with a consumed, non-rewindable body is returned as-is after
+// its first attempt.
 type RetryTransport struct {
 	// Base performs the actual attempts; nil means http.DefaultTransport.
 	Base http.RoundTripper
-	// Policy holds the knobs; its zero value is a sane default.
-	Policy RetryPolicy
-	// Metrics receives per-attempt counters when non-nil.
-	Metrics *Registry
-	// Log, when non-nil, gets one line per retry with the delay and cause.
-	Log *log.Logger
 
 	// sleep and randF are test seams: sleep blocks for d unless ctx ends
 	// first, randF yields [0,1) jitter. Nil means real time / math/rand.
 	sleep func(ctx context.Context, d time.Duration) bool
 	randF func() float64
 
-	budgetOnce sync.Once
-	tokens     atomic.Int64 // tenths of a retry token
+	spent atomic.Int64 // tenths of a retry token taken from the pool
 }
 
 func (t *RetryTransport) base() http.RoundTripper {
@@ -101,37 +51,28 @@ func (t *RetryTransport) base() http.RoundTripper {
 	return http.DefaultTransport
 }
 
-func (t *RetryTransport) count(name string) {
-	if t.Metrics != nil {
-		t.Metrics.Counter(name).Inc()
-	}
-}
-
-// spendToken takes one retry token (10 tenths) if available.
+// spendToken takes one retry token (10 tenths) if the pool holds one.
 func (t *RetryTransport) spendToken() bool {
-	t.budgetOnce.Do(func() { t.tokens.Store(int64(t.Policy.budget()) * 10) })
 	for {
-		cur := t.tokens.Load()
-		if cur < 10 {
+		cur := t.spent.Load()
+		if cur > retryBudget*10-10 {
 			return false
 		}
-		if t.tokens.CompareAndSwap(cur, cur-10) {
+		if t.spent.CompareAndSwap(cur, cur+10) {
 			return true
 		}
 	}
 }
 
-// earnToken credits a tenth of a token for a successful attempt, capped
-// at the configured budget.
+// earnToken credits a tenth of a token for a successful attempt, up to a
+// full pool.
 func (t *RetryTransport) earnToken() {
-	t.budgetOnce.Do(func() { t.tokens.Store(int64(t.Policy.budget()) * 10) })
-	max := int64(t.Policy.budget()) * 10
 	for {
-		cur := t.tokens.Load()
-		if cur >= max {
+		cur := t.spent.Load()
+		if cur <= 0 {
 			return
 		}
-		if t.tokens.CompareAndSwap(cur, cur+1) {
+		if t.spent.CompareAndSwap(cur, cur-1) {
 			return
 		}
 	}
@@ -144,53 +85,28 @@ func retryableStatus(code int) bool {
 
 // RoundTrip implements http.RoundTripper.
 func (t *RetryTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	maxAttempts := t.Policy.maxAttempts()
-	var resp *http.Response
-	var err error
 	for attempt := 1; ; attempt++ {
-		resp, err = t.base().RoundTrip(req)
-		t.count("httpclient_attempts_total")
-
-		retryable := false
-		reason := ""
+		resp, err := t.base().RoundTrip(req)
 		var retryAfter time.Duration
 		switch {
 		case err != nil:
-			retryable, reason = true, "error"
 		case retryableStatus(resp.StatusCode):
-			retryable, reason = true, "status"
 			retryAfter = parseRetryAfter(resp.Header.Get("Retry-After"))
 		default:
 			t.earnToken()
 			return resp, nil
 		}
 
-		if !retryable || attempt >= maxAttempts || req.Context().Err() != nil || !rewindBody(req) {
-			if attempt >= maxAttempts {
-				t.count("httpclient_retry_exhausted_total")
-			}
-			return resp, err
-		}
-		if !t.spendToken() {
-			t.count("httpclient_retry_budget_dry_total")
+		if attempt >= maxAttempts || req.Context().Err() != nil || !rewindBody(req) || !t.spendToken() {
 			return resp, err
 		}
 		if resp != nil {
-			DrainClose(resp.Body, 64<<10)
+			drainClose(resp.Body, 64<<10)
 		}
 
 		delay := t.backoff(attempt)
 		if retryAfter > delay {
 			delay = min(retryAfter, retryAfterCap)
-		}
-		t.count(Label("httpclient_retries_total", "reason", reason))
-		if t.Log != nil {
-			cause := resp.Status
-			if err != nil {
-				cause = err.Error()
-			}
-			t.Log.Printf("httpclient retry attempt=%d/%d url=%s delay=%s cause=%q",
-				attempt+1, maxAttempts, req.URL, delay, cause)
 		}
 		if !t.sleepFor(req.Context(), delay) {
 			return nil, req.Context().Err()
@@ -199,13 +115,10 @@ func (t *RetryTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // backoff computes the jittered delay after the attempt-th try: an
-// exponentially growing base capped at MaxDelay, with "equal jitter"
+// exponentially growing base capped at maxDelay, with "equal jitter"
 // (half fixed, half uniform) so synchronized clients spread out.
 func (t *RetryTransport) backoff(attempt int) time.Duration {
-	d := t.Policy.baseDelay() << (attempt - 1)
-	if max := t.Policy.maxDelay(); d > max || d <= 0 { // <= 0: shift overflow
-		d = max
-	}
+	d := min(baseDelay<<(attempt-1), maxDelay)
 	r := t.randF
 	if r == nil {
 		r = rand.Float64
@@ -261,11 +174,11 @@ func parseRetryAfter(v string) time.Duration {
 	return 0
 }
 
-// DrainClose reads at most limit bytes from rc and closes it. Draining
+// drainClose reads at most limit bytes from rc and closes it. Draining
 // before close is what lets the HTTP client return the underlying
 // connection to its keep-alive pool; the bound keeps a hostile or huge
 // error body from turning cleanup into an unbounded read.
-func DrainClose(rc io.ReadCloser, limit int64) {
+func drainClose(rc io.ReadCloser, limit int64) {
 	if rc == nil {
 		return
 	}

@@ -1,14 +1,13 @@
 package obsv
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"io"
-	"log"
 	"net/http"
 	"net/http/httptest"
-	"strings"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -24,196 +23,195 @@ func (f *fakeSleeper) sleep(ctx context.Context, d time.Duration) bool {
 	return ctx.Err() == nil
 }
 
-// flakyHandler fails with the given status for failures requests, then
-// succeeds.
-func flakyHandler(failures int, status int, retryAfter string) (http.Handler, *atomic.Int64) {
-	var calls atomic.Int64
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) <= int64(failures) {
-			if retryAfter != "" {
-				w.Header().Set("Retry-After", retryAfter)
-			}
-			http.Error(w, "unavailable", status)
-			return
-		}
-		io.WriteString(w, "payload")
-	}), &calls
+// flakyBase is a counting fake base transport: its first failures
+// attempts answer status (with a Retry-After header when retryAfter is
+// set), and every later attempt answers 200 "payload".
+type flakyBase struct {
+	failures   int64
+	status     int
+	retryAfter string
+	calls      atomic.Int64
 }
 
-// TestRetryBackoffSchedule pins the exponential schedule with a fake
-// clock and jitter pinned to its maximum: 100ms, 200ms, 400ms.
-func TestRetryBackoffSchedule(t *testing.T) {
-	h, calls := flakyHandler(3, http.StatusServiceUnavailable, "")
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-
-	reg := NewRegistry()
-	var logBuf bytes.Buffer
-	sl := &fakeSleeper{}
-	rt := &RetryTransport{
-		Policy:  RetryPolicy{MaxAttempts: 4, BaseDelay: 100 * time.Millisecond, MaxDelay: 5 * time.Second},
-		Metrics: reg,
-		Log:     log.New(&logBuf, "", 0),
-		sleep:   sl.sleep,
-		randF:   func() float64 { return 1 }, // full jitter: delay == base * 2^(n-1)
+func (f *flakyBase) RoundTrip(*http.Request) (*http.Response, error) {
+	rec := httptest.NewRecorder()
+	if f.calls.Add(1) <= f.failures {
+		if f.retryAfter != "" {
+			rec.Header().Set("Retry-After", f.retryAfter)
+		}
+		http.Error(rec, "unavailable", f.status)
+		return rec.Result(), nil
 	}
-	client := &http.Client{Transport: rt}
+	io.WriteString(rec, "payload")
+	return rec.Result(), nil
+}
 
-	resp, err := client.Get(ts.URL)
+// get sends one GET through rt and returns the final status and body.
+func get(t *testing.T, rt http.RoundTripper) (int, string) {
+	t.Helper()
+	req := httptest.NewRequest("GET", "http://backend.test/", nil)
+	resp, err := rt.RoundTrip(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || string(body) != "payload" {
-		t.Fatalf("final response = %d %q", resp.StatusCode, body)
+	return resp.StatusCode, string(body)
+}
+
+// TestRetryBackoffSchedule pins the exponential schedule with a fake
+// clock and jitter pinned to its maximum: 100ms, 200ms, 400ms, and the
+// fourth attempt succeeds.
+func TestRetryBackoffSchedule(t *testing.T) {
+	base := &flakyBase{failures: 3, status: http.StatusServiceUnavailable}
+	sl := &fakeSleeper{}
+	rt := &RetryTransport{
+		Base:  base,
+		sleep: sl.sleep,
+		randF: func() float64 { return 1 }, // full jitter: delay == base * 2^(n-1)
 	}
-	if got := calls.Load(); got != 4 {
-		t.Fatalf("server saw %d attempts, want 4", got)
+	if code, body := get(t, rt); code != http.StatusOK || body != "payload" {
+		t.Fatalf("final response = %d %q", code, body)
+	}
+	if got := base.calls.Load(); got != 4 {
+		t.Fatalf("base saw %d attempts, want 4", got)
 	}
 	want := []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond}
-	if len(sl.delays) != len(want) {
+	if !slices.Equal(sl.delays, want) {
 		t.Fatalf("slept %v, want %v", sl.delays, want)
-	}
-	for i := range want {
-		if sl.delays[i] != want[i] {
-			t.Errorf("delay[%d] = %v, want %v", i, sl.delays[i], want[i])
-		}
-	}
-	if got := reg.Counter("httpclient_attempts_total").Value(); got != 4 {
-		t.Errorf("attempts metric = %d, want 4", got)
-	}
-	if got := reg.Counter(`httpclient_retries_total{reason="status"}`).Value(); got != 3 {
-		t.Errorf("retries metric = %d, want 3", got)
-	}
-	if !strings.Contains(logBuf.String(), "httpclient retry attempt=2/4") {
-		t.Errorf("retry log missing attempt line:\n%s", logBuf.String())
 	}
 }
 
 // TestRetryHalfJitter checks the other end of the jitter range: with
 // randF pinned to 0 every delay is half the exponential base.
 func TestRetryHalfJitter(t *testing.T) {
-	h, _ := flakyHandler(2, http.StatusBadGateway, "")
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-
+	base := &flakyBase{failures: 2, status: http.StatusBadGateway}
 	sl := &fakeSleeper{}
-	rt := &RetryTransport{
-		Policy: RetryPolicy{MaxAttempts: 3, BaseDelay: 100 * time.Millisecond},
-		sleep:  sl.sleep,
-		randF:  func() float64 { return 0 },
+	rt := &RetryTransport{Base: base, sleep: sl.sleep, randF: func() float64 { return 0 }}
+	if code, _ := get(t, rt); code != http.StatusOK {
+		t.Fatalf("status = %d", code)
 	}
-	resp, err := (&http.Client{Transport: rt}).Get(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	DrainClose(resp.Body, 1<<20)
 	want := []time.Duration{50 * time.Millisecond, 100 * time.Millisecond}
-	if len(sl.delays) != 2 || sl.delays[0] != want[0] || sl.delays[1] != want[1] {
+	if !slices.Equal(sl.delays, want) {
 		t.Fatalf("slept %v, want %v", sl.delays, want)
 	}
 }
 
 // TestRetryRespectsRetryAfter: a 429 carrying Retry-After: 3 must wait
-// the server-mandated 3s, not the 100ms backoff.
+// the server-mandated 3s, not the 100ms backoff, and a Retry-After past
+// the 30s cap waits the cap.
 func TestRetryRespectsRetryAfter(t *testing.T) {
-	h, calls := flakyHandler(1, http.StatusTooManyRequests, "3")
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-
-	sl := &fakeSleeper{}
-	rt := &RetryTransport{
-		Policy: RetryPolicy{MaxAttempts: 3, BaseDelay: 100 * time.Millisecond},
-		sleep:  sl.sleep,
-		randF:  func() float64 { return 1 },
-	}
-	resp, err := (&http.Client{Transport: rt}).Get(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	DrainClose(resp.Body, 1<<20)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	if calls.Load() != 2 {
-		t.Fatalf("server saw %d attempts, want 2", calls.Load())
-	}
-	if len(sl.delays) != 1 || sl.delays[0] != 3*time.Second {
-		t.Fatalf("slept %v, want [3s]", sl.delays)
-	}
-}
-
-// TestRetryExhausted: a permanently failing server burns all attempts and
-// surfaces the last response plus the exhausted counter.
-func TestRetryExhausted(t *testing.T) {
-	h, calls := flakyHandler(1000, http.StatusInternalServerError, "")
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-
-	reg := NewRegistry()
-	rt := &RetryTransport{
-		Policy:  RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond},
-		Metrics: reg,
-		sleep:   (&fakeSleeper{}).sleep,
-		randF:   func() float64 { return 0 },
-	}
-	resp, err := (&http.Client{Transport: rt}).Get(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	DrainClose(resp.Body, 1<<20)
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("status = %d, want 500", resp.StatusCode)
-	}
-	if calls.Load() != 3 {
-		t.Fatalf("server saw %d attempts, want 3", calls.Load())
-	}
-	if got := reg.Counter("httpclient_retry_exhausted_total").Value(); got != 1 {
-		t.Errorf("exhausted metric = %d, want 1", got)
-	}
-}
-
-// TestRetryBudgetDries: with a budget of 1 token, the first failing
-// request gets its one retry and the next failing request fails fast.
-func TestRetryBudgetDries(t *testing.T) {
-	h, calls := flakyHandler(1000, http.StatusServiceUnavailable, "")
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-
-	reg := NewRegistry()
-	rt := &RetryTransport{
-		Policy:  RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, Budget: 1},
-		Metrics: reg,
-		sleep:   (&fakeSleeper{}).sleep,
-		randF:   func() float64 { return 0 },
-	}
-	client := &http.Client{Transport: rt}
-	for i := 0; i < 2; i++ {
-		resp, err := client.Get(ts.URL)
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		retryAfter string
+		want       time.Duration
+	}{
+		{"3", 3 * time.Second},
+		{"120", 30 * time.Second},
+	} {
+		base := &flakyBase{failures: 1, status: http.StatusTooManyRequests, retryAfter: tc.retryAfter}
+		sl := &fakeSleeper{}
+		rt := &RetryTransport{Base: base, sleep: sl.sleep, randF: func() float64 { return 1 }}
+		if code, _ := get(t, rt); code != http.StatusOK {
+			t.Fatalf("Retry-After %s: status = %d", tc.retryAfter, code)
 		}
-		DrainClose(resp.Body, 1<<20)
-	}
-	// Request 1: attempt + retry (spends the only token). Request 2:
-	// attempt, budget dry, no retry. 3 server calls total.
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("server saw %d attempts, want 3", got)
-	}
-	if got := reg.Counter("httpclient_retry_budget_dry_total").Value(); got != 1 {
-		t.Errorf("budget-dry metric = %d, want 1", got)
+		if got := base.calls.Load(); got != 2 {
+			t.Fatalf("Retry-After %s: base saw %d attempts, want 2", tc.retryAfter, got)
+		}
+		if !slices.Equal(sl.delays, []time.Duration{tc.want}) {
+			t.Fatalf("Retry-After %s: slept %v, want [%v]", tc.retryAfter, sl.delays, tc.want)
+		}
 	}
 }
 
-// TestRetryTransportError: connection-refused errors are retried too; a
-// backend that comes back mid-sequence recovers the request.
-func TestRetryTransportError(t *testing.T) {
-	h, _ := flakyHandler(0, 0, "")
-	ts := httptest.NewServer(h)
-	addr := ts.URL
-	ts.Close() // kill the backend: first attempts get connection refused
+// TestRetryExhausted: a permanently failing backend burns all four
+// attempts and surfaces the last response.
+func TestRetryExhausted(t *testing.T) {
+	base := &flakyBase{failures: 1000, status: http.StatusInternalServerError}
+	sl := &fakeSleeper{}
+	rt := &RetryTransport{Base: base, sleep: sl.sleep, randF: func() float64 { return 0 }}
+	if code, _ := get(t, rt); code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500", code)
+	}
+	if got := base.calls.Load(); got != 4 {
+		t.Fatalf("base saw %d attempts, want 4", got)
+	}
+	if len(sl.delays) != 3 {
+		t.Fatalf("slept %v, want three backoffs", sl.delays)
+	}
+}
 
+// TestRetryBudgetDries: failing requests spend the 32-token budget one
+// retry at a time; once it is spent a failing request gets its first
+// attempt only, and ten successes earn one retry back.
+func TestRetryBudgetDries(t *testing.T) {
+	base := &flakyBase{failures: 1 << 30, status: http.StatusServiceUnavailable}
+	rt := &RetryTransport{Base: base, sleep: (&fakeSleeper{}).sleep, randF: func() float64 { return 0 }}
+	attempts := func() int64 {
+		before := base.calls.Load()
+		if code, _ := get(t, rt); code != http.StatusServiceUnavailable {
+			t.Fatalf("status = %d, want 503", code)
+		}
+		return base.calls.Load() - before
+	}
+	// Ten requests of four attempts spend 30 tokens; the eleventh
+	// spends the last two and is refused its third retry.
+	for i := 0; i < 10; i++ {
+		if n := attempts(); n != 4 {
+			t.Fatalf("request %d made %d attempts with budget left, want 4", i+1, n)
+		}
+	}
+	if n := attempts(); n != 3 {
+		t.Fatalf("request 11 made %d attempts on the last two tokens, want 3", n)
+	}
+	if n := attempts(); n != 1 {
+		t.Fatalf("request on a dry budget made %d attempts, want 1", n)
+	}
+
+	rt.Base = &flakyBase{} // every attempt succeeds
+	for i := 0; i < 10; i++ {
+		if code, _ := get(t, rt); code != http.StatusOK {
+			t.Fatalf("success %d: status = %d", i+1, code)
+		}
+	}
+	rt.Base = base
+	if n := attempts(); n != 2 {
+		t.Fatalf("request after ten successes made %d attempts, want 2 (one earned retry)", n)
+	}
+}
+
+// TestRetryBudgetConcurrent: requests racing on one transport spend the
+// shared pool exactly once per token. Against a dead backend, 64
+// concurrent requests make 64 first attempts plus exactly 32 retries.
+func TestRetryBudgetConcurrent(t *testing.T) {
+	base := &flakyBase{failures: 1 << 30, status: http.StatusServiceUnavailable}
+	rt := &RetryTransport{
+		Base:  base,
+		sleep: func(ctx context.Context, _ time.Duration) bool { return ctx.Err() == nil },
+		randF: func() float64 { return 0 },
+	}
+	const requests = 64
+	var wg sync.WaitGroup
+	for i := 0; i < requests; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := rt.RoundTrip(httptest.NewRequest("GET", "http://backend.test/", nil))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+		}()
+	}
+	wg.Wait()
+	if got, want := base.calls.Load(), int64(requests+retryBudget); got != want {
+		t.Fatalf("base saw %d attempts, want %d (one per request plus the %d-token budget)", got, want, retryBudget)
+	}
+}
+
+// TestRetryTransportError: transport errors are retried too; a backend
+// that comes back mid-sequence recovers the request.
+func TestRetryTransportError(t *testing.T) {
 	var attempts atomic.Int64
 	base := roundTripFunc(func(req *http.Request) (*http.Response, error) {
 		if attempts.Add(1) <= 2 {
@@ -223,27 +221,13 @@ func TestRetryTransportError(t *testing.T) {
 		io.WriteString(rec, "revived")
 		return rec.Result(), nil
 	})
-	reg := NewRegistry()
 	sl := &fakeSleeper{}
-	rt := &RetryTransport{
-		Base:    base,
-		Policy:  RetryPolicy{MaxAttempts: 4, BaseDelay: 10 * time.Millisecond},
-		Metrics: reg,
-		sleep:   sl.sleep,
-		randF:   func() float64 { return 0 },
-	}
-	req, _ := http.NewRequest("GET", addr, nil)
-	resp, err := rt.RoundTrip(req)
-	if err != nil {
-		t.Fatalf("RoundTrip after revival: %v", err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if string(body) != "revived" {
+	rt := &RetryTransport{Base: base, sleep: sl.sleep, randF: func() float64 { return 0 }}
+	if _, body := get(t, rt); body != "revived" {
 		t.Fatalf("body = %q", body)
 	}
-	if got := reg.Counter(`httpclient_retries_total{reason="error"}`).Value(); got != 2 {
-		t.Errorf("error-retries metric = %d, want 2", got)
+	if got := attempts.Load(); got != 3 {
+		t.Errorf("base saw %d attempts, want 3", got)
 	}
 	if len(sl.delays) != 2 {
 		t.Errorf("slept %v, want two backoffs", sl.delays)
@@ -258,10 +242,9 @@ func TestRetryCancelledContext(t *testing.T) {
 		return nil, errors.New("boom")
 	})
 	rt := &RetryTransport{
-		Base:   base,
-		Policy: RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond},
-		sleep:  (&fakeSleeper{}).sleep,
-		randF:  func() float64 { return 0 },
+		Base:  base,
+		sleep: (&fakeSleeper{}).sleep,
+		randF: func() float64 { return 0 },
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

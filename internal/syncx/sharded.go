@@ -9,33 +9,24 @@ package syncx
 // parallel. The caller supplies the key hash; only shard selection uses
 // it, so a weak hash costs contention, never correctness.
 type Sharded[K comparable, V any] struct {
-	shards []Cache[K, V]
+	shards [shardCount]Cache[K, V]
 	hash   func(K) uint64
-	mask   uint64
 }
 
-// NewSharded returns a sharded singleflight cache with at least nShards
-// shards (rounded up to a power of two; values < 2 mean a sensible
-// default of 16). hash maps a key to its shard and must be deterministic.
-func NewSharded[K comparable, V any](nShards int, hash func(K) uint64) *Sharded[K, V] {
-	if nShards < 2 {
-		nShards = 16
-	}
-	n := 1
-	for n < nShards {
-		n <<= 1
-	}
-	return &Sharded[K, V]{
-		shards: make([]Cache[K, V], n),
-		hash:   hash,
-		mask:   uint64(n - 1),
-	}
+// shardCount is the number of shards, a power of two so shard selection
+// is a mask.
+const shardCount = 16
+
+// NewSharded returns a sharded singleflight cache. hash maps a key to its
+// shard and must be deterministic.
+func NewSharded[K comparable, V any](hash func(K) uint64) *Sharded[K, V] {
+	return &Sharded[K, V]{hash: hash}
 }
 
 // Get returns the cached value for key, running fill at most once per key
 // over the cache's lifetime (singleflight within the key's shard).
 func (s *Sharded[K, V]) Get(key K, fill func() V) V {
-	return s.shards[s.hash(key)&s.mask].Get(key, fill)
+	return s.shards[s.hash(key)%shardCount].Get(key, fill)
 }
 
 // Len reports how many keys have an entry across all shards (filled or

@@ -13,7 +13,7 @@ func identHash(k int) uint64 { return uint64(k) }
 // many goroutines and checks every key filled exactly once and every
 // caller saw the fill's value.
 func TestShardedSingleflight(t *testing.T) {
-	c := NewSharded[int, int](8, identHash)
+	c := NewSharded[int, int](identHash)
 	const keys = 64
 	fills := make([]atomic.Int64, keys)
 	var wg sync.WaitGroup
@@ -44,7 +44,7 @@ func TestShardedSingleflight(t *testing.T) {
 // TestShardedOneKeyManyWaiters checks the per-key singleflight contract
 // survives a deliberately widened race window.
 func TestShardedOneKeyManyWaiters(t *testing.T) {
-	c := NewSharded[string, int](4, func(s string) uint64 { return uint64(len(s)) })
+	c := NewSharded[string, int](func(s string) uint64 { return uint64(len(s)) })
 	var fills atomic.Int64
 	var wg sync.WaitGroup
 	const goroutines = 48
@@ -74,7 +74,7 @@ func TestShardedOneKeyManyWaiters(t *testing.T) {
 // TestShardedDistinctShardsParallel proves fills landing on different
 // shards overlap: each fill blocks until the other has started.
 func TestShardedDistinctShardsParallel(t *testing.T) {
-	c := NewSharded[int, int](2, identHash)
+	c := NewSharded[int, int](identHash)
 	started := make(chan int, 2)
 	release := make(chan struct{})
 	var wg sync.WaitGroup
@@ -100,14 +100,21 @@ func TestShardedDistinctShardsParallel(t *testing.T) {
 	wg.Wait()
 }
 
-// TestShardedShardCountRounding checks constructor normalization.
-func TestShardedShardCountRounding(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{
-		{-1, 16}, {0, 16}, {1, 16}, {2, 2}, {3, 4}, {5, 8}, {16, 16}, {17, 32},
-	} {
-		c := NewSharded[int, int](tc.in, identHash)
-		if len(c.shards) != tc.want {
-			t.Errorf("NewSharded(%d): %d shards, want %d", tc.in, len(c.shards), tc.want)
+// TestShardedShardCount checks keys spread over all sixteen shards: with
+// the identity hash, keys 0..15 land one per shard and key 16 shares key
+// 0's.
+func TestShardedShardCount(t *testing.T) {
+	c := NewSharded[int, int](identHash)
+	for k := 0; k <= shardCount; k++ {
+		c.Get(k, func() int { return k })
+	}
+	for i := range c.shards {
+		want := 1
+		if i == 0 {
+			want = 2
+		}
+		if n := c.shards[i].Len(); n != want {
+			t.Errorf("shard %d holds %d keys, want %d", i, n, want)
 		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 // the country's dedicated random stream.
 func (w *World) buildMarket(c geo.Country, s *rng.Stream) (*Market, error) {
 	m := &Market{Country: c}
-	users24 := c.InternetUsers(2024)
+	users24 := c.InternetUsers(lastYear)
 	if users24 < 1 {
 		users24 = 1
 	}
@@ -477,7 +477,7 @@ func consolidationGamma(region geo.Subregion, year int) float64 {
 }
 
 // computeShares fills every entry's dense Jan-1 share slice for
-// FirstYear..LastYear+1 (one backing array per market). Orgs occupy
+// firstYear..lastYear+1 (one backing array per market). Orgs occupy
 // slots in sorted ID order, which fixes the float summation order.
 func (w *World) computeShares(m *Market) {
 	ids := make([]string, 0, len(m.Entries))
@@ -502,7 +502,7 @@ func (w *World) computeShares(m *Market) {
 		}
 	}
 
-	n := w.Cfg.LastYear + 2 - w.Cfg.FirstYear
+	n := lastYear + 2 - firstYear
 	buf := make([]float64, n*len(m.Entries))
 	for i, e := range m.Entries {
 		e.shares = buf[i*n : (i+1)*n : (i+1)*n]
@@ -510,7 +510,7 @@ func (w *World) computeShares(m *Market) {
 	eff := make([]float64, len(ids))
 	active := make([]bool, len(ids))
 	eyeball := make([]bool, len(ids))
-	for y := w.Cfg.FirstYear; y <= w.Cfg.LastYear+1; y++ {
+	for y := firstYear; y <= lastYear+1; y++ {
 		gamma := consolidationGamma(m.Country.Subregion, y)
 		clear(eff)
 		clear(active)
@@ -550,7 +550,7 @@ func (w *World) computeShares(m *Market) {
 					v /= total
 				}
 			}
-			e.shares[y-w.Cfg.FirstYear] = v
+			e.shares[y-firstYear] = v
 		}
 	}
 }
@@ -566,13 +566,7 @@ func activeIn(e *Entry, year int) bool {
 }
 
 // yearIndex maps a year to its index in the entries' share slices,
-// clamped to FirstYear..LastYear+1.
-func (w *World) yearIndex(year int) int {
-	if year < w.Cfg.FirstYear {
-		year = w.Cfg.FirstYear
-	}
-	if year > w.Cfg.LastYear+1 {
-		year = w.Cfg.LastYear + 1
-	}
-	return year - w.Cfg.FirstYear
+// clamped to firstYear..lastYear+1.
+func yearIndex(year int) int {
+	return min(max(year, firstYear), lastYear+1) - firstYear
 }

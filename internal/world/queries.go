@@ -35,8 +35,8 @@ func (w *World) Day(m *Market, d dates.Date) MarketDay {
 	u0 := m.Country.InternetUsers(y)
 	u1 := m.Country.InternetUsers(y + 1)
 	md := MarketDay{
-		i0:     w.yearIndex(y),
-		i1:     w.yearIndex(y + 1),
+		i0:     yearIndex(y),
+		i1:     yearIndex(y + 1),
 		frac:   f,
 		total:  u0 + f*(u1-u0),
 		vpnID:  w.VPNOrgID,

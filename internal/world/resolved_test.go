@@ -19,7 +19,7 @@ import (
 // org ID.
 func refShareTable(w *World, m *Market) map[int]map[string]float64 {
 	table := map[int]map[string]float64{}
-	for y := w.Cfg.FirstYear; y <= w.Cfg.LastYear+1; y++ {
+	for y := firstYear; y <= lastYear+1; y++ {
 		gamma := consolidationGamma(m.Country.Subregion, y)
 		row := map[string]float64{}
 		total := 0.0
@@ -77,11 +77,11 @@ func newRefWorld(w *World) *refWorld {
 }
 
 func (r *refWorld) shareInYear(country, orgID string, year int) float64 {
-	if year < r.w.Cfg.FirstYear {
-		year = r.w.Cfg.FirstYear
+	if year < firstYear {
+		year = firstYear
 	}
-	if year > r.w.Cfg.LastYear+1 {
-		year = r.w.Cfg.LastYear + 1
+	if year > lastYear+1 {
+		year = lastYear + 1
 	}
 	return r.tables[country][year][orgID]
 }
@@ -140,8 +140,8 @@ var resolvedScenarios = []string{
 }
 
 // resolvedDays exercises the year clamps and the anchor boundaries:
-// before FirstYear, a Dec 31 / Jan 1 pair, mid-range, inside LastYear,
-// and past LastYear+1.
+// before firstYear, a Dec 31 / Jan 1 pair, mid-range, inside lastYear,
+// and past lastYear+1.
 var resolvedDays = []dates.Date{
 	dates.New(2011, 3, 4),
 	dates.New(2012, 12, 31),
@@ -261,11 +261,11 @@ func TestDenseSharesMatchTable(t *testing.T) {
 				m := w.markets[cc]
 				table := refShareTable(w, m)
 				for _, e := range m.Entries {
-					if len(e.shares) != w.Cfg.LastYear+2-w.Cfg.FirstYear {
+					if len(e.shares) != lastYear+2-firstYear {
 						t.Fatalf("%s/%s: %d share anchors", cc, e.Org.ID, len(e.shares))
 					}
-					for y := w.Cfg.FirstYear; y <= w.Cfg.LastYear+1; y++ {
-						got, want := e.shares[y-w.Cfg.FirstYear], table[y][e.Org.ID]
+					for y := firstYear; y <= lastYear+1; y++ {
+						got, want := e.shares[y-firstYear], table[y][e.Org.ID]
 						if math.Float64bits(got) != math.Float64bits(want) {
 							t.Fatalf("%s/%s %d: share %v, reference %v", cc, e.Org.ID, y, got, want)
 						}

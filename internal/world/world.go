@@ -31,11 +31,6 @@ type Config struct {
 	// same world bit for bit.
 	Seed uint64
 
-	// FirstYear and LastYear bound the simulated period. The zero value
-	// is replaced by the paper's range, 2013 and 2024.
-	FirstYear int
-	LastYear  int
-
 	// Scenario is the declarative event set applied at construction time.
 	// nil selects scenario.Paper() — the byte-pinned baseline encoding
 	// exactly the events the source paper documents, so every existing
@@ -43,15 +38,13 @@ type Config struct {
 	Scenario *scenario.Scenario
 }
 
-func (c Config) withDefaults() Config {
-	if c.FirstYear == 0 {
-		c.FirstYear = 2013
-	}
-	if c.LastYear == 0 {
-		c.LastYear = 2024
-	}
-	return c
-}
+// firstYear and lastYear bound the simulated period: the paper's
+// 2013–2024, the years of source.SpanFirst..SpanLast. Yearly market
+// shares run to lastYear+1, the Jan 1 anchor that ends lastYear.
+const (
+	firstYear = 2013
+	lastYear  = 2024
+)
 
 // Entry is one organization's position in one country's market.
 type Entry struct {
@@ -106,8 +99,8 @@ type Entry struct {
 	// the same length as Org.ASNs and sums to 1.
 	ASNWeights []float64
 
-	// shares[y-FirstYear] is the org's normalized user share in this
-	// entry's market at Jan 1 of year y, for FirstYear..LastYear+1.
+	// shares[y-firstYear] is the org's normalized user share in this
+	// entry's market at Jan 1 of year y, for firstYear..lastYear+1.
 	shares []float64
 }
 
@@ -172,7 +165,6 @@ type World struct {
 // Build generates a world from the configuration. Generation is
 // deterministic in cfg.Seed.
 func Build(cfg Config) (*World, error) {
-	cfg = cfg.withDefaults()
 	shocks, err := scenario.Compile(cfg.Scenario)
 	if err != nil {
 		return nil, fmt.Errorf("world: %w", err)
@@ -330,8 +322,8 @@ func (w *World) allocateAddresses(alloc *netdb.Allocator) error {
 // years, used to size its address blocks.
 func (w *World) peakUsers(m *Market, e *Entry) float64 {
 	peak := 0.0
-	for y := w.Cfg.FirstYear; y <= w.Cfg.LastYear; y++ {
-		u := m.Country.InternetUsers(y) * e.shares[y-w.Cfg.FirstYear]
+	for y := firstYear; y <= lastYear; y++ {
+		u := m.Country.InternetUsers(y) * e.shares[y-firstYear]
 		if u > peak {
 			peak = u
 		}

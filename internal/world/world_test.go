@@ -9,6 +9,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/netdb"
 	"repro/internal/orgs"
+	"repro/internal/source"
 )
 
 func testWorld(t *testing.T) *World {
@@ -18,6 +19,14 @@ func testWorld(t *testing.T) *World {
 		t.Fatal(err)
 	}
 	return w
+}
+
+// TestYearBoundsMatchSpan: the world simulates exactly the years of the
+// span every dataset serves, so no served day reads a clamped share.
+func TestYearBoundsMatchSpan(t *testing.T) {
+	if firstYear != source.SpanFirst.Year || lastYear != source.SpanLast.Year {
+		t.Fatalf("world years %d..%d, served span %s..%s", firstYear, lastYear, source.SpanFirst, source.SpanLast)
+	}
 }
 
 func TestBuildDeterministic(t *testing.T) {
