@@ -42,8 +42,9 @@
 // whole with the day. Besides the frame it holds, each part built on
 // first use: the content hash (the ETag base), the .bin and .binz
 // encodings, the legacy APNIC CSV with its body hash, one gzip body per
-// representation kept at exact size, the series row index, and the
-// digit table of every float cell's shortest round-trip digits.
+// representation kept at exact size, and the digit table of every float
+// cell's shortest round-trip digits. Series routes read their days cold
+// (source.Registry.Frame), so a long series does not flush the hot days.
 // Identity CSV and JSON are the one representation not memoized: held
 // for every hot day, those bodies would raise the server's peak memory
 // by about a quarter. They stream from the frame instead, and take
@@ -83,9 +84,8 @@ import (
 // The server keeps no day cache of its own. Every dataset-day lives in
 // one place, the registry's artifact (source.Registry.Artifact): the
 // frame plus its content hash, every encoded body (bin, binz, legacy CSV,
-// gzip), the series row index and the float digit table. Concurrent
-// requests for one day share one generation and one fill per part;
-// distinct days fill in parallel.
+// gzip) and the float digit table. Concurrent requests for one day share
+// one generation and one fill per part; distinct days fill in parallel.
 // The artifact cache is a bounded LRU per dataset (NewMultiServer's
 // cacheDays sets the capacity, default source.DefaultCacheDays), and a
 // day's parts are evicted with it. Eviction is safe because every part
@@ -620,21 +620,62 @@ func seriesSelector(dataset, key, cc string) (cols, cells []string, country stri
 var apnicSeriesCols = []string{"AS", "CC"}
 
 // seriesRows calls visit with each day of days whose frame holds the row
-// keyed by cells over cols. The lookup goes through the day artifact's
-// row index, built once per resident day: a linear scan would cost
-// O(rows) comparisons per day per request.
+// keyed by cells over cols. Days are cold reads (source.Registry.Frame),
+// so a long series does not flush the days other requests keep hot.
 func (s *Server) seriesRows(dataset string, days []dates.Date, cols, cells []string, visit func(d dates.Date, f *source.Frame, row int)) error {
-	key := source.RowKey(cells...)
+	key := newRowKey(cols, cells)
 	for _, d := range days {
-		a, err := s.reg.Artifact(dataset, d)
+		f, err := s.reg.Frame(dataset, d)
 		if err != nil {
 			return err
 		}
-		if row, ok := a.RowIndex(cols...)[key]; ok {
-			visit(d, a.Frame, row)
+		if row := key.find(f); row >= 0 {
+			visit(d, f, row)
 		}
 	}
 	return nil
+}
+
+// rowKey matches cells over named columns in codec form (Column.Cell),
+// each cell parsed once: an int column matches only a canonical decimal,
+// and find compares int64s and strings without formatting a row's cell.
+type rowKey struct {
+	cols, cells []string
+	ints        []int64
+	isInt       []bool
+}
+
+func newRowKey(cols, cells []string) rowKey {
+	k := rowKey{cols, cells, make([]int64, len(cells)), make([]bool, len(cells))}
+	for i, c := range cells {
+		v, err := strconv.ParseInt(c, 10, 64)
+		k.ints[i], k.isInt[i] = v, err == nil && strconv.FormatInt(v, 10) == c
+	}
+	return k
+}
+
+// find returns f's first matching row, or -1. A key column f lacks
+// matches nothing, nor does a float one: no series is keyed on one.
+func (k rowKey) find(f *source.Frame) int {
+	cs := make([]*source.Column, len(k.cols))
+	for i, name := range k.cols {
+		c := f.Col(name)
+		if c == nil || c.Kind == source.Float || c.Kind == source.Int && !k.isInt[i] {
+			return -1
+		}
+		cs[i] = c
+	}
+rows:
+	for row := 0; row < f.Rows(); row++ {
+		for i, c := range cs {
+			if c.Kind == source.Int && c.Ints[row] != k.ints[i] ||
+				c.Kind == source.String && c.Strs[row] != k.cells[i] {
+				continue rows
+			}
+		}
+		return row
+	}
+	return -1
 }
 
 // handleDatasetSeries serves a per-row time series for any dataset: the

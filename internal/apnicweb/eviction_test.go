@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/apnic"
 	"repro/internal/dates"
+	"repro/internal/source/binfmt"
 )
 
 // TestBoundedCacheEviction serves more days than the cache capacity and
@@ -142,5 +143,66 @@ func TestBoundedCacheHammer(t *testing.T) {
 	}
 	if st.Evictions == 0 {
 		t.Fatal("hammer produced no evictions")
+	}
+}
+
+// TestSeriesKeepsHotDays is the series admission gate: a 120-point
+// series (the maxPoints limit) over cold days must not flush the hot
+// set. With 30 cache days per dataset and 14 hot days warmed, one
+// request on either series route reads 120 days, yet afterwards every
+// hot day is still resident, so re-serving them generates nothing.
+func TestSeriesKeepsHotDays(t *testing.T) {
+	srv := newTestServer(30)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	const hot = 14
+	datasets := []string{apnic.DatasetName, "cdn"}
+	serveHot := func() {
+		t.Helper()
+		for _, ds := range datasets {
+			for i := 0; i < hot; i++ {
+				path := "/v1/" + ds + "/reports/" + dates.New(2024, 12, 31).AddDays(-i).String() + binfmt.Suffix
+				resp := rawGet(t, ts, path, nil)
+				if body := readAll(t, resp); resp.StatusCode != http.StatusOK {
+					t.Fatalf("GET %s: status %d: %s", path, resp.StatusCode, body)
+				}
+			}
+		}
+	}
+	gens := func(ds string) int64 {
+		st, _ := srv.Registry().FrameCacheStats(ds)
+		return st.Gens
+	}
+	serveHot()
+
+	first := dates.New(2024, 1, 1)
+	rep := testGen.Generate(first)
+	cdnSrc, _ := srv.Registry().Lookup("cdn")
+	cdnDay := cdnSrc.Generate(first)
+	window := "&from=2024-01-01&to=2024-04-29"
+	for _, path := range []string{
+		"/v1/series/AS" + itoa(rep.Rows[0].ASN) + "?cc=" + rep.Rows[0].CC + window,
+		"/v1/cdn/series/" + cdnDay.Col("Org").Strs[0] + "?cc=" + cdnDay.Col("CC").Strs[0] + window,
+	} {
+		resp := rawGet(t, ts, path, nil)
+		body := readAll(t, resp)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d: %s", path, resp.StatusCode, body)
+		}
+		if n := strings.Count(string(body), `"date"`); n != 120 {
+			t.Fatalf("GET %s: %d points, want 120", path, n)
+		}
+	}
+
+	before := map[string]int64{}
+	for _, ds := range datasets {
+		before[ds] = gens(ds)
+	}
+	serveHot()
+	for _, ds := range datasets {
+		if refills := gens(ds) - before[ds]; refills != 0 {
+			t.Errorf("%s: re-serving %d hot days after a 120-point series regenerated %d of them", ds, hot, refills)
+		}
 	}
 }

@@ -5,11 +5,13 @@ import (
 	"compress/gzip"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"strings"
 	"testing"
@@ -65,18 +67,24 @@ func TestServedBodiesGolden(t *testing.T) {
 			}
 		}
 	}
-	got := manifest.String()
+	checkManifest(t, servedBodiesGolden, manifest.String())
+}
+
+// checkManifest compares a body manifest with its golden file, or
+// rewrites the file under -update.
+func checkManifest(t *testing.T, golden, got string) {
+	t.Helper()
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(servedBodiesGolden, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s", servedBodiesGolden)
+		t.Logf("rewrote %s", golden)
 		return
 	}
-	want, err := os.ReadFile(servedBodiesGolden)
+	want, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatalf("%v (run with -update to generate)", err)
 	}
@@ -110,4 +118,68 @@ func goldenGet(t *testing.T, ts *httptest.Server, path, enc string) ([]byte, str
 		}
 	}
 	return body, resp.Header.Get("ETag")
+}
+
+const seriesBodiesGolden = "testdata/series_bodies.golden"
+
+// seriesWindows are the windows the series manifest pins: 7 daily
+// points, and 30 points three days apart.
+var seriesWindows = []string{
+	"from=2024-04-18&to=2024-04-24",
+	"from=2024-03-01&to=2024-05-27&step=3",
+}
+
+// TestSeriesBodiesGolden pins the series bodies: for each dataset, the
+// sha256 of the generic /v1/{dataset}/series/{key} body over each
+// window, and for apnic the legacy /v1/series/AS… body too. Each
+// dataset's key is the median row of its frame on goldenDays[0], so the
+// manifest proves which row every day's lookup finds. A change to the
+// manifest is a deliberate pin update (regenerate with -update).
+func TestSeriesBodiesGolden(t *testing.T) {
+	srv := newTestServer(30)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	var paths []string
+	for _, ds := range allDatasets {
+		f, err := srv.Registry().Frame(ds, goldenDays[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := f.Rows() / 2
+		var key string
+		switch ds {
+		case "itu":
+			key = f.Col("CC").Strs[row]
+		case apnic.DatasetName:
+			key = fmt.Sprintf("AS%d?cc=%s", f.Col("AS").Ints[row], f.Col("CC").Strs[row])
+		default:
+			key = url.PathEscape(f.Col("Org").Strs[row]) + "?cc=" + f.Col("CC").Strs[row]
+		}
+		sep := "?"
+		if strings.Contains(key, "?") {
+			sep = "&"
+		}
+		for _, w := range seriesWindows {
+			paths = append(paths, "/v1/"+ds+"/series/"+key+sep+w)
+			if ds == apnic.DatasetName {
+				paths = append(paths, "/v1/series/"+key+sep+w)
+			}
+		}
+	}
+	var manifest strings.Builder
+	for _, path := range paths {
+		resp := rawGet(t, ts, path, nil)
+		body := readAll(t, resp)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d: %s", path, resp.StatusCode, body)
+		}
+		var points struct{ Points []json.RawMessage }
+		if err := json.Unmarshal(body, &points); err != nil || len(points.Points) == 0 {
+			t.Fatalf("GET %s: want a non-empty series, got %s (%v)", path, body, err)
+		}
+		sum := sha256.Sum256(body)
+		fmt.Fprintf(&manifest, "%s sha256=%s\n", path, hex.EncodeToString(sum[:]))
+	}
+	checkManifest(t, seriesBodiesGolden, manifest.String())
 }

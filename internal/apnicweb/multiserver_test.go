@@ -200,6 +200,37 @@ func TestLegacyAliasesByteIdentical(t *testing.T) {
 	}
 }
 
+// TestRowKeyFind pins the series row lookup: key cells are in codec
+// form, so an int column matches only a canonical decimal; the first
+// row of a duplicated key wins; a key column the frame lacks, or a
+// float one, matches nothing.
+func TestRowKeyFind(t *testing.T) {
+	f := source.NewFrame("rows", dates.New(2024, 1, 1))
+	f.AddInts("AS").Ints = []int64{7, 2435, 2435, 7}
+	f.AddStrings("CC").Strs = []string{"FR", "CN", "CN", "DE"}
+	f.AddFloats("Users").Floats = []float64{1, 2, 3, 4}
+	for _, tc := range []struct {
+		cols, cells []string
+		want        int
+	}{
+		{[]string{"AS", "CC"}, []string{"7", "FR"}, 0},
+		{[]string{"AS", "CC"}, []string{"2435", "CN"}, 1},
+		{[]string{"AS", "CC"}, []string{"7", "DE"}, 3},
+		{[]string{"CC", "AS"}, []string{"DE", "7"}, 3},
+		{[]string{"CC"}, []string{"CN"}, 1},
+		{[]string{"AS", "CC"}, []string{"7", "CN"}, -1},
+		{[]string{"AS", "CC"}, []string{"002435", "CN"}, -1},
+		{[]string{"AS", "CC"}, []string{"+7", "FR"}, -1},
+		{[]string{"AS", "CC"}, []string{"FR", "FR"}, -1},
+		{[]string{"AS", "Nope"}, []string{"7", "FR"}, -1},
+		{[]string{"Users"}, []string{"1"}, -1},
+	} {
+		if got := newRowKey(tc.cols, tc.cells).find(f); got != tc.want {
+			t.Errorf("find(%v = %v) = %d, want %d", tc.cols, tc.cells, got, tc.want)
+		}
+	}
+}
+
 // TestGenericSeries exercises the generalized series route across three
 // key shapes: apnic (AS + cc), itu (country key), cdn (org + cc).
 func TestGenericSeries(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -79,7 +80,8 @@ func TestMiddlewareRecords(t *testing.T) {
 		t.Fatalf("latency observations = %d, want 2", hist.Count())
 	}
 	bounds, cum := hist.Buckets()
-	if cum[2] != 0 || cum[3] != 2 {
+	i := slices.Index(bounds, 0.01)
+	if i < 1 || bounds[i-1] != 0.005 || cum[i-1] != 0 || cum[i] != 2 {
 		t.Errorf("latency landed in wrong buckets: bounds %v cumulative %v", bounds, cum)
 	}
 	if got, want := hist.Sum(), 0.020; got < want-1e-9 || got > want+1e-9 {

@@ -29,9 +29,10 @@ import (
 )
 
 // DefBuckets are the default latency histogram bucket upper bounds, in
-// seconds. Thirteen buckets from 1ms to 10s cover everything from a warm
-// cache hit to a cold full-report generation.
-var DefBuckets = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
+// seconds. Thirteen buckets from 100µs to 5s cover everything from a
+// warm cache hit, which the server answers in well under a millisecond,
+// to a long series over cold days.
+var DefBuckets = []float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 1, 5}
 
 // Counter is a monotonically increasing integer metric.
 type Counter struct {

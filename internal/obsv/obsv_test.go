@@ -151,7 +151,7 @@ func TestExposition(t *testing.T) {
 		`lat_seconds_bucket{route="/x",le="0.1"} 0`,
 		`lat_seconds_bucket{route="/x",le="0.25"} 1`,
 		`lat_seconds_bucket{route="/x",le="1"} 1`,
-		`lat_seconds_bucket{route="/x",le="2.5"} 2`,
+		`lat_seconds_bucket{route="/x",le="5"} 2`,
 		`lat_seconds_bucket{route="/x",le="+Inf"} 2`,
 		`lat_seconds_sum{route="/x"} 2.2`,
 		`lat_seconds_count{route="/x"} 2`,

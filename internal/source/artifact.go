@@ -2,8 +2,6 @@ package source
 
 import (
 	"io"
-	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/syncx"
@@ -11,11 +9,11 @@ import (
 
 // Artifact is one resident dataset-day: the frame plus everything the
 // serving path derives from it — the content hash, encoded bodies keyed
-// by representation name, a series row index, and the digit table the
-// text encoders format float cells from. Each part is filled
-// lazily at most once (concurrent callers share one fill) and is evicted
-// together with the day. Every part is a pure function of the frame, so
-// a refill after eviction is byte-identical.
+// by representation name, and the digit table the text encoders format
+// float cells from. Each part is filled lazily at most once (concurrent
+// callers share one fill) and is evicted together with the day. Every
+// part is a pure function of the frame, so a refill after eviction is
+// byte-identical.
 type Artifact struct {
 	// Frame is the day's data. Shared: callers must treat it as read-only.
 	Frame *Frame
@@ -24,7 +22,6 @@ type Artifact struct {
 	hashOnce sync.Once
 	hash     string
 	bodies   syncx.Cache[string, Body]
-	indexes  syncx.Cache[string, map[string]int]
 
 	digitsOnce sync.Once
 	digits     digitTable
@@ -92,43 +89,4 @@ func (a *Artifact) encode(repr string, codec BinCodec, missing error) ([]byte, e
 		return Body{Bytes: enc, Err: err}
 	})
 	return b.Bytes, b.Err
-}
-
-// RowIndex maps each distinct key over the named columns to the position
-// of its first row. Keys are the rows' cells in codec form (int columns
-// as decimal) joined by RowKey. The index is built once per column set
-// while the day is resident; it is nil when a column is missing.
-func (a *Artifact) RowIndex(cols ...string) map[string]int {
-	return a.indexes.Get(RowKey(cols...), func() map[string]int {
-		cs := make([]*Column, len(cols))
-		for i, name := range cols {
-			if cs[i] = a.Frame.Col(name); cs[i] == nil {
-				return nil
-			}
-		}
-		idx := make(map[string]int, a.Frame.Rows())
-		cells := make([]string, len(cs))
-		for row := 0; row < a.Frame.Rows(); row++ {
-			for i, c := range cs {
-				cells[i] = c.Cell(row)
-			}
-			k := RowKey(cells...)
-			if _, dup := idx[k]; !dup {
-				idx[k] = row
-			}
-		}
-		return idx
-	})
-}
-
-// RowKey joins key cells into one RowIndex key. Each cell is
-// length-prefixed, so distinct cell tuples never share a key.
-func RowKey(cells ...string) string {
-	var b strings.Builder
-	for _, c := range cells {
-		b.WriteString(strconv.Itoa(len(c)))
-		b.WriteByte(':')
-		b.WriteString(c)
-	}
-	return b.String()
 }

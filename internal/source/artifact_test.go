@@ -108,40 +108,6 @@ func TestArtifactCodecs(t *testing.T) {
 	}
 }
 
-// TestArtifactRowIndex: keys are codec-form cells, the first row of a
-// duplicated key wins, and a missing column yields a nil index.
-func TestArtifactRowIndex(t *testing.T) {
-	f := NewFrame("rows", dates.New(2024, 1, 1))
-	as := f.AddInts("AS")
-	as.Ints = []int64{7, 2435, 2435, 7}
-	cc := f.AddStrings("CC")
-	cc.Strs = []string{"FR", "CN", "CN", "DE"}
-	a := &Artifact{Frame: f}
-
-	idx := a.RowIndex("AS", "CC")
-	for key, want := range map[string]int{
-		RowKey("7", "FR"):    0,
-		RowKey("2435", "CN"): 1,
-		RowKey("7", "DE"):    3,
-	} {
-		if got, ok := idx[key]; !ok || got != want {
-			t.Errorf("idx[%q] = %d, %v; want %d", key, got, ok, want)
-		}
-	}
-	if len(idx) != 3 {
-		t.Errorf("index has %d keys, want 3", len(idx))
-	}
-	if _, ok := idx[RowKey("002435", "CN")]; ok {
-		t.Error("index matched a non-canonical decimal")
-	}
-	if RowKey("a", "bc") == RowKey("ab", "c") {
-		t.Error("RowKey is ambiguous across cell boundaries")
-	}
-	if a.RowIndex("AS", "Nope") != nil {
-		t.Error("index over a missing column is not nil")
-	}
-}
-
 // TestArtifactEvictedWithDay: an evicted day comes back as a new
 // artifact, with none of the old parts.
 func TestArtifactEvictedWithDay(t *testing.T) {

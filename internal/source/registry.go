@@ -111,26 +111,34 @@ func (r *Registry) entry(name string) (*regEntry, bool) {
 
 // Artifact returns the resident artifact for one dataset-day, generating
 // its frame at most once while the day stays resident even under
-// concurrent callers. Everything derived from the day hangs off the
-// artifact and is evicted with it.
+// concurrent callers, and marks the day most recently used. Everything
+// derived from the day hangs off the artifact and is evicted with it.
 func (r *Registry) Artifact(name string, d dates.Date) (*Artifact, error) {
-	e, ok := r.entry(name)
-	if !ok {
-		return nil, fmt.Errorf("%w %q", ErrUnknownSource, name)
-	}
-	return e.days.Get(d, func(d dates.Date) *Artifact {
-		return &Artifact{Frame: e.src.Generate(d), reg: r}
-	}), nil
+	return r.artifact(name, d, false)
 }
 
-// Frame returns the memoized frame for one dataset-day. The returned
-// frame is shared: callers must treat it as read-only.
+// Frame returns the shared, read-only frame for one dataset-day as a
+// cold read (Days.GetCold), for callers that touch each day once: a
+// series over many days or a batch export displaces at most one
+// resident day instead of the hot set.
 func (r *Registry) Frame(name string, d dates.Date) (*Frame, error) {
-	a, err := r.Artifact(name, d)
+	a, err := r.artifact(name, d, true)
 	if err != nil {
 		return nil, err
 	}
 	return a.Frame, nil
+}
+
+func (r *Registry) artifact(name string, d dates.Date, cold bool) (*Artifact, error) {
+	e, ok := r.entry(name)
+	if !ok {
+		return nil, fmt.Errorf("%w %q", ErrUnknownSource, name)
+	}
+	fill := func(d dates.Date) *Artifact { return &Artifact{Frame: e.src.Generate(d), reg: r} }
+	if cold {
+		return e.days.GetCold(d, fill), nil
+	}
+	return e.days.Get(d, fill), nil
 }
 
 // SetBinCodec injects the binary frame codec Artifact.Bin encodes with.

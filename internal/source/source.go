@@ -152,6 +152,15 @@ func (c *Days[T]) Get(d dates.Date, fill func(dates.Date) T) T {
 	})
 }
 
+// GetCold is Get for a one-touch read (syncx.LRU.GetCold).
+func (c *Days[T]) GetCold(d dates.Date, fill func(dates.Date) T) T {
+	c.reqs.Inc()
+	return c.lru.GetCold(d.DayNumber(), func() T {
+		c.gens.Inc()
+		return fill(d)
+	})
+}
+
 // Stats returns the cache's activity snapshot.
 func (c *Days[T]) Stats() CacheStats {
 	h, m, e := c.lru.Stats()

@@ -1,6 +1,7 @@
 package syncx
 
 import (
+	"container/list"
 	"sync"
 	"sync/atomic"
 )
@@ -23,9 +24,8 @@ import (
 type LRU[K comparable, V any] struct {
 	mu      sync.Mutex
 	cap     int
-	entries map[K]*lruEntry[K, V]
-	// head is the most recently used entry, tail the eviction candidate.
-	head, tail *lruEntry[K, V]
+	entries map[K]*list.Element // values are *lruEntry[K, V]
+	order   list.List           // most recently used first
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -33,10 +33,9 @@ type LRU[K comparable, V any] struct {
 }
 
 type lruEntry[K comparable, V any] struct {
-	key        K
-	once       sync.Once
-	val        V
-	prev, next *lruEntry[K, V]
+	key  K
+	once sync.Once
+	val  V
 }
 
 // NewLRU returns a bounded cache retaining at most capacity keys
@@ -45,78 +44,50 @@ func NewLRU[K comparable, V any](capacity int) *LRU[K, V] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &LRU[K, V]{cap: capacity, entries: make(map[K]*lruEntry[K, V], capacity+1)}
+	return &LRU[K, V]{cap: capacity, entries: make(map[K]*list.Element, capacity)}
 }
 
 // Get returns the value for key, running fill unless a fill for key is
-// resident (completed or in flight). The lock is held only to locate the
-// entry and maintain recency order, never across fill, so misses on
-// distinct keys do not serialize. An entry evicted while its fill is in
-// flight still completes for its waiters; it is simply no longer shared
-// with later callers.
-func (c *LRU[K, V]) Get(key K, fill func() V) V {
+// resident (completed or in flight), and marks key most recently used.
+// The lock is held only to locate the entry and maintain recency order,
+// never across fill, so misses on distinct keys do not serialize. An
+// entry evicted while its fill is in flight still completes for its
+// waiters; it is simply no longer shared with later callers.
+func (c *LRU[K, V]) Get(key K, fill func() V) V { return c.get(key, fill, false) }
+
+// GetCold is Get for a one-touch read: a resident key keeps its recency,
+// and a missing key, after any eviction, enters as the least recently
+// used, so it is the next to go and never evicts itself.
+func (c *LRU[K, V]) GetCold(key K, fill func() V) V { return c.get(key, fill, true) }
+
+func (c *LRU[K, V]) get(key K, fill func() V, cold bool) V {
 	c.mu.Lock()
-	e, ok := c.entries[key]
+	el, ok := c.entries[key]
 	if ok {
 		c.hits.Add(1)
-		c.moveToFront(e)
+		if !cold {
+			c.order.MoveToFront(el)
+		}
 	} else {
 		c.misses.Add(1)
-		e = &lruEntry[K, V]{key: key}
-		c.entries[key] = e
-		c.pushFront(e)
-		if len(c.entries) > c.cap {
-			c.evict()
+		if len(c.entries) >= c.cap {
+			victim := c.order.Back()
+			c.order.Remove(victim)
+			delete(c.entries, victim.Value.(*lruEntry[K, V]).key)
+			c.evictions.Add(1)
 		}
+		e := &lruEntry[K, V]{key: key}
+		if cold {
+			el = c.order.PushBack(e)
+		} else {
+			el = c.order.PushFront(e)
+		}
+		c.entries[key] = el
 	}
+	e := el.Value.(*lruEntry[K, V])
 	c.mu.Unlock()
 	e.once.Do(func() { e.val = fill() })
 	return e.val
-}
-
-// evict removes the least recently used entry. Caller holds c.mu.
-func (c *LRU[K, V]) evict() {
-	victim := c.tail
-	if victim == nil {
-		return
-	}
-	c.unlink(victim)
-	delete(c.entries, victim.key)
-	c.evictions.Add(1)
-}
-
-func (c *LRU[K, V]) pushFront(e *lruEntry[K, V]) {
-	e.prev = nil
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-func (c *LRU[K, V]) unlink(e *lruEntry[K, V]) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (c *LRU[K, V]) moveToFront(e *lruEntry[K, V]) {
-	if c.head == e {
-		return
-	}
-	c.unlink(e)
-	c.pushFront(e)
 }
 
 // Len reports how many keys are resident (filled or in flight).
