@@ -34,23 +34,27 @@
 // function of (seed, date)): responses carry strong ETags derived from
 // the frame content hash, If-None-Match revalidation answers 304 without
 // rendering, Accept-Encoding negotiates gzip bodies pre-compressed once
-// per resident day, and identity CSV/JSON bodies stream in chunks of at
-// most 32 KiB without materializing the rendered report. See
-// conditional.go and serveImmutable.
+// per resident day, and every report body is served whole with its
+// Content-Length, except the legacy CSV. See conditional.go and
+// serveImmutable.
 //
 // Each dataset-day the server touches is one source.Artifact, evicted
 // whole with the day. Besides the frame it holds, each part built on
 // first use: the content hash (the ETag base), the .bin and .binz
-// encodings, the legacy APNIC CSV with its body hash, one gzip body per
-// representation kept at exact size, and the digit table of every float
-// cell's shortest round-trip digits. Series routes read their days cold
-// (source.Registry.Frame), so a long series does not flush the hot days.
-// Identity CSV and JSON are the one representation not memoized: held
-// for every hot day, those bodies would raise the server's peak memory
-// by about a quarter. They stream from the frame instead, and take
-// their float text from the digit table, which costs 20 bytes per float
-// cell and spares every request strconv's shortest-digit search, most
-// of a text render's CPU.
+// encodings, the legacy APNIC CSV with its body hash, and one gzip body
+// per representation kept at exact size. Series routes read their days
+// cold (source.Registry.Frame), so a long series does not flush the hot
+// days.
+//
+// Identity CSV and JSON are held weakly (source.Artifact.WeakBody): a
+// body is rendered once and served until the garbage collector finds
+// no request holding it, then rendered again, byte-identical, by the
+// next request that wants it. Held strongly for every hot day, those
+// bodies raised the server's peak memory by about a quarter, because
+// the collector paces itself at twice the heap it keeps; held weakly,
+// they never count toward that heap. The trade is one render per body
+// per collection cycle instead of one per day, which
+// apnicweb_text_renders_total{repr="csv"|"json"} counts.
 package apnicweb
 
 import (
@@ -83,14 +87,17 @@ import (
 //
 // The server keeps no day cache of its own. Every dataset-day lives in
 // one place, the registry's artifact (source.Registry.Artifact): the
-// frame plus its content hash, every encoded body (bin, binz, legacy CSV,
-// gzip) and the float digit table. Concurrent requests for one day share
-// one generation and one fill per part; distinct days fill in parallel.
-// The artifact cache is a bounded LRU per dataset (NewMultiServer's
-// cacheDays sets the capacity, default source.DefaultCacheDays), and a
-// day's parts are evicted with it. Eviction is safe because every part
-// is a pure function of (seed, date): an evicted day regenerates
-// byte-identically on the next request.
+// frame plus its content hash and every encoded body: bin, binz, legacy
+// CSV and gzip held with the day, identity CSV and JSON held weakly
+// until a garbage collection finds no request using them. Concurrent
+// requests for one day share one generation and one fill per part;
+// distinct days fill in parallel. The artifact cache is a bounded LRU
+// per dataset (NewMultiServer's cacheDays sets the capacity, default
+// source.DefaultCacheDays), and a day's parts are evicted with it.
+// Eviction and collection are safe because every part is a pure
+// function of (seed, date): a dropped part rebuilds byte-identically on
+// the next request. The dates bodies never change, so they are built
+// once, with the server.
 type Server struct {
 	reg   *source.Registry
 	first dates.Date
@@ -103,17 +110,17 @@ type Server struct {
 	metrics  *obsv.Registry
 	writeCSV func(*apnic.Report, io.Writer) error // seam for render-failure tests
 
-	// Streaming seams: the identity CSV/JSON report paths write the day's
-	// artifact straight to the client; tests inject mid-stream failures
-	// here.
-	writeFrameCSV  func(*source.Artifact, io.Writer) error
-	writeFrameJSON func(*source.Artifact, io.Writer) error
+	// The identity frame text representations, weakly held per day.
+	csvText, jsonText textRepr
 
-	renderErrs   *obsv.Counter
-	streamAborts *obsv.Counter
-	notModified  *obsv.Counter
-	encGzip      *obsv.Counter
-	encIdentity  *obsv.Counter
+	// The /v1/dates body and each dataset's /v1/{dataset}/dates body.
+	dates        []byte
+	datasetDates map[string][]byte
+
+	renderErrs  *obsv.Counter
+	notModified *obsv.Counter
+	encGzip     *obsv.Counter
+	encIdentity *obsv.Counter
 
 	// liveState holds the optional streaming estimator behind
 	// /v1/live/{country}; see live.go and SetLive.
@@ -128,22 +135,58 @@ func NewMultiServer(w *world.World, seed uint64, first, last dates.Date, cacheDa
 	metrics := obsv.NewRegistry()
 	b := bundle.New(w, seed, bundle.Config{Metrics: metrics, CacheDays: cacheDays})
 	s := &Server{
-		reg:            b.Registry,
-		first:          first,
-		last:           last,
-		metrics:        metrics,
-		writeCSV:       (*apnic.Report).WriteCSV,
-		writeFrameCSV:  (*source.Artifact).WriteCSV,
-		writeFrameJSON: (*source.Artifact).WriteJSON,
+		reg:      b.Registry,
+		first:    first,
+		last:     last,
+		metrics:  metrics,
+		writeCSV: (*apnic.Report).WriteCSV,
+		csvText: textRepr{
+			repr: "csv", contentType: "text/csv; charset=utf-8", render: (*source.Frame).CSVBytes,
+			renders: metrics.Counter(`apnicweb_text_renders_total{repr="csv"}`),
+		},
+		jsonText: textRepr{
+			repr: "json", contentType: "application/json", render: (*source.Frame).JSONBytes,
+			renders: metrics.Counter(`apnicweb_text_renders_total{repr="json"}`),
+		},
+		dates:        jsonBody(DateRange{First: first.String(), Last: last.String()}),
+		datasetDates: map[string][]byte{},
+	}
+	for _, name := range s.reg.Names() {
+		src, _ := s.reg.Lookup(name)
+		s.datasetDates[name] = jsonBody(DatasetDates{
+			Dataset: name, First: first.String(), Last: last.String(), Cadence: src.Window().Cadence,
+		})
 	}
 	s.renderErrs = metrics.Counter("apnicweb_render_errors_total")
-	s.streamAborts = metrics.Counter("apnicweb_stream_aborts_total")
 	s.notModified = metrics.Counter("apnicweb_not_modified_total")
 	s.encGzip = metrics.Counter(`apnicweb_responses_total{encoding="gzip"}`)
 	s.encIdentity = metrics.Counter(`apnicweb_responses_total{encoding="identity"}`)
 	// Day-cache series (source_frame_*{dataset=...}) are registered by the
 	// source layer on the same registry.
 	return s
+}
+
+// textRepr is one identity frame text representation: its name, media
+// type and encoder, and the count of renders its weak bodies cost.
+type textRepr struct {
+	repr, contentType string
+	render            func(*source.Frame) ([]byte, error) // seam for render-failure tests
+	renders           *obsv.Counter
+}
+
+// fill renders a day's body for Artifact.WeakBody, counting the render.
+func (t *textRepr) fill(f *source.Frame) ([]byte, error) {
+	t.renders.Inc()
+	return t.render(f)
+}
+
+// jsonBody is v as json.Encoder writes it, trailing newline included.
+func jsonBody(v any) []byte {
+	b, err := json.Marshal(v)
+	if err != nil {
+		panic(err) // v is one of this package's plain string structs
+	}
+	return append(b, '\n')
 }
 
 // Metrics exposes the server's registry so embedding binaries can add
@@ -264,12 +307,7 @@ func (s *Server) handleDatasetDates(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(DatasetDates{
-		Dataset: src.Name(),
-		First:   s.first.String(),
-		Last:    s.last.String(),
-		Cadence: src.Window().Cadence,
-	})
+	w.Write(s.datasetDates[src.Name()])
 }
 
 // handleDatasetReport serves one dataset-day in one of four
@@ -280,10 +318,10 @@ func (s *Server) handleDatasetDates(w http.ResponseWriter, r *http.Request) {
 // JSON. All four carry a strong ETag derived from the frame content
 // hash (variant-suffixed, so no two representations share a validator)
 // and negotiate gzip through serveImmutable — except binz, which is
-// already entropy-coded and always serves identity. Text identity
-// bodies stream in chunks of at most 32 KiB and are never materialized
-// whole server-side; binary bodies are the day artifact's memoized
-// encodings.
+// already entropy-coded and always serves identity. Binary bodies are
+// the day artifact's memoized encodings; text bodies its weakly held
+// renders, which serveImmutable fetches only once no 304, HEAD or gzip
+// hit can answer without them.
 func (s *Server) handleDatasetReport(w http.ResponseWriter, r *http.Request) {
 	src, ok := s.lookupDataset(w, r)
 	if !ok {
@@ -313,12 +351,6 @@ func (s *Server) handleDatasetReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	a, err := s.reg.Artifact(src.Name(), d)
-	if err == nil {
-		// Pre-flight the frame shape before any byte is written: once the
-		// stream starts, a failure can only abort the connection, so every
-		// error detectable up front must become a clean 500 here.
-		err = a.Frame.Check()
-	}
 	var binBody []byte
 	if err == nil {
 		switch {
@@ -355,56 +387,62 @@ func (s *Server) handleDatasetReport(w http.ResponseWriter, r *http.Request) {
 	case wantBin:
 		b.repr, b.contentType = "bin", binfmt.ContentType
 		b.body = binBody
-		// Binary bodies are materialized (the memoized artifact is the
-		// response), so the exact length can be declared up front.
-		b.declareLen = true
 	case wantBinz:
 		b.repr, b.contentType = "binz", framez.ContentType
 		b.body = binBody
-		b.declareLen = true
 		// Already entropy-coded: gzip on top costs CPU on both ends for
 		// negative savings, so the representation is identity-only and
 		// never gets a pre-compressed body.
 		b.noGzip = true
-	case wantCSV:
-		b.repr, b.contentType = "csv", "text/csv; charset=utf-8"
-		b.stream = func(w io.Writer) error { return s.writeFrameCSV(a, w) }
 	default:
-		b.repr, b.contentType = "json", "application/json"
-		b.stream = func(w io.Writer) error { return s.writeFrameJSON(a, w) }
+		t := &s.jsonText
+		if wantCSV {
+			t = &s.csvText
+		}
+		b.repr, b.contentType, b.text = t.repr, t.contentType, t
 	}
 	s.serveImmutable(w, r, b)
 }
 
 // immutableBody describes one immutable dataset-day representation for
-// serveImmutable: a materialized identity body (legacy CSV, bin) held by
-// the day's artifact, or a streamable render (frame CSV and JSON).
-// Exactly one of body and stream is set.
+// serveImmutable: a materialized identity body (legacy CSV, bin, binz)
+// held by the day's artifact, or a text representation whose weakly
+// held body is fetched from the artifact only when the response needs
+// it. Exactly one of body and text is set.
 type immutableBody struct {
 	repr        string           // representation key: "csv", "json", "bin", "binz", "legacy"
 	art         *source.Artifact // the day; its gzip bodies are memoized here
 	dataset     string
 	day         dates.Date
 	contentType string
-	hash        string                // content hash, the ETag base
-	body        []byte                // identity bytes, when already materialized
-	stream      func(io.Writer) error // identity streamer otherwise
-	declareLen  bool                  // set Content-Length for identity body bytes
-	noGzip      bool                  // pre-compressed representation: identity only
-	varyAccept  bool                  // representation was negotiated from Accept
+	hash        string    // content hash, the ETag base
+	body        []byte    // identity bytes, when already materialized
+	text        *textRepr // weakly held identity text otherwise
+	omitLen     bool      // leave the identity Content-Length to net/http
+	noGzip      bool      // pre-compressed representation: identity only
+	varyAccept  bool      // representation was negotiated from Accept
 	fail        func(code int, msg string)
+}
+
+// identity returns the identity body, rendering a text body the
+// collector dropped.
+func (b *immutableBody) identity() ([]byte, error) {
+	if b.text == nil {
+		return b.body, nil
+	}
+	return b.art.WeakBody(b.repr, b.text.fill)
 }
 
 // serveImmutable finishes a report response: ETag / If-None-Match
 // validation, Accept-Encoding negotiation, gzip bodies memoized on the
-// day's artifact, and row-streamed identity bodies.
+// day's artifact, and identity bodies written whole.
 //
 // Ordering is load-bearing. The 304 check runs before any rendering so a
-// revalidation costs one memoized hash lookup. The gzip body is rendered
-// into the artifact from the frame — never teed off a live response — so
-// a mid-download disconnect cannot poison it. The identity stream writes
-// last, after every fallible step, because once it starts the only
-// honest way to report failure is aborting the connection (streamBody).
+// revalidation costs one memoized hash lookup, and HEAD answers before
+// any rendering too. The gzip body is compressed into the artifact from
+// the identity body — never teed off a live response — so a
+// mid-download disconnect cannot poison it. Every fallible step runs
+// before the first body byte, so a failure is a clean 500.
 func (s *Server) serveImmutable(w http.ResponseWriter, r *http.Request, b immutableBody) {
 	gz := !b.noGzip && acceptsGzip(r.Header.Get("Accept-Encoding"))
 	variant := b.repr
@@ -435,19 +473,17 @@ func (s *Server) serveImmutable(w http.ResponseWriter, r *http.Request, b immuta
 	h.Set("Content-Type", b.contentType)
 	if r.Method == http.MethodHead {
 		// Go 1.22 "GET /..." patterns also match HEAD, and before this
-		// check a HEAD request fell through to the body paths: the
-		// streaming routes rendered (and chunked) a full body net/http then
-		// had to discard, and a mid-render failure could panic with
-		// ErrAbortHandler on a request that never wanted bytes at all.
+		// check a HEAD request fell through to the body paths: the text
+		// routes rendered a full body net/http then had to discard.
 		// Answer with the negotiated headers alone. Content-Length is
-		// declared only when the identity body is already materialized;
-		// gzip and streamed lengths are unknown without rendering, which is
-		// exactly the work HEAD exists to skip.
+		// declared only for an identity body held with the day that GET
+		// declares it for; gzip and text lengths are unknown without
+		// rendering, which is exactly the work HEAD exists to skip.
 		if gz {
 			h.Set("Content-Encoding", "gzip")
 			s.encGzip.Inc()
 		} else {
-			if b.body != nil && b.declareLen {
+			if b.body != nil && !b.omitLen {
 				h.Set("Content-Length", strconv.Itoa(len(b.body)))
 			}
 			s.encIdentity.Inc()
@@ -455,64 +491,41 @@ func (s *Server) serveImmutable(w http.ResponseWriter, r *http.Request, b immuta
 		w.WriteHeader(http.StatusOK)
 		return
 	}
+	var body []byte
+	var err error
 	if gz {
-		body, err := s.gzipBody(b)
-		if err != nil {
-			if s.Log != nil {
-				s.Log.Printf("gzip render error dataset=%s repr=%s date=%s err=%q", b.dataset, b.repr, b.day, err)
-			}
-			// Strip the success-only headers: a 500 carrying a public
-			// max-age Cache-Control (or a validator) could get cached.
-			h.Del("ETag")
-			h.Del("Cache-Control")
-			h.Del("Vary")
-			h.Del("Content-Type")
-			b.fail(http.StatusInternalServerError, "report generation failed: "+err.Error())
-			return
-		}
-		h.Set("Content-Encoding", "gzip")
-		// The compressed body is materialized (it is memoized on the
-		// artifact), so its length is known and safe to declare.
-		h.Set("Content-Length", strconv.Itoa(len(body)))
-		s.encGzip.Inc()
-		w.Write(body)
-		return
+		body, err = s.gzipBody(&b)
+	} else {
+		body, err = b.identity()
 	}
-	s.encIdentity.Inc()
-	if b.body != nil {
-		// Content-Length is deliberately not set for the legacy route:
-		// net/http chunks large bodies exactly as it did before the
-		// conditional layer existed, keeping those responses
-		// byte-identical on the wire. The binary route opts in instead —
-		// its body is a materialized artifact with a known length.
-		if b.declareLen {
-			h.Set("Content-Length", strconv.Itoa(len(b.body)))
-		}
-		w.Write(b.body)
-		return
-	}
-	s.streamBody(w, b)
-}
-
-// streamBody writes an identity body as it renders. The whole rendered
-// report never exists in server memory — the CSV/JSON encoders append
-// into one pooled buffer and hand it to the chunked response 32 KiB at a
-// time.
-//
-// A mid-stream failure cannot change the status code (it is already on
-// the wire as 200) and must not be papered over: returning normally would
-// let net/http write the terminating zero-length chunk, making the
-// truncated body indistinguishable from a complete one. Panicking with
-// http.ErrAbortHandler instead drops the connection so the client's read
-// fails — the HTTP-shaped version of "crash, don't corrupt".
-func (s *Server) streamBody(w http.ResponseWriter, b immutableBody) {
-	if err := b.stream(w); err != nil {
-		s.streamAborts.Inc()
+	if err != nil {
 		if s.Log != nil {
-			s.Log.Printf("stream abort dataset=%s repr=%s date=%s err=%q", b.dataset, b.repr, b.day, err)
+			s.Log.Printf("render error dataset=%s repr=%s gzip=%t date=%s err=%q", b.dataset, b.repr, gz, b.day, err)
 		}
-		panic(http.ErrAbortHandler)
+		// Strip the success-only headers: a 500 carrying a public
+		// max-age Cache-Control (or a validator) could get cached.
+		h.Del("ETag")
+		h.Del("Cache-Control")
+		h.Del("Vary")
+		h.Del("Content-Type")
+		b.fail(http.StatusInternalServerError, "report generation failed: "+err.Error())
+		return
 	}
+	if gz {
+		h.Set("Content-Encoding", "gzip")
+		s.encGzip.Inc()
+	} else {
+		s.encIdentity.Inc()
+	}
+	// Content-Length is deliberately not set for the legacy route's
+	// identity body: net/http chunks large bodies exactly as it did
+	// before the conditional layer existed, keeping those responses
+	// byte-identical on the wire. Every other body is whole in memory,
+	// so its length is known and safe to declare.
+	if gz || !b.omitLen {
+		h.Set("Content-Length", strconv.Itoa(len(body)))
+	}
+	w.Write(body)
 }
 
 // gzipWriters pools gzip.Writer instances for the gzip body fill path.
@@ -535,25 +548,24 @@ var gzipWriters = sync.Pool{
 // once, not left behind as garbage by every fill.
 var gzipBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// gzipBody returns the gzip representation, rendered and compressed at
-// most once per representation while the day's artifact is resident
-// (memoized under the ETag variant, e.g. "csv.gz"). The fill renders from
-// the artifact, never from a client connection, so partial client reads
-// cannot poison it; and gzip output is deterministic for a fixed input
-// and level, so a refill after eviction is byte-identical.
-func (s *Server) gzipBody(b immutableBody) ([]byte, error) {
+// gzipBody returns the gzip representation, compressed at most once per
+// representation while the day's artifact is resident (memoized under
+// the ETag variant, e.g. "csv.gz"). The fill compresses the identity
+// body the request holds, never a client connection's bytes, so partial
+// client reads cannot poison it; and gzip output is deterministic for a
+// fixed input and level, so a refill after eviction is byte-identical.
+func (s *Server) gzipBody(b *immutableBody) ([]byte, error) {
 	gz := b.art.Body(b.repr+".gz", func(*source.Frame) source.Body {
+		body, err := b.identity()
+		if err != nil {
+			return source.Body{Err: err}
+		}
 		buf := gzipBufs.Get().(*bytes.Buffer)
 		defer gzipBufs.Put(buf)
 		buf.Reset()
 		zw := gzipWriters.Get().(*gzip.Writer)
 		zw.Reset(buf)
-		var err error
-		if b.body != nil {
-			_, err = zw.Write(b.body)
-		} else {
-			err = b.stream(zw)
-		}
+		_, err = zw.Write(body)
 		if cerr := zw.Close(); err == nil {
 			err = cerr
 		}
@@ -656,6 +668,8 @@ func newRowKey(cols, cells []string) rowKey {
 
 // find returns f's first matching row, or -1. A key column f lacks
 // matches nothing, nor does a float one: no series is keyed on one.
+// The first key column is scanned with a typed loop; the others are
+// checked only on its hits.
 func (k rowKey) find(f *source.Frame) int {
 	cs := make([]*source.Column, len(k.cols))
 	for i, name := range k.cols {
@@ -665,17 +679,32 @@ func (k rowKey) find(f *source.Frame) int {
 		}
 		cs[i] = c
 	}
-rows:
-	for row := 0; row < f.Rows(); row++ {
-		for i, c := range cs {
-			if c.Kind == source.Int && c.Ints[row] != k.ints[i] ||
-				c.Kind == source.String && c.Strs[row] != k.cells[i] {
-				continue rows
+	if first := cs[0]; first.Kind == source.Int {
+		for row, v := range first.Ints {
+			if v == k.ints[0] && k.matchRest(cs, row) {
+				return row
 			}
 		}
-		return row
+	} else {
+		for row, v := range first.Strs {
+			if v == k.cells[0] && k.matchRest(cs, row) {
+				return row
+			}
+		}
 	}
 	return -1
+}
+
+// matchRest reports whether row holds the key in every column after the
+// first.
+func (k rowKey) matchRest(cs []*source.Column, row int) bool {
+	for i := 1; i < len(cs); i++ {
+		if c := cs[i]; c.Kind == source.Int && c.Ints[row] != k.ints[i] ||
+			c.Kind == source.String && c.Strs[row] != k.cells[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // handleDatasetSeries serves a per-row time series for any dataset: the
@@ -831,7 +860,7 @@ type DateRange struct {
 
 func (s *Server) handleDates(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(DateRange{First: s.first.String(), Last: s.last.String()})
+	w.Write(s.dates)
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -875,6 +904,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		contentType: "text/csv; charset=utf-8",
 		hash:        legacy.Hash,
 		body:        legacy.Bytes,
+		omitLen:     true,
 		fail: func(code int, msg string) {
 			s.renderErrs.Inc()
 			http.Error(w, msg, code)

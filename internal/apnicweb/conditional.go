@@ -17,11 +17,11 @@ package apnicweb
 // Compression is negotiated from Accept-Encoding (q-values honored).
 // A gzip body is rendered once per representation into the day's
 // artifact, under its ETag variant, and evicted with the day. It is
-// always rendered from the artifact, never from a live client stream, so
-// a client that disconnects mid-response can never poison it with a
-// truncated body. Identity CSV/JSON responses stream instead, in chunks
-// of at most 32 KiB (see streamBody in apnicweb.go), and are deliberately
-// not byte-cached.
+// always compressed from the identity body, never from a live client
+// stream, so a client that disconnects mid-response can never poison it
+// with a truncated body. Identity CSV/JSON bodies are held weakly
+// instead (see serveImmutable in apnicweb.go): their memory is the
+// collector's to reclaim, and a dropped body renders again.
 
 import (
 	"crypto/sha256"

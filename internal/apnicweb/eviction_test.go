@@ -150,7 +150,9 @@ func TestBoundedCacheHammer(t *testing.T) {
 // series (the maxPoints limit) over cold days must not flush the hot
 // set. With 30 cache days per dataset and 14 hot days warmed, one
 // request on either series route reads 120 days, yet afterwards every
-// hot day is still resident, so re-serving them generates nothing.
+// hot day is still resident, so re-serving them generates nothing. The
+// cold days evict only each other, and the cache counts those evictions
+// apart: its hot-eviction count stays 0.
 func TestSeriesKeepsHotDays(t *testing.T) {
 	srv := newTestServer(30)
 	ts := httptest.NewServer(srv.Handler())
@@ -192,6 +194,14 @@ func TestSeriesKeepsHotDays(t *testing.T) {
 		}
 		if n := strings.Count(string(body), `"date"`); n != 120 {
 			t.Fatalf("GET %s: %d points, want 120", path, n)
+		}
+	}
+
+	for _, ds := range datasets {
+		st, _ := srv.Registry().FrameCacheStats(ds)
+		if st.Evictions != 0 || st.ColdEvictions == 0 {
+			t.Errorf("%s: after a 120-point series, %d hot and %d cold evictions; want 0 hot, some cold",
+				ds, st.Evictions, st.ColdEvictions)
 		}
 	}
 

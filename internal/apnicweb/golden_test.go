@@ -183,3 +183,29 @@ func TestSeriesBodiesGolden(t *testing.T) {
 	}
 	checkManifest(t, seriesBodiesGolden, manifest.String())
 }
+
+const datesBodiesGolden = "testdata/dates_bodies.golden"
+
+// TestDatesBodiesGolden pins the dates routes byte for byte: for
+// /v1/dates and every dataset's /v1/{dataset}/dates, the Content-Type
+// and the whole body (quoted, trailing newline included). A change to
+// the manifest is a deliberate pin update (regenerate with -update).
+func TestDatesBodiesGolden(t *testing.T) {
+	ts := httptest.NewServer(newTestServer(30).Handler())
+	defer ts.Close()
+
+	paths := []string{"/v1/dates"}
+	for _, ds := range allDatasets {
+		paths = append(paths, "/v1/"+ds+"/dates")
+	}
+	var manifest strings.Builder
+	for _, path := range paths {
+		resp := rawGet(t, ts, path, nil)
+		body := readAll(t, resp)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d: %s", path, resp.StatusCode, body)
+		}
+		fmt.Fprintf(&manifest, "%s content-type=%q body=%q\n", path, resp.Header.Get("Content-Type"), body)
+	}
+	checkManifest(t, datesBodiesGolden, manifest.String())
+}

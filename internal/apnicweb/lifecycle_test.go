@@ -24,14 +24,16 @@ type servedRepr struct {
 // TestArtifactLifecycle pins that a day's representations live and die
 // with the day. Serving capacity-many days in every representation and
 // encoding twice refills nothing on the second pass: no frame
-// generation, no codec, legacy or gzip render, and identical bytes and
-// ETags. Once the days are evicted, serving one again costs exactly one
-// generation and one call per codec and render, and reproduces the same
-// bytes.
+// generation, no codec, legacy, text or gzip render, and identical bytes
+// and ETags. Once the days are evicted, serving one again costs exactly
+// one generation and one call per codec and render, and reproduces the
+// same bytes. The text bodies are held for the whole test, so a garbage
+// collection cannot add a render (TestTextBodyRebuiltAfterGC covers
+// that).
 func TestArtifactLifecycle(t *testing.T) {
 	const capacity = 2
 	srv := NewMultiServer(testW, 11, dates.New(2024, 1, 1), dates.New(2024, 12, 31), capacity)
-	var binCalls, binzCalls, legacyRenders, streams atomic.Int64
+	var binCalls, binzCalls, legacyRenders atomic.Int64
 	counting := func(n *atomic.Int64, codec source.BinCodec) source.BinCodec {
 		return func(f *source.Frame) ([]byte, error) {
 			n.Add(1)
@@ -44,16 +46,7 @@ func TestArtifactLifecycle(t *testing.T) {
 		legacyRenders.Add(1)
 		return rep.WriteCSV(w)
 	}
-	// Frame CSV and JSON stream on every identity response and render
-	// once more into each gzip body.
-	srv.writeFrameCSV = func(a *source.Artifact, w io.Writer) error {
-		streams.Add(1)
-		return a.WriteCSV(w)
-	}
-	srv.writeFrameJSON = func(a *source.Artifact, w io.Writer) error {
-		streams.Add(1)
-		return a.WriteJSON(w)
-	}
+	holdTextRenders(srv, nil)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -87,21 +80,22 @@ func TestArtifactLifecycle(t *testing.T) {
 		}
 		return out
 	}
-	type counts struct{ gens, bin, binz, legacy, streams int64 }
+	type counts struct{ gens, bin, binz, legacy, text int64 }
 	snapshot := func() counts {
 		st, _ := srv.Registry().FrameCacheStats(apnic.DatasetName)
-		return counts{st.Gens, binCalls.Load(), binzCalls.Load(), legacyRenders.Load(), streams.Load()}
+		return counts{st.Gens, binCalls.Load(), binzCalls.Load(), legacyRenders.Load(),
+			textRenders(srv, "csv") + textRenders(srv, "json")}
 	}
-	// Per day: CSV and JSON each stream once for identity and once into
-	// the gzip body.
-	const streamsPerFill, streamsPerHit = 4, 2
+	// Per day: CSV and JSON each render once, for the identity response;
+	// the gzip fills compress those bodies.
+	const textPerFill = 2
 
 	first := map[dates.Date]map[string]servedRepr{}
 	for _, d := range days {
 		first[d] = serve(d)
 	}
 	afterFirst := snapshot()
-	if want := (counts{capacity, capacity, capacity, capacity, capacity * streamsPerFill}); afterFirst != want {
+	if want := (counts{capacity, capacity, capacity, capacity, capacity * textPerFill}); afterFirst != want {
 		t.Fatalf("first pass fills = %+v, want one per day each: %+v", afterFirst, want)
 	}
 
@@ -113,10 +107,8 @@ func TestArtifactLifecycle(t *testing.T) {
 			}
 		}
 	}
-	want := afterFirst
-	want.streams += capacity * streamsPerHit
-	if got := snapshot(); got != want {
-		t.Fatalf("second pass refilled resident days: %+v, want %+v", got, want)
+	if got := snapshot(); got != afterFirst {
+		t.Fatalf("second pass refilled resident days: %+v, want %+v", got, afterFirst)
 	}
 
 	// Push both days out, then bring the first one back.
@@ -131,8 +123,8 @@ func TestArtifactLifecycle(t *testing.T) {
 	refilled := serve(days[0])
 	delta := snapshot()
 	delta = counts{delta.gens - before.gens, delta.bin - before.bin, delta.binz - before.binz,
-		delta.legacy - before.legacy, delta.streams - before.streams}
-	if want := (counts{1, 1, 1, 1, streamsPerFill}); delta != want {
+		delta.legacy - before.legacy, delta.text - before.text}
+	if want := (counts{1, 1, 1, 1, textPerFill}); delta != want {
 		t.Errorf("refilling an evicted day cost %+v, want %+v", delta, want)
 	}
 	for key, want := range first[days[0]] {

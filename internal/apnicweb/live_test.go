@@ -16,20 +16,19 @@ import (
 )
 
 // TestHeadStreamingRoutes is the regression test for HEAD falling
-// through to the streaming render: Go 1.22 "GET /..." patterns also
-// match HEAD, and the old serveImmutable rendered (or aborted on) a
-// full body. HEAD must answer the same negotiated headers as GET with
-// no body — even when the underlying renderer would fail, because HEAD
+// through to the text render: Go 1.22 "GET /..." patterns also match
+// HEAD, and the old serveImmutable rendered (or aborted on) a full
+// body. HEAD must answer the same negotiated headers as GET with no
+// body — even when the underlying renderer would fail, because HEAD
 // never renders.
 func TestHeadStreamingRoutes(t *testing.T) {
 	srv := newTestServer(0)
-	// Poison the streaming seams: any attempt to render a body on the
+	// Poison the text render seams: any attempt to render a body on the
 	// HEAD path shows up as a failure.
-	srv.writeFrameCSV = func(*source.Artifact, io.Writer) error {
-		return errors.New("HEAD must not render")
-	}
-	srv.writeFrameJSON = func(*source.Artifact, io.Writer) error {
-		return errors.New("HEAD must not render")
+	for _, text := range []*textRepr{&srv.csvText, &srv.jsonText} {
+		text.render = func(*source.Frame) ([]byte, error) {
+			return nil, errors.New("HEAD must not render")
+		}
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

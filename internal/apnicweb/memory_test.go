@@ -7,45 +7,113 @@ import (
 
 	"repro/internal/dates"
 	"repro/internal/source"
+	"repro/internal/source/binfmt"
+	"repro/internal/source/framez"
+	"repro/internal/stream"
 )
 
 // discardResponse is a ResponseWriter that keeps the headers and drops
 // the body, so an allocation count sees the handler and not a recorder's
 // growing buffer.
-type discardResponse struct{ h http.Header }
+type discardResponse struct {
+	h    http.Header
+	code int
+}
 
-func (d *discardResponse) Header() http.Header         { return d.h }
-func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
-func (d *discardResponse) WriteHeader(int)             {}
+func (d *discardResponse) Header() http.Header  { return d.h }
+func (d *discardResponse) WriteHeader(code int) { d.code = code }
 
-// TestWarmIdentityTextAllocs holds the allocation budget of a warm
-// identity CSV or JSON report request through Handler: routing,
-// metrics, headers and the streamed render, with the day's artifact and
-// digit table already built. The budgets are the counts measured when
-// every request still formatted its floats with strconv; formatting
-// from the digit table must not cost a single allocation more.
-func TestWarmIdentityTextAllocs(t *testing.T) {
+func (d *discardResponse) Write(p []byte) (int, error) {
+	if d.code == 0 {
+		d.code = http.StatusOK
+	}
+	return len(p), nil
+}
+
+// allocRoute is one warm request of the allocation budget table.
+type allocRoute struct {
+	name, path string
+	hdr        map[string]string
+	budget     float64
+}
+
+// allocRoutes lists every route and representation with its allocation
+// budget: the allocations per warm request through Handler (routing,
+// metrics, headers and the response) as measured when the table was
+// set. The report routes of every dataset come in identity, gzip and
+// 304 (If-None-Match) variants; binz answers its gzip request with the
+// identity body.
+func allocRoutes() []allocRoute {
+	type repr struct {
+		name, path string
+		budget     [3]float64 // identity, gzip, 304
+	}
+	reprs := []repr{{"apnic legacy", "/v1/reports/2024-04-21.csv", [3]float64{13, 18, 12}}}
+	for _, ds := range allDatasets {
+		day := "/v1/" + ds + "/reports/2024-04-21"
+		reprs = append(reprs,
+			repr{ds + " csv", day + ".csv", [3]float64{26, 29, 23}},
+			repr{ds + " json", day, [3]float64{28, 31, 25}},
+			repr{ds + " bin", day + binfmt.Suffix, [3]float64{26, 29, 23}},
+			repr{ds + " binz", day + framez.Suffix, [3]float64{24, 24, 21}})
+	}
+	var routes []allocRoute
+	for _, r := range reprs {
+		routes = append(routes,
+			allocRoute{r.name + " identity", r.path, map[string]string{"Accept-Encoding": "identity"}, r.budget[0]},
+			allocRoute{r.name + " gzip", r.path, map[string]string{"Accept-Encoding": "gzip"}, r.budget[1]},
+			allocRoute{r.name + " 304", r.path, map[string]string{"If-None-Match": "*"}, r.budget[2]})
+	}
+	row := testGen.Generate(dates.New(2024, 4, 21)).Rows[0]
+	asn, week := row.ASN, "?cc="+row.CC+"&from=2024-04-15&to=2024-04-21"
+	return append(routes,
+		allocRoute{"dates", "/v1/dates", nil, 4},
+		allocRoute{"dataset dates", "/v1/cdn/dates", nil, 14},
+		allocRoute{"series 7 points", "/v1/apnic/series/AS" + itoa(asn) + week, nil, 152},
+		allocRoute{"legacy series 7 points", "/v1/series/AS" + itoa(asn) + week, nil, 49},
+		allocRoute{"live", "/v1/live/FR", nil, 20},
+		allocRoute{"live 304", "/v1/live/FR", map[string]string{"If-None-Match": "*"}, 10},
+	)
+}
+
+// TestRouteAllocBudgets holds every route's warm request to its
+// allocation budget (allocRoutes). Warm means the day's artifact and
+// every body the request reads are already built; the test holds the
+// weakly held text bodies so a collection during the measurement cannot
+// add a render to the count.
+func TestRouteAllocBudgets(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	const csvBudget, jsonBudget = 27, 29
-	h := newTestServer(30).Handler()
-	for _, ds := range allDatasets {
-		for _, c := range []struct {
-			suffix string
-			budget float64
-		}{{".csv", csvBudget}, {"", jsonBudget}} {
-			req := httptest.NewRequest(http.MethodGet, "/v1/"+ds+"/reports/2024-04-21"+c.suffix, nil)
-			req.Header.Set("Accept-Encoding", "identity")
-			w := &discardResponse{h: http.Header{}}
-			h.ServeHTTP(w, req) // warm: generate the day, build its digit table
-			allocs := testing.AllocsPerRun(20, func() {
-				w.h = http.Header{}
-				h.ServeHTTP(w, req)
-			})
-			if allocs > c.budget {
-				t.Errorf("%s: %v allocs per warm request, budget %v", req.URL.Path, allocs, c.budget)
-			}
+	srv := newTestServer(30)
+	holdTextRenders(srv, nil)
+	est := stream.NewRollingEstimator(testGen)
+	d := dates.New(2024, 4, 21)
+	for _, c := range testGen.DayCounts(d) {
+		est.Observe(stream.Impression{Day: d, CC: c.CC, ASN: c.ASN, Weight: c.Samples})
+	}
+	srv.SetLive(est)
+	h := srv.Handler()
+	for _, rt := range allocRoutes() {
+		req := httptest.NewRequest(http.MethodGet, rt.path, nil)
+		for k, v := range rt.hdr {
+			req.Header.Set(k, v)
+		}
+		w := &discardResponse{h: http.Header{}}
+		h.ServeHTTP(w, req) // warm: generate the day, fill the bodies it reads
+		want := http.StatusOK
+		if rt.hdr["If-None-Match"] != "" {
+			want = http.StatusNotModified
+		}
+		if w.code != want {
+			t.Fatalf("%s: GET %s answered %d, want %d", rt.name, rt.path, w.code, want)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			w.h = http.Header{}
+			h.ServeHTTP(w, req)
+		})
+		if allocs > rt.budget {
+			t.Errorf("%s: %v allocs per warm request, budget %v", rt.name, allocs, rt.budget)
 		}
 	}
 }

@@ -39,43 +39,40 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return c.ResponseWriter.Write(p)
 }
 
-// TestStreamingCSVChunks proves the identity CSV path streams instead of
-// buffering: the handler performs many Writes (the frame encoders hand
-// over 32 KiB chunks), the response goes out chunked, and Content-Length
-// is omitted — not set to a guess.
-func TestStreamingCSVChunks(t *testing.T) {
+// TestIdentityTextWholeBody proves the identity CSV and JSON paths
+// serve a whole body: the handler writes it in one Write, and the
+// response declares its exact Content-Length instead of going out
+// chunked.
+func TestIdentityTextWholeBody(t *testing.T) {
 	srv, ts, _ := multiServer(t)
 	d := dates.New(2024, 7, 1)
-	path := "/v1/apnic/reports/" + d.String() + ".csv"
+	for _, path := range []string{"/v1/apnic/reports/" + d.String() + ".csv", "/v1/apnic/reports/" + d.String()} {
+		// Below the HTTP layer: count handler Writes.
+		rec := httptest.NewRecorder()
+		cw := &countingWriter{ResponseWriter: rec}
+		srv.Handler().ServeHTTP(cw, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d", path, rec.Code)
+		}
+		if cw.writes != 1 {
+			t.Errorf("%s: handler wrote the %d-byte body in %d Writes, want 1", path, cw.bytes, cw.writes)
+		}
+		if cw.bytes <= 4096 {
+			t.Fatalf("%s: apnic day is only %d bytes; fixture too small to tell a whole body from chunks", path, cw.bytes)
+		}
 
-	// Below the HTTP layer: count handler Writes.
-	rec := httptest.NewRecorder()
-	cw := &countingWriter{ResponseWriter: rec}
-	srv.Handler().ServeHTTP(cw, httptest.NewRequest(http.MethodGet, path, nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d", rec.Code)
-	}
-	if cw.writes < 2 {
-		t.Errorf("handler wrote the %d-byte body in %d Write(s); streaming demands incremental flushes", cw.bytes, cw.writes)
-	}
-	if cw.bytes <= 4096 {
-		t.Fatalf("apnic day is only %d bytes; fixture too small to prove streaming", cw.bytes)
-	}
-
-	// On the wire: no Content-Length, chunked framing.
-	resp := rawGet(t, ts, path, nil)
-	body := readAll(t, resp)
-	if resp.ContentLength != -1 {
-		t.Errorf("ContentLength = %d, want -1 (unknown) on a streamed response", resp.ContentLength)
-	}
-	if cl := resp.Header.Get("Content-Length"); cl != "" {
-		t.Errorf("streamed response declares Content-Length %q", cl)
-	}
-	if len(resp.TransferEncoding) == 0 || resp.TransferEncoding[0] != "chunked" {
-		t.Errorf("TransferEncoding = %v, want chunked", resp.TransferEncoding)
-	}
-	if !bytes.Equal(body, rec.Body.Bytes()) {
-		t.Error("wire body differs from the direct handler render")
+		// On the wire: the exact Content-Length, no chunked framing.
+		resp := rawGet(t, ts, path, nil)
+		body := readAll(t, resp)
+		if resp.ContentLength != int64(len(body)) {
+			t.Errorf("%s: ContentLength = %d for a %d-byte body", path, resp.ContentLength, len(body))
+		}
+		if len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: TransferEncoding = %v, want none", path, resp.TransferEncoding)
+		}
+		if !bytes.Equal(body, rec.Body.Bytes()) {
+			t.Errorf("%s: wire body differs from the direct handler render", path)
+		}
 	}
 }
 
@@ -131,8 +128,8 @@ func TestStreamingColdDayHammer(t *testing.T) {
 }
 
 // TestClientDisconnectDoesNotPoison: a client that bails mid-download —
-// on both the streamed identity path and the cached gzip path — must not
-// leave a truncated artifact behind for the next client.
+// on both the identity path and the cached gzip path — must not leave a
+// truncated artifact behind for the next client.
 func TestClientDisconnectDoesNotPoison(t *testing.T) {
 	srv, ts, _ := multiServer(t)
 	d := dates.New(2024, 8, 8)
@@ -177,88 +174,19 @@ func TestClientDisconnectDoesNotPoison(t *testing.T) {
 	if !bytes.Equal(decoded, body) {
 		t.Fatal("post-disconnect gzip body differs from identity bytes")
 	}
-	// Note: the identity disconnect may or may not tick the stream-abort
-	// counter, depending on whether the server's writes were still in
-	// flight when the close landed. Both are correct; what this test pins
-	// is that neither outcome leaves a truncated artifact behind.
 }
 
-// TestStreamErrorAbortsConnection: when the render fails mid-stream the
-// server must NOT finish the response cleanly — a truncated chunked body
-// that still gets its terminating chunk looks complete to every client.
-// The connection is dropped instead, the abort counter moves, and the
-// same day serves fine afterwards (nothing poisoned).
-func TestStreamErrorAbortsConnection(t *testing.T) {
-	srv, ts, _ := multiServer(t)
-	d := dates.New(2024, 10, 2)
-	path := "/v1/cdn/reports/" + d.String() + ".csv"
-
-	realWrite := srv.writeFrameCSV
-	srv.writeFrameCSV = func(_ *source.Artifact, w io.Writer) error {
-		// Write past net/http's 4KB response buffer so the 200 and a
-		// partial body are committed to the wire before the failure.
-		row := []byte("FR,example,123456\n")
-		for written := 0; written < 8192; written += len(row) {
-			if _, err := w.Write(row); err != nil {
-				return err
-			}
-		}
-		return errors.New("render failed mid-flight")
-	}
-
-	req, err := http.NewRequest(http.MethodGet, ts.URL+path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Accept-Encoding", "identity")
-	resp, err := ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d; the failure hits after headers are committed", resp.StatusCode)
-	}
-	_, err = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err == nil {
-		t.Fatal("client read completed cleanly on a truncated stream; the connection must abort")
-	}
-	if n := srv.metrics.Counter("apnicweb_stream_aborts_total").Value(); n != 1 {
-		t.Errorf("stream abort counter = %d, want 1", n)
-	}
-
-	// Restore the seam: the same day must serve completely — identity
-	// bodies are never byte-cached, so the abort left nothing behind.
-	srv.writeFrameCSV = realWrite
-	resp = rawGet(t, ts, path, nil)
-	body := readAll(t, resp)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-abort status %d", resp.StatusCode)
-	}
-	want, err := srv.Registry().Frame("cdn", d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := source.ReadCSV(bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !f.Equal(want) {
-		t.Fatal("post-abort render differs from the generated frame")
-	}
-}
-
-// TestGzipRenderErrorCleanrooms500: a render failure caught before any
-// byte is on the wire (the gzip path materializes first) must produce a
-// clean JSON 500 carrying none of the success-only headers — an ETag or
-// public Cache-Control on a 500 could get cached by an intermediary.
+// TestGzipRenderErrorCleanrooms500: a render failure under a gzip fill
+// must produce a clean JSON 500 carrying none of the success-only
+// headers — an ETag or public Cache-Control on a 500 could get cached by
+// an intermediary.
 func TestGzipRenderErrorCleanrooms500(t *testing.T) {
 	srv, ts, _ := multiServer(t)
 	d := dates.New(2024, 10, 3)
 	path := "/v1/mlab/reports/" + d.String() + ".csv"
 
-	srv.writeFrameCSV = func(*source.Artifact, io.Writer) error {
-		return errors.New("render failed before any byte")
+	srv.csvText.render = func(*source.Frame) ([]byte, error) {
+		return nil, errors.New("render failed before any byte")
 	}
 	resp := rawGet(t, ts, path, map[string]string{"Accept-Encoding": "gzip"})
 	body := readAll(t, resp)
@@ -272,9 +200,6 @@ func TestGzipRenderErrorCleanrooms500(t *testing.T) {
 	}
 	if !bytes.Contains(body, []byte("report generation failed")) {
 		t.Errorf("500 body %q is not the JSON error", body)
-	}
-	if n := srv.metrics.Counter("apnicweb_stream_aborts_total").Value(); n != 0 {
-		t.Errorf("pre-wire failure counted as a stream abort (%d)", n)
 	}
 }
 

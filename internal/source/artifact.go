@@ -1,19 +1,20 @@
 package source
 
 import (
-	"io"
 	"sync"
+	"unsafe"
+	"weak"
 
 	"repro/internal/syncx"
 )
 
 // Artifact is one resident dataset-day: the frame plus everything the
-// serving path derives from it — the content hash, encoded bodies keyed
-// by representation name, and the digit table the text encoders format
-// float cells from. Each part is filled lazily at most once (concurrent
-// callers share one fill) and is evicted together with the day. Every
-// part is a pure function of the frame, so a refill after eviction is
-// byte-identical.
+// serving path derives from it — the content hash and encoded bodies
+// keyed by representation name. Each part is filled lazily, concurrent
+// callers sharing one fill. Body parts are held until the day is
+// evicted; WeakBody parts only until the garbage collector next finds
+// no request holding them. Every part is a pure function of the frame,
+// so a refill after either is byte-identical.
 type Artifact struct {
 	// Frame is the day's data. Shared: callers must treat it as read-only.
 	Frame *Frame
@@ -22,9 +23,7 @@ type Artifact struct {
 	hashOnce sync.Once
 	hash     string
 	bodies   syncx.Cache[string, Body]
-
-	digitsOnce sync.Once
-	digits     digitTable
+	weak     syncx.Cache[string, *weakBody]
 }
 
 // Body is one memoized representation of an artifact. A render error is
@@ -36,26 +35,19 @@ type Body struct {
 	Err   error
 }
 
+// weakBody is one weakly held representation: a weak pointer to the
+// first byte of the body and its length. mu makes the callers that find
+// the body gone share one render.
+type weakBody struct {
+	mu  sync.Mutex
+	ptr weak.Pointer[byte]
+	n   int
+}
+
 // Hash returns the frame's content hash, computed once.
 func (a *Artifact) Hash() string {
 	a.hashOnce.Do(func() { a.hash = a.Frame.ContentHash() })
 	return a.hash
-}
-
-// WriteCSV writes the frame's CSV encoding, byte-identical to
-// Frame.WriteCSV, formatting float cells from the artifact's digit
-// table: the shortest-digit search runs once per cell while the day is
-// resident, not once per encode.
-func (a *Artifact) WriteCSV(w io.Writer) error { return a.Frame.writeCSV(w, a.digitTable()) }
-
-// WriteJSON writes the frame's JSON encoding, byte-identical to
-// Frame.WriteJSON, from the same digit table as WriteCSV.
-func (a *Artifact) WriteJSON(w io.Writer) error { return a.Frame.writeJSON(w, a.digitTable()) }
-
-// digitTable returns the frame's digit table, built on first use.
-func (a *Artifact) digitTable() digitTable {
-	a.digitsOnce.Do(func() { a.digits = newDigitTable(a.Frame) })
-	return a.digits
 }
 
 // Body returns the representation named repr, running render at most
@@ -64,6 +56,28 @@ func (a *Artifact) digitTable() digitTable {
 // the frame, and the returned bytes are shared and read-only.
 func (a *Artifact) Body(repr string, render func(*Frame) Body) Body {
 	return a.bodies.Get(repr, func() Body { return render(a.Frame) })
+}
+
+// WeakBody is Body for a representation cheap enough to rebuild: the
+// bytes are held weakly, so they do not count toward the heap the
+// collector keeps and paces itself by. They live while any caller
+// holds them, and at least until the next garbage collection; a call
+// after the collector dropped them renders again, byte-identical.
+// Concurrent callers share one render. A failed render is returned but
+// never kept, and neither is an empty body (a weak pointer needs a
+// byte to point at).
+func (a *Artifact) WeakBody(repr string, render func(*Frame) ([]byte, error)) ([]byte, error) {
+	s := a.weak.Get(repr, func() *weakBody { return new(weakBody) })
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if p := s.ptr.Value(); p != nil {
+		return unsafe.Slice(p, s.n), nil
+	}
+	b, err := render(a.Frame)
+	if err == nil && len(b) > 0 {
+		s.ptr, s.n = weak.Make(&b[0]), len(b)
+	}
+	return b, err
 }
 
 // Bin returns the frame's binary encoding under the registry's

@@ -3,8 +3,7 @@ package source
 import (
 	"bytes"
 	"errors"
-	"io"
-	"slices"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -132,66 +131,131 @@ func TestArtifactEvictedWithDay(t *testing.T) {
 	}
 }
 
-// TestArtifactDigitTableOnce: concurrent first text encodes of one
-// artifact share one digit table, every encode matches the frame's
-// per-cell render byte for byte, and a warm encode builds nothing: it
-// allocates no more than the per-cell render does.
-func TestArtifactDigitTableOnce(t *testing.T) {
+// TestArtifactWeakBodySharedRender: concurrent callers of one weak
+// body share one render, even with a collection while it runs; once
+// rendered, the body is served without rendering while callers hold it
+// across another collection; and the bytes are the frame's exact-size
+// render.
+func TestArtifactWeakBodySharedRender(t *testing.T) {
 	f := wideTextFrame(2000)
-	var wantCSV, wantJSON bytes.Buffer
-	if err := f.WriteCSV(&wantCSV); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.WriteJSON(&wantJSON); err != nil {
+	want, err := f.CSVBytes()
+	if err != nil {
 		t.Fatal(err)
 	}
 	a := &Artifact{Frame: f}
-	users := slices.IndexFunc(f.Cols, func(c *Column) bool { return c.Name == "Users" })
+	var renders atomic.Int64
+	started, release := make(chan struct{}), make(chan struct{})
+	render := func(f *Frame) ([]byte, error) {
+		if renders.Add(1) == 1 {
+			close(started)
+			<-release
+		}
+		return f.CSVBytes()
+	}
 	const workers = 32
-	tables := make([]*floatDigits, workers)
+	got := make([][]byte, workers) // held until the end: the body stays reachable
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go func(i int) {
 			defer wg.Done()
-			var got bytes.Buffer
-			write, want := a.WriteCSV, wantCSV.Bytes()
-			if i%2 == 1 {
-				write, want = a.WriteJSON, wantJSON.Bytes()
-			}
-			if err := write(&got); err != nil {
+			b, err := a.WeakBody("csv", render)
+			if err != nil {
 				t.Error(err)
-				return
 			}
-			if !bytes.Equal(got.Bytes(), want) {
-				t.Errorf("worker %d: artifact render differs from the per-cell render", i)
-			}
-			tables[i] = &a.digitTable()[users][0]
+			got[i] = b
 		}(i)
 	}
+	<-started
+	runtime.GC()
+	close(release)
 	wg.Wait()
-	for i := 1; i < workers; i++ {
-		if tables[i] != tables[0] {
-			t.Fatalf("worker %d saw a second digit table; concurrent encodes must share one build", i)
+	runtime.GC()
+	if b, _ := a.WeakBody("csv", render); !bytes.Equal(b, want) {
+		t.Fatal("a held body was not served back")
+	}
+	if n := renders.Load(); n != 1 {
+		t.Fatalf("%d renders for %d concurrent callers of a held body, want 1", n, workers+1)
+	}
+	for i, b := range got {
+		if !bytes.Equal(b, want) {
+			t.Fatalf("worker %d: weak body differs from the frame's render", i)
 		}
 	}
+	runtime.KeepAlive(got)
+}
 
-	if raceEnabled {
-		return // sync.Pool drops items at random under the race detector
+// TestArtifactWeakBodyDroppedByGC: a weak body nobody holds is gone
+// after a collection, and the next call renders it again,
+// byte-identical. A strong Body of the same name is a separate part.
+func TestArtifactWeakBodyDroppedByGC(t *testing.T) {
+	a := &Artifact{Frame: wideTextFrame(500)}
+	var renders atomic.Int64
+	render := func(f *Frame) ([]byte, error) {
+		renders.Add(1)
+		return f.JSONBytes()
 	}
-	for name, c := range map[string]struct{ artifact, frame func(io.Writer) error }{
-		"csv":  {a.WriteCSV, f.WriteCSV},
-		"json": {a.WriteJSON, f.WriteJSON},
-	} {
-		allocs := func(write func(io.Writer) error) float64 {
-			return testing.AllocsPerRun(20, func() {
-				if err := write(io.Discard); err != nil {
-					t.Fatal(err)
-				}
-			})
+	fetch := func() []byte {
+		b, err := a.WeakBody("json", render)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if warm, perCell := allocs(c.artifact), allocs(c.frame); warm > perCell {
-			t.Errorf("%s: warm artifact encode allocates %v, per-cell render %v; the table was rebuilt", name, warm, perCell)
+		return bytes.Clone(b)
+	}
+	first := fetch()
+	if n := renders.Load(); n != 1 {
+		t.Fatalf("first fetch rendered %d times", n)
+	}
+	runtime.GC()
+	if again := fetch(); !bytes.Equal(again, first) {
+		t.Fatal("the re-rendered body differs from the first render")
+	}
+	if n := renders.Load(); n != 2 {
+		t.Fatalf("after a collection with no holder: %d renders, want 2", n)
+	}
+	if b := a.Body("json", func(*Frame) Body { return Body{Bytes: []byte("strong")} }); string(b.Bytes) != "strong" {
+		t.Fatalf("Body(json) = %q; strong and weak bodies must not share a slot", b.Bytes)
+	}
+}
+
+// TestArtifactWeakBodyErrorNotKept: a failed render is returned to its
+// caller and never memoized, so the next call renders again; an empty
+// body is not kept either.
+func TestArtifactWeakBodyErrorNotKept(t *testing.T) {
+	a := &Artifact{Frame: wideTextFrame(10)}
+	var renders atomic.Int64
+	boom := errors.New("boom")
+	fail := func(*Frame) ([]byte, error) {
+		renders.Add(1)
+		return nil, boom
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := a.WeakBody("csv", fail); !errors.Is(err, boom) {
+			t.Fatalf("WeakBody err = %v, want the render's", err)
 		}
 	}
+	ok := func(f *Frame) ([]byte, error) {
+		renders.Add(1)
+		return f.CSVBytes()
+	}
+	held, err := a.WeakBody("csv", ok)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := a.WeakBody("csv", fail); !bytes.Equal(b, held) {
+		t.Fatal("a held body was rendered again")
+	}
+	if n := renders.Load(); n != 3 {
+		t.Fatalf("%d renders, want 2 failed and 1 kept", n)
+	}
+	empty := func(*Frame) ([]byte, error) {
+		renders.Add(1)
+		return []byte{}, nil
+	}
+	a.WeakBody("empty", empty)
+	a.WeakBody("empty", empty)
+	if n := renders.Load(); n != 5 {
+		t.Fatalf("an empty body was kept: %d renders, want 5", n)
+	}
+	runtime.KeepAlive(held)
 }

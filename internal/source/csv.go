@@ -29,18 +29,19 @@ const csvMagic = "#source"
 // WriteCSV serializes the frame. The output is exactly what
 // encoding/csv's Writer produces for the same records (comma separator,
 // LF line endings, its quoting rule), rendered by appending cells into
-// a pooled buffer handed to w in 32 KiB chunks (textbuf.go).
-func (f *Frame) WriteCSV(w io.Writer) error { return f.writeCSV(w, nil) }
+// a pooled buffer handed to w in one Write (textbuf.go).
+func (f *Frame) WriteCSV(w io.Writer) error { return writeText(w, f.appendCSV) }
 
-// writeCSV is the CSV encoder. With a digit table built from f it lays
-// float cells out from their stored digits; with nil it formats each
-// cell with strconv, the reference the table path must match.
-func (f *Frame) writeCSV(w io.Writer, digits digitTable) error {
+// CSVBytes returns the bytes WriteCSV writes, in a new slice of exact
+// size: a body a caller may keep.
+func (f *Frame) CSVBytes() ([]byte, error) { return cloneText(f.appendCSV) }
+
+// appendCSV is the CSV encoder: it appends the frame's CSV encoding to
+// b, or appends nothing and returns the frame's Check error.
+func (f *Frame) appendCSV(b []byte) ([]byte, error) {
 	if err := f.Check(); err != nil {
-		return err
+		return b, err
 	}
-	cw, b := newChunkWriter(w)
-	defer func() { cw.release(b) }()
 	b = append(b, csvMagic+","...)
 	b = appendCSVField(b, f.Source)
 	b = append(b, ",date,"...)
@@ -59,7 +60,6 @@ func (f *Frame) writeCSV(w io.Writer, digits digitTable) error {
 		b = appendCSVField(b, c.Name+":"+c.Kind.String())
 	}
 	b = append(b, '\n')
-	var err error
 	for r := 0; r < f.Rows(); r++ {
 		for i, c := range f.Cols {
 			if i > 0 {
@@ -71,19 +71,12 @@ func (f *Frame) writeCSV(w io.Writer, digits digitTable) error {
 			case Int:
 				b = strconv.AppendInt(b, c.Ints[r], 10)
 			default:
-				if digits != nil {
-					b = digits[i][r].appendCSV(b)
-				} else {
-					b = strconv.AppendFloat(b, c.Floats[r], 'g', -1, 64)
-				}
+				b = strconv.AppendFloat(b, c.Floats[r], 'g', -1, 64)
 			}
 		}
 		b = append(b, '\n')
-		if b, err = cw.spill(b); err != nil {
-			return err
-		}
 	}
-	return cw.flush(b)
+	return b, nil
 }
 
 // appendCSVField appends one field under encoding/csv's quoting rule: a

@@ -35,16 +35,20 @@ type columnJSON struct {
 // for frameJSON, including the trailing newline: meta is omitted when
 // empty, a frame without columns has "columns":null, and a nil value
 // slice is null while an empty one is []. They are appended into a
-// pooled buffer handed to w in 32 KiB chunks (textbuf.go). A NaN or ±Inf
+// pooled buffer handed to w in one Write (textbuf.go). A NaN or ±Inf
 // cell, which JSON cannot represent, is an error before any byte is
 // written.
-func (f *Frame) WriteJSON(w io.Writer) error { return f.writeJSON(w, nil) }
+func (f *Frame) WriteJSON(w io.Writer) error { return writeText(w, f.appendJSON) }
 
-// writeJSON is the JSON encoder, with an optional digit table as for
-// writeCSV.
-func (f *Frame) writeJSON(w io.Writer, digits digitTable) error {
+// JSONBytes returns the bytes WriteJSON writes, in a new slice of exact
+// size: a body a caller may keep.
+func (f *Frame) JSONBytes() ([]byte, error) { return cloneText(f.appendJSON) }
+
+// appendJSON is the JSON encoder: it appends the frame's JSON encoding
+// to b, or appends nothing and returns the error that prevents it.
+func (f *Frame) appendJSON(b []byte) ([]byte, error) {
 	if err := f.Check(); err != nil {
-		return err
+		return b, err
 	}
 	for _, c := range f.Cols {
 		if c.Kind == String || c.Kind == Int {
@@ -52,13 +56,11 @@ func (f *Frame) writeJSON(w io.Writer, digits digitTable) error {
 		}
 		for _, v := range c.Floats {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("source: encoding column %q: json: unsupported value: %s",
+				return b, fmt.Errorf("source: encoding column %q: json: unsupported value: %s",
 					c.Name, strconv.FormatFloat(v, 'g', -1, 64))
 			}
 		}
 	}
-	cw, b := newChunkWriter(w)
-	defer func() { cw.release(b) }()
 	b = append(b, `{"source":`...)
 	b = appendJSONString(b, f.Source)
 	b = append(b, `,"date":`...)
@@ -80,11 +82,9 @@ func (f *Frame) writeJSON(w io.Writer, digits digitTable) error {
 		b = append(b, ']')
 	}
 	if len(f.Cols) == 0 {
-		b = append(b, `,"columns":null}`+"\n"...)
-		return cw.flush(b)
+		return append(b, `,"columns":null}`+"\n"...), nil
 	}
 	b = append(b, `,"columns":[`...)
-	var err error
 	for i, c := range f.Cols {
 		if i > 0 {
 			b = append(b, ',')
@@ -118,20 +118,12 @@ func (f *Frame) writeJSON(w io.Writer, digits digitTable) error {
 			case Int:
 				b = strconv.AppendInt(b, c.Ints[r], 10)
 			default:
-				if digits != nil {
-					b = digits[i][r].appendJSON(b)
-				} else {
-					b = appendJSONFloat(b, c.Floats[r])
-				}
-			}
-			if b, err = cw.spill(b); err != nil {
-				return err
+				b = appendJSONFloat(b, c.Floats[r])
 			}
 		}
 		b = append(b, "]}"...)
 	}
-	b = append(b, "]}\n"...)
-	return cw.flush(b)
+	return append(b, "]}\n"...), nil
 }
 
 // appendJSONFloat formats a finite float the way encoding/json does

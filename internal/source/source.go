@@ -94,9 +94,11 @@ func (s *Func) Generate(d dates.Date) *Frame { return s.gen(d) }
 
 // CacheStats is one day cache's activity snapshot.
 type CacheStats struct {
-	Reqs, Gens              int64 // lookups and singleflight fills
-	Hits, Misses, Evictions int64 // LRU accounting (Reqs = Hits + Misses)
-	Len, Cap                int   // resident days and capacity
+	Reqs, Gens    int64 // lookups and singleflight fills
+	Hits, Misses  int64 // LRU accounting (Reqs = Hits + Misses)
+	Evictions     int64 // hot days evicted: days a Get read
+	ColdEvictions int64 // days a cold read brought in, evicted unread by Get
+	Len, Cap      int   // resident days and capacity
 }
 
 // Days is the uniform bounded day cache every dataset artifact sits
@@ -136,8 +138,12 @@ func NewDays[T any](metrics *obsv.Registry, prefix, dataset string, capacity int
 		return float64(m)
 	})
 	metrics.GaugeFunc(prefix+"_cache_evictions"+label, func() float64 {
-		_, _, e := c.lru.Stats()
-		return float64(e)
+		hot, _ := c.lru.Evictions()
+		return float64(hot)
+	})
+	metrics.GaugeFunc(prefix+"_cache_cold_evictions"+label, func() float64 {
+		_, cold := c.lru.Evictions()
+		return float64(cold)
 	})
 	return c
 }
@@ -163,10 +169,11 @@ func (c *Days[T]) GetCold(d dates.Date, fill func(dates.Date) T) T {
 
 // Stats returns the cache's activity snapshot.
 func (c *Days[T]) Stats() CacheStats {
-	h, m, e := c.lru.Stats()
+	h, m, _ := c.lru.Stats()
+	hot, cold := c.lru.Evictions()
 	return CacheStats{
 		Reqs: c.reqs.Value(), Gens: c.gens.Value(),
-		Hits: h, Misses: m, Evictions: e,
+		Hits: h, Misses: m, Evictions: hot, ColdEvictions: cold,
 		Len: c.lru.Len(), Cap: c.lru.Cap(),
 	}
 }

@@ -5,62 +5,47 @@ import (
 	"sync"
 )
 
-// The text encoders (WriteCSV, WriteJSON) append cells into one byte
-// buffer and hand it to the destination in chunks of exactly chunkSize
-// bytes (the last one shorter), so a body is never held whole in memory
-// and the per-cell cost is an append, not a Write call. Buffers
-// are pooled; one that grew past maxPooledBuf (a frame with a cell far
-// larger than a chunk) is dropped instead of pinning its memory.
-const (
-	chunkSize    = 32 << 10
-	maxPooledBuf = 4 * chunkSize
-)
+// The text encoders (appendCSV, appendJSON) append a whole body to one
+// byte slice. Frame.WriteCSV/WriteJSON and the exact-size renders
+// (CSVBytes, JSONBytes) run them into a pooled scratch buffer, so an
+// encode keeps no garbage that grows with the frame: the writers hand
+// the buffer to w in one Write, and the renders copy it out at exact
+// size. A buffer that grew past maxPooledBuf is dropped instead of
+// pinning its memory; the largest served body is under 400 KB.
+const maxPooledBuf = 1 << 20
 
-var textBufs = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, chunkSize+chunkSize/4)
-		return &b
-	},
-}
+var textBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// chunkWriter is one encode's destination plus its pooled buffer. The
-// encoder keeps the buffer in a local slice and passes it through spill,
-// which hands back the slice to keep appending to.
-type chunkWriter struct {
-	w io.Writer
-	p *[]byte // the pooled slice header, reused by release
-}
-
-func newChunkWriter(w io.Writer) (chunkWriter, []byte) {
+// renderText runs enc into a pooled buffer and passes the body to use,
+// which must not keep it. enc reports every error before appending.
+func renderText(enc func([]byte) ([]byte, error), use func([]byte) error) error {
 	p := textBufs.Get().(*[]byte)
-	return chunkWriter{w: w, p: p}, (*p)[:0]
-}
-
-// spill writes out every full chunkSize prefix of b and returns the
-// remainder, moved to the front of the buffer.
-func (c chunkWriter) spill(b []byte) ([]byte, error) {
-	for len(b) >= chunkSize {
-		if _, err := c.w.Write(b[:chunkSize]); err != nil {
-			return b, err
-		}
-		b = b[:copy(b, b[chunkSize:])]
+	b, err := enc((*p)[:0])
+	if err == nil {
+		err = use(b)
 	}
-	return b, nil
-}
-
-// flush writes out whatever is buffered.
-func (c chunkWriter) flush(b []byte) error {
-	if len(b) == 0 {
-		return nil
+	if cap(b) <= maxPooledBuf {
+		*p = b[:0]
+		textBufs.Put(p)
 	}
-	_, err := c.w.Write(b)
 	return err
 }
 
-// release returns the buffer, as last grown, to the pool.
-func (c chunkWriter) release(b []byte) {
-	if cap(b) <= maxPooledBuf {
-		*c.p = b[:0]
-		textBufs.Put(c.p)
-	}
+// writeText writes enc's body to w in one Write.
+func writeText(w io.Writer, enc func([]byte) ([]byte, error)) error {
+	return renderText(enc, func(b []byte) error {
+		_, err := w.Write(b)
+		return err
+	})
+}
+
+// cloneText returns enc's body in a new slice of exact size.
+func cloneText(enc func([]byte) ([]byte, error)) ([]byte, error) {
+	var out []byte
+	err := renderText(enc, func(b []byte) error {
+		out = make([]byte, len(b))
+		copy(out, b)
+		return nil
+	})
+	return out, err
 }

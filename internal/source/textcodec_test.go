@@ -42,27 +42,26 @@ var (
 )
 
 // checkTextCodecs is the differential oracle: WriteCSV and WriteJSON
-// must produce the reference encoders' bytes and errors, rendering
-// through the frame's digit table must produce the per-cell render's
-// bytes and errors, a NaN or ±Inf cell must make WriteJSON fail before
-// writing, and wherever the text format can represent the frame the
-// readers must round-trip it.
+// must produce the reference encoders' bytes and errors, the exact-size
+// renders (CSVBytes, JSONBytes) must produce the writers' bytes and
+// errors, a NaN or ±Inf cell must make WriteJSON fail before writing,
+// and wherever the text format can represent the frame the readers must
+// round-trip it.
 func checkTextCodecs(t *testing.T, f *Frame) {
 	t.Helper()
-	digits := newDigitTable(f)
 	for _, c := range []struct {
-		name              string
-		write, table, ref func(*Frame, io.Writer) error
-		read              func(io.Reader) (*Frame, error)
-		roundTrips        bool
+		name       string
+		write, ref func(*Frame, io.Writer) error
+		render     func(*Frame) ([]byte, error)
+		read       func(io.Reader) (*Frame, error)
+		roundTrips bool
 	}{
-		{"csv", (*Frame).WriteCSV, func(f *Frame, w io.Writer) error { return f.writeCSV(w, digits) },
-			RefWriteCSV, ReadCSV, csvRepresentable(f)},
-		{"json", (*Frame).WriteJSON, func(f *Frame, w io.Writer) error { return f.writeJSON(w, digits) },
-			RefWriteJSON, ReadJSON, jsonRepresentable(f)},
+		{"csv", (*Frame).WriteCSV, RefWriteCSV, (*Frame).CSVBytes, ReadCSV, csvRepresentable(f)},
+		{"json", (*Frame).WriteJSON, RefWriteJSON, (*Frame).JSONBytes, ReadJSON, jsonRepresentable(f)},
 	} {
-		var got, tabled, want bytes.Buffer
-		err, tableErr, refErr := c.write(f, &got), c.table(f, &tabled), c.ref(f, &want)
+		var got, want bytes.Buffer
+		err, refErr := c.write(f, &got), c.ref(f, &want)
+		rendered, renderErr := c.render(f)
 		if fmt.Sprint(err) != fmt.Sprint(refErr) {
 			t.Fatalf("%s: error %v, reference error %v", c.name, err, refErr)
 		}
@@ -70,12 +69,12 @@ func checkTextCodecs(t *testing.T, f *Frame) {
 			t.Fatalf("%s: bytes differ from the reference at offset %d:\n got  %q\n want %q",
 				c.name, firstDiff(got.Bytes(), want.Bytes()), got.Bytes(), want.Bytes())
 		}
-		if fmt.Sprint(tableErr) != fmt.Sprint(err) {
-			t.Fatalf("%s: digit-table error %v, per-cell error %v", c.name, tableErr, err)
+		if fmt.Sprint(renderErr) != fmt.Sprint(err) {
+			t.Fatalf("%s: exact-size render error %v, writer error %v", c.name, renderErr, err)
 		}
-		if !bytes.Equal(tabled.Bytes(), got.Bytes()) {
-			t.Fatalf("%s: digit-table bytes differ from the per-cell render at offset %d:\n got  %q\n want %q",
-				c.name, firstDiff(tabled.Bytes(), got.Bytes()), tabled.Bytes(), got.Bytes())
+		if !bytes.Equal(rendered, got.Bytes()) || cap(rendered) != len(rendered) {
+			t.Fatalf("%s: exact-size render (%d bytes, capacity %d) differs from the writer's bytes at offset %d:\n got  %q\n want %q",
+				c.name, len(rendered), cap(rendered), firstDiff(rendered, got.Bytes()), rendered, got.Bytes())
 		}
 		if c.name == "json" && hasFloat(f, nonFiniteFloat) {
 			if err == nil || got.Len() != 0 {
@@ -244,8 +243,8 @@ func TestFrameTextEdgeCases(t *testing.T) {
 	frames["check error"] = dup
 
 	big := wideTextFrame(3000)
-	big.Cols[0].Strs[7] = strings.Repeat(`x"`, 5*chunkSize) // a cell spanning several chunks
-	frames["several chunks"] = big
+	big.Cols[0].Strs[7] = strings.Repeat(`x"`, maxPooledBuf/2) // a body too large to pool its buffer
+	frames["unpooled buffer"] = big
 
 	for name, f := range frames {
 		t.Run(name, func(t *testing.T) { checkTextCodecs(t, f) })
@@ -395,41 +394,35 @@ var textWriters = map[string]func(*Frame, io.Writer) error{
 	"csv": (*Frame).WriteCSV, "json": (*Frame).WriteJSON,
 }
 
-// sizedWriter records the size of every Write it receives.
-type sizedWriter struct {
+// countingWriter records how many Writes it receives.
+type countingWriter struct {
 	bytes.Buffer
-	writes []int
+	writes int
 }
 
-func (w *sizedWriter) Write(p []byte) (int, error) {
-	w.writes = append(w.writes, len(p))
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
 	return w.Buffer.Write(p)
 }
 
-// TestTextEncodersChunkWrites pins the streaming shape: a body larger
-// than one chunk reaches the writer as full chunkSize writes plus one
-// shorter tail, never as one whole-body write.
-func TestTextEncodersChunkWrites(t *testing.T) {
+// TestTextEncodersOneWrite pins the writers' shape: the whole body
+// reaches the writer in one Write, the bytes the exact-size render
+// returns.
+func TestTextEncodersOneWrite(t *testing.T) {
 	f := wideTextFrame(5000)
 	for name, write := range textWriters {
-		var w sizedWriter
+		var w countingWriter
 		if err := write(f, &w); err != nil {
 			t.Fatal(err)
 		}
-		if w.Len() < 4*chunkSize {
-			t.Fatalf("%s: fixture body is only %d bytes", name, w.Len())
-		}
-		last := len(w.writes) - 1
-		for i, n := range w.writes {
-			if n == 0 || n > chunkSize || (i < last && n != chunkSize) {
-				t.Fatalf("%s: write sizes %v; want %d-byte chunks and a shorter tail", name, w.writes, chunkSize)
-			}
+		if w.writes != 1 {
+			t.Errorf("%s: the %d-byte body took %d Writes, want 1", name, w.Len(), w.writes)
 		}
 	}
 }
 
-// TestTextEncodersWriteErrorStops checks that a failing writer stops
-// the encode at the first chunk and its error is returned.
+// TestTextEncodersWriteErrorStops checks that a failing writer's
+// error is returned and no second Write follows it.
 func TestTextEncodersWriteErrorStops(t *testing.T) {
 	f := wideTextFrame(5000)
 	for name, write := range textWriters {

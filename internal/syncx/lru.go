@@ -20,20 +20,25 @@ import (
 // so an eviction can never change observable values, only cost.
 //
 // Hit, miss, and eviction counts are kept as atomics so an observability
-// layer can surface them as gauges without taking the cache lock.
+// layer can surface them as gauges without taking the cache lock. Cold
+// evictions, of keys that entered through GetCold and were never read
+// by Get, are also counted apart: a one-touch read displacing another
+// says nothing about the hot set.
 type LRU[K comparable, V any] struct {
 	mu      sync.Mutex
 	cap     int
 	entries map[K]*list.Element // values are *lruEntry[K, V]
 	order   list.List           // most recently used first
 
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
+	hits          atomic.Int64
+	misses        atomic.Int64
+	evictions     atomic.Int64
+	coldEvictions atomic.Int64
 }
 
 type lruEntry[K comparable, V any] struct {
 	key  K
+	cold bool // entered through GetCold and not read by Get since
 	once sync.Once
 	val  V
 }
@@ -67,16 +72,20 @@ func (c *LRU[K, V]) get(key K, fill func() V, cold bool) V {
 		c.hits.Add(1)
 		if !cold {
 			c.order.MoveToFront(el)
+			el.Value.(*lruEntry[K, V]).cold = false
 		}
 	} else {
 		c.misses.Add(1)
 		if len(c.entries) >= c.cap {
-			victim := c.order.Back()
-			c.order.Remove(victim)
-			delete(c.entries, victim.Value.(*lruEntry[K, V]).key)
-			c.evictions.Add(1)
+			victim := c.order.Remove(c.order.Back()).(*lruEntry[K, V])
+			delete(c.entries, victim.key)
+			if victim.cold {
+				c.coldEvictions.Add(1)
+			} else {
+				c.evictions.Add(1)
+			}
 		}
-		e := &lruEntry[K, V]{key: key}
+		e := &lruEntry[K, V]{key: key, cold: cold}
 		if cold {
 			el = c.order.PushBack(e)
 		} else {
@@ -103,5 +112,13 @@ func (c *LRU[K, V]) Cap() int { return c.cap }
 // Stats returns cumulative hit, miss, and eviction counts. Safe to call
 // concurrently with Get; intended for metrics gauges.
 func (c *LRU[K, V]) Stats() (hits, misses, evictions int64) {
-	return c.hits.Load(), c.misses.Load(), c.evictions.Load()
+	hot, cold := c.Evictions()
+	return c.hits.Load(), c.misses.Load(), hot + cold
+}
+
+// Evictions splits the eviction count: cold evictions took a key that
+// entered through GetCold and was never read by Get since, hot ones
+// every other key.
+func (c *LRU[K, V]) Evictions() (hot, cold int64) {
+	return c.evictions.Load(), c.coldEvictions.Load()
 }

@@ -147,6 +147,9 @@ func TestLRUGetColdEvictsLRUNeverItself(t *testing.T) {
 	if _, _, ev := c.Stats(); ev != 3 {
 		t.Fatalf("evictions = %d, want 3", ev)
 	}
+	if hot, cold := c.Evictions(); hot != 1 || cold != 2 { // 1 was read by Get; 4 and 5 only cold
+		t.Fatalf("evictions = %d hot, %d cold; want 1 and 2", hot, cold)
+	}
 	if c.Len() != 3 {
 		t.Fatalf("Len = %d, want capacity 3", c.Len())
 	}
