@@ -28,6 +28,7 @@ import (
 	"repro/internal/apnic"
 	"repro/internal/dates"
 	"repro/internal/itu"
+	"repro/internal/source"
 	"repro/internal/source/binfmt"
 	"repro/internal/source/bundle"
 	"repro/internal/source/framez"
@@ -76,24 +77,27 @@ func main() {
 			os.Exit(2)
 		}
 		prefix = *dataset
+		var encode func(*source.Frame) ([]byte, error)
 		switch *format {
 		case "bin":
-			ext = binfmt.Suffix
+			ext, encode = binfmt.Suffix, binfmt.Encode
 		case "binz":
-			ext = framez.Suffix
+			ext, encode = framez.Suffix, framez.Encode
 		}
 		writeDay = func(d dates.Date, out io.Writer) error {
 			f, err := b.Registry.Frame(*dataset, d)
 			if err != nil {
 				return err
 			}
-			switch *format {
-			case "bin":
-				return binfmt.Write(f, out)
-			case "binz":
-				return framez.Write(f, out)
+			if encode == nil {
+				return f.WriteCSV(out)
 			}
-			return f.WriteCSV(out)
+			buf, err := encode(f)
+			if err != nil {
+				return err
+			}
+			_, err = out.Write(buf)
+			return err
 		}
 	}
 

@@ -937,7 +937,7 @@ const (
 	errDrainLimit = 64 << 10
 )
 
-// maxBodyBytes caps every frame and report body the client reads, so a
+// maxBodyBytes caps every body a 200 response hands the client, so a
 // broken or hostile server cannot make it allocate without limit. The
 // largest body the server sends is the last day's apnic JSON report,
 // 361,569 bytes (seed 42, 2024-12-31); the cap sits about 90x above it.
@@ -1031,18 +1031,19 @@ func (c *Client) get(ctx context.Context, accept string, elem ...string) (*http.
 
 // Dates fetches the served date range.
 func (c *Client) Dates(ctx context.Context) (first, last dates.Date, err error) {
-	resp, _, err := c.get(ctx, "", "/v1/dates")
+	resp, u, err := c.get(ctx, "", "/v1/dates")
 	if err != nil {
 		return first, last, err
 	}
 	defer resp.Body.Close()
+	buf, err := readBody(u, resp)
+	if err != nil {
+		return first, last, err
+	}
 	var dr DateRange
-	if err := json.NewDecoder(resp.Body).Decode(&dr); err != nil {
+	if err := json.Unmarshal(buf, &dr); err != nil {
 		return first, last, fmt.Errorf("apnicweb: decoding dates: %w", err)
 	}
-	// The decoder stops at the closing brace; drain the trailing newline
-	// so the connection goes back to the keep-alive pool.
-	io.Copy(io.Discard, io.LimitReader(resp.Body, errDrainLimit))
 	if first, err = dates.Parse(dr.First); err != nil {
 		return first, last, err
 	}
@@ -1075,15 +1076,18 @@ func (c *Client) Report(ctx context.Context, d dates.Date) (*apnic.Report, error
 // generic /v1/{dataset}/dates route.
 func (c *Client) DatasetDates(ctx context.Context, dataset string) (DatasetDates, error) {
 	var dd DatasetDates
-	resp, _, err := c.get(ctx, "", "/v1/", dataset, "/dates")
+	resp, u, err := c.get(ctx, "", "/v1/", dataset, "/dates")
 	if err != nil {
 		return dd, err
 	}
 	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&dd); err != nil {
+	buf, err := readBody(u, resp)
+	if err != nil {
+		return dd, err
+	}
+	if err := json.Unmarshal(buf, &dd); err != nil {
 		return dd, fmt.Errorf("apnicweb: decoding %s dates: %w", dataset, err)
 	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, errDrainLimit))
 	return dd, nil
 }
 

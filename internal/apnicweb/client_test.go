@@ -66,6 +66,11 @@ func TestClientRejectsBadResponses(t *testing.T) {
 	frameBin := func(c *Client) (*source.Frame, error) { return c.FrameBin(ctx, "apnic", d) }
 	frameBinz := func(c *Client) (*source.Frame, error) { return c.FrameBinz(ctx, "apnic", d) }
 	legacy := func(c *Client) (*source.Frame, error) { _, err := c.Report(ctx, d); return nil, err }
+	apnicDates := func(c *Client) (*source.Frame, error) { _, _, err := c.Dates(ctx); return nil, err }
+	datasetDates := func(c *Client) (*source.Frame, error) { _, err := c.DatasetDates(ctx, "apnic"); return nil, err }
+	// A dates body that opens a JSON string and never closes it: the
+	// chunked filler keeps the string going past the cap.
+	endlessString := []byte(`{"first":"`)
 
 	cases := []struct {
 		name        string
@@ -89,6 +94,8 @@ func TestClientRejectsBadResponses(t *testing.T) {
 		{"binz wrong dataset", frameBinz, http.StatusOK, framez.ContentType, binzBody, 0, 0, "", `server sent a "cdn" frame, not "apnic"`},
 		{"declared length over cap", frame, http.StatusOK, "text/csv", nil, maxBodyBytes + 1, 0, "", "exceeds the"},
 		{"chunked body over cap", frameBin, http.StatusOK, binfmt.ContentType, binBody, 0, maxBodyBytes, "", "exceeds the"},
+		{"dates string over cap", apnicDates, http.StatusOK, "application/json", endlessString, 0, maxBodyBytes, "", "exceeds the"},
+		{"dataset dates string over cap", datasetDates, http.StatusOK, "application/json", endlessString, 0, maxBodyBytes, "", "exceeds the"},
 		{"csv etag names other content", frame, http.StatusOK, "text/csv", ownCSV.Bytes(), 0, 0, source.FormatETag(cdn.ContentHash(), "csv"), "names other content"},
 		{"bin etag names other content", frameBin, http.StatusOK, binfmt.ContentType, ownBin, 0, 0, source.FormatETag(cdn.ContentHash(), "bin"), "names other content"},
 		{"legacy report etag names other content", legacy, http.StatusOK, "text/csv", legacyBody.Bytes(), 0, 0,
@@ -106,7 +113,7 @@ func TestClientRejectsBadResponses(t *testing.T) {
 				}
 				w.WriteHeader(tc.status)
 				w.Write(tc.body)
-				filler := make([]byte, 32<<10)
+				filler := bytes.Repeat([]byte("x"), 32<<10)
 				for n := 0; n < tc.chunked; n += len(filler) {
 					if _, err := w.Write(filler); err != nil {
 						return // the client gave up at the cap

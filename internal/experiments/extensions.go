@@ -115,10 +115,3 @@ func ExtTrafficModel(l *Lab) *Result {
 		},
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -39,11 +39,11 @@ func ExtProxies(l *Lab) *Result {
 	}
 	proxies := []proxy{
 		{"apnic-users", func(cc string) map[string]float64 {
-			return normalize(rep.CountryOrgUsers(l.W.Registry, cc))
+			return stats.NormalizeMap(rep.CountryOrgUsers(l.W.Registry, cc))
 		}},
 		{"dns-queries", dns.CountryShares},
 		{"ixp-capacity", func(cc string) map[string]float64 {
-			return normalize(ix.CountryCapacities(cc))
+			return stats.NormalizeMap(ix.CountryCapacities(cc))
 		}},
 		{"path-popularity", func(cc string) map[string]float64 {
 			return popularity.CountryShares(l.W.Registry, cc)
@@ -109,18 +109,4 @@ func ExtProxies(l *Lab) *Result {
 		Text:    b.String(),
 		Metrics: metrics,
 	}
-}
-
-// normalize scales a map to sum to 1 (empty maps pass through), summing
-// in sorted key order so the result is bit-reproducible.
-func normalize(m map[string]float64) map[string]float64 {
-	total := stats.SumMap(m)
-	if total == 0 {
-		return m
-	}
-	out := make(map[string]float64, len(m))
-	for k, v := range m {
-		out[k] = v / total
-	}
-	return out
 }

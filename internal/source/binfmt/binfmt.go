@@ -7,16 +7,10 @@
 // so a full dataset-day decodes with a constant number of allocations
 // regardless of row count.
 //
-// Wire format, version 1 (all integers little-endian):
+// Wire format, version 1: the container of package envelope (DESIGN.md
+// §10) with magic FB 'F' 'R' 'B', whose columns are (integers
+// little-endian):
 //
-//	magic     4 bytes  FB 'F' 'R' 'B'   (0xFB keeps it out of text space)
-//	version   u16      1
-//	flags     u16      0 (reserved; decoders reject nonzero)
-//	source    str      u32 length + bytes
-//	day       i64      dates.Date.DayNumber()
-//	metaN     u32      then metaN × (str key, str value), in order
-//	rows      u32
-//	colN      u32
 //	colN × column:
 //	  name    str
 //	  kind    u8       0=str 1=int 2=float (source.Kind)
@@ -24,7 +18,6 @@
 //	  int/float: rows × 8-byte values (int64 / IEEE-754 float64 bits)
 //	  str:       (rows+1) × u32 cumulative end offsets (offsets[0] = 0,
 //	             monotone nondecreasing), then offsets[rows] arena bytes
-//	crc       u32      CRC-32C (Castagnoli) of every byte before it
 //
 // The encoding is canonical: one frame has exactly one valid byte form
 // (padding must be zero, offsets must start at 0), so encode∘decode is
@@ -44,13 +37,11 @@ package binfmt
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"math"
 	"unsafe"
 
-	"repro/internal/dates"
 	"repro/internal/source"
+	"repro/internal/source/envelope"
 )
 
 // Version is the wire-format version this package encodes.
@@ -63,11 +54,15 @@ const ContentType = "application/x-frame-bin"
 // report routes, beside ".csv".
 const Suffix = ".bin"
 
-// magic opens every encoded frame; the trailing byte is the version, so
-// a version bump changes the first four bytes.
-var magic = [4]byte{0xFB, 'F', 'R', 'B'}
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// format is this codec's container. Header strings alias the input like
+// the column cells do; the smallest column is a name prefix and a kind
+// byte.
+var format = envelope.Format{
+	Name:      "binfmt",
+	Magic:     [4]byte{0xFB, 'F', 'R', 'B'},
+	Version:   Version,
+	MinColumn: 5,
+}
 
 // hostLittle reports whether the host stores integers little-endian, the
 // precondition for aliasing numeric slabs instead of copying them.
@@ -83,14 +78,7 @@ var le = binary.LittleEndian
 // allocates once with it, and the padding math here is the same the
 // encoder and decoder use, so all three agree by construction.
 func Size(f *source.Frame) int {
-	n := 4 + 2 + 2 // magic, version, flags
-	n += 4 + len(f.Source)
-	n += 8 // day number
-	n += 4
-	for _, kv := range f.Meta {
-		n += 4 + len(kv[0]) + 4 + len(kv[1])
-	}
-	n += 4 + 4 // rows, colN
+	n := envelope.HeaderSize(f)
 	rows := f.Rows()
 	for _, c := range f.Cols {
 		n += 4 + len(c.Name) + 1
@@ -105,7 +93,7 @@ func Size(f *source.Frame) int {
 			}
 		}
 	}
-	return n + 4 // crc
+	return n + envelope.TrailerSize
 }
 
 // pad8 returns how many zero bytes land offset n on an 8-byte boundary.
@@ -113,25 +101,12 @@ func pad8(n int) int { return (8 - n%8) % 8 }
 
 // Encode serializes the frame into a single exactly-sized buffer.
 func Encode(f *source.Frame) ([]byte, error) {
-	if err := f.Check(); err != nil {
+	if err := format.Check(f); err != nil {
 		return nil, err
 	}
-	buf := make([]byte, 0, Size(f))
-	buf = append(buf, magic[:]...)
-	buf = le.AppendUint16(buf, Version)
-	buf = le.AppendUint16(buf, 0) // flags
-	buf = appendStr(buf, f.Source)
-	buf = le.AppendUint64(buf, uint64(int64(f.Date.DayNumber())))
-	buf = le.AppendUint32(buf, uint32(len(f.Meta)))
-	for _, kv := range f.Meta {
-		buf = appendStr(buf, kv[0])
-		buf = appendStr(buf, kv[1])
-	}
-	rows := f.Rows()
-	buf = le.AppendUint32(buf, uint32(rows))
-	buf = le.AppendUint32(buf, uint32(len(f.Cols)))
+	buf := format.AppendHeader(make([]byte, 0, Size(f)), f)
 	for _, c := range f.Cols {
-		buf = appendStr(buf, c.Name)
+		buf = envelope.AppendStr(buf, c.Name)
 		buf = append(buf, byte(c.Kind))
 		for i := pad8(len(buf)); i > 0; i-- {
 			buf = append(buf, 0)
@@ -162,120 +137,7 @@ func Encode(f *source.Frame) ([]byte, error) {
 			return nil, fmt.Errorf("binfmt: column %q has unknown kind %d", c.Name, c.Kind)
 		}
 	}
-	buf = le.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
-	return buf, nil
-}
-
-// Write serializes the frame to w. The body is encoded into one buffer
-// first (the checksum trailer covers every preceding byte, and binary
-// bodies are compact — a fraction of their CSV rendering), then written
-// in a single call.
-func Write(f *source.Frame, w io.Writer) error {
-	buf, err := Encode(f)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
-func appendStr(buf []byte, s string) []byte {
-	buf = le.AppendUint32(buf, uint32(len(s)))
-	return append(buf, s...)
-}
-
-// corruptError reports a structurally invalid input.
-type corruptError string
-
-func (e corruptError) Error() string { return "binfmt: corrupt frame: " + string(e) }
-
-// reader walks the buffer with sticky-error bounds checking, so the
-// decode body reads linearly and checks err once per column.
-type reader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *reader) fail(msg string) {
-	if r.err == nil {
-		r.err = corruptError(msg)
-	}
-}
-
-// need consumes n bytes, or fails.
-func (r *reader) need(n uint64) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(len(r.b)-r.off) {
-		r.fail("truncated")
-		return nil
-	}
-	p := r.b[r.off : r.off+int(n)]
-	r.off += int(n)
-	return p
-}
-
-func (r *reader) u8() byte {
-	p := r.need(1)
-	if p == nil {
-		return 0
-	}
-	return p[0]
-}
-
-func (r *reader) u16() uint16 {
-	p := r.need(2)
-	if p == nil {
-		return 0
-	}
-	return le.Uint16(p)
-}
-
-func (r *reader) u32() uint32 {
-	p := r.need(4)
-	if p == nil {
-		return 0
-	}
-	return le.Uint32(p)
-}
-
-func (r *reader) u64() uint64 {
-	p := r.need(8)
-	if p == nil {
-		return 0
-	}
-	return le.Uint64(p)
-}
-
-// str reads a length-prefixed string aliasing the buffer (no copy).
-func (r *reader) str() string {
-	n := r.u32()
-	return aliasString(r.need(uint64(n)))
-}
-
-// pad8 consumes padding to the next 8-byte boundary, insisting it is
-// zero so the encoding stays canonical (one frame, one byte form).
-func (r *reader) pad8() {
-	for r.off%8 != 0 {
-		if r.u8() != 0 {
-			r.fail("nonzero padding")
-			return
-		}
-	}
-}
-
-// remaining returns the unconsumed byte count.
-func (r *reader) remaining() uint64 { return uint64(len(r.b) - r.off) }
-
-// aliasString returns a string sharing p's bytes. Zero allocations: the
-// string header points into the decode buffer.
-func aliasString(p []byte) string {
-	if len(p) == 0 {
-		return ""
-	}
-	return unsafe.String(&p[0], len(p))
+	return envelope.Seal(buf), nil
 }
 
 // Decode parses an encoded frame, aliasing column data out of buf — see
@@ -283,95 +145,49 @@ func aliasString(p []byte) string {
 // and never be mutated). It rejects truncated or corrupt input with an
 // error, never a panic, and allocates O(columns), not O(cells).
 func Decode(buf []byte) (*source.Frame, error) {
-	if len(buf) < 4+2+2+4 {
-		return nil, corruptError("shorter than the fixed header")
+	r, h, err := format.Open(buf)
+	if err != nil {
+		return nil, err
 	}
-	if [4]byte(buf[:4]) != magic {
-		return nil, corruptError("bad magic")
-	}
-	body := buf[:len(buf)-4]
-	if want := le.Uint32(buf[len(buf)-4:]); crc32.Checksum(body, castagnoli) != want {
-		return nil, corruptError("checksum mismatch")
-	}
-	r := &reader{b: body, off: 4}
-	if v := r.u16(); v != Version {
-		return nil, fmt.Errorf("binfmt: unsupported version %d (have %d)", v, Version)
-	}
-	if fl := r.u16(); fl != 0 {
-		return nil, fmt.Errorf("binfmt: unsupported flags %#x", fl)
-	}
-
-	name := r.str()
-	day := int64(r.u64())
-	d := dates.FromDayNumber(int(day))
-	if r.err == nil && int64(d.DayNumber()) != day {
-		return nil, corruptError("day number out of range")
-	}
-
-	metaN := r.u32()
-	// Each pair costs at least two length prefixes; bounding metaN (and
-	// rows/colN below) by what the buffer could possibly hold keeps a
-	// hostile header from provoking a giant allocation before the bounds
-	// checks bite.
-	if uint64(metaN)*8 > r.remaining() {
-		return nil, corruptError("meta count exceeds buffer")
-	}
-	var meta [][2]string
-	if metaN > 0 {
-		meta = make([][2]string, 0, metaN)
-		for i := uint32(0); i < metaN && r.err == nil; i++ {
-			k := r.str()
-			v := r.str()
-			meta = append(meta, [2]string{k, v})
-		}
-	}
-
-	rows := r.u32()
-	colN := r.u32()
-	if uint64(colN)*5 > r.remaining() { // name prefix + kind byte minimum
-		return nil, corruptError("column count exceeds buffer")
-	}
-	if colN == 0 && rows != 0 {
-		// Encode derives the row count from the first column, so a
-		// column-less frame claiming rows would not re-encode canonically.
-		return nil, corruptError("rows without columns")
-	}
-	cols := make([]source.Column, colN)
-	ptrs := make([]*source.Column, colN)
+	rows := h.Rows
+	cols := make([]source.Column, h.Cols)
+	ptrs := make([]*source.Column, h.Cols)
 	for i := range cols {
 		c := &cols[i]
 		ptrs[i] = c
-		c.Name = r.str()
-		kind := r.u8()
-		r.pad8()
-		if r.err != nil {
-			return nil, r.err
+		c.Name = r.Str()
+		kind := r.U8()
+		// Padding must be zero so the encoding stays canonical (one
+		// frame, one byte form).
+		for _, b := range r.Need(uint64(pad8(r.Offset()))) {
+			if b != 0 {
+				r.Fail("nonzero padding")
+			}
+		}
+		if err := r.Err(); err != nil {
+			return nil, err
 		}
 		switch source.Kind(kind) {
 		case source.Int:
 			c.Kind = source.Int
-			c.Ints = aliasInt64(r.need(uint64(rows)*8), int(rows))
+			c.Ints = aliasInt64(r.Need(uint64(rows)*8), rows)
 		case source.Float:
 			c.Kind = source.Float
-			c.Floats = aliasFloat64(r.need(uint64(rows)*8), int(rows))
+			c.Floats = aliasFloat64(r.Need(uint64(rows)*8), rows)
 		case source.String:
 			c.Kind = source.String
-			c.Strs = readStrings(r, int(rows))
+			c.Strs = readStrings(&r, rows)
 		default:
-			return nil, corruptError(fmt.Sprintf("unknown column kind %d", kind))
+			return nil, format.Corrupt(fmt.Sprintf("unknown column kind %d", kind))
 		}
-		if r.err != nil {
-			return nil, r.err
+		if err := r.Err(); err != nil {
+			return nil, err
 		}
 	}
-	if r.remaining() != 0 {
-		return nil, corruptError("trailing bytes after the last column")
-	}
-	f := &source.Frame{Source: name, Date: d, Meta: meta, Cols: ptrs}
-	if err := f.Check(); err != nil {
+	if err := r.Close(); err != nil {
 		return nil, err
 	}
-	return f, nil
+	return h.Frame(ptrs)
 }
 
 // aliasInt64 views p as rows little-endian int64s without copying when
@@ -408,23 +224,23 @@ func aliasFloat64(p []byte, rows int) []float64 {
 // readStrings decodes one string column: the offset slab indexes the
 // arena, and every cell is an aliasing string header into it — the only
 // allocation is the []string backing array itself.
-func readStrings(r *reader, rows int) []string {
-	offs := r.need((uint64(rows) + 1) * 4)
+func readStrings(r *envelope.Reader, rows int) []string {
+	offs := r.Need((uint64(rows) + 1) * 4)
 	if offs == nil {
 		return nil
 	}
 	if le.Uint32(offs) != 0 {
-		r.fail("string offsets do not start at 0")
+		r.Fail("string offsets do not start at 0")
 		return nil
 	}
 	arenaLen := le.Uint32(offs[4*rows:])
-	arena := r.need(uint64(arenaLen))
+	arena := r.Need(uint64(arenaLen))
 	if arena == nil {
 		return nil
 	}
 	if rows == 0 {
 		if arenaLen != 0 {
-			r.fail("arena bytes with zero rows")
+			r.Fail("arena bytes with zero rows")
 		}
 		return nil
 	}
@@ -433,10 +249,10 @@ func readStrings(r *reader, rows int) []string {
 	for i := 0; i < rows; i++ {
 		end := le.Uint32(offs[4*(i+1):])
 		if end < prev || end > arenaLen {
-			r.fail("string offsets not monotone")
+			r.Fail("string offsets not monotone")
 			return nil
 		}
-		out[i] = aliasString(arena[prev:end])
+		out[i] = envelope.Alias(arena[prev:end])
 		prev = end
 	}
 	return out

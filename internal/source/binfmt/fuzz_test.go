@@ -10,7 +10,7 @@ import (
 // frame that re-encodes canonically. CI runs a short -fuzz smoke on top
 // of the committed corpus.
 func FuzzDecodeFrame(f *testing.F) {
-	seeds := [][]byte{nil, magic[:]}
+	seeds := [][]byte{nil, format.Magic[:]}
 	if b, err := Encode(sampleFrame()); err == nil {
 		seeds = append(seeds, b, b[:len(b)/2], b[4:], append(append([]byte(nil), b...), 0))
 	}

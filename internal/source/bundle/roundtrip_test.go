@@ -2,6 +2,7 @@ package bundle
 
 import (
 	"bytes"
+	"io"
 	"sync"
 	"testing"
 
@@ -14,6 +15,7 @@ import (
 	"repro/internal/ixp"
 	"repro/internal/mlab"
 	"repro/internal/source"
+	"repro/internal/source/binfmt"
 	"repro/internal/source/framez"
 	"repro/internal/world"
 )
@@ -59,62 +61,82 @@ func TestBundleRoster(t *testing.T) {
 	}
 }
 
-// TestCodecRoundTripAllSources is the table-driven codec suite: for every
-// registered dataset, Generate → WriteCSV → ReadCSV reproduces an equal
-// frame and a re-serialize is byte-identical; likewise for JSON.
+// TestCodecRoundTripAllSources is the cross-representation property:
+// for every registered dataset on three days, each served body (CSV,
+// JSON, .bin and .binz) decodes to a frame Equal to the generated one,
+// with the same ContentHash, and re-encodes byte-identically. The days
+// cross itu's weekly cadence (testDay and nine days later) and mlab's
+// monthly one (July 1). The compressed plane must also come out smaller
+// than the raw binary plane and stay memoized on the artifact; the ≥2x
+// ratio itself is enforced per dataset by benchsweep's -min-binz-ratio
+// gate.
 func TestCodecRoundTripAllSources(t *testing.T) {
+	text := func(read func(io.Reader) (*source.Frame, error)) func([]byte) (*source.Frame, error) {
+		return func(b []byte) (*source.Frame, error) { return read(bytes.NewReader(b)) }
+	}
+	reprs := []struct {
+		name   string
+		body   func(*source.Artifact) ([]byte, error)
+		decode func([]byte) (*source.Frame, error)
+		encode func(*source.Frame) ([]byte, error)
+	}{
+		{"csv", func(a *source.Artifact) ([]byte, error) { return a.Frame.CSVBytes() }, text(source.ReadCSV), (*source.Frame).CSVBytes},
+		{"json", func(a *source.Artifact) ([]byte, error) { return a.Frame.JSONBytes() }, text(source.ReadJSON), (*source.Frame).JSONBytes},
+		{"bin", (*source.Artifact).Bin, binfmt.Decode, binfmt.Encode},
+		{"binz", (*source.Artifact).Binz, framez.Decode, framez.Encode},
+	}
 	b := New(testW, 42, Config{})
 	for _, name := range b.Registry.Names() {
-		t.Run(name, func(t *testing.T) {
-			f, err := b.Registry.Frame(name, testDay)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if f.Source != name {
-				t.Fatalf("frame source = %q; want %q", f.Source, name)
-			}
-			if f.Rows() == 0 {
-				t.Fatalf("%s produced an empty frame for %s", name, testDay)
-			}
-
-			var csv1 bytes.Buffer
-			if err := f.WriteCSV(&csv1); err != nil {
-				t.Fatal(err)
-			}
-			g, err := source.ReadCSV(bytes.NewReader(csv1.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !f.Equal(g) {
-				t.Fatal("frame changed across CSV round trip")
-			}
-			var csv2 bytes.Buffer
-			if err := g.WriteCSV(&csv2); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(csv1.Bytes(), csv2.Bytes()) {
-				t.Fatal("re-serialized CSV is not byte-identical")
-			}
-
-			var json1 bytes.Buffer
-			if err := f.WriteJSON(&json1); err != nil {
-				t.Fatal(err)
-			}
-			h, err := source.ReadJSON(bytes.NewReader(json1.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !f.Equal(h) {
-				t.Fatal("frame changed across JSON round trip")
-			}
-			var json2 bytes.Buffer
-			if err := h.WriteJSON(&json2); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(json1.Bytes(), json2.Bytes()) {
-				t.Fatal("re-serialized JSON is not byte-identical")
-			}
-		})
+		for _, day := range []dates.Date{testDay, dates.New(2022, 6, 24), dates.New(2022, 7, 1)} {
+			t.Run(name+"/"+day.String(), func(t *testing.T) {
+				a, err := b.Registry.Artifact(name, day)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f := a.Frame
+				if f.Source != name {
+					t.Fatalf("frame source = %q; want %q", f.Source, name)
+				}
+				if f.Rows() == 0 {
+					t.Fatalf("%s produced an empty frame for %s", name, day)
+				}
+				bodies := map[string][]byte{}
+				for _, r := range reprs {
+					body, err := r.body(a)
+					if err != nil {
+						t.Fatalf("%s: %v", r.name, err)
+					}
+					g, err := r.decode(body)
+					if err != nil {
+						t.Fatalf("%s: %v", r.name, err)
+					}
+					if !f.Equal(g) {
+						t.Fatalf("frame changed across the %s round trip", r.name)
+					}
+					if h := g.ContentHash(); h != a.Hash() {
+						t.Fatalf("%s frame hashes to %s; the artifact's hash is %s", r.name, h, a.Hash())
+					}
+					again, err := r.encode(g)
+					if err != nil {
+						t.Fatalf("%s: %v", r.name, err)
+					}
+					if !bytes.Equal(body, again) {
+						t.Fatalf("re-encoded %s body is not byte-identical", r.name)
+					}
+					bodies[r.name] = body
+				}
+				if z, raw := bodies["binz"], bodies["bin"]; len(z) >= len(raw) {
+					t.Fatalf("binz %d bytes is not smaller than bin %d bytes", len(z), len(raw))
+				}
+				resident, err := b.Registry.Artifact(name, day)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if memo, err := resident.Binz(); err != nil || !bytes.Equal(memo, bodies["binz"]) {
+					t.Fatalf("memoized Binz differs: %v", err)
+				}
+			})
+		}
 	}
 }
 
@@ -249,56 +271,5 @@ func TestBundleDeterminism(t *testing.T) {
 		if !bytes.Equal(buf1.Bytes(), buf2.Bytes()) {
 			t.Errorf("%s: two same-seed bundles disagree", name)
 		}
-	}
-}
-
-// TestBinzRoundTripAllSources runs the compressed binary codec over
-// every registered dataset through the registry's memoized path: the
-// decoded frame must equal the generated one cell-for-cell, re-encode
-// byte-identically (the canonical-format invariant), and come out
-// strictly smaller than the raw binary plane — the ≥2x ratio itself is
-// enforced per dataset by benchsweep's -min-binz-ratio gate.
-func TestBinzRoundTripAllSources(t *testing.T) {
-	b := New(testW, 42, Config{})
-	for _, name := range b.Registry.Names() {
-		t.Run(name, func(t *testing.T) {
-			a, err := b.Registry.Artifact(name, testDay)
-			if err != nil {
-				t.Fatal(err)
-			}
-			f := a.Frame
-			z, err := a.Binz()
-			if err != nil {
-				t.Fatal(err)
-			}
-			g, err := framez.Decode(z)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !f.Equal(g) {
-				t.Fatal("frame changed across compressed binary round trip")
-			}
-			again, err := framez.Encode(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(z, again) {
-				t.Fatal("re-encoded compressed bytes differ")
-			}
-			raw, err := a.Bin()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(z) >= len(raw) {
-				t.Fatalf("binz %d bytes is not smaller than bin %d bytes", len(z), len(raw))
-			}
-			resident, err := b.Registry.Artifact(name, testDay)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if memo, err := resident.Binz(); err != nil || !bytes.Equal(memo, z) {
-				t.Fatalf("memoized Binz differs: %v", err)
-			}
-		})
 	}
 }

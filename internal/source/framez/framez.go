@@ -37,16 +37,10 @@
 // re-encodes byte-identically) holds by construction, exactly like
 // binfmt's.
 //
-// Wire format, version 1 (all fixed-width integers little-endian):
+// Wire format, version 1: the container of package envelope (DESIGN.md
+// §10) with magic FC 'F' 'R' 'Z', whose columns are (integers
+// little-endian):
 //
-//	magic     4 bytes  FC 'F' 'R' 'Z'
-//	version   u16      1
-//	flags     u16      0 (reserved; decoders reject nonzero)
-//	source    str      u32 length + bytes
-//	day       i64      dates.Date.DayNumber()
-//	metaN     u32      then metaN × (str key, str value), in order
-//	rows      u32
-//	colN      u32
 //	colN × column:
 //	  name    str
 //	  kind    u8       0=str 1=int 2=float (source.Kind)
@@ -56,7 +50,6 @@
 //	  tLen    u32      payload length after inflation (== encLen when
 //	                   the flate bit is clear)
 //	  payload encLen bytes
-//	crc       u32      CRC-32C (Castagnoli) of every byte before it
 //
 // Unlike binfmt, Decode returns a self-contained frame: every column is
 // reconstructed into fresh memory (transforms make aliasing the wire
@@ -78,16 +71,14 @@ import (
 	"compress/flate"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"math/bits"
 	"sort"
 	"sync"
-	"unsafe"
 
-	"repro/internal/dates"
 	"repro/internal/source"
+	"repro/internal/source/envelope"
 	"repro/internal/syncx"
 )
 
@@ -123,14 +114,16 @@ const (
 	sampleLen  = 4096
 )
 
-// maxDay bounds the day number in either direction (±~27k years): far
-// beyond any dataset-day, near enough to keep a hostile header honest.
-const maxDay = 10_000_000
-
-// magic opens every encoded frame.
-var magic = [4]byte{0xFC, 'F', 'R', 'Z'}
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// format is this codec's container. Decoded frames copy every string so
+// they never alias the input; the smallest column is a name prefix, the
+// kind and tag bytes, and the two lengths.
+var format = envelope.Format{
+	Name:      "framez",
+	Magic:     [4]byte{0xFC, 'F', 'R', 'Z'},
+	Version:   Version,
+	MinColumn: 14,
+	Copy:      true,
+}
 
 var le = binary.LittleEndian
 
@@ -160,65 +153,30 @@ type colDesc struct {
 
 // Encode serializes the frame into its canonical compressed form.
 func Encode(f *source.Frame) ([]byte, error) {
-	if err := f.Check(); err != nil {
+	if err := format.Check(f); err != nil {
 		return nil, err
 	}
-	if d := f.Date.DayNumber(); d > maxDay || d < -maxDay {
-		return nil, fmt.Errorf("framez: day number %d out of range", d)
-	}
-	rows := f.Rows()
 	encs := make([]colEnc, len(f.Cols))
-	if err := encodeColumns(f.Cols, rows, encs); err != nil {
+	if err := encodeColumns(f.Cols, f.Rows(), encs); err != nil {
 		return nil, err
 	}
-
-	n := 4 + 2 + 2 + 4 + len(f.Source) + 8 + 4
-	for _, kv := range f.Meta {
-		n += 4 + len(kv[0]) + 4 + len(kv[1])
-	}
-	n += 4 + 4
+	n := envelope.HeaderSize(f) + envelope.TrailerSize
 	for i, c := range f.Cols {
 		n += 4 + len(c.Name) + 1 + 1 + 4 + 4 + len(encs[i].payload)
 	}
-	n += 4
-
-	buf := make([]byte, 0, n)
-	buf = append(buf, magic[:]...)
-	buf = le.AppendUint16(buf, Version)
-	buf = le.AppendUint16(buf, 0) // flags
-	buf = appendStr(buf, f.Source)
-	buf = le.AppendUint64(buf, uint64(int64(f.Date.DayNumber())))
-	buf = le.AppendUint32(buf, uint32(len(f.Meta)))
-	for _, kv := range f.Meta {
-		buf = appendStr(buf, kv[0])
-		buf = appendStr(buf, kv[1])
-	}
-	buf = le.AppendUint32(buf, uint32(rows))
-	buf = le.AppendUint32(buf, uint32(len(f.Cols)))
+	buf := format.AppendHeader(make([]byte, 0, n), f)
 	for i, c := range f.Cols {
 		e := &encs[i]
 		if len(e.payload) > math.MaxUint32 || e.tLen > math.MaxUint32 {
 			return nil, fmt.Errorf("framez: column %q payload exceeds 4GiB", c.Name)
 		}
-		buf = appendStr(buf, c.Name)
+		buf = envelope.AppendStr(buf, c.Name)
 		buf = append(buf, byte(c.Kind), e.tag)
 		buf = le.AppendUint32(buf, uint32(len(e.payload)))
 		buf = le.AppendUint32(buf, uint32(e.tLen))
 		buf = append(buf, e.payload...)
 	}
-	buf = le.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
-	return buf, nil
-}
-
-// Write serializes the frame to w in a single call, mirroring
-// binfmt.Write.
-func Write(f *source.Frame, w io.Writer) error {
-	buf, err := Encode(f)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
+	return envelope.Seal(buf), nil
 }
 
 // encodeColumns fills encs, one worker per column up to GOMAXPROCS
@@ -530,151 +488,13 @@ func inflate(p []byte, tLen int) ([]byte, error) {
 	}
 	out := make([]byte, tLen)
 	if _, err := io.ReadFull(inf.fr, out); err != nil {
-		return nil, corruptError("flate payload shorter than its declared length")
+		return nil, format.Corrupt("flate payload shorter than its declared length")
 	}
 	var one [1]byte
 	if n, _ := inf.fr.Read(one[:]); n != 0 {
-		return nil, corruptError("flate payload longer than its declared length")
+		return nil, format.Corrupt("flate payload longer than its declared length")
 	}
 	return out, nil
-}
-
-// ---- container plumbing (mirrors binfmt's sticky-error reader) ----
-
-type corruptError string
-
-func (e corruptError) Error() string { return "framez: corrupt frame: " + string(e) }
-
-type reader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *reader) fail(msg string) {
-	if r.err == nil {
-		r.err = corruptError(msg)
-	}
-}
-
-func (r *reader) need(n uint64) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(len(r.b)-r.off) {
-		r.fail("truncated")
-		return nil
-	}
-	p := r.b[r.off : r.off+int(n)]
-	r.off += int(n)
-	return p
-}
-
-func (r *reader) u8() byte {
-	p := r.need(1)
-	if p == nil {
-		return 0
-	}
-	return p[0]
-}
-
-func (r *reader) u16() uint16 {
-	p := r.need(2)
-	if p == nil {
-		return 0
-	}
-	return le.Uint16(p)
-}
-
-func (r *reader) u32() uint32 {
-	p := r.need(4)
-	if p == nil {
-		return 0
-	}
-	return le.Uint32(p)
-}
-
-func (r *reader) u64() uint64 {
-	p := r.need(8)
-	if p == nil {
-		return 0
-	}
-	return le.Uint64(p)
-}
-
-// str reads a length-prefixed string, copying (framez frames are
-// self-contained, unlike binfmt's aliasing decode).
-func (r *reader) str() string {
-	n := r.u32()
-	p := r.need(uint64(n))
-	if p == nil {
-		return ""
-	}
-	return string(p)
-}
-
-func (r *reader) remaining() uint64 { return uint64(len(r.b) - r.off) }
-
-// preader walks one column payload with minimality-checked varints.
-type preader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (p *preader) fail(msg string) {
-	if p.err == nil {
-		p.err = corruptError(msg)
-	}
-}
-
-func (p *preader) remaining() int { return len(p.b) - p.off }
-
-func (p *preader) need(n int) []byte {
-	if p.err != nil {
-		return nil
-	}
-	if n < 0 || n > len(p.b)-p.off {
-		p.fail("column payload truncated")
-		return nil
-	}
-	q := p.b[p.off : p.off+n]
-	p.off += n
-	return q
-}
-
-// uvarint reads one canonically-encoded (minimal-length) varint. A
-// non-minimal encoding ("0x80 0x00" for zero) or a 64-bit overflow is
-// rejected: both would decode to a value that re-encodes differently.
-func (p *preader) uvarint() uint64 {
-	if p.err != nil {
-		return 0
-	}
-	var v uint64
-	var shift uint
-	for i := p.off; i < len(p.b); i++ {
-		b := p.b[i]
-		if shift == 63 && b > 1 {
-			p.fail("varint overflows 64 bits")
-			return 0
-		}
-		if shift > 63 {
-			p.fail("varint overflows 64 bits")
-			return 0
-		}
-		v |= uint64(b&0x7F) << shift
-		if b < 0x80 {
-			if b == 0 && shift > 0 {
-				p.fail("non-minimal varint")
-				return 0
-			}
-			p.off = i + 1
-			return v
-		}
-		shift += 7
-	}
-	p.fail("varint truncated")
-	return 0
 }
 
 // ---- decode ----
@@ -685,82 +505,34 @@ func (p *preader) uvarint() uint64 {
 // are bounds-checked before any allocation larger than a constant
 // multiple of the input size.
 func Decode(buf []byte) (*source.Frame, error) {
-	if len(buf) < 4+2+2+4 {
-		return nil, corruptError("shorter than the fixed header")
+	r, h, err := format.Open(buf)
+	if err != nil {
+		return nil, err
 	}
-	if [4]byte(buf[:4]) != magic {
-		return nil, corruptError("bad magic")
-	}
-	body := buf[:len(buf)-4]
-	if want := le.Uint32(buf[len(buf)-4:]); crc32.Checksum(body, castagnoli) != want {
-		return nil, corruptError("checksum mismatch")
-	}
-	r := &reader{b: body, off: 4}
-	if v := r.u16(); v != Version {
-		return nil, fmt.Errorf("framez: unsupported version %d (have %d)", v, Version)
-	}
-	if fl := r.u16(); fl != 0 {
-		return nil, fmt.Errorf("framez: unsupported flags %#x", fl)
-	}
-
-	name := r.str()
-	day := int64(r.u64())
-	if day > maxDay || day < -maxDay {
-		return nil, corruptError("day number out of range")
-	}
-	d := dates.FromDayNumber(int(day))
-
-	metaN := r.u32()
-	if uint64(metaN)*8 > r.remaining() {
-		return nil, corruptError("meta count exceeds buffer")
-	}
-	var meta [][2]string
-	if metaN > 0 {
-		meta = make([][2]string, 0, metaN)
-		for i := uint32(0); i < metaN && r.err == nil; i++ {
-			k := r.str()
-			v := r.str()
-			meta = append(meta, [2]string{k, v})
-		}
-	}
-
-	rows := r.u32()
-	colN := r.u32()
-	// Minimal column cost: name prefix + kind + tag + encLen + tLen.
-	if uint64(colN)*14 > r.remaining() {
-		return nil, corruptError("column count exceeds buffer")
-	}
-	if colN == 0 && rows != 0 {
-		return nil, corruptError("rows without columns")
-	}
-	cols := make([]source.Column, colN)
-	ptrs := make([]*source.Column, colN)
-	descs := make([]colDesc, colN)
+	cols := make([]source.Column, h.Cols)
+	ptrs := make([]*source.Column, h.Cols)
+	descs := make([]colDesc, h.Cols)
 	for i := range cols {
 		c := &cols[i]
 		ptrs[i] = c
-		c.Name = r.str()
-		kind := r.u8()
-		tag := r.u8()
-		encLen := r.u32()
-		tLen := r.u32()
-		payload := r.need(uint64(encLen))
-		if r.err != nil {
-			return nil, r.err
+		c.Name = r.Str()
+		kind := r.U8()
+		tag := r.U8()
+		encLen := r.U32()
+		tLen := r.U32()
+		payload := r.Need(uint64(encLen))
+		if err := r.Err(); err != nil {
+			return nil, err
 		}
 		descs[i] = colDesc{kind: source.Kind(kind), tag: tag, tLen: int(tLen), payload: payload}
 	}
-	if r.remaining() != 0 {
-		return nil, corruptError("trailing bytes after the last column")
-	}
-	if err := decodeColumns(cols, descs, int(rows)); err != nil {
+	if err := r.Close(); err != nil {
 		return nil, err
 	}
-	f := &source.Frame{Source: name, Date: d, Meta: meta, Cols: ptrs}
-	if err := f.Check(); err != nil {
+	if err := decodeColumns(cols, descs, h.Rows); err != nil {
 		return nil, err
 	}
-	return f, nil
+	return h.Frame(ptrs)
 }
 
 // decodeColumns reconstructs every column, one worker per column up to
@@ -790,10 +562,10 @@ func decodeColumn(c *source.Column, kind source.Kind, tag byte, payload []byte, 
 	var cand []byte
 	if flated {
 		if tLen < flateMin {
-			return corruptError("flate bit on a payload below the size floor")
+			return format.Corrupt("flate bit on a payload below the size floor")
 		}
 		if tLen > maxInflated(len(payload)) {
-			return corruptError("inflated length exceeds the flate expansion bound")
+			return format.Corrupt("inflated length exceeds the flate expansion bound")
 		}
 		var err error
 		if cand, err = inflate(payload, tLen); err != nil {
@@ -801,7 +573,7 @@ func decodeColumn(c *source.Column, kind source.Kind, tag byte, payload []byte, 
 		}
 	} else {
 		if tLen != len(payload) {
-			return corruptError("declared length disagrees with payload size")
+			return format.Corrupt("declared length disagrees with payload size")
 		}
 		cand = payload
 	}
@@ -814,7 +586,7 @@ func decodeColumn(c *source.Column, kind source.Kind, tag byte, payload []byte, 
 		switch base {
 		case tagRaw:
 			if len(cand) != rawLen {
-				return corruptError("raw int slab has the wrong size")
+				return format.Corrupt("raw int slab has the wrong size")
 			}
 			c.Ints = make([]int64, rows)
 			for i := range c.Ints {
@@ -822,23 +594,23 @@ func decodeColumn(c *source.Column, kind source.Kind, tag byte, payload []byte, 
 			}
 		case tagDelta:
 			if rows > len(cand) {
-				return corruptError("more rows than delta payload bytes")
+				return format.Corrupt("more rows than delta payload bytes")
 			}
-			p := &preader{b: cand}
+			p := format.Reader(cand)
 			c.Ints = make([]int64, rows)
 			prev := int64(0)
 			for i := range c.Ints {
-				prev += unzigzag(p.uvarint())
+				prev += unzigzag(p.Uvarint())
 				c.Ints[i] = prev
 			}
-			if p.err != nil {
-				return p.err
+			if p.Err() != nil {
+				return p.Err()
 			}
-			if p.remaining() != 0 {
-				return corruptError("trailing bytes in delta payload")
+			if p.Remaining() != 0 {
+				return format.Corrupt("trailing bytes in delta payload")
 			}
 		default:
-			return corruptError("codec tag invalid for an int column")
+			return format.Corrupt("codec tag invalid for an int column")
 		}
 	case source.Float:
 		c.Kind = source.Float
@@ -846,7 +618,7 @@ func decodeColumn(c *source.Column, kind source.Kind, tag byte, payload []byte, 
 		switch base {
 		case tagRaw:
 			if len(cand) != rawLen {
-				return corruptError("raw float slab has the wrong size")
+				return format.Corrupt("raw float slab has the wrong size")
 			}
 			c.Floats = make([]float64, rows)
 			for i := range c.Floats {
@@ -858,38 +630,38 @@ func decodeColumn(c *source.Column, kind source.Kind, tag byte, payload []byte, 
 			}
 		case tagXor:
 			if rows > len(cand) {
-				return corruptError("more rows than xor payload bytes")
+				return format.Corrupt("more rows than xor payload bytes")
 			}
-			p := &preader{b: cand}
+			p := format.Reader(cand)
 			c.Floats = make([]float64, rows)
 			prev := uint64(0)
 			for i := range c.Floats {
-				k := int(p.uvarint()) // control byte is < 0x80, so this is a plain byte read
+				k := p.Uvarint() // control byte is < 0x80, so this is a plain byte read
 				if k > 8 {
-					p.fail("xor control byte exceeds 8")
+					p.Fail("xor control byte exceeds 8")
 				}
-				q := p.need(k)
-				if p.err != nil {
-					return p.err
+				q := p.Need(k)
+				if p.Err() != nil {
+					return p.Err()
 				}
 				var x uint64
-				for j := 0; j < k; j++ {
-					x |= uint64(q[j]) << (8 * j)
+				for j, b := range q {
+					x |= uint64(b) << (8 * j)
 				}
 				if k > 0 && q[k-1] == 0 {
-					return corruptError("non-minimal xor byte count")
+					return format.Corrupt("non-minimal xor byte count")
 				}
 				prev ^= x
 				c.Floats[i] = math.Float64frombits(prev)
 			}
-			if p.err != nil {
-				return p.err
+			if p.Err() != nil {
+				return p.Err()
 			}
-			if p.remaining() != 0 {
-				return corruptError("trailing bytes in xor payload")
+			if p.Remaining() != 0 {
+				return format.Corrupt("trailing bytes in xor payload")
 			}
 		default:
-			return corruptError("codec tag invalid for a float column")
+			return format.Corrupt("codec tag invalid for a float column")
 		}
 	case source.String:
 		c.Kind = source.String
@@ -903,7 +675,7 @@ func decodeColumn(c *source.Column, kind source.Kind, tag byte, payload []byte, 
 				return err
 			}
 		default:
-			return corruptError("codec tag invalid for a string column")
+			return format.Corrupt("codec tag invalid for a string column")
 		}
 		arena := 0
 		for _, s := range c.Strs {
@@ -911,7 +683,7 @@ func decodeColumn(c *source.Column, kind source.Kind, tag byte, payload []byte, 
 		}
 		rawLen = (rows+1)*4 + arena
 	default:
-		return corruptError(fmt.Sprintf("unknown column kind %d", kind))
+		return format.Corrupt(fmt.Sprintf("unknown column kind %d", kind))
 	}
 
 	// The transform tag must match the size rule the encoder applies:
@@ -930,10 +702,10 @@ func decodeColumn(c *source.Column, kind source.Kind, tag byte, payload []byte, 
 			transLen = newDictModel(c.Strs).size()
 		}
 		if transLen < rawLen {
-			return corruptError("raw tag where the typed transform is smaller")
+			return format.Corrupt("raw tag where the typed transform is smaller")
 		}
 	} else if len(cand) >= rawLen {
-		return corruptError("transform tag where the raw slab is no larger")
+		return format.Corrupt("transform tag where the raw slab is no larger")
 	}
 
 	// The flate bit must match the sampled cost model, and a compressed
@@ -942,14 +714,14 @@ func decodeColumn(c *source.Column, kind source.Kind, tag byte, payload []byte, 
 	// non-canonical one would break "one frame, one byte form".
 	if flated {
 		if !sampleWins(cand) {
-			return corruptError("flate bit where the sampled cost model declines")
+			return format.Corrupt("flate bit where the sampled cost model declines")
 		}
 		if !bytes.Equal(deflate(cand), payload) {
-			return corruptError("flate payload is not the canonical compression")
+			return format.Corrupt("flate payload is not the canonical compression")
 		}
 	} else if len(cand) >= flateMin && sampleWins(cand) {
 		if len(deflate(cand)) < len(cand) {
-			return corruptError("missing flate pass where the cost model pays")
+			return format.Corrupt("missing flate pass where the cost model pays")
 		}
 	}
 	return nil
@@ -959,15 +731,15 @@ func decodeColumn(c *source.Column, kind source.Kind, tag byte, payload []byte, 
 // arena so the frame does not alias the input buffer.
 func decodeRawStrs(c *source.Column, cand []byte, rows int) error {
 	if len(cand) < (rows+1)*4 {
-		return corruptError("string offset slab truncated")
+		return format.Corrupt("string offset slab truncated")
 	}
 	offs := cand[:(rows+1)*4]
 	if le.Uint32(offs) != 0 {
-		return corruptError("string offsets do not start at 0")
+		return format.Corrupt("string offsets do not start at 0")
 	}
 	arenaLen := le.Uint32(offs[4*rows:])
 	if len(cand) != (rows+1)*4+int(arenaLen) {
-		return corruptError("string arena length disagrees with payload size")
+		return format.Corrupt("string arena length disagrees with payload size")
 	}
 	arena := append([]byte(nil), cand[(rows+1)*4:]...)
 	c.Strs = make([]string, rows)
@@ -975,9 +747,9 @@ func decodeRawStrs(c *source.Column, cand []byte, rows int) error {
 	for i := 0; i < rows; i++ {
 		end := le.Uint32(offs[4*(i+1):])
 		if end < prev || end > arenaLen {
-			return corruptError("string offsets not monotone")
+			return format.Corrupt("string offsets not monotone")
 		}
-		c.Strs[i] = aliasBytes(arena[prev:end])
+		c.Strs[i] = envelope.Alias(arena[prev:end])
 		prev = end
 	}
 	return nil
@@ -988,18 +760,18 @@ func decodeRawStrs(c *source.Column, cand []byte, rows int) error {
 // coverage, and index bounds.
 func decodeDictStrs(c *source.Column, cand []byte, rows int) error {
 	if rows > len(cand) {
-		return corruptError("more rows than dictionary index bytes")
+		return format.Corrupt("more rows than dictionary index bytes")
 	}
-	p := &preader{b: cand}
-	dictN := p.uvarint()
-	if p.err != nil {
-		return p.err
+	p := format.Reader(cand)
+	dictN := p.Uvarint()
+	if p.Err() != nil {
+		return p.Err()
 	}
 	// Every entry costs at least two varint bytes; every row one index
 	// byte. Bounding dictN here keeps a hostile count from provoking a
 	// large allocation the payload could never back.
-	if dictN > uint64(p.remaining()) {
-		return corruptError("dictionary count exceeds payload")
+	if dictN > uint64(p.Remaining()) {
+		return format.Corrupt("dictionary count exceeds payload")
 	}
 	// Scan pass: walk the entry headers once to learn the exact arena
 	// size, so the build pass allocates it whole (one allocation, and
@@ -1007,23 +779,23 @@ func decodeDictStrs(c *source.Column, cand []byte, rows int) error {
 	// against the previous entry's length here too, so a hostile header
 	// cannot claim an arena the entries could never build, and the total
 	// is capped at the encoder's own 4GiB arena bound.
-	scan := *p
+	scan := p
 	total := 0
 	prevLen := 0
 	for i := uint64(0); i < dictN; i++ {
-		pl := scan.uvarint()
-		sl := scan.uvarint()
-		if scan.err == nil && (pl > uint64(prevLen) || sl > math.MaxUint32) {
-			scan.fail("front-coding prefix exceeds the previous entry")
+		pl := scan.Uvarint()
+		sl := scan.Uvarint()
+		if scan.Err() == nil && (pl > uint64(prevLen) || sl > math.MaxUint32) {
+			scan.Fail("front-coding prefix exceeds the previous entry")
 		}
-		scan.need(int(sl))
-		if scan.err != nil {
-			return scan.err
+		scan.Need(sl)
+		if scan.Err() != nil {
+			return scan.Err()
 		}
 		prevLen = int(pl) + int(sl)
 		total += prevLen
 		if total > math.MaxUint32 {
-			return corruptError("dictionary arena exceeds 4GiB")
+			return format.Corrupt("dictionary arena exceeds 4GiB")
 		}
 	}
 
@@ -1031,72 +803,55 @@ func decodeDictStrs(c *source.Column, cand []byte, rows int) error {
 	arena := make([]byte, 0, total)
 	prev := ""
 	for i := range entries {
-		pl := p.uvarint()
-		sl := p.uvarint()
-		if p.err != nil {
-			return p.err
+		pl := p.Uvarint()
+		sl := p.Uvarint()
+		if p.Err() != nil {
+			return p.Err()
 		}
 		if pl > uint64(len(prev)) {
-			return corruptError("front-coding prefix exceeds the previous entry")
+			return format.Corrupt("front-coding prefix exceeds the previous entry")
 		}
-		suffix := p.need(int(sl))
-		if p.err != nil {
-			return p.err
+		suffix := p.Need(sl)
+		if p.Err() != nil {
+			return p.Err()
 		}
 		if i > 0 {
 			if sl == 0 {
-				return corruptError("dictionary entries not strictly sorted")
+				return format.Corrupt("dictionary entries not strictly sorted")
 			}
 			if int(pl) < len(prev) && suffix[0] <= prev[pl] {
 				// <: unsorted. ==: the shared prefix was not maximal, so the
 				// entry would re-encode differently.
-				return corruptError("dictionary front-coding is not canonical")
+				return format.Corrupt("dictionary front-coding is not canonical")
 			}
 		}
 		start := len(arena)
 		arena = append(arena, prev[:pl]...)
 		arena = append(arena, suffix...)
-		entries[i] = aliasBytes(arena[start:len(arena)])
+		entries[i] = envelope.Alias(arena[start:len(arena)])
 		prev = entries[i]
 	}
 
 	used := make([]bool, dictN)
 	c.Strs = make([]string, rows)
 	for i := 0; i < rows; i++ {
-		ix := p.uvarint()
-		if p.err != nil {
-			return p.err
+		ix := p.Uvarint()
+		if p.Err() != nil {
+			return p.Err()
 		}
 		if ix >= dictN {
-			return corruptError("dictionary index out of range")
+			return format.Corrupt("dictionary index out of range")
 		}
 		used[ix] = true
 		c.Strs[i] = entries[ix]
 	}
-	if p.remaining() != 0 {
-		return corruptError("trailing bytes in dictionary payload")
+	if p.Remaining() != 0 {
+		return format.Corrupt("trailing bytes in dictionary payload")
 	}
 	for _, u := range used {
 		if !u {
-			return corruptError("unreferenced dictionary entry")
+			return format.Corrupt("unreferenced dictionary entry")
 		}
 	}
 	return nil
-}
-
-// aliasBytes returns a string sharing p's bytes without copying. Every
-// caller passes a slice of a decoder-owned arena (never the caller's
-// input buffer), and the arena is not mutated after the frame is built,
-// so the usual unsafe.String immutability contract holds — this is what
-// keeps decode at O(columns) allocations instead of O(cells).
-func aliasBytes(p []byte) string {
-	if len(p) == 0 {
-		return ""
-	}
-	return unsafe.String(&p[0], len(p))
-}
-
-func appendStr(buf []byte, s string) []byte {
-	buf = le.AppendUint32(buf, uint32(len(s)))
-	return append(buf, s...)
 }

@@ -13,7 +13,7 @@ import (
 // Decode, because each would re-encode differently. CI runs a short
 // -fuzz smoke on top of the committed corpus.
 func FuzzDecodeFrameZ(f *testing.F) {
-	seeds := [][]byte{nil, magic[:]}
+	seeds := [][]byte{nil, format.Magic[:]}
 	if b, err := Encode(sampleFrame()); err == nil {
 		seeds = append(seeds, b, b[:len(b)/2], b[4:], append(append([]byte(nil), b...), 0))
 	}
