@@ -15,30 +15,37 @@ import (
 // Table is a binary trie keyed by IPv4 prefixes supporting longest-prefix
 // match, the data structure underlying BGP FIB lookups. V is the payload
 // attached to each route (an ASN, a geolocation record, ...).
+//
+// The trie holds no pointers: its nodes live in one slice and name their
+// children by index, and a node with a route names its payload by index
+// into a side slice of values. The garbage collector therefore never
+// traces the nodes, and Insert allocates only when a slice grows. A
+// route's prefix is not stored; it follows from the node's depth and the
+// address that reached it.
 type Table[V any] struct {
-	root *node[V]
-	n    int
+	nodes  []node // nodes[0] is the root
+	values []V
 }
 
-type node[V any] struct {
-	children [2]*node[V]
-	hasValue bool
-	value    V
-	prefix   netip.Prefix
+type node struct {
+	child [2]uint32 // index into nodes; 0 = no child (the root is nobody's child)
+	val   int32     // 1 + index into values; 0 = no route here
 }
 
 // NewTable returns an empty routing table.
 func NewTable[V any]() *Table[V] {
-	return &Table[V]{root: &node[V]{}}
+	return &Table[V]{nodes: make([]node, 1)}
 }
 
 // Len returns the number of installed prefixes.
-func (t *Table[V]) Len() int { return t.n }
+func (t *Table[V]) Len() int { return len(t.values) }
 
-// bitAt returns bit i (0 = most significant) of the IPv4 address.
-func bitAt(a netip.Addr, i int) int {
-	b := a.As4()
-	return int(b[i/8]>>(7-i%8)) & 1
+// bit returns bit i (0 = most significant) of a 32-bit address.
+func bit(a uint32, i int) uint32 { return a >> (31 - i) & 1 }
+
+// prefixAt returns the /bits prefix containing the 32-bit address a.
+func prefixAt(a uint32, bits int) netip.Prefix {
+	return netip.PrefixFrom(AddrFromUint32(a&^(^uint32(0)>>bits)), bits)
 }
 
 // Insert installs value at prefix, replacing any previous value for the
@@ -47,22 +54,43 @@ func (t *Table[V]) Insert(p netip.Prefix, value V) error {
 	if !p.IsValid() || !p.Addr().Is4() {
 		return fmt.Errorf("netdb: invalid IPv4 prefix %v", p)
 	}
-	p = p.Masked()
-	cur := t.root
+	a := AddrToUint32(p.Addr())
+	var cur uint32
 	for i := 0; i < p.Bits(); i++ {
-		b := bitAt(p.Addr(), i)
-		if cur.children[b] == nil {
-			cur.children[b] = &node[V]{}
+		b := bit(a, i)
+		next := t.nodes[cur].child[b]
+		if next == 0 {
+			next = uint32(len(t.nodes))
+			t.nodes = append(t.nodes, node{})
+			t.nodes[cur].child[b] = next
 		}
-		cur = cur.children[b]
+		cur = next
 	}
-	if !cur.hasValue {
-		t.n++
+	if v := t.nodes[cur].val; v != 0 {
+		t.values[v-1] = value
+		return nil
 	}
-	cur.hasValue = true
-	cur.value = value
-	cur.prefix = p
+	t.values = append(t.values, value)
+	t.nodes[cur].val = int32(len(t.values))
 	return nil
+}
+
+// match walks the trie along a and returns the deepest route on the
+// path (1 + its index into values, 0 if none) and that route's depth.
+func (t *Table[V]) match(a uint32) (val int32, bits int) {
+	n := &t.nodes[0]
+	val = n.val
+	for i := 0; i < 32; i++ {
+		next := n.child[bit(a, i)]
+		if next == 0 {
+			break
+		}
+		n = &t.nodes[next]
+		if n.val != 0 {
+			val, bits = n.val, i+1
+		}
+	}
+	return val, bits
 }
 
 // Lookup returns the value of the longest installed prefix containing
@@ -71,36 +99,34 @@ func (t *Table[V]) Lookup(addr netip.Addr) (value V, prefix netip.Prefix, ok boo
 	if !addr.Is4() {
 		return value, prefix, false
 	}
-	cur := t.root
-	for i := 0; ; i++ {
-		if cur.hasValue {
-			value, prefix, ok = cur.value, cur.prefix, true
-		}
-		if i == 32 {
-			return value, prefix, ok
-		}
-		b := bitAt(addr, i)
-		if cur.children[b] == nil {
-			return value, prefix, ok
-		}
-		cur = cur.children[b]
+	a := AddrToUint32(addr)
+	val, bits := t.match(a)
+	if val == 0 {
+		return value, prefix, false
 	}
+	return t.values[val-1], prefixAt(a, bits), true
 }
 
-// Walk visits every installed (prefix, value) pair in trie (address) order.
+// Walk visits every installed (prefix, value) pair in trie (address)
+// order: a node's own route, then its 0 subtree, then its 1 subtree.
 // The walk stops early if fn returns false.
 func (t *Table[V]) Walk(fn func(p netip.Prefix, v V) bool) {
-	var rec func(n *node[V]) bool
-	rec = func(n *node[V]) bool {
-		if n == nil {
-			return true
-		}
-		if n.hasValue && !fn(n.prefix, n.value) {
+	t.walk(0, 0, 0, fn)
+}
+
+// walk visits the subtree at node i, whose path spells the first depth
+// bits of base.
+func (t *Table[V]) walk(i, base uint32, depth int, fn func(netip.Prefix, V) bool) bool {
+	n := t.nodes[i]
+	if n.val != 0 && !fn(prefixAt(base, depth), t.values[n.val-1]) {
+		return false
+	}
+	for b, c := range n.child {
+		if c != 0 && !t.walk(c, base|uint32(b)<<(31-depth), depth+1, fn) {
 			return false
 		}
-		return rec(n.children[0]) && rec(n.children[1])
 	}
-	rec(t.root)
+	return true
 }
 
 // PrefixFromUint32 builds an IPv4 prefix from a 32-bit base address and a

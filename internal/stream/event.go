@@ -32,7 +32,8 @@ type Impression struct {
 
 // Batch is one publisher delivery: a contiguous, in-order slice of
 // accepted impressions with a 1-based sequence number. Publishers see
-// every batch exactly once, in sequence order.
+// every batch exactly once, in sequence order. Imps is the publisher's
+// to read only until Publish returns; the pipeline then reuses it.
 type Batch struct {
 	Seq  int64
 	Imps []Impression

@@ -3,6 +3,10 @@ package stream
 // Publisher consumes the pipeline's output. Publish is called from one
 // goroutine, once per batch, in sequence order; Close runs after the
 // last batch, even on cancelled runs.
+//
+// Publish must not retain b.Imps after it returns: the pipeline reuses
+// the buffer for a later batch. A publisher that keeps impressions
+// copies them.
 type Publisher interface {
 	Publish(Batch) error
 	Close() error

@@ -17,6 +17,12 @@
 // block being filled lives on the source goroutine; it is handed on when
 // it fills and, partial, when the source returns.
 //
+// A run allocates a fixed number of buffers, not some per event. The
+// enrich stage clears each block it has consumed and hands it back to
+// the source through a free list, and the Run goroutine hands each
+// batch's Imps buffer back to the enrich stage once Publish has
+// returned. That is why a Publisher must not retain Batch.Imps.
+//
 // The pipeline is lossless. Handing on a full block blocks until the
 // events queue has space, so the source runs at the pipeline's pace,
 // and every later edge blocks too: once an event is accepted it is never
@@ -171,6 +177,12 @@ func (p *Pipeline) Stats() Stats {
 func (p *Pipeline) Run(ctx context.Context) error {
 	events := make(chan []Event, queueBlocks)
 	batches := make(chan Batch, batchQueueCap)
+	// Free lists, each large enough to hold every buffer of its kind
+	// that can exist at once, so a recycled buffer is never dropped: a
+	// block is being filled, queued, or being enriched; an impression
+	// buffer is pending, queued, or being published.
+	freeBlocks := make(chan []Event, queueBlocks+2)
+	freeImps := make(chan []Impression, batchQueueCap+2)
 
 	if p.cfg.Metrics != nil {
 		// Counted in events; every queued block but the source's last
@@ -188,11 +200,11 @@ func (p *Pipeline) Run(ctx context.Context) error {
 	go func() {
 		defer close(events)
 		done := ctx.Done()
-		block := make([]Event, 0, blockLen)
+		block := take(freeBlocks, blockLen)
 		handOff := func() {
 			p.emitted.Add(int64(len(block)))
 			p.accepted.Add(int64(len(block)))
-			block = make([]Event, 0, blockLen)
+			block = take(freeBlocks, blockLen)
 		}
 		err := p.cfg.Source.Run(ctx, func(ev Event) bool {
 			select {
@@ -229,11 +241,12 @@ func (p *Pipeline) Run(ctx context.Context) error {
 	// blocking sends cannot deadlock.
 	go func() {
 		defer close(batches)
-		p.enrichAndBatch(events, batches)
+		p.enrichAndBatch(events, batches, freeBlocks, freeImps)
 	}()
 
 	// Publish, on the Run goroutine: when the batches channel closes the
-	// drain is complete.
+	// drain is complete. The publisher does not retain a batch's Imps
+	// after Publish returns, so the buffer goes back to the enrich stage.
 	for b := range batches {
 		p.batches.Inc()
 		if err := p.cfg.Publisher.Publish(b); err != nil {
@@ -241,6 +254,7 @@ func (p *Pipeline) Run(ctx context.Context) error {
 		} else {
 			p.published.Add(int64(len(b.Imps)))
 		}
+		recycle(freeImps, b.Imps)
 	}
 	err := <-srcErr
 	if cerr := p.cfg.Publisher.Close(); err == nil && cerr != nil {
@@ -263,16 +277,16 @@ func (p *Pipeline) enrich(ev *Event) (Impression, string) {
 
 // enrichAndBatch resolves every event of every block, counts the drops,
 // and groups the survivors into batches of at most MaxBatch, flushing
-// the partial tail when the input closes.
-func (p *Pipeline) enrichAndBatch(in <-chan []Event, out chan<- Batch) {
+// the partial tail when the input closes. Each consumed block is cleared,
+// so it pins no record, and handed back to the source; each batch
+// starts in a buffer the publisher has handed back, if there is one.
+func (p *Pipeline) enrichAndBatch(in <-chan []Event, out chan<- Batch, freeBlocks chan []Event, freeImps chan []Impression) {
 	var seq int64
-	var pending []Impression
+	pending := take(freeImps, p.cfg.MaxBatch)
 	flush := func() {
 		seq++
 		out <- Batch{Seq: seq, Imps: pending}
-		// The publisher owns the sent batch; the next one starts at the
-		// capacity this one grew to.
-		pending = make([]Impression, 0, cap(pending))
+		pending = take(freeImps, p.cfg.MaxBatch)
 	}
 	for block := range in {
 		for i := range block {
@@ -287,8 +301,31 @@ func (p *Pipeline) enrichAndBatch(in <-chan []Event, out chan<- Batch) {
 				flush()
 			}
 		}
+		clear(block)
+		recycle(freeBlocks, block)
 	}
 	if len(pending) > 0 {
 		flush()
+	}
+}
+
+// take returns an empty buffer from a free list, or a new one of
+// capacity n if none is free.
+func take[T any](free chan []T, n int) []T {
+	select {
+	case buf := <-free:
+		return buf
+	default:
+		return make([]T, 0, n)
+	}
+}
+
+// recycle returns a consumed buffer, emptied, to its free list. The
+// free lists are sized so this never drops one; if it ever did, the
+// buffer would only be collected.
+func recycle[T any](free chan []T, buf []T) {
+	select {
+	case free <- buf[:0]:
+	default:
 	}
 }
