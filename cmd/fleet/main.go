@@ -5,8 +5,8 @@
 // cross-check), and the sweep aggregates pass rates, verdict counts, and
 // check flips against the same-seed paper baseline.
 //
-// The report is deterministic: same flags → identical bytes, regardless
-// of -parallel or worker count.
+// The report is deterministic: same flags → identical bytes, with or
+// without -parallel.
 //
 // Usage:
 //
@@ -34,7 +34,6 @@ func main() {
 	out := flag.String("out", "", "write the markdown report here instead of stdout")
 	jsonOut := flag.String("json", "", "also write the report as JSON to this path")
 	parallel := flag.Bool("parallel", false, "build worlds on all CPUs (default: one worker)")
-	workers := flag.Int("workers", 0, "explicit worker count (overrides -parallel)")
 	list := flag.Bool("list", false, "list builtin scenarios and exit")
 	flag.Parse()
 
@@ -70,13 +69,8 @@ func main() {
 		}
 		cfg.Day = d
 	}
-	switch {
-	case *workers > 0:
-		cfg.Workers = *workers
-	case *parallel:
-		cfg.Workers = 0 // GOMAXPROCS
-	default:
-		cfg.Workers = 1
+	if !*parallel {
+		cfg.Workers = 1 // else 0: GOMAXPROCS
 	}
 
 	rep, err := fleet.Run(cfg)

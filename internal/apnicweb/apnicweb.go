@@ -24,19 +24,23 @@
 //	GET /metrics                               Prometheus text (?format=json for JSON)
 //	GET /healthz                               liveness probe
 //
-// Every route is wrapped in the obsv middleware with a bounded per-route
-// (and per-dataset) label, so request counts, status classes, and latency
-// histograms appear on /metrics alongside the cache and render-error
-// series. Errors on generic routes carry a JSON body; legacy routes keep
-// their original plain-text errors.
+// Handler declares each route once, in one mux: a dataset's routes are
+// literal patterns (/v1/cdn/dates), registered per dataset, so the
+// registration fixes the route's dataset and its metric label, and
+// nothing parses a request's path again. Every request is counted by
+// the obsv middleware under its route's label, or "other" when no route
+// serves it, so request counts, status classes and latency histograms
+// appear on /metrics alongside the cache and render-error series.
+// Errors on generic routes carry a JSON body; legacy routes keep their
+// original plain-text errors.
 //
 // Report routes exploit day immutability (every dataset-day is a pure
 // function of (seed, date)): responses carry strong ETags derived from
 // the frame content hash, If-None-Match revalidation answers 304 without
 // rendering, Accept-Encoding negotiates gzip bodies pre-compressed once
 // per resident day, and every report body is served whole with its
-// Content-Length, except the legacy CSV. See conditional.go and
-// serveImmutable.
+// Content-Length. The legacy CSV is one more representation on the same
+// path. See conditional.go and serveReport.
 //
 // Each dataset-day the server touches is one source.Artifact, evicted
 // whole with the day. Besides the frame it holds, each part built on
@@ -62,6 +66,7 @@ import (
 	"compress/gzip"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -96,8 +101,7 @@ import (
 // source.DefaultCacheDays), and a day's parts are evicted with it.
 // Eviction and collection are safe because every part is a pure
 // function of (seed, date): a dropped part rebuilds byte-identically on
-// the next request. The dates bodies never change, so they are built
-// once, with the server.
+// the next request.
 type Server struct {
 	reg   *source.Registry
 	first dates.Date
@@ -110,12 +114,12 @@ type Server struct {
 	metrics  *obsv.Registry
 	writeCSV func(*apnic.Report, io.Writer) error // seam for render-failure tests
 
-	// The identity frame text representations, weakly held per day.
-	csvText, jsonText textRepr
+	// The report representations: the frame as weakly held CSV and
+	// JSON text, its held binary encodings, and the legacy APNIC CSV.
+	csvText, jsonText, bin, binz, legacy repr
 
-	// The /v1/dates body and each dataset's /v1/{dataset}/dates body.
-	dates        []byte
-	datasetDates map[string][]byte
+	// The /v1/dates body; it never changes, so it is built once.
+	dates []byte
 
 	renderErrs  *obsv.Counter
 	notModified *obsv.Counter
@@ -140,22 +144,26 @@ func NewMultiServer(w *world.World, seed uint64, first, last dates.Date, cacheDa
 		last:     last,
 		metrics:  metrics,
 		writeCSV: (*apnic.Report).WriteCSV,
-		csvText: textRepr{
-			repr: "csv", contentType: "text/csv; charset=utf-8", render: (*source.Frame).CSVBytes,
+		csvText: repr{
+			name: "csv", contentType: "text/csv; charset=utf-8", gzip: true, render: (*source.Frame).CSVBytes,
 			renders: metrics.Counter(`apnicweb_text_renders_total{repr="csv"}`),
 		},
-		jsonText: textRepr{
-			repr: "json", contentType: "application/json", render: (*source.Frame).JSONBytes,
+		jsonText: repr{
+			name: "json", contentType: "application/json", gzip: true, render: (*source.Frame).JSONBytes,
 			renders: metrics.Counter(`apnicweb_text_renders_total{repr="json"}`),
 		},
-		dates:        jsonBody(DateRange{First: first.String(), Last: last.String()}),
-		datasetDates: map[string][]byte{},
+		bin: repr{name: "bin", contentType: binfmt.ContentType, gzip: true, held: encoded((*source.Artifact).Bin)},
+		// Already entropy-coded: gzip on top costs CPU on both ends for
+		// negative savings, so binz is identity-only.
+		binz:  repr{name: "binz", contentType: framez.ContentType, held: encoded((*source.Artifact).Binz)},
+		dates: jsonBody(DateRange{First: first.String(), Last: last.String()}),
 	}
-	for _, name := range s.reg.Names() {
-		src, _ := s.reg.Lookup(name)
-		s.datasetDates[name] = jsonBody(DatasetDates{
-			Dataset: name, First: first.String(), Last: last.String(), Cadence: src.Window().Cadence,
-		})
+	// The legacy bytes differ from the frame-CSV codec's, so they are a
+	// part of their own ("legacy", and "legacy.gz" gzipped).
+	legacyCSV := s.legacyCSV
+	s.legacy = repr{
+		name: "legacy", contentType: "text/csv; charset=utf-8", gzip: true, legacy: true,
+		held: func(a *source.Artifact) source.Body { return a.Body("legacy", legacyCSV) },
 	}
 	s.renderErrs = metrics.Counter("apnicweb_render_errors_total")
 	s.notModified = metrics.Counter("apnicweb_not_modified_total")
@@ -166,18 +174,48 @@ func NewMultiServer(w *world.World, seed uint64, first, last dates.Date, cacheDa
 	return s
 }
 
-// textRepr is one identity frame text representation: its name, media
-// type and encoder, and the count of renders its weak bodies cost.
-type textRepr struct {
-	repr, contentType string
-	render            func(*source.Frame) ([]byte, error) // seam for render-failure tests
-	renders           *obsv.Counter
+// repr is one representation of a dataset-day on the report routes,
+// with the facts of it serveReport needs.
+type repr struct {
+	name        string // ETag variant and artifact part: "csv", "json", "bin", "binz", "legacy"
+	contentType string
+	gzip        bool // negotiates a gzip body
+	// legacy marks the APNIC alias, /v1/reports/{date}.csv: its path
+	// alone fixes its representation, so it varies on Accept-Encoding
+	// alone, and its errors are plain text.
+	legacy bool
+	// held returns the identity body the day's artifact holds (bin,
+	// binz, legacy), with its validator when the bytes are their own
+	// canonical form. It is nil for the text representations, whose
+	// weakly held bodies render renders.
+	held    func(*source.Artifact) source.Body
+	render  func(*source.Frame) ([]byte, error) // seam for render-failure tests
+	renders *obsv.Counter
 }
 
-// fill renders a day's body for Artifact.WeakBody, counting the render.
-func (t *textRepr) fill(f *source.Frame) ([]byte, error) {
-	t.renders.Inc()
-	return t.render(f)
+// encoded adapts an artifact encoding (Bin, Binz) to repr.held.
+func encoded(enc func(*source.Artifact) ([]byte, error)) func(*source.Artifact) source.Body {
+	return func(a *source.Artifact) source.Body {
+		b, err := enc(a)
+		return source.Body{Bytes: b, Err: err}
+	}
+}
+
+// fill renders a day's text body for Artifact.WeakBody, counting the
+// render.
+func (p *repr) fill(f *source.Frame) ([]byte, error) {
+	p.renders.Inc()
+	return p.render(f)
+}
+
+// fail writes an error in the shape of the representation's route:
+// plain text on the legacy route, JSON on the generic ones.
+func (p *repr) fail(w http.ResponseWriter, code int, msg string) {
+	if p.legacy {
+		http.Error(w, msg, code)
+		return
+	}
+	jsonError(w, code, msg)
 }
 
 // jsonBody is v as json.Encoder writes it, trailing newline included.
@@ -196,75 +234,64 @@ func (s *Server) Metrics() *obsv.Registry { return s.metrics }
 // Registry exposes the dataset roster the server serves.
 func (s *Server) Registry() *source.Registry { return s.reg }
 
-// routeLabel collapses request paths onto their route patterns so the
-// per-route metric series stay bounded no matter what clients request.
-// Dataset segments are kept only for registered datasets (a bounded set);
-// everything else collapses to "other".
-func (s *Server) routeLabel(r *http.Request) string {
-	p := r.URL.Path
-	switch {
-	case strings.HasPrefix(p, "/v1/reports/"):
-		return "/v1/reports/:date"
-	case strings.HasPrefix(p, "/v1/series/"):
-		return "/v1/series/:asn"
-	case strings.HasPrefix(p, "/v1/live/"):
-		return "/v1/live/:cc"
-	case p == "/v1/dates", p == "/healthz", p == "/metrics":
-		return p
-	}
-	if rest, ok := strings.CutPrefix(p, "/v1/"); ok {
-		name, tail, _ := strings.Cut(rest, "/")
-		if _, known := s.reg.Lookup(name); known {
-			switch {
-			case tail == "dates":
-				return "/v1/" + name + "/dates"
-			case strings.HasPrefix(tail, "reports/"):
-				return "/v1/" + name + "/reports/:date"
-			case strings.HasPrefix(tail, "series/"):
-				return "/v1/" + name + "/series/:key"
-			}
-		}
-	}
-	return "other"
-}
-
 // Handler returns the HTTP handler, instrumented with per-route metrics
 // and (when s.Log is set) request logging.
 //
-// Routing is two-tier because Go 1.22 mux precedence demands it: the
-// legacy literal patterns (/v1/reports/{date}) and the generic wildcard
-// patterns (/v1/{dataset}/dates) overlap with neither more specific, so
-// registering both in one mux panics. The outer mux owns the legacy
-// routes plus the /v1/ subtree; the subtree is strictly less specific
-// than every literal pattern, so legacy paths win and everything else
-// falls through to the generic inner mux.
+// Each route is declared once, in one mux, under a GET pattern whose
+// wildcards {x} become :x in its metric label. The datasets served are
+// those registered when Handler is called, each under literal patterns
+// of its own (/v1/cdn/dates), which never conflict with the legacy
+// literals the way a {dataset} wildcard would. The /v1/ catch-all is
+// less specific than every route and answers what none of them serves.
 func (s *Server) Handler() http.Handler {
-	inner := http.NewServeMux()
-	inner.HandleFunc("GET /v1/{dataset}/dates", s.handleDatasetDates)
-	inner.HandleFunc("GET /v1/{dataset}/reports/{date}", s.handleDatasetReport)
-	inner.HandleFunc("GET /v1/{dataset}/series/{key}", s.handleDatasetSeries)
-
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+	labels := strings.NewReplacer("{", ":", "}", "")
+	handle := func(path string, h http.HandlerFunc) {
+		mux.Handle("GET "+path, obsv.Labeled(labels.Replace(path), h))
+	}
+	handle("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		io.WriteString(w, "ok\n")
 	})
-	mux.HandleFunc("GET /v1/dates", s.handleDates)
-	mux.HandleFunc("GET /v1/reports/{date}", s.handleReport)
-	mux.HandleFunc("GET /v1/series/{asn}", s.handleSeries)
-	mux.HandleFunc("GET /v1/live/{country}", s.handleLive)
-	mux.Handle("GET /metrics", s.metrics.Handler())
-	mux.Handle("/v1/", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if _, pattern := inner.Handler(r); pattern == "" {
-			jsonError(w, http.StatusNotFound, "no such route")
-			return
-		}
-		// Serve through the mux (not the matched handler directly) so the
-		// inner patterns' path values are bound on the request.
-		inner.ServeHTTP(w, r)
-	}))
-	mw := &obsv.HTTPMetrics{Registry: s.metrics, Log: s.Log, Route: s.routeLabel}
+	handle("/metrics", s.metrics.Handler().ServeHTTP)
+	handle("/v1/dates", s.handleDates)
+	handle("/v1/reports/{date}", s.handleReport)
+	handle("/v1/series/{asn}", s.handleSeries)
+	handle("/v1/live/{cc}", s.handleLive)
+	for _, name := range s.reg.Names() {
+		src, _ := s.reg.Lookup(name)
+		datesBody := jsonBody(DatasetDates{
+			Dataset: name, First: s.first.String(), Last: s.last.String(), Cadence: src.Window().Cadence,
+		})
+		handle("/v1/"+name+"/dates", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			w.Write(datesBody)
+		})
+		handle("/v1/"+name+"/reports/{date}", func(w http.ResponseWriter, r *http.Request) {
+			s.handleDatasetReport(w, r, name)
+		})
+		handle("/v1/"+name+"/series/{key}", func(w http.ResponseWriter, r *http.Request) {
+			s.handleDatasetSeries(w, r, name)
+		})
+	}
+	mux.HandleFunc("/v1/", s.handleUnrouted)
+	mw := &obsv.HTTPMetrics{Registry: s.metrics, Log: s.Log}
 	return mw.Wrap(mux)
+}
+
+// handleUnrouted answers a /v1/ path no route serves with a JSON 404
+// that names the dataset when the request has a dataset route's method
+// and shape but its dataset is not served.
+func (s *Server) handleUnrouted(w http.ResponseWriter, r *http.Request) {
+	name, tail, _ := strings.Cut(strings.TrimPrefix(r.URL.Path, "/v1/"), "/")
+	family, arg, _ := strings.Cut(tail, "/")
+	datasetShaped := tail == "dates" || (family == "reports" || family == "series") && arg != "" && !strings.Contains(arg, "/")
+	if name != "" && datasetShaped && (r.Method == http.MethodGet || r.Method == http.MethodHead) {
+		jsonError(w, http.StatusNotFound,
+			fmt.Sprintf("unknown dataset %q (served: %s)", name, strings.Join(s.reg.Names(), ", ")))
+		return
+	}
+	jsonError(w, http.StatusNotFound, "no such route")
 }
 
 // errorBody is the JSON error shape of the generic dataset routes.
@@ -280,19 +307,6 @@ func jsonError(w http.ResponseWriter, code int, msg string) {
 	json.NewEncoder(w).Encode(errorBody{Error: msg})
 }
 
-// lookupDataset resolves the {dataset} path segment, writing the
-// satellite JSON 404 when the name is unknown.
-func (s *Server) lookupDataset(w http.ResponseWriter, r *http.Request) (source.Source, bool) {
-	name := r.PathValue("dataset")
-	src, ok := s.reg.Lookup(name)
-	if !ok {
-		jsonError(w, http.StatusNotFound,
-			fmt.Sprintf("unknown dataset %q (served: %s)", name, strings.Join(s.reg.Names(), ", ")))
-		return nil, false
-	}
-	return src, true
-}
-
 // DatasetDates is the /v1/{dataset}/dates response body.
 type DatasetDates struct {
 	Dataset string `json:"dataset"`
@@ -301,141 +315,60 @@ type DatasetDates struct {
 	Cadence string `json:"cadence"`
 }
 
-func (s *Server) handleDatasetDates(w http.ResponseWriter, r *http.Request) {
-	src, ok := s.lookupDataset(w, r)
-	if !ok {
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(s.datasetDates[src.Name()])
-}
-
 // handleDatasetReport serves one dataset-day in one of four
 // representations: "{date}.csv" as frame CSV, "{date}.bin" (or a bare
 // date with Accept: application/x-frame-bin) as the binary columnar
 // encoding, "{date}.binz" (or Accept: application/x-frame-binz) as the
 // compressed binary encoding, and a bare "{date}" otherwise as frame
-// JSON. All four carry a strong ETag derived from the frame content
-// hash (variant-suffixed, so no two representations share a validator)
-// and negotiate gzip through serveImmutable — except binz, which is
-// already entropy-coded and always serves identity. Binary bodies are
-// the day artifact's memoized encodings; text bodies its weakly held
-// renders, which serveImmutable fetches only once no 304, HEAD or gzip
-// hit can answer without them.
-func (s *Server) handleDatasetReport(w http.ResponseWriter, r *http.Request) {
-	src, ok := s.lookupDataset(w, r)
-	if !ok {
-		return
-	}
-	name := r.PathValue("date")
-	var wantCSV, wantBin, wantBinz bool
+// JSON. A client naming both frame media types gets binz, the denser
+// one; the wildcard types a browser sends (*/*, application/*) name
+// neither, so it keeps getting JSON.
+func (s *Server) handleDatasetReport(w http.ResponseWriter, r *http.Request, dataset string) {
+	name, p := r.PathValue("date"), &s.jsonText
 	if trimmed, ok := strings.CutSuffix(name, ".csv"); ok {
-		name, wantCSV = trimmed, true
+		name, p = trimmed, &s.csvText
 	} else if trimmed, ok := strings.CutSuffix(name, framez.Suffix); ok {
-		name, wantBinz = trimmed, true
+		name, p = trimmed, &s.binz
 	} else if trimmed, ok := strings.CutSuffix(name, binfmt.Suffix); ok {
-		name, wantBin = trimmed, true
-	} else if accept := r.Header.Get("Accept"); acceptsFrameBinz(accept) {
-		// A client naming both frame media types gets the compressed one.
-		wantBinz = true
-	} else {
-		wantBin = acceptsFrameBin(accept)
+		name, p = trimmed, &s.bin
+	} else if accept := r.Header.Get("Accept"); acceptsMediaType(accept, framez.ContentType) {
+		p = &s.binz
+	} else if acceptsMediaType(accept, binfmt.ContentType) {
+		p = &s.bin
 	}
 	d, err := dates.Parse(name)
 	if err != nil {
 		jsonError(w, http.StatusBadRequest, "bad date (want YYYY-MM-DD, YYYY-MM-DD.csv, YYYY-MM-DD.bin or YYYY-MM-DD.binz)")
 		return
 	}
-	if d.Before(s.first) || d.After(s.last) {
-		jsonError(w, http.StatusNotFound, "date out of served range")
+	s.serveReport(w, r, dataset, d, p)
+}
+
+// handleReport serves /v1/reports/{date}.csv, the legacy alias of the
+// apnic dataset in the native report CSV layout.
+func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
+	name, ok := strings.CutSuffix(r.PathValue("date"), ".csv")
+	if !ok {
+		http.Error(w, "want /v1/reports/<YYYY-MM-DD>.csv", http.StatusNotFound)
 		return
 	}
-	a, err := s.reg.Artifact(src.Name(), d)
-	var binBody []byte
-	if err == nil {
-		switch {
-		case wantBin:
-			binBody, err = a.Bin()
-		case wantBinz:
-			binBody, err = a.Binz()
-		}
-	}
+	d, err := dates.Parse(name)
 	if err != nil {
-		s.renderErrs.Inc()
-		if s.Log != nil {
-			s.Log.Printf("render error dataset=%s date=%s err=%q", src.Name(), d, err)
-		}
-		jsonError(w, http.StatusInternalServerError, "report generation failed: "+err.Error())
+		http.Error(w, "bad date", http.StatusBadRequest)
 		return
 	}
-	b := immutableBody{
-		art:     a,
-		dataset: src.Name(),
-		day:     d,
-		hash:    a.Hash(),
-		fail: func(code int, msg string) {
-			s.renderErrs.Inc()
-			jsonError(w, code, msg)
-		},
-	}
-	// The generic report routes negotiate their representation from the
-	// Accept header, so every response (all four representations — the
-	// suffix paths serve the same resources) must tell shared caches the
-	// body varies on it.
-	b.varyAccept = true
-	switch {
-	case wantBin:
-		b.repr, b.contentType = "bin", binfmt.ContentType
-		b.body = binBody
-	case wantBinz:
-		b.repr, b.contentType = "binz", framez.ContentType
-		b.body = binBody
-		// Already entropy-coded: gzip on top costs CPU on both ends for
-		// negative savings, so the representation is identity-only and
-		// never gets a pre-compressed body.
-		b.noGzip = true
-	default:
-		t := &s.jsonText
-		if wantCSV {
-			t = &s.csvText
-		}
-		b.repr, b.contentType, b.text = t.repr, t.contentType, t
-	}
-	s.serveImmutable(w, r, b)
+	s.serveReport(w, r, apnic.DatasetName, d, &s.legacy)
 }
 
-// immutableBody describes one immutable dataset-day representation for
-// serveImmutable: a materialized identity body (legacy CSV, bin, binz)
-// held by the day's artifact, or a text representation whose weakly
-// held body is fetched from the artifact only when the response needs
-// it. Exactly one of body and text is set.
-type immutableBody struct {
-	repr        string           // representation key: "csv", "json", "bin", "binz", "legacy"
-	art         *source.Artifact // the day; its gzip bodies are memoized here
-	dataset     string
-	day         dates.Date
-	contentType string
-	hash        string    // content hash, the ETag base
-	body        []byte    // identity bytes, when already materialized
-	text        *textRepr // weakly held identity text otherwise
-	omitLen     bool      // leave the identity Content-Length to net/http
-	noGzip      bool      // pre-compressed representation: identity only
-	varyAccept  bool      // representation was negotiated from Accept
-	fail        func(code int, msg string)
-}
-
-// identity returns the identity body, rendering a text body the
-// collector dropped.
-func (b *immutableBody) identity() ([]byte, error) {
-	if b.text == nil {
-		return b.body, nil
-	}
-	return b.art.WeakBody(b.repr, b.text.fill)
-}
-
-// serveImmutable finishes a report response: ETag / If-None-Match
-// validation, Accept-Encoding negotiation, gzip bodies memoized on the
-// day's artifact, and identity bodies written whole.
+// serveReport serves one dataset-day in representation p: the day's
+// artifact, ETag / If-None-Match validation, Accept-Encoding
+// negotiation, gzip bodies memoized on the artifact, and identity
+// bodies written whole. Every representation carries a strong ETag,
+// variant-suffixed so no two representations share a validator: the
+// frame content hash, or the body's own hash where the bytes are their
+// canonical form (legacy). Held bodies (bin, binz, legacy) are fetched
+// before validation; text bodies only once no 304, HEAD or gzip hit can
+// answer without them.
 //
 // Ordering is load-bearing. The 304 check runs before any rendering so a
 // revalidation costs one memoized hash lookup, and HEAD answers before
@@ -443,25 +376,43 @@ func (b *immutableBody) identity() ([]byte, error) {
 // the identity body — never teed off a live response — so a
 // mid-download disconnect cannot poison it. Every fallible step runs
 // before the first body byte, so a failure is a clean 500.
-func (s *Server) serveImmutable(w http.ResponseWriter, r *http.Request, b immutableBody) {
-	gz := !b.noGzip && acceptsGzip(r.Header.Get("Accept-Encoding"))
-	variant := b.repr
+func (s *Server) serveReport(w http.ResponseWriter, r *http.Request, dataset string, d dates.Date, p *repr) {
+	if d.Before(s.first) || d.After(s.last) {
+		p.fail(w, http.StatusNotFound, "date out of served range")
+		return
+	}
+	gz := p.gzip && acceptsGzip(r.Header.Get("Accept-Encoding"))
+	variant := p.name
 	if gz {
 		variant += ".gz"
 	}
-	etag := source.FormatETag(b.hash, variant)
+	a, err := s.reg.Artifact(dataset, d)
+	var held source.Body
+	if err == nil && p.held != nil {
+		held = p.held(a)
+		err = held.Err
+	}
+	if err != nil {
+		s.renderFailed(w, p, dataset, d, variant, err)
+		return
+	}
+	hash := held.Hash
+	if hash == "" {
+		hash = a.Hash()
+	}
+	etag := source.FormatETag(hash, variant)
 	h := w.Header()
-	if b.varyAccept {
+	if p.legacy {
+		// The legacy path fixes its representation; its headers (like its
+		// bytes) are pinned by the compatibility tests.
+		h.Set("Vary", "Accept-Encoding")
+	} else {
 		// The generic routes pick csv/json/bin/binz from the Accept header
 		// (the bare-date path most visibly): without Accept in Vary a
 		// shared cache could answer a browser's JSON request with a binary
 		// body stored for a frame client. Sent on 304s too — revalidation
 		// updates stored response metadata.
 		h.Set("Vary", "Accept, Accept-Encoding")
-	} else {
-		// Legacy routes serve one fixed representation per path; their
-		// headers (like their bytes) are pinned by the compatibility tests.
-		h.Set("Vary", "Accept-Encoding")
 	}
 	h.Set("ETag", etag)
 	h.Set("Cache-Control", "public, max-age=86400")
@@ -470,21 +421,21 @@ func (s *Server) serveImmutable(w http.ResponseWriter, r *http.Request, b immuta
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	h.Set("Content-Type", b.contentType)
+	h.Set("Content-Type", p.contentType)
 	if r.Method == http.MethodHead {
 		// Go 1.22 "GET /..." patterns also match HEAD, and before this
 		// check a HEAD request fell through to the body paths: the text
 		// routes rendered a full body net/http then had to discard.
 		// Answer with the negotiated headers alone. Content-Length is
-		// declared only for an identity body held with the day that GET
-		// declares it for; gzip and text lengths are unknown without
-		// rendering, which is exactly the work HEAD exists to skip.
+		// declared only for an identity body held with the day; gzip and
+		// text lengths are unknown without rendering, which is exactly
+		// the work HEAD exists to skip.
 		if gz {
 			h.Set("Content-Encoding", "gzip")
 			s.encGzip.Inc()
 		} else {
-			if b.body != nil && !b.omitLen {
-				h.Set("Content-Length", strconv.Itoa(len(b.body)))
+			if p.held != nil {
+				h.Set("Content-Length", strconv.Itoa(len(held.Bytes)))
 			}
 			s.encIdentity.Inc()
 		}
@@ -492,23 +443,13 @@ func (s *Server) serveImmutable(w http.ResponseWriter, r *http.Request, b immuta
 		return
 	}
 	var body []byte
-	var err error
 	if gz {
-		body, err = s.gzipBody(&b)
+		body, err = s.gzipBody(a, p, held.Bytes)
 	} else {
-		body, err = b.identity()
+		body, err = p.identity(a, held.Bytes)
 	}
 	if err != nil {
-		if s.Log != nil {
-			s.Log.Printf("render error dataset=%s repr=%s gzip=%t date=%s err=%q", b.dataset, b.repr, gz, b.day, err)
-		}
-		// Strip the success-only headers: a 500 carrying a public
-		// max-age Cache-Control (or a validator) could get cached.
-		h.Del("ETag")
-		h.Del("Cache-Control")
-		h.Del("Vary")
-		h.Del("Content-Type")
-		b.fail(http.StatusInternalServerError, "report generation failed: "+err.Error())
+		s.renderFailed(w, p, dataset, d, variant, err)
 		return
 	}
 	if gz {
@@ -517,15 +458,34 @@ func (s *Server) serveImmutable(w http.ResponseWriter, r *http.Request, b immuta
 	} else {
 		s.encIdentity.Inc()
 	}
-	// Content-Length is deliberately not set for the legacy route's
-	// identity body: net/http chunks large bodies exactly as it did
-	// before the conditional layer existed, keeping those responses
-	// byte-identical on the wire. Every other body is whole in memory,
-	// so its length is known and safe to declare.
-	if gz || !b.omitLen {
-		h.Set("Content-Length", strconv.Itoa(len(body)))
-	}
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.Write(body)
+}
+
+// renderFailed answers a report whose day or body failed to build:
+// counted, logged, and a 500 in the route's error shape, stripped of
+// the success-only headers (a 500 carrying a public max-age
+// Cache-Control, or a validator, could get cached).
+func (s *Server) renderFailed(w http.ResponseWriter, p *repr, dataset string, d dates.Date, variant string, err error) {
+	s.renderErrs.Inc()
+	if s.Log != nil {
+		s.Log.Printf("render error dataset=%s repr=%s date=%s err=%q", dataset, variant, d, err)
+	}
+	h := w.Header()
+	for _, k := range []string{"ETag", "Cache-Control", "Vary", "Content-Type"} {
+		h.Del(k)
+	}
+	p.fail(w, http.StatusInternalServerError, "report generation failed: "+err.Error())
+}
+
+// identity returns the identity body of day a in representation p:
+// the held bytes, or the weakly held text body, rendered again if the
+// collector dropped it.
+func (p *repr) identity(a *source.Artifact, held []byte) ([]byte, error) {
+	if p.held != nil {
+		return held, nil
+	}
+	return a.WeakBody(p.name, p.fill)
 }
 
 // gzipWriters pools gzip.Writer instances for the gzip body fill path.
@@ -554,9 +514,9 @@ var gzipBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // body the request holds, never a client connection's bytes, so partial
 // client reads cannot poison it; and gzip output is deterministic for a
 // fixed input and level, so a refill after eviction is byte-identical.
-func (s *Server) gzipBody(b *immutableBody) ([]byte, error) {
-	gz := b.art.Body(b.repr+".gz", func(*source.Frame) source.Body {
-		body, err := b.identity()
+func (s *Server) gzipBody(a *source.Artifact, p *repr, held []byte) ([]byte, error) {
+	gz := a.Body(p.name+".gz", func(*source.Frame) source.Body {
+		body, err := p.identity(a, held)
 		if err != nil {
 			return source.Body{Err: err}
 		}
@@ -597,6 +557,10 @@ type GenericSeriesResponse struct {
 	Points  []GenericSeriesPoint `json:"points"`
 }
 
+// errNotASKey is seriesSelector's error for an apnic key without its
+// "AS" prefix; the legacy series route answers it 404, in its own words.
+var errNotASKey = errors.New("want /v1/" + apnic.DatasetName + "/series/AS<asn>")
+
 // seriesSelector maps a dataset's route key to the frame columns that
 // identify one row and the cells to find in them. Unified rule: itu rows
 // are keyed by country alone (the key IS the cc); apnic rows by (AS, cc);
@@ -609,7 +573,7 @@ func seriesSelector(dataset, key, cc string) (cols, cells []string, country stri
 	case apnic.DatasetName:
 		digits, ok := strings.CutPrefix(key, "AS")
 		if !ok {
-			return nil, nil, "", fmt.Errorf("want /v1/%s/series/AS<asn>", dataset)
+			return nil, nil, "", errNotASKey
 		}
 		asn, err := strconv.ParseUint(digits, 10, 32)
 		if err != nil {
@@ -669,15 +633,17 @@ func newRowKey(cols, cells []string) rowKey {
 // find returns f's first matching row, or -1. A key column f lacks
 // matches nothing, nor does a float one: no series is keyed on one.
 // The first key column is scanned with a typed loop; the others are
-// checked only on its hits.
+// checked only on its hits. Keys have at most two columns, so the
+// column list stays on the stack.
 func (k rowKey) find(f *source.Frame) int {
-	cs := make([]*source.Column, len(k.cols))
+	var buf [2]*source.Column
+	cs := buf[:0]
 	for i, name := range k.cols {
 		c := f.Col(name)
 		if c == nil || c.Kind == source.Float || c.Kind == source.Int && !k.isInt[i] {
 			return -1
 		}
-		cs[i] = c
+		cs = append(cs, c)
 	}
 	if first := cs[0]; first.Kind == source.Int {
 		for row, v := range first.Ints {
@@ -709,13 +675,9 @@ func (k rowKey) matchRest(cs []*source.Column, row int) bool {
 
 // handleDatasetSeries serves a per-row time series for any dataset: the
 // generic analogue of the legacy per-AS series route.
-func (s *Server) handleDatasetSeries(w http.ResponseWriter, r *http.Request) {
-	src, ok := s.lookupDataset(w, r)
-	if !ok {
-		return
-	}
+func (s *Server) handleDatasetSeries(w http.ResponseWriter, r *http.Request, dataset string) {
 	q := r.URL.Query()
-	cols, cells, cc, err := seriesSelector(src.Name(), r.PathValue("key"), q.Get("cc"))
+	cols, cells, cc, err := seriesSelector(dataset, r.PathValue("key"), q.Get("cc"))
 	if err != nil {
 		jsonError(w, http.StatusBadRequest, err.Error())
 		return
@@ -724,8 +686,8 @@ func (s *Server) handleDatasetSeries(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	resp := GenericSeriesResponse{Dataset: src.Name(), Key: r.PathValue("key"), Country: cc}
-	err = s.seriesRows(src.Name(), dates.Range(from, to, step), cols, cells, func(d dates.Date, f *source.Frame, i int) {
+	resp := GenericSeriesResponse{Dataset: dataset, Key: r.PathValue("key"), Country: cc}
+	err = s.seriesRows(dataset, dates.Range(from, to, step), cols, cells, func(d dates.Date, f *source.Frame, i int) {
 		vals := map[string]float64{}
 		for _, c := range f.Cols {
 			if slices.Contains(cols, c.Name) {
@@ -813,33 +775,27 @@ type SeriesResponse struct {
 
 // handleSeries serves the per-(country, AS) daily series — the view the
 // paper's footnote 2 links for Bouygues Telecom on the real site. It is
-// the legacy alias of /v1/apnic/series/{asn}; its response shape and
-// error strings are pinned by the byte-identity tests.
+// the legacy alias of /v1/apnic/series/{asn}, parsed by the same
+// seriesSelector; its response shape and error strings are pinned by
+// the byte-identity tests.
 func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("asn")
-	if !strings.HasPrefix(name, "AS") {
+	q := r.URL.Query()
+	cols, cells, cc, err := seriesSelector(apnic.DatasetName, r.PathValue("asn"), q.Get("cc"))
+	switch {
+	case err == errNotASKey:
 		http.Error(w, "want /v1/series/AS<asn>", http.StatusNotFound)
 		return
-	}
-	asn64, err := strconv.ParseUint(strings.TrimPrefix(name, "AS"), 10, 32)
-	if err != nil {
-		http.Error(w, "bad ASN", http.StatusBadRequest)
-		return
-	}
-	q := r.URL.Query()
-	cc := q.Get("cc")
-	if cc == "" {
-		http.Error(w, "missing cc parameter", http.StatusBadRequest)
+	case err != nil:
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	from, to, step, ok := s.seriesRange(q, func(code int, msg string) { http.Error(w, msg, code) })
 	if !ok {
 		return
 	}
-
-	resp := SeriesResponse{ASN: uint32(asn64), Country: cc}
-	cells := []string{strconv.FormatUint(asn64, 10), cc}
-	err = s.seriesRows(apnic.DatasetName, dates.Range(from, to, step), apnicSeriesCols, cells, func(d dates.Date, f *source.Frame, i int) {
+	asn, _ := strconv.ParseUint(cells[0], 10, 32) // seriesSelector's canonical decimal
+	resp := SeriesResponse{ASN: uint32(asn), Country: cc}
+	err = s.seriesRows(apnic.DatasetName, dates.Range(from, to, step), cols, cells, func(d dates.Date, f *source.Frame, i int) {
 		resp.Points = append(resp.Points, SeriesPoint{
 			Date: d.String(), Users: f.Col("Estimated Users").Floats[i], Samples: f.Col("Samples").Ints[i],
 		})
@@ -861,55 +817,6 @@ type DateRange struct {
 func (s *Server) handleDates(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(s.dates)
-}
-
-func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("date")
-	if !strings.HasSuffix(name, ".csv") {
-		http.Error(w, "want /v1/reports/<YYYY-MM-DD>.csv", http.StatusNotFound)
-		return
-	}
-	d, err := dates.Parse(strings.TrimSuffix(name, ".csv"))
-	if err != nil {
-		http.Error(w, "bad date", http.StatusBadRequest)
-		return
-	}
-	if d.Before(s.first) || d.After(s.last) {
-		http.Error(w, "date out of served range", http.StatusNotFound)
-		return
-	}
-	a, err := s.reg.Artifact(apnic.DatasetName, d)
-	var legacy source.Body
-	if err == nil {
-		legacy = a.Body("legacy", s.legacyCSV)
-		err = legacy.Err
-	}
-	if err != nil {
-		// The old handler swallowed err here, leaving operators with an
-		// opaque 500 and no counter to alert on.
-		s.renderErrs.Inc()
-		if s.Log != nil {
-			s.Log.Printf("render error date=%s err=%q", d, err)
-		}
-		http.Error(w, "report generation failed: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
-	// The "legacy" repr keys its own gzip body because these bytes differ
-	// from the frame-CSV codec's.
-	s.serveImmutable(w, r, immutableBody{
-		repr:        "legacy",
-		art:         a,
-		dataset:     apnic.DatasetName,
-		day:         d,
-		contentType: "text/csv; charset=utf-8",
-		hash:        legacy.Hash,
-		body:        legacy.Bytes,
-		omitLen:     true,
-		fail: func(code int, msg string) {
-			s.renderErrs.Inc()
-			http.Error(w, msg, code)
-		},
-	})
 }
 
 // legacyCSV renders the APNIC frame in the native report CSV layout,

@@ -33,8 +33,8 @@ func TestAcceptsFrameBin(t *testing.T) {
 		{`text/html, */*;q=0.8`, false},
 	}
 	for _, tc := range cases {
-		if got := acceptsFrameBin(tc.header); got != tc.want {
-			t.Errorf("acceptsFrameBin(%q) = %v, want %v", tc.header, got, tc.want)
+		if got := acceptsMediaType(tc.header, binfmt.ContentType); got != tc.want {
+			t.Errorf("acceptsMediaType(%q, %q) = %v, want %v", tc.header, binfmt.ContentType, got, tc.want)
 		}
 	}
 }

@@ -36,15 +36,15 @@ func TestAcceptsFrameBinz(t *testing.T) {
 		{`application/*`, false}, // ditto
 	}
 	for _, tc := range cases {
-		if got := acceptsFrameBinz(tc.header); got != tc.want {
-			t.Errorf("acceptsFrameBinz(%q) = %v, want %v", tc.header, got, tc.want)
+		if got := acceptsMediaType(tc.header, framez.ContentType); got != tc.want {
+			t.Errorf("acceptsMediaType(%q, %q) = %v, want %v", tc.header, framez.ContentType, got, tc.want)
 		}
 	}
 }
 
 // TestVaryAcceptOnReportRoutes is the regression suite for the Vary
 // header: the generic report routes negotiate their representation from
-// Accept (acceptsFrameBin/acceptsFrameBinz on the bare-date path), so a
+// Accept (acceptsMediaType on the bare-date path), so a
 // shared cache keying only on Accept-Encoding could serve a binary body
 // to a browser that asked for JSON. Every generic report response —
 // including 304s, which caches also store — must list Accept in Vary.

@@ -20,7 +20,7 @@ package apnicweb
 // always compressed from the identity body, never from a live client
 // stream, so a client that disconnects mid-response can never poison it
 // with a truncated body. Identity CSV/JSON bodies are held weakly
-// instead (see serveImmutable in apnicweb.go): their memory is the
+// instead (see serveReport in apnicweb.go): their memory is the
 // collector's to reclaim, and a dropped body renders again.
 
 import (
@@ -28,9 +28,6 @@ import (
 	"encoding/hex"
 	"strconv"
 	"strings"
-
-	"repro/internal/source/binfmt"
-	"repro/internal/source/framez"
 )
 
 // etagMatch reports whether any entity tag in an If-None-Match header
@@ -48,10 +45,10 @@ func etagMatch(ifNoneMatch, etag string) bool {
 	want := strings.TrimPrefix(etag, "W/")
 	// Our tags are quoted hex with no embedded commas, so a comma split is
 	// an exact field separation for any list a client can echo back.
-	for _, tag := range strings.Split(ifNoneMatch, ",") {
-		tag = strings.TrimSpace(tag)
-		tag = strings.TrimPrefix(tag, "W/")
-		if tag == want {
+	for rest := ifNoneMatch; rest != ""; {
+		var tag string
+		tag, rest, _ = strings.Cut(rest, ",")
+		if strings.TrimPrefix(strings.TrimSpace(tag), "W/") == want {
 			return true
 		}
 	}
@@ -67,39 +64,31 @@ func etagMatch(ifNoneMatch, etag string) bool {
 // — proxies that strip Accept-Encoding must get uncompressed bytes.
 func acceptsGzip(acceptEncoding string) bool {
 	wildcard := false
-	for _, part := range strings.Split(acceptEncoding, ",") {
+	for rest := acceptEncoding; rest != ""; {
+		var part string
+		part, rest, _ = strings.Cut(rest, ",")
 		coding, params, _ := strings.Cut(part, ";")
 		q, ok := qValue(params)
 		refused := ok && q == 0
-		switch strings.ToLower(strings.TrimSpace(coding)) {
-		case "gzip", "x-gzip":
+		switch coding = strings.TrimSpace(coding); {
+		case strings.EqualFold(coding, "gzip"), strings.EqualFold(coding, "x-gzip"):
 			return !refused
-		case "*":
+		case coding == "*":
 			wildcard = wildcard || !refused
 		}
 	}
 	return wildcard
 }
 
-// acceptsFrameBin reports whether the request's Accept header asks for
-// the binary frame representation: an application/x-frame-bin member
-// whose q-value is not zero. The wildcard types text routes default to
-// (*/*, application/*) deliberately do NOT select binary — a browser
-// must keep getting JSON; only a client that names the media type opts
-// into the binary plane.
-func acceptsFrameBin(accept string) bool {
-	return acceptsMediaType(accept, binfmt.ContentType)
-}
-
-// acceptsFrameBinz is the same opt-in for the compressed binary
-// representation (application/x-frame-binz). A client naming both frame
-// media types gets binz: it asked for the denser plane.
-func acceptsFrameBinz(accept string) bool {
-	return acceptsMediaType(accept, framez.ContentType)
-}
-
+// acceptsMediaType reports whether an Accept header asks for the media
+// type want: a member naming it whose q-value is not zero. The wildcard
+// types text routes default to (*/*, application/*) deliberately do NOT
+// select it, so the frame media types are opt-in: a browser keeps
+// getting JSON, and only a client that names a binary type gets one.
 func acceptsMediaType(accept, want string) bool {
-	for _, part := range strings.Split(accept, ",") {
+	for rest := accept; rest != ""; {
+		var part string
+		part, rest, _ = strings.Cut(rest, ",")
 		mediaType, params, _ := strings.Cut(part, ";")
 		if !strings.EqualFold(strings.TrimSpace(mediaType), want) {
 			continue
@@ -115,8 +104,13 @@ func acceptsMediaType(accept, want string) bool {
 // qValue parses the q parameter out of an Accept-Encoding member's
 // parameter string (";q=0.5"). Returns ok=false when no q is present
 // (which HTTP treats as q=1).
+//
+// These header parsers walk their lists with strings.Cut: every report
+// request runs them, and strings.Split would allocate a slice per list.
 func qValue(params string) (float64, bool) {
-	for _, p := range strings.Split(params, ";") {
+	for rest := params; rest != ""; {
+		var p string
+		p, rest, _ = strings.Cut(rest, ";")
 		k, v, found := strings.Cut(strings.TrimSpace(p), "=")
 		if !found || !strings.EqualFold(strings.TrimSpace(k), "q") {
 			continue

@@ -73,7 +73,7 @@ func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 	// The country goes into the ETag verbatim, so it must be validated
 	// first: a quote would make the tag invalid and a comma would split it
 	// in etagMatch.
-	cc := r.PathValue("country")
+	cc := r.PathValue("cc")
 	if !isCountryCode(cc) {
 		jsonError(w, http.StatusBadRequest, "country must be two ASCII letters")
 		return
@@ -101,6 +101,11 @@ func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	h.Set("Content-Type", "application/json")
+	if r.Method == http.MethodHead {
+		// The headers are the whole answer: skip building the rows.
+		w.WriteHeader(http.StatusOK)
+		return
+	}
 	resp := LiveResponse{Country: cc, Date: d.String(), Window: rep.Window, Revision: rev}
 	for _, row := range rep.Rows {
 		if row.CC != cc {
@@ -114,9 +119,6 @@ func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 			PctCC:   row.PctCountry,
 			Samples: row.Samples,
 		})
-	}
-	if r.Method == http.MethodHead {
-		return
 	}
 	json.NewEncoder(w).Encode(resp)
 }

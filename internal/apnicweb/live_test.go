@@ -25,7 +25,7 @@ func TestHeadStreamingRoutes(t *testing.T) {
 	srv := newTestServer(0)
 	// Poison the text render seams: any attempt to render a body on the
 	// HEAD path shows up as a failure.
-	for _, text := range []*textRepr{&srv.csvText, &srv.jsonText} {
+	for _, text := range []*repr{&srv.csvText, &srv.jsonText} {
 		text.render = func(*source.Frame) ([]byte, error) {
 			return nil, errors.New("HEAD must not render")
 		}

@@ -35,6 +35,7 @@ type allocRoute struct {
 	name, path string
 	hdr        map[string]string
 	budget     float64
+	method     string // "" is GET
 }
 
 // allocRoutes lists every route and representation with its allocation
@@ -48,31 +49,32 @@ func allocRoutes() []allocRoute {
 		name, path string
 		budget     [3]float64 // identity, gzip, 304
 	}
-	reprs := []repr{{"apnic legacy", "/v1/reports/2024-04-21.csv", [3]float64{13, 18, 12}}}
+	reprs := []repr{{"apnic legacy", "/v1/reports/2024-04-21.csv", [3]float64{12, 15, 9}}}
 	for _, ds := range allDatasets {
 		day := "/v1/" + ds + "/reports/2024-04-21"
 		reprs = append(reprs,
-			repr{ds + " csv", day + ".csv", [3]float64{26, 29, 23}},
-			repr{ds + " json", day, [3]float64{28, 31, 25}},
-			repr{ds + " bin", day + binfmt.Suffix, [3]float64{26, 29, 23}},
-			repr{ds + " binz", day + framez.Suffix, [3]float64{24, 24, 21}})
+			repr{ds + " csv", day + ".csv", [3]float64{12, 15, 9}},
+			repr{ds + " json", day, [3]float64{12, 15, 9}},
+			repr{ds + " bin", day + binfmt.Suffix, [3]float64{12, 15, 9}},
+			repr{ds + " binz", day + framez.Suffix, [3]float64{12, 12, 9}})
 	}
 	var routes []allocRoute
 	for _, r := range reprs {
 		routes = append(routes,
-			allocRoute{r.name + " identity", r.path, map[string]string{"Accept-Encoding": "identity"}, r.budget[0]},
-			allocRoute{r.name + " gzip", r.path, map[string]string{"Accept-Encoding": "gzip"}, r.budget[1]},
-			allocRoute{r.name + " 304", r.path, map[string]string{"If-None-Match": "*"}, r.budget[2]})
+			allocRoute{r.name + " identity", r.path, map[string]string{"Accept-Encoding": "identity"}, r.budget[0], ""},
+			allocRoute{r.name + " gzip", r.path, map[string]string{"Accept-Encoding": "gzip"}, r.budget[1], ""},
+			allocRoute{r.name + " 304", r.path, map[string]string{"If-None-Match": "*"}, r.budget[2], ""})
 	}
 	row := testGen.Generate(dates.New(2024, 4, 21)).Rows[0]
 	asn, week := row.ASN, "?cc="+row.CC+"&from=2024-04-15&to=2024-04-21"
 	return append(routes,
-		allocRoute{"dates", "/v1/dates", nil, 4},
-		allocRoute{"dataset dates", "/v1/cdn/dates", nil, 14},
-		allocRoute{"series 7 points", "/v1/apnic/series/AS" + itoa(asn) + week, nil, 152},
-		allocRoute{"legacy series 7 points", "/v1/series/AS" + itoa(asn) + week, nil, 49},
-		allocRoute{"live", "/v1/live/FR", nil, 20},
-		allocRoute{"live 304", "/v1/live/FR", map[string]string{"If-None-Match": "*"}, 10},
+		allocRoute{"dates", "/v1/dates", nil, 4, ""},
+		allocRoute{"dataset dates", "/v1/cdn/dates", nil, 4, ""},
+		allocRoute{"series 7 points", "/v1/apnic/series/AS" + itoa(asn) + week, nil, 134, ""},
+		allocRoute{"legacy series 7 points", "/v1/series/AS" + itoa(asn) + week, nil, 43, ""},
+		allocRoute{"live", "/v1/live/FR", nil, 20, ""},
+		allocRoute{"live 304", "/v1/live/FR", map[string]string{"If-None-Match": "*"}, 10, ""},
+		allocRoute{"live HEAD", "/v1/live/FR", nil, 11, http.MethodHead},
 	)
 }
 
@@ -95,7 +97,11 @@ func TestRouteAllocBudgets(t *testing.T) {
 	srv.SetLive(est)
 	h := srv.Handler()
 	for _, rt := range allocRoutes() {
-		req := httptest.NewRequest(http.MethodGet, rt.path, nil)
+		method := rt.method
+		if method == "" {
+			method = http.MethodGet
+		}
+		req := httptest.NewRequest(method, rt.path, nil)
 		for k, v := range rt.hdr {
 			req.Header.Set(k, v)
 		}
@@ -106,7 +112,7 @@ func TestRouteAllocBudgets(t *testing.T) {
 			want = http.StatusNotModified
 		}
 		if w.code != want {
-			t.Fatalf("%s: GET %s answered %d, want %d", rt.name, rt.path, w.code, want)
+			t.Fatalf("%s: %s %s answered %d, want %d", rt.name, method, rt.path, w.code, want)
 		}
 		allocs := testing.AllocsPerRun(20, func() {
 			w.h = http.Header{}

@@ -27,7 +27,7 @@ type textHolder struct {
 // body they return. wait, when set, runs before each render.
 func holdTextRenders(srv *Server, wait func()) *textHolder {
 	h := &textHolder{}
-	for _, text := range []*textRepr{&srv.csvText, &srv.jsonText} {
+	for _, text := range []*repr{&srv.csvText, &srv.jsonText} {
 		render := text.render
 		text.render = func(f *source.Frame) ([]byte, error) {
 			if wait != nil {

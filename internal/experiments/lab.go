@@ -9,6 +9,7 @@ package experiments
 import (
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/apnic"
 	"repro/internal/astopo"
@@ -89,9 +90,9 @@ type Lab struct {
 
 	// Shared traceroute artifacts: the AS graph and campaign are built at
 	// most once per lab, and each (day, traces) campaign run at most once.
-	topo      syncx.Cache[struct{}, *astopo.Graph]
-	campaigns syncx.Cache[struct{}, *astopo.Campaign]
-	pops      syncx.Cache[popKey, *astopo.Popularity]
+	topo     func() *astopo.Graph    // sync.OnceValue
+	campaign func() *astopo.Campaign // sync.OnceValue
+	pops     syncx.Cache[popKey, *astopo.Popularity]
 
 	popReqs *obsv.Counter // path-popularity cache lookups
 	popGens *obsv.Counter // campaign runs (one per distinct (day, traces))
@@ -154,6 +155,10 @@ func NewLabScenario(seed uint64, scn *scenario.Scenario) (*Lab, error) {
 	l.dnsData = source.NewDays[*dnscount.Dataset](l.Metrics, "source", dnscount.DatasetName, LabCacheDays)
 	l.bbData = source.NewDays[*broadband.Dataset](l.Metrics, "source", broadband.DatasetName, LabCacheDays)
 	l.ixpData = source.NewDays[*ixp.Snapshot](l.Metrics, "source", ixp.DatasetName, LabCacheDays)
+	l.topo = sync.OnceValue(func() *astopo.Graph { return astopo.BuildGraph(l.W, l.Seed) })
+	l.campaign = sync.OnceValue(func() *astopo.Campaign {
+		return astopo.NewCampaign(l.W, l.Topology(), l.Seed, LabVantages)
+	})
 	l.popReqs = l.Metrics.Counter("lab_path_popularity_requests_total")
 	l.popGens = l.Metrics.Counter("lab_path_popularity_runs_total")
 	l.Metrics.GaugeFunc("lab_path_popularity_cache_entries", func() float64 { return float64(l.pops.Len()) })
@@ -194,20 +199,12 @@ func (l *Lab) IXPData(d dates.Date) *ixp.Snapshot {
 
 // Topology returns the lab's shared AS-relationship graph, built at most
 // once even under concurrent access.
-func (l *Lab) Topology() *astopo.Graph {
-	return l.topo.Get(struct{}{}, func() *astopo.Graph {
-		return astopo.BuildGraph(l.W, l.Seed)
-	})
-}
+func (l *Lab) Topology() *astopo.Graph { return l.topo() }
 
 // Campaign returns the shared traceroute campaign (LabVantages probes)
 // over the lab topology, built at most once. Per-vantage path trees are
 // memoized inside the campaign, so repeat days only pay for tracing.
-func (l *Lab) Campaign() *astopo.Campaign {
-	return l.campaigns.Get(struct{}{}, func() *astopo.Campaign {
-		return astopo.NewCampaign(l.W, l.Topology(), l.Seed, LabVantages)
-	})
-}
+func (l *Lab) Campaign() *astopo.Campaign { return l.campaign() }
 
 // PathPopularity returns the memoized campaign result for one
 // (day, tracesPerVantage) pair, running the campaign at most once per

@@ -140,7 +140,7 @@ func aggregate(scns []*scenario.Scenario, outcomes [][]worldOutcome, cfg Config,
 		flips := map[string]*FlipStat{}
 
 		for k, out := range outcomes[si] {
-			codes := sortedReportKeys(out.reports)
+			codes := sortedKeys(out.reports)
 			for _, cc := range codes {
 				r := out.reports[cc]
 				verdicts[r.Verdict.String()]++
@@ -182,10 +182,10 @@ func aggregate(scns []*scenario.Scenario, outcomes [][]worldOutcome, cfg Config,
 			}
 		}
 
-		for _, name := range sortedStatKeys(checks) {
+		for _, name := range sortedKeys(checks) {
 			sum.Checks = append(sum.Checks, *checks[name])
 		}
-		for _, name := range sortedFlipKeys(flips) {
+		for _, name := range sortedKeys(flips) {
 			sum.Flips = append(sum.Flips, *flips[name])
 		}
 		sum.Verdicts = verdicts
@@ -206,25 +206,9 @@ func findCheck(r *core.Report, name string) (core.CheckResult, bool) {
 	return core.CheckResult{}, false
 }
 
-func sortedReportKeys(m map[string]core.Report) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedStatKeys(m map[string]*CheckStat) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedFlipKeys(m map[string]*FlipStat) []string {
+// sortedKeys returns the keys of m in sorted order, the fixed iteration
+// order that keeps the report byte-identical.
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)

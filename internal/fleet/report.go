@@ -3,7 +3,6 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -79,7 +78,7 @@ func (r *Report) Markdown() string {
 		b.WriteString("\n")
 
 		fmt.Fprintf(&b, "Verdicts:")
-		for _, v := range sortedVerdictKeys(s.Verdicts) {
+		for _, v := range sortedKeys(s.Verdicts) {
 			fmt.Fprintf(&b, " %s=%d", v, s.Verdicts[v])
 		}
 		b.WriteString("\n\n")
@@ -98,13 +97,4 @@ func (r *Report) Markdown() string {
 		}
 	}
 	return b.String()
-}
-
-func sortedVerdictKeys(m map[string]int) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

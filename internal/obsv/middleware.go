@@ -14,19 +14,18 @@ import (
 //	http_response_bytes_total{route=...}       bytes written
 //
 // and, when Log is non-nil, emits one structured (logfmt-style) request
-// log line per request. The route label comes from Route, which callers
-// use to collapse parameterized paths (/v1/reports/2024-01-01.csv →
-// /v1/reports/:date) so series cardinality stays bounded; a nil Route
-// labels every request "other".
+// log line per request. Wrap measures every request; the route label is
+// the one Labeled fixed on the handler that served it, when the request
+// reached one inside Wrap, and "other" otherwise (a mux's own 404 or
+// 405, say), so client-chosen paths never become series.
 //
 // Metric pointers are resolved once per (route, class) and memoized, so
 // steady-state requests do a lock-free counter add and one histogram
 // observe — no map-string building on the hot path.
 type HTTPMetrics struct {
 	Registry *Registry
-	Log      *log.Logger                // nil disables request logging
-	Route    func(*http.Request) string // nil: every request is "other"
-	now      func() time.Time           // test hook; nil: time.Now
+	Log      *log.Logger      // nil disables request logging
+	now      func() time.Time // test hook; nil: time.Now
 
 	mu     sync.RWMutex
 	series map[routeClass]*routeSeries
@@ -90,6 +89,7 @@ type statusWriter struct {
 	http.ResponseWriter
 	status int
 	bytes  int64
+	route  string // set by a Labeled handler
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -108,6 +108,18 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// Labeled returns h with its requests counted under route by the
+// HTTPMetrics.Wrap that serves them. The label is fixed here, where the
+// route is declared, so nothing parses the request again to find it.
+func Labeled(route string, h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if sw, ok := w.(*statusWriter); ok {
+			sw.route = route
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
 // Wrap instruments next with metrics and request logging.
 func (m *HTTPMetrics) Wrap(next http.Handler) http.Handler {
 	now := m.now
@@ -123,9 +135,9 @@ func (m *HTTPMetrics) Wrap(next http.Handler) http.Handler {
 		}
 		elapsed := now().Sub(start)
 
-		route := "other"
-		if m.Route != nil {
-			route = m.Route(r)
+		route := sw.route
+		if route == "" {
+			route = "other"
 		}
 		s := m.lookup(route, statusClass(sw.status))
 		s.requests.Inc()

@@ -28,22 +28,17 @@ func fakeNow(step time.Duration) func() time.Time {
 
 // TestMiddlewareRecords drives a handler through the middleware and
 // checks per-route counters by status class, the latency histogram, and
-// the byte counter.
+// the byte counter; the routes are labeled where the mux declares them,
+// and a request none of them serves counts under "other".
 func TestMiddlewareRecords(t *testing.T) {
 	reg := NewRegistry()
 	var logBuf bytes.Buffer
 	m := &HTTPMetrics{
 		Registry: reg,
 		Log:      log.New(&logBuf, "", 0),
-		Route: func(r *http.Request) string {
-			if strings.HasPrefix(r.URL.Path, "/item/") {
-				return "/item/:id"
-			}
-			return r.URL.Path
-		},
-		now: fakeNow(10 * time.Millisecond),
+		now:      fakeNow(10 * time.Millisecond),
 	}
-	h := m.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	serve := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
 		case "/boom":
 			http.Error(w, "kaboom", http.StatusInternalServerError)
@@ -53,12 +48,19 @@ func TestMiddlewareRecords(t *testing.T) {
 			w.WriteHeader(http.StatusOK)
 			w.Write([]byte("hello"))
 		}
-	}))
+	})
+	mux := http.NewServeMux()
+	mux.Handle("GET /item/{id}", Labeled("/item/:id", serve))
+	mux.Handle("GET /boom", Labeled("/boom", serve))
+	mux.Handle("GET /implicit", Labeled("/implicit", serve))
+	h := m.Wrap(mux)
 
-	for _, path := range []string{"/item/1", "/item/2", "/boom", "/implicit"} {
+	for _, path := range []string{"/item/1", "/item/2", "/boom", "/implicit", "/nope"} {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
 	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/boom", nil))
 
 	if got := reg.Counter(`http_requests_total{route="/item/:id",class="2xx"}`).Value(); got != 2 {
 		t.Errorf("item 2xx count = %d, want 2 (route collapsing broken?)", got)
@@ -68,6 +70,9 @@ func TestMiddlewareRecords(t *testing.T) {
 	}
 	if got := reg.Counter(`http_requests_total{route="/implicit",class="2xx"}`).Value(); got != 1 {
 		t.Errorf("implicit-200 response not classed 2xx (count = %d)", got)
+	}
+	if got := reg.Counter(`http_requests_total{route="other",class="4xx"}`).Value(); got != 2 {
+		t.Errorf("unrouted 404 and 405 count under other = %d, want 2", got)
 	}
 	if got := reg.Counter(`http_response_bytes_total{route="/item/:id"}`).Value(); got != 2*int64(len("hello")) {
 		t.Errorf("item bytes = %d, want %d", got, 2*len("hello"))
@@ -100,8 +105,8 @@ func TestMiddlewareRecords(t *testing.T) {
 }
 
 // TestMiddlewareNilLogAndRoute checks the minimal configuration works
-// and, without a Route, labels every path "other": client-chosen paths
-// never become series.
+// and, without a Labeled handler, labels every path "other":
+// client-chosen paths never become series.
 func TestMiddlewareNilLogAndRoute(t *testing.T) {
 	reg := NewRegistry()
 	m := &HTTPMetrics{Registry: reg}
