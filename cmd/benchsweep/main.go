@@ -16,13 +16,12 @@
 // allocation regressions (the budget is set ~20% above the expected
 // count).
 //
-// The report carries a trajectory: before overwriting -out, the previous
-// report's headline sweep (wall time, mallocs, per-runner timings) is
-// appended to a rolling history (most recent last, capped at 50 runs), so
-// the artifact records how per-runner cost moved across commits. With
-// -max-regress-pct > 0 the tool exits 1 when the first listed level's
-// wall time exceeds the baseline's same-position sweep by more than that
-// percentage — the CI soft gate against wall-clock regressions.
+// The report is the benchrec record cmd/loadgen also writes. Before
+// overwriting -out, the baseline's first sweep (wall time, mallocs,
+// per-runner timings) joins a rolling history (most recent last, capped
+// at 50 runs). With -max-regress-pct > 0 the tool exits 1 when the
+// first listed level's wall time exceeds the baseline's sweep at the
+// same parallelism (if it has one) by more than that percentage.
 //
 // The report also carries a wire-format matrix: encode/decode ns per op,
 // bytes/sec, and decode allocs per op for each dataset under the csv,
@@ -39,21 +38,23 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/benchrec"
 	"repro/internal/experiments"
 	"repro/internal/scenario"
 	"repro/internal/source"
 	"repro/internal/source/binfmt"
 	"repro/internal/source/bundle"
 	"repro/internal/source/framez"
+	"repro/internal/syncx"
 	"repro/internal/world"
 )
 
@@ -112,21 +113,17 @@ type ScenarioTiming struct {
 	OverheadPct float64 `json:"overhead_pct"`
 }
 
-// Report is the whole BENCH_sweep.json document.
+// Report is the whole BENCH_sweep.json document, a benchrec record.
 type Report struct {
-	GeneratedUnix int64            `json:"generated_unix"`
-	GoVersion     string           `json:"go_version"`
-	NumCPU        int              `json:"num_cpu"`
-	GOMAXPROCS    int              `json:"gomaxprocs"`
-	Seed          uint64           `json:"seed"`
-	Sweeps        []Sweep          `json:"sweeps"`
-	Sources       []SourceTiming   `json:"sources"`
-	Codecs        []CodecTiming    `json:"codecs"`
-	Scenarios     []ScenarioTiming `json:"scenarios"`
+	benchrec.Header
+	Sweeps    []Sweep          `json:"sweeps"`
+	Sources   []SourceTiming   `json:"sources"`
+	Codecs    []CodecTiming    `json:"codecs"`
+	Scenarios []ScenarioTiming `json:"scenarios"`
 
 	// History holds prior runs' headline sweeps, oldest first, capped at
-	// historyCap entries. Each new run folds the previous report's first
-	// sweep in before overwriting the file.
+	// benchrec.HistoryCap entries. Each new run folds the previous
+	// report's first sweep in before overwriting the file.
 	History []HistoryEntry `json:"history,omitempty"`
 }
 
@@ -139,9 +136,6 @@ type HistoryEntry struct {
 	Mallocs       int64          `json:"mallocs"`
 	Runners       []RunnerTiming `json:"runners,omitempty"`
 }
-
-// historyCap bounds the rolling trajectory carried inside the report.
-const historyCap = 50
 
 // The codec gates, checked on every run.
 const (
@@ -173,35 +167,9 @@ func main() {
 
 	// Load the baseline before the measured run so the gate and history
 	// survive -out pointing at the file about to be overwritten.
-	basePath := *baseline
-	if basePath == "" {
-		basePath = *out
-	}
-	base := loadReport(basePath)
-
-	rep := Report{
-		GeneratedUnix: time.Now().Unix(),
-		GoVersion:     runtime.Version(),
-		NumCPU:        runtime.NumCPU(),
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		Seed:          *seed,
-	}
-	if base != nil {
-		rep.History = append(rep.History, base.History...)
-		if len(base.Sweeps) > 0 {
-			s := base.Sweeps[0]
-			rep.History = append(rep.History, HistoryEntry{
-				GeneratedUnix: base.GeneratedUnix,
-				Parallelism:   s.Parallelism,
-				WallNS:        s.WallNS,
-				Mallocs:       s.Mallocs,
-				Runners:       s.Runners,
-			})
-		}
-		if n := len(rep.History); n > historyCap {
-			rep.History = rep.History[n-historyCap:]
-		}
-	}
+	base := benchrec.LoadBaseline[Report](*baseline, *out)
+	rep := &Report{Header: benchrec.NewHeader(*seed)}
+	rep.foldHistory(base)
 
 	for _, p := range levels {
 		s := measure(*seed, p)
@@ -211,13 +179,17 @@ func main() {
 			s.Mallocs, fmtBytes(s.AllocBytes))
 	}
 
-	rep.Sources = measureSources(*seed)
+	// One bundle serves both matrices: the sources rows time each
+	// dataset's cold first Frame, which leaves the registry warm for the
+	// codec rows.
+	b := bundle.New(world.MustBuild(world.Config{Seed: *seed}), *seed, bundle.Config{})
+	rep.Sources = measureSources(b)
 	for _, st := range rep.Sources {
 		fmt.Fprintf(os.Stderr, "source %-10s: generate=%s rows=%d mallocs=%d alloc=%s\n",
 			st.Name, time.Duration(st.ElapsedNS), st.Rows, st.Mallocs, fmtBytes(st.AllocBytes))
 	}
 
-	rep.Codecs = measureCodecs(*seed)
+	rep.Codecs = measureCodecs(b)
 	for _, ct := range rep.Codecs {
 		fmt.Fprintf(os.Stderr, "codec  %-10s %-4s: %8s enc=%s/op dec=%s/op dec=%s/s allocs/dec=%.0f\n",
 			ct.Source, ct.Codec, fmtBytes(int64(ct.Bytes)), time.Duration(ct.EncodeNSOp),
@@ -230,13 +202,7 @@ func main() {
 			st.Name, time.Duration(st.BuildNS), st.Mallocs, st.OverheadPct)
 	}
 
-	buf, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
+	if err := benchrec.Write(*out, rep); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -247,18 +213,54 @@ func main() {
 			rep.Sweeps[0].Mallocs, *maxAllocs, rep.Sweeps[0].Parallelism)
 		os.Exit(1)
 	}
-	if *maxRegress > 0 && base != nil && len(base.Sweeps) > 0 && base.Sweeps[0].WallNS > 0 {
-		budget := float64(base.Sweeps[0].WallNS) * (1 + *maxRegress/100)
-		if got := rep.Sweeps[0].WallNS; float64(got) > budget {
-			fmt.Fprintf(os.Stderr, "wall-time regression at parallelism %d: %s vs baseline %s (+%.0f%% budget)\n",
-				rep.Sweeps[0].Parallelism, time.Duration(got), time.Duration(base.Sweeps[0].WallNS), *maxRegress)
-			os.Exit(1)
-		}
+	if err := wallGate(rep, base, *maxRegress); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 	if err := checkCodecs(rep.Codecs); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// foldHistory carries the baseline's trajectory into rep (see
+// benchrec.Fold). The baseline's headline is its first sweep; a nil
+// baseline leaves the history as it is.
+func (rep *Report) foldHistory(base *Report) {
+	if base == nil {
+		return
+	}
+	var head HistoryEntry
+	if len(base.Sweeps) > 0 {
+		s := base.Sweeps[0]
+		head = HistoryEntry{
+			GeneratedUnix: base.GeneratedUnix,
+			Parallelism:   s.Parallelism,
+			WallNS:        s.WallNS,
+			Mallocs:       s.Mallocs,
+			Runners:       s.Runners,
+		}
+	}
+	rep.History = benchrec.Fold(base.History, head, len(base.Sweeps) > 0)
+}
+
+// wallGate applies benchrec.Regressed to the first listed level's wall
+// time. The comparable baseline is the baseline's sweep at the same
+// parallelism; without one the gate is off.
+func wallGate(rep, base *Report, pct float64) error {
+	if base == nil {
+		return nil
+	}
+	got := rep.Sweeps[0]
+	i := slices.IndexFunc(base.Sweeps, func(s Sweep) bool { return s.Parallelism == got.Parallelism })
+	if i < 0 {
+		return nil
+	}
+	if b := base.Sweeps[i]; benchrec.Regressed(float64(got.WallNS), float64(b.WallNS), pct) {
+		return fmt.Errorf("wall-time regression at parallelism %d: %s vs baseline %s (+%.0f%% budget)",
+			got.Parallelism, time.Duration(got.WallNS), time.Duration(b.WallNS), pct)
+	}
+	return nil
 }
 
 // checkCodecs applies the four codec gates to the wire-format matrix and
@@ -314,34 +316,12 @@ func checkCodecs(codecs []CodecTiming) error {
 	return nil
 }
 
-// loadReport reads a prior BENCH_sweep.json, or nil when the file is
-// missing or unparseable (first run, or a format change).
-func loadReport(path string) *Report {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil
-	}
-	var r Report
-	if err := json.Unmarshal(buf, &r); err != nil {
-		return nil
-	}
-	return &r
-}
-
 // measure runs one full sweep on a fresh lab and returns its accounting.
 // The lab (world build) is constructed before the measured region so the
 // numbers isolate the sweep, like the benchmarks do.
 func measure(seed uint64, parallelism int) Sweep {
 	lab := experiments.NewLab(seed)
 	runners := experiments.Runners()
-
-	workers := parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(runners) {
-		workers = len(runners)
-	}
 
 	runtime.GC()
 	var before, after runtime.MemStats
@@ -353,7 +333,7 @@ func measure(seed uint64, parallelism int) Sweep {
 
 	s := Sweep{
 		Parallelism: parallelism,
-		Workers:     workers,
+		Workers:     syncx.Workers(len(runners), parallelism),
 		WallNS:      wall.Nanoseconds(),
 		SerialNS:    experiments.TotalElapsed(recs).Nanoseconds(),
 		Mallocs:     int64(after.Mallocs - before.Mallocs),
@@ -366,21 +346,17 @@ func measure(seed uint64, parallelism int) Sweep {
 }
 
 // measureSources times one cold Generate per registered dataset through
-// the registry's frame path. The world is built once outside the
-// measured regions; each dataset's first Frame call is what's timed, so
-// the rows record generation cost, not cache hits.
-func measureSources(seed uint64) []SourceTiming {
-	w := world.MustBuild(world.Config{Seed: seed})
-	b := bundle.New(w, seed, bundle.Config{})
-	day := experiments.PrimaryCDNDay
-
+// the registry's frame path on a fresh bundle. Each dataset's first
+// Frame call is what's timed, so the rows record generation cost, not
+// cache hits.
+func measureSources(b *bundle.Bundle) []SourceTiming {
 	var out []SourceTiming
 	for _, name := range b.Registry.Names() {
 		runtime.GC()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		t0 := time.Now()
-		f, err := b.Registry.Frame(name, day)
+		f, err := b.Registry.Frame(name, experiments.PrimaryCDNDay)
 		elapsed := time.Since(t0)
 		runtime.ReadMemStats(&after)
 		if err != nil {
@@ -470,14 +446,10 @@ var frameCodecs = []frameCodec{
 // measureCodecs fills the wire-format matrix: for every dataset's
 // primary-day frame, time encode and decode for each codec. The frame
 // comes from a warm registry so only serialization is measured.
-func measureCodecs(seed uint64) []CodecTiming {
-	w := world.MustBuild(world.Config{Seed: seed})
-	b := bundle.New(w, seed, bundle.Config{})
-	day := experiments.PrimaryCDNDay
-
+func measureCodecs(b *bundle.Bundle) []CodecTiming {
 	var out []CodecTiming
 	for _, name := range b.Registry.Names() {
-		f, err := b.Registry.Frame(name, day)
+		f, err := b.Registry.Frame(name, experiments.PrimaryCDNDay)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchsweep: source %s: %v\n", name, err)
 			os.Exit(1)

@@ -18,12 +18,14 @@
 // BENCH_load.json, and the CI gates -max-regress-pct P (the first run's
 // worst per-route p99 vs the baseline's same-mode headline) and
 // -max-error-rate F (every run). The access model is
-// loadgen.DefaultModel over [-first, -last]. Like benchsweep, the
-// baseline is loaded from -out before it is overwritten and its
-// headline is folded into the report's history. Exit status 1 means a
-// gate fired. In each open run's summary line, late p99= is how late
-// the dispatcher sent requests after their due times: the generator's
-// own schedule health, kept apart from server latency.
+// loadgen.DefaultModel over [-first, -last]. The report is the benchrec
+// record benchsweep also writes: the baseline (-baseline, default the
+// -out file before it is overwritten) has its headline folded into the
+// report's history, and the p99 gate is benchrec's regression rule.
+// Exit status 1 means a gate fired. In each open run's summary line,
+// late p99= is how late the dispatcher sent requests after their due
+// times: the generator's own schedule health, kept apart from server
+// latency.
 //
 // With -verify every 200 body is hashed per (path, encoding) and any
 // byte drift between requests is an error: the immutability contract
@@ -38,12 +40,12 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
 	"repro/internal/apnic"
 	"repro/internal/apnicweb"
+	"repro/internal/benchrec"
 	"repro/internal/dates"
 	"repro/internal/itu"
 	"repro/internal/loadgen"
@@ -115,19 +117,8 @@ func main() {
 		logger.Fatalf("bad -mode %q", *mode)
 	}
 
-	basePath := *baseline
-	if basePath == "" {
-		basePath = *out
-	}
-	baseRep := loadgen.LoadReport(basePath)
-
-	rep := &loadgen.Report{
-		GeneratedUnix: time.Now().Unix(),
-		GoVersion:     runtime.Version(),
-		NumCPU:        runtime.NumCPU(),
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		Seed:          *seed,
-	}
+	baseRep := benchrec.LoadBaseline[loadgen.Report](*baseline, *out)
+	rep := &loadgen.Report{Header: benchrec.NewHeader(*seed)}
 	for _, m := range modes {
 		res, err := loadgen.Run(context.Background(), loadgen.Config{
 			BaseURL:      baseURL,
@@ -158,7 +149,7 @@ func main() {
 	}
 
 	rep.FoldHistory(baseRep)
-	if err := rep.WriteReport(*out); err != nil {
+	if err := benchrec.Write(*out, rep); err != nil {
 		logger.Fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s\n", *out)

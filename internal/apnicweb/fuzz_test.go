@@ -242,3 +242,132 @@ func FuzzSeriesRequest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzHeaderNegotiation checks the allocation-free header parsers
+// (etagMatch, acceptsGzip, acceptsMediaType, qValue) against plain
+// strings.Split references on arbitrary header lists. The tag the list
+// is matched against is also arbitrary, except that it is never empty:
+// the server sends no empty ETag or media type, and only an empty one
+// could match the trailing empty member a Split yields after a final
+// comma, which the parsers' walk does not visit.
+func FuzzHeaderNegotiation(f *testing.F) {
+	for _, seed := range [][2]string{
+		{`"abc"`, `"abc"`},
+		{`"def", W/"abc"`, `"abc"`},
+		{` * `, `"abc"`},
+		{`"a",,"b",`, `W/"b"`},
+		{"gzip;q=0, *", "gzip"},
+		{"*, gzip;q=0", "gzip"},
+		{"x-gzip;q=0.5;level=1", "x-gzip"},
+		{"deflate, *;q=0.1", "identity"},
+		{"GZIP; Q=0.000", "gzip"},
+		{"*;q=-1, gzip;q=nan", "*"},
+		{framez.ContentType + ";q=0, " + binfmt.ContentType, framez.ContentType},
+		{"application/*, */*;q=0.8", "application/json"},
+		{";q=0;q=1", ""},
+		{"", ""},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	f.Fuzz(func(t *testing.T, list, tag string) {
+		if got, want := acceptsGzip(list), refAcceptsGzip(list); got != want {
+			t.Fatalf("acceptsGzip(%q) = %v, reference %v", list, got, want)
+		}
+		gotQ, gotOK := qValue(list)
+		wantQ, wantOK := refQValue(list)
+		if gotOK != wantOK || !(gotQ == wantQ || gotQ != gotQ && wantQ != wantQ) {
+			t.Fatalf("qValue(%q) = %v, %v, reference %v, %v", list, gotQ, gotOK, wantQ, wantOK)
+		}
+		for _, mt := range []string{framez.ContentType, binfmt.ContentType, tag} {
+			if mt == "" {
+				continue
+			}
+			if got, want := acceptsMediaType(list, mt), refAcceptsMediaType(list, mt); got != want {
+				t.Fatalf("acceptsMediaType(%q, %q) = %v, reference %v", list, mt, got, want)
+			}
+		}
+		if strings.TrimPrefix(tag, "W/") == "" {
+			return
+		}
+		if got, want := etagMatch(list, tag), refETagMatch(list, tag); got != want {
+			t.Fatalf("etagMatch(%q, %q) = %v, reference %v", list, tag, got, want)
+		}
+	})
+}
+
+// refQValue is qValue written with strings.Split.
+func refQValue(params string) (float64, bool) {
+	for _, p := range strings.Split(params, ";") {
+		k, v, found := strings.Cut(strings.TrimSpace(p), "=")
+		if !found || !strings.EqualFold(strings.TrimSpace(k), "q") {
+			continue
+		}
+		q, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
+		if err != nil || q < 0 {
+			return 1, true
+		}
+		return q, true
+	}
+	return 0, false
+}
+
+// refMember is one member of a comma-separated header list: its value
+// and whether a q parameter of zero refuses it.
+type refMember struct {
+	value   string
+	refused bool
+}
+
+// refMembers splits a header list with strings.Split.
+func refMembers(list string) []refMember {
+	var out []refMember
+	for _, part := range strings.Split(list, ",") {
+		value, params, _ := strings.Cut(part, ";")
+		q, ok := refQValue(params)
+		out = append(out, refMember{value: strings.TrimSpace(value), refused: ok && q == 0})
+	}
+	return out
+}
+
+// refAcceptsGzip: the first member naming gzip or x-gzip decides;
+// without one, any "*" that is not refused accepts.
+func refAcceptsGzip(list string) bool {
+	wildcard := false
+	for _, m := range refMembers(list) {
+		if strings.EqualFold(m.value, "gzip") || strings.EqualFold(m.value, "x-gzip") {
+			return !m.refused
+		}
+		if m.value == "*" && !m.refused {
+			wildcard = true
+		}
+	}
+	return wildcard
+}
+
+// refAcceptsMediaType: the first member naming want decides.
+func refAcceptsMediaType(list, want string) bool {
+	for _, m := range refMembers(list) {
+		if strings.EqualFold(m.value, want) {
+			return !m.refused
+		}
+	}
+	return false
+}
+
+// refETagMatch: "*" matches anything; otherwise some member equals the
+// tag, weak prefixes ignored on both sides.
+func refETagMatch(list, etag string) bool {
+	list = strings.TrimSpace(list)
+	if list == "" {
+		return false
+	}
+	if list == "*" {
+		return true
+	}
+	for _, tag := range strings.Split(list, ",") {
+		if strings.TrimPrefix(strings.TrimSpace(tag), "W/") == strings.TrimPrefix(etag, "W/") {
+			return true
+		}
+	}
+	return false
+}

@@ -150,7 +150,7 @@ func BuildGraph(w *world.World, seed uint64) *Graph {
 			}
 			id := e.Org.ID
 			g.addNode(id)
-			for _, rt := range pickDistinct(cs, rts, 1+cs.Intn(minInt(3, len(rts)))) {
+			for _, rt := range pickDistinct(cs, rts, 1+cs.Intn(min(3, len(rts)))) {
 				g.AddEdge(id, rt, Customer)
 			}
 			switch e.Org.Type {
@@ -199,11 +199,4 @@ func pickDistinct(s *rng.Stream, from []string, n int) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,11 +1,10 @@
 package experiments
 
 import (
-	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/obsv"
+	"repro/internal/syncx"
 )
 
 // RunRecord couples one runner's Result with its scheduling accounting.
@@ -30,45 +29,24 @@ type RunRecord struct {
 // artifacts are pure functions of (seed, date). The scheduler itself
 // never reorders, merges, or mutates results.
 func RunAll(lab *Lab, runners []Runner, parallelism int, emit func(RunRecord)) []RunRecord {
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	if parallelism > len(runners) {
-		parallelism = len(runners)
-	}
 	recs := make([]RunRecord, len(runners))
 	done := make([]chan struct{}, len(runners))
 	for i := range done {
 		done[i] = make(chan struct{})
 	}
-
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				t0 := time.Now()
-				res := runners[i].Run(lab)
-				elapsed := time.Since(t0)
-				recs[i] = RunRecord{Runner: runners[i], Result: res, Elapsed: elapsed}
-				if lab != nil && lab.Metrics != nil {
-					// Wall time is scheduling noise, not science, so it
-					// lives in the metrics registry (one gauge per
-					// runner) rather than on the deterministic Result.
-					lab.Metrics.Gauge(obsv.Label("experiment_runner_seconds", "runner", runners[i].Name)).Set(elapsed.Seconds())
-				}
-				close(done[i])
-			}
-		}()
-	}
-	go func() {
-		for i := range runners {
-			jobs <- i
+	go syncx.ParallelEach(len(runners), parallelism, func(i int) {
+		t0 := time.Now()
+		res := runners[i].Run(lab)
+		elapsed := time.Since(t0)
+		recs[i] = RunRecord{Runner: runners[i], Result: res, Elapsed: elapsed}
+		if lab != nil && lab.Metrics != nil {
+			// Wall time is scheduling noise, not science, so it lives in
+			// the metrics registry (one gauge per runner) rather than on
+			// the deterministic Result.
+			lab.Metrics.Gauge(obsv.Label("experiment_runner_seconds", "runner", runners[i].Name)).Set(elapsed.Seconds())
 		}
-		close(jobs)
-	}()
+		close(done[i])
+	})
 
 	for i := range runners {
 		<-done[i]
@@ -76,7 +54,6 @@ func RunAll(lab *Lab, runners []Runner, parallelism int, emit func(RunRecord)) [
 			emit(recs[i])
 		}
 	}
-	wg.Wait()
 	return recs
 }
 

@@ -1,25 +1,22 @@
 package loadgen
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
+
+	"repro/internal/benchrec"
 )
 
 // Report is the whole BENCH_load.json document: the current run's
 // per-route ledgers plus a rolling history of prior headline numbers, so
 // the artifact records a latency trajectory across commits the same way
-// BENCH_sweep.json records compute cost.
+// BENCH_sweep.json records compute cost. Header, file handling, history
+// cap and regression rule are the shared benchrec record's.
 type Report struct {
-	GeneratedUnix int64        `json:"generated_unix"`
-	GoVersion     string       `json:"go_version"`
-	NumCPU        int          `json:"num_cpu"`
-	GOMAXPROCS    int          `json:"gomaxprocs"`
-	Seed          uint64       `json:"seed"`
-	Runs          []*RunResult `json:"runs"`
+	benchrec.Header
+	Runs []*RunResult `json:"runs"`
 
 	// History holds prior reports' headline numbers, oldest first,
-	// capped at historyCap entries.
+	// capped at benchrec.HistoryCap entries.
 	History []HistoryEntry `json:"history,omitempty"`
 }
 
@@ -34,9 +31,6 @@ type HistoryEntry struct {
 	WorstP99      float64 `json:"worst_p99_seconds"`
 	ErrorRate     float64 `json:"error_rate"`
 }
-
-// historyCap bounds the rolling trajectory carried inside the report.
-const historyCap = 50
 
 // WorstP99 returns the largest per-route p99 in the run, the headline
 // the regression gate trends. Herd routes are deliberately included:
@@ -75,53 +69,22 @@ func (rep *Report) headline() (HistoryEntry, bool) {
 	}, true
 }
 
-// FoldHistory carries the baseline's trajectory into this report: the
-// baseline's own history, plus the baseline's headline appended, capped
-// at historyCap (most recent kept).
+// FoldHistory carries the baseline's trajectory into this report (see
+// benchrec.Fold). A nil baseline leaves the history as it is.
 func (rep *Report) FoldHistory(base *Report) {
-	if base == nil {
-		return
+	if base != nil {
+		h, ok := base.headline()
+		rep.History = benchrec.Fold(base.History, h, ok)
 	}
-	rep.History = append(rep.History, base.History...)
-	if h, ok := base.headline(); ok {
-		rep.History = append(rep.History, h)
-	}
-	if n := len(rep.History); n > historyCap {
-		rep.History = rep.History[n-historyCap:]
-	}
-}
-
-// LoadReport reads a prior BENCH_load.json, or nil when the file is
-// missing or unparseable (first run, or a format change).
-func LoadReport(path string) *Report {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil
-	}
-	var r Report
-	if err := json.Unmarshal(buf, &r); err != nil {
-		return nil
-	}
-	return &r
-}
-
-// WriteReport writes the report as indented JSON.
-func (rep *Report) WriteReport(path string) error {
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }
 
 // Gate applies the CI regression policy and returns the first violation:
 //
 //   - every run in the current report must keep its error rate at or
 //     below maxErrorRate (<0 disables), and
-//   - the first run's worst per-route p99 must not exceed the
-//     baseline's same-mode headline by more than maxRegressPct percent
-//     (<=0, or no usable baseline, disables — mirroring benchsweep's
-//     -max-regress-pct).
+//   - the first run's worst per-route p99 must not regress past the
+//     baseline's headline by benchrec.Regressed. Only a headline of the
+//     same mode is comparable; without one the gate is off.
 //
 // Latency gates on shared CI runners need generous percentages; the gate
 // exists to catch step-function regressions (a lost cache, an accidental
@@ -136,16 +99,15 @@ func Gate(rep, base *Report, maxRegressPct, maxErrorRate float64) error {
 				run.Mode, er, maxErrorRate, run.Errors, run.Requests)
 		}
 	}
-	run := rep.Runs[0]
-	if maxRegressPct <= 0 || base == nil {
+	if base == nil {
 		return nil
 	}
+	run := rep.Runs[0]
 	baseHead, ok := base.headline()
-	if !ok || baseHead.Mode != run.Mode || baseHead.WorstP99 <= 0 {
-		return nil // no comparable baseline: trend starts here
+	if !ok || baseHead.Mode != run.Mode {
+		return nil
 	}
-	budget := baseHead.WorstP99 * (1 + maxRegressPct/100)
-	if got := run.WorstP99(); got > budget {
+	if got := run.WorstP99(); benchrec.Regressed(got, baseHead.WorstP99, maxRegressPct) {
 		return fmt.Errorf("p99 regression: %.4fs vs baseline %.4fs (+%.0f%% budget)",
 			got, baseHead.WorstP99, maxRegressPct)
 	}

@@ -1,15 +1,19 @@
 package loadgen
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/benchrec"
 )
 
 func mkReport(gen int64, mode Mode, p99, errRate float64) *Report {
 	const requests = 1000
 	return &Report{
-		GeneratedUnix: gen,
+		Header: benchrec.Header{GeneratedUnix: gen},
 		Runs: []*RunResult{{
 			Mode:     mode,
 			Requests: requests,
@@ -22,12 +26,12 @@ func mkReport(gen int64, mode Mode, p99, errRate float64) *Report {
 func TestFoldHistoryCapsAndOrders(t *testing.T) {
 	rep := mkReport(100, Closed, 0.01, 0)
 	base := mkReport(99, Closed, 0.02, 0)
-	for i := int64(0); i < historyCap+10; i++ {
+	for i := int64(0); i < benchrec.HistoryCap+10; i++ {
 		base.History = append(base.History, HistoryEntry{GeneratedUnix: i})
 	}
 	rep.FoldHistory(base)
-	if len(rep.History) != historyCap {
-		t.Fatalf("history len %d, want %d", len(rep.History), historyCap)
+	if len(rep.History) != benchrec.HistoryCap {
+		t.Fatalf("history len %d, want %d", len(rep.History), benchrec.HistoryCap)
 	}
 	// Most recent entries survive: the baseline's own headline is last.
 	last := rep.History[len(rep.History)-1]
@@ -35,7 +39,7 @@ func TestFoldHistoryCapsAndOrders(t *testing.T) {
 		t.Errorf("last history entry %+v, want the baseline headline", last)
 	}
 	rep.FoldHistory(nil) // nil baseline is a no-op
-	if len(rep.History) != historyCap {
+	if len(rep.History) != benchrec.HistoryCap {
 		t.Errorf("nil fold changed history to %d entries", len(rep.History))
 	}
 }
@@ -76,21 +80,43 @@ func TestGatePolicies(t *testing.T) {
 func TestReportRoundTripAndLoadMissing(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "BENCH_load.json")
-	if got := LoadReport(path); got != nil {
+	if got := benchrec.LoadBaseline[Report]("", path); got != nil {
 		t.Fatalf("missing file loaded as %+v", got)
 	}
 	rep := mkReport(42, Open, 0.25, 0.001)
 	rep.Seed = 7
 	rep.History = []HistoryEntry{{GeneratedUnix: 41}}
-	if err := rep.WriteReport(path); err != nil {
+	if err := benchrec.Write(path, rep); err != nil {
 		t.Fatal(err)
 	}
-	got := LoadReport(path)
+	got := benchrec.LoadBaseline[Report]("", path)
 	if got == nil || got.Seed != 7 || len(got.Runs) != 1 || len(got.History) != 1 {
 		t.Fatalf("round trip lost data: %+v", got)
 	}
 	if got.Runs[0].Mode != Open || got.Runs[0].Routes[0].P99 != 0.25 {
 		t.Fatalf("run fields lost: %+v", got.Runs[0])
+	}
+}
+
+// TestCommittedReportRoundTrips pins the record format: the committed
+// BENCH_load.json decodes into Report and re-encodes byte-identically, so
+// no field was renamed, reordered or dropped.
+func TestCommittedReportRoundTrips(t *testing.T) {
+	const committed = "../../BENCH_load.json"
+	want, err := os.ReadFile(committed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := benchrec.LoadBaseline[Report]("", committed)
+	if rep == nil || len(rep.Runs) == 0 || len(rep.History) == 0 {
+		t.Fatalf("committed record decoded as %+v", rep)
+	}
+	out := filepath.Join(t.TempDir(), "BENCH_load.json")
+	if err := benchrec.Write(out, rep); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(out); !bytes.Equal(got, want) {
+		t.Errorf("re-encoded record differs: %d bytes, committed %d", len(got), len(want))
 	}
 }
 

@@ -49,7 +49,7 @@ func MICBudget(xs, ys []float64, exponent float64) float64 {
 		for b := 2; b <= maxB; b++ {
 			ybins := equalFreqBins(ys, b)
 			mi := mutualInformation(xbins, ybins, a, b)
-			norm := math.Log(float64(minInt(a, b)))
+			norm := math.Log(float64(min(a, b)))
 			if norm <= 0 {
 				continue
 			}
@@ -62,13 +62,6 @@ func MICBudget(xs, ys []float64, exponent float64) float64 {
 		best = 1 // guard against floating point overshoot
 	}
 	return best
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // equalFreqBins assigns each value in xs to one of k equal-frequency bins

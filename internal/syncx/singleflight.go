@@ -62,12 +62,7 @@ func ParallelEach(n, parallelism int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	if parallelism > n {
-		parallelism = n
-	}
+	parallelism = Workers(n, parallelism)
 	if parallelism == 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
@@ -90,4 +85,13 @@ func ParallelEach(n, parallelism int, fn func(i int)) {
 	}
 	close(jobs)
 	wg.Wait()
+}
+
+// Workers returns how many calls ParallelEach(n, parallelism, fn) runs
+// at once: parallelism, or GOMAXPROCS when parallelism <= 0, capped at n.
+func Workers(n, parallelism int) int {
+	if parallelism <= 0 {
+		parallelism = runtime.GOMAXPROCS(0)
+	}
+	return min(parallelism, n)
 }
