@@ -8,13 +8,15 @@
 //
 //	benchsweep [-seed N] [-parallel 1,0] [-out BENCH_sweep.json] [-max-allocs N] [-max-regress-pct P] [-baseline FILE]
 //
-// Parallelism 0 means GOMAXPROCS. Allocation counts are runtime.MemStats
-// deltas around the sweep itself — lab construction (world build) is
-// excluded, matching what BenchmarkFullSweepParallel1 times. With
-// -max-allocs > 0 the tool exits 1 if the first listed parallelism
-// level's sweep allocates more than the budget, which is how CI gates
-// allocation regressions (the budget is set ~20% above the expected
-// count).
+// Parallelism 0 means GOMAXPROCS. Each level runs sweepRuns sweeps, each
+// on a fresh lab, and records the run with the median wall time, so one
+// slow run neither fails the wall gate nor lands in the trajectory.
+// Allocation counts are runtime.MemStats deltas around the sweep itself —
+// lab construction (world build) is excluded, matching what
+// BenchmarkFullSweepParallel1 times. With -max-allocs > 0 the tool exits
+// 1 if any level's run that allocated the most exceeds the budget, which
+// is how CI gates allocation regressions (the budget is set ~20% above
+// the expected count).
 //
 // The report is the benchrec record cmd/loadgen also writes. Before
 // overwriting -out, the baseline's first sweep (wall time, mallocs,
@@ -38,6 +40,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
@@ -72,6 +75,12 @@ type Sweep struct {
 	SerialNS    int64 `json:"serial_ns"` // sum of per-runner wall times
 	Mallocs     int64 `json:"mallocs"`
 	AllocBytes  int64 `json:"alloc_bytes"`
+
+	// Runs is how many fresh-lab sweeps the level ran; the fields above
+	// are the median-wall run's. MaxMallocs is the most any run
+	// allocated, the count -max-allocs gates.
+	Runs       int   `json:"runs"`
+	MaxMallocs int64 `json:"max_mallocs"`
 
 	Runners []RunnerTiming `json:"runners"`
 }
@@ -137,6 +146,10 @@ type HistoryEntry struct {
 	Runners       []RunnerTiming `json:"runners,omitempty"`
 }
 
+// sweepRuns is how many fresh-lab sweeps each parallelism level runs. It
+// is odd, so the median is one of the runs.
+const sweepRuns = 3
+
 // The codec gates, checked on every run.
 const (
 	maxBinDecodeAllocs  = 32  // binary decode allocs per op, any dataset
@@ -149,7 +162,7 @@ func main() {
 	seed := flag.Uint64("seed", 42, "world seed")
 	parallel := flag.String("parallel", "1,0", "comma-separated parallelism levels (0 = GOMAXPROCS)")
 	out := flag.String("out", "BENCH_sweep.json", "output path")
-	maxAllocs := flag.Int64("max-allocs", 0, "fail if the first level's sweep allocates more than this (0 = no gate)")
+	maxAllocs := flag.Int64("max-allocs", 0, "fail if any level's largest run allocates more than this (0 = no gate)")
 	maxRegress := flag.Float64("max-regress-pct", 0,
 		"fail if the first level's wall time regresses more than this percent vs the baseline (0 = no gate)")
 	baseline := flag.String("baseline", "", "baseline report for the regression gate and history (default: the -out path before overwrite)")
@@ -172,11 +185,11 @@ func main() {
 	rep.foldHistory(base)
 
 	for _, p := range levels {
-		s := measure(*seed, p)
+		s := measureLevel(*seed, p)
 		rep.Sweeps = append(rep.Sweeps, s)
-		fmt.Fprintf(os.Stderr, "parallel=%d (workers=%d): wall=%s serial=%s mallocs=%d alloc=%s\n",
-			s.Parallelism, s.Workers, time.Duration(s.WallNS), time.Duration(s.SerialNS),
-			s.Mallocs, fmtBytes(s.AllocBytes))
+		fmt.Fprintf(os.Stderr, "parallel=%d (workers=%d): median of %d: wall=%s serial=%s mallocs=%d (max %d) alloc=%s\n",
+			s.Parallelism, s.Workers, s.Runs, time.Duration(s.WallNS), time.Duration(s.SerialNS),
+			s.Mallocs, s.MaxMallocs, fmtBytes(s.AllocBytes))
 	}
 
 	// One bundle serves both matrices: the sources rows time each
@@ -208,9 +221,8 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
 
-	if *maxAllocs > 0 && rep.Sweeps[0].Mallocs > *maxAllocs {
-		fmt.Fprintf(os.Stderr, "allocation budget exceeded: %d > %d at parallelism %d\n",
-			rep.Sweeps[0].Mallocs, *maxAllocs, rep.Sweeps[0].Parallelism)
+	if err := allocGate(rep, *maxAllocs); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	if err := wallGate(rep, base, *maxRegress); err != nil {
@@ -242,6 +254,20 @@ func (rep *Report) foldHistory(base *Report) {
 		}
 	}
 	rep.History = benchrec.Fold(base.History, head, len(base.Sweeps) > 0)
+}
+
+// allocGate checks every level's largest run against the allocation
+// budget; a budget <= 0 turns the gate off.
+func allocGate(rep *Report, budget int64) error {
+	if budget <= 0 {
+		return nil
+	}
+	for _, s := range rep.Sweeps {
+		if s.MaxMallocs > budget {
+			return fmt.Errorf("allocation budget exceeded: %d > %d at parallelism %d", s.MaxMallocs, budget, s.Parallelism)
+		}
+	}
+	return nil
 }
 
 // wallGate applies benchrec.Regressed to the first listed level's wall
@@ -314,6 +340,22 @@ func checkCodecs(codecs []CodecTiming) error {
 			fmtBytes(int64(binRT)), fmtBytes(int64(csvRT)), minBinSpeedup)
 	}
 	return nil
+}
+
+// measureLevel runs sweepRuns sweeps at one parallelism, each on a
+// fresh lab, and returns the median-wall run with the level's largest
+// allocation count.
+func measureLevel(seed uint64, parallelism int) Sweep {
+	runs := make([]Sweep, sweepRuns)
+	var maxMallocs int64
+	for i := range runs {
+		runs[i] = measure(seed, parallelism)
+		maxMallocs = max(maxMallocs, runs[i].Mallocs)
+	}
+	slices.SortStableFunc(runs, func(a, b Sweep) int { return cmp.Compare(a.WallNS, b.WallNS) })
+	s := runs[sweepRuns/2]
+	s.Runs, s.MaxMallocs = sweepRuns, maxMallocs
+	return s
 }
 
 // measure runs one full sweep on a fresh lab and returns its accounting.

@@ -221,3 +221,28 @@ func TestCommittedReportRoundTrips(t *testing.T) {
 		t.Errorf("re-encoded record differs: %d bytes, committed %d", len(got), len(want))
 	}
 }
+
+// TestAllocGateEveryLevelsLargestRun checks that -max-allocs applies to
+// the run that allocated the most at each level, not to the recorded
+// median run, and to every level, not only the first.
+func TestAllocGateEveryLevelsLargestRun(t *testing.T) {
+	rep := &Report{Sweeps: []Sweep{
+		{Parallelism: 1, Mallocs: 90, MaxMallocs: 100},
+		{Parallelism: 0, Mallocs: 95, MaxMallocs: 120},
+	}}
+	for _, tc := range []struct {
+		budget int64
+		want   string
+	}{
+		{0, ""},
+		{-1, ""},
+		{120, ""},
+		{119, "120 > 119 at parallelism 0"},
+		{99, "100 > 99 at parallelism 1"},
+	} {
+		err := allocGate(rep, tc.budget)
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("budget %d: err = %v, want %q", tc.budget, err, tc.want)
+		}
+	}
+}

@@ -34,7 +34,6 @@ import (
 	"repro/internal/itu"
 	"repro/internal/orgs"
 	"repro/internal/rng"
-	"repro/internal/syncx"
 	"repro/internal/world"
 )
 
@@ -62,62 +61,18 @@ type Generator struct {
 	// generation does not re-format one per row per day.
 	asName map[uint32]string
 
-	// Demand-driven memoization of the per-(country, day) scans. The
-	// stability analysis (Figure 8's eight curves and their 60-day
-	// best-day windows) and the 2024 elasticity sweep (Figure 7) hit the
-	// same (country, day) pairs thousands of times across runners; both
-	// scans are pure functions of (seed, country, day), so each pair is
-	// computed once and shared. Sharded singleflight keeps concurrent
-	// runners from serializing on one cache mutex. Configuration fields
-	// (MinSamples, Window) must be set before first use — memoized values
-	// are not invalidated.
-	totalsMemo *syncx.Sharded[ccDay, countryTotals]
-	sharesMemo *syncx.Sharded[ccDay, map[string]float64]
+	// tables holds one scan table per market, keyed by country code:
+	// the demand-driven memo behind CountryTotals, CountryOrgShares and
+	// the scans' window noise (see scantable.go). New builds the map and
+	// nothing writes it afterwards. Configuration fields (MinSamples,
+	// Window) must be set before first use — memoized values are not
+	// invalidated.
+	tables map[string]*scanTable
 
-	// noiseMemo holds the scans' window noise: one vector per (country,
-	// year, week), aligned with the market's ActiveEntries for that year.
-	// The noise is drawn per (org, week), so the seven days of a week
-	// share it; a best-day window of 60 days draws each vector once
-	// instead of seven times. Generate and DayCounts draw their noise
-	// inline and never fill it, so generators that only serve reports
-	// hold nothing here.
-	noiseMemo *syncx.Sharded[ccWeek, []float64]
+	noiseFills atomic.Int64 // window-noise vectors drawn (week-slot fills)
 
-	noiseFills atomic.Int64 // window-noise vectors drawn (memo fills)
-
-	totalsScans atomic.Int64 // uncached CountryTotals scans (memo fills)
-	sharesScans atomic.Int64 // uncached CountryOrgShares scans (memo fills)
-}
-
-// ccDay keys the per-(country, day) memo caches.
-type ccDay struct {
-	cc  string
-	day int // dates.Date.DayNumber()
-}
-
-// ccWeek keys the window-noise memo. The year is part of the key
-// because a noise week can span Dec 31 and Jan 1, and the active entries
-// the vector is aligned with change by calendar year.
-type ccWeek struct {
-	cc   string
-	year int
-	week int // dates.Date.DayNumber() / 7
-}
-
-// countryTotals is the memoized CountryTotals result.
-type countryTotals struct {
-	samples int64
-	users   float64
-}
-
-// hashCCDay spreads (country, day) keys across memo shards.
-func hashCCDay(k ccDay) uint64 {
-	return rng.KeyString(k.cc) ^ (uint64(int64(k.day)) * 0x9e3779b97f4a7c15)
-}
-
-// hashCCWeek spreads (country, year, week) keys across memo shards.
-func hashCCWeek(k ccWeek) uint64 {
-	return rng.KeyString(k.cc) ^ (uint64(int64(k.week)) * 0x9e3779b97f4a7c15) ^ uint64(int64(k.year))
+	totalsScans atomic.Int64 // CountryTotals day-slot fills
+	sharesScans atomic.Int64 // CountryOrgShares day-slot fills
 }
 
 // Derivation channel keys for the generator's noise streams. Hot loops
@@ -137,9 +92,12 @@ func New(w *world.World, ituEst *itu.Estimator, seed uint64) *Generator {
 		Window:     60,
 		root:       rng.New(seed).Split("apnic"),
 		asName:     map[uint32]string{},
-		totalsMemo: syncx.NewSharded[ccDay, countryTotals](hashCCDay),
-		sharesMemo: syncx.NewSharded[ccDay, map[string]float64](hashCCDay),
-		noiseMemo:  syncx.NewSharded[ccWeek, []float64](hashCCWeek),
+		tables:     make(map[string]*scanTable, len(w.Countries())),
+	}
+	tables := make([]scanTable, len(w.Countries()))
+	for i, code := range w.Countries() {
+		tables[i].m = w.Market(code)
+		g.tables[code] = &tables[i]
 	}
 	for _, o := range w.Registry.All() {
 		for _, asn := range o.ASNs {
@@ -225,41 +183,25 @@ func (g *Generator) windowNoise(ad *apnicDay, e *world.Entry) float64 {
 	return s.LogNormal(0, ad.m.Country.AdVolatility)
 }
 
-// weekNoise returns the window noise of every entry in active (the
-// market's ActiveEntries on d), drawn once per (country, year, week) and
-// shared by every later scan of the same week. The slice is shared:
-// callers must not modify it.
-func (g *Generator) weekNoise(ad *apnicDay, d dates.Date, active []*world.Entry) []float64 {
-	key := ccWeek{cc: ad.m.Country.Code, year: d.Year, week: d.DayNumber() / 7}
-	return g.noiseMemo.Get(key, func() []float64 {
-		g.noiseFills.Add(1)
-		noise := make([]float64, len(active))
-		for i, e := range active {
-			noise[i] = g.windowNoise(ad, e)
-		}
-		return noise
-	})
-}
-
 // orgSamples returns the expected-plus-noise ad-impression count for an
 // entry of a resolved market-day, before the per-AS split and inclusion
 // floor, with its window noise drawn inline — the allocation-free inner
 // loop of Generate.
 func (g *Generator) orgSamples(ad *apnicDay, e *world.Entry) int64 {
-	return g.orgSamplesNoise(ad, e, g.windowNoise(ad, e))
-}
-
-// orgSamplesNoise is orgSamples with the entry's window noise given. The
-// factor order of mean is pinned: reordering the product changes its
-// last bits, and with them the Poisson realizations.
-func (g *Generator) orgSamplesNoise(ad *apnicDay, e *world.Entry, noise float64) int64 {
-	mean := ad.users.APNICUsers(e) * ad.reach * e.AdFactor * e.APNICBias *
-		sampleRate * noise * ad.shut
+	mean := orgMean(ad, e, g.windowNoise(ad, e))
 	if mean <= 0 {
 		return 0
 	}
 	s := g.root.Derive(chanPoisson, ad.m.Key(), e.Key, ad.day)
 	return s.Poisson(mean)
+}
+
+// orgMean is an entry's expected window sample count given its window
+// noise. The factor order is pinned: reordering the product changes its
+// last bits, and with them the Poisson realizations.
+func orgMean(ad *apnicDay, e *world.Entry, noise float64) float64 {
+	return ad.users.APNICUsers(e) * ad.reach * e.AdFactor * e.APNICBias *
+		sampleRate * noise * ad.shut
 }
 
 // asnSplit splits an org's sample total across its sibling ASes by their
@@ -458,100 +400,4 @@ func (r *Report) TopOrgs(reg *orgs.Registry, country string) []string {
 		return ids[i] < ids[j]
 	})
 	return ids
-}
-
-// CountryTotals computes one country's total window samples and ITU-scaled
-// estimated users on a date without generating the full world report.
-// The best-day selection rule (§5.1.2) scans 60 days per country, and this
-// keeps that scan cheap. Totals include only ASes above the inclusion
-// floor, like the published dataset. Results are memoized per
-// (country, day): the scan is a pure function of (seed, country, day), so
-// repeat lookups — Figure 7's weekly 2024 sweep, Figure 8's best-day
-// windows, the artifact checks — share one computation.
-func (g *Generator) CountryTotals(country string, d dates.Date) (samples int64, users float64) {
-	t := g.totalsMemo.Get(ccDay{country, d.DayNumber()}, func() countryTotals {
-		g.totalsScans.Add(1)
-		s, u := g.countryTotalsScan(country, d)
-		return countryTotals{samples: s, users: u}
-	})
-	return t.samples, t.users
-}
-
-// countryTotalsScan is the uncached CountryTotals computation.
-func (g *Generator) countryTotalsScan(country string, d dates.Date) (samples int64, users float64) {
-	m := g.W.Market(country)
-	if m == nil {
-		return 0, 0
-	}
-	ad := g.resolve(m, d)
-	active := m.ActiveEntries(d)
-	noise := g.weekNoise(&ad, d, active)
-	for i, e := range active {
-		total := g.orgSamplesNoise(&ad, e, noise[i])
-		if total == 0 {
-			continue
-		}
-		asnSplit(e, total, func(_ uint32, share int64) {
-			if share >= g.MinSamples {
-				samples += share
-			}
-		})
-	}
-	if samples > 0 {
-		users = g.ITU.Users(country, d)
-	}
-	return samples, users
-}
-
-// CountryOrgShares computes one country's per-org share of estimated
-// users on a date without generating the full world report: shares within
-// a country equal the org's share of the country's included samples.
-// Orgs entirely below the inclusion floor are absent, like in the
-// published dataset.
-//
-// Results are memoized per (country, day) and the returned map is shared
-// between callers: treat it as read-only. Every call site in this
-// repository only reads (alignment, K-S, rendering); a caller that needs
-// to mutate must copy first.
-func (g *Generator) CountryOrgShares(country string, d dates.Date) map[string]float64 {
-	return g.sharesMemo.Get(ccDay{country, d.DayNumber()}, func() map[string]float64 {
-		g.sharesScans.Add(1)
-		return g.countryOrgSharesScan(country, d)
-	})
-}
-
-// countryOrgSharesScan is the uncached CountryOrgShares computation.
-func (g *Generator) countryOrgSharesScan(country string, d dates.Date) map[string]float64 {
-	m := g.W.Market(country)
-	if m == nil {
-		return nil
-	}
-	ad := g.resolve(m, d)
-	active := m.ActiveEntries(d)
-	noise := g.weekNoise(&ad, d, active)
-	out := map[string]float64{}
-	var total int64
-	for i, e := range active {
-		orgTotal := g.orgSamplesNoise(&ad, e, noise[i])
-		if orgTotal == 0 {
-			continue
-		}
-		var included int64
-		asnSplit(e, orgTotal, func(_ uint32, share int64) {
-			if share >= g.MinSamples {
-				included += share
-			}
-		})
-		if included > 0 {
-			out[e.Org.ID] = float64(included)
-			total += included
-		}
-	}
-	if total == 0 {
-		return map[string]float64{}
-	}
-	for k := range out {
-		out[k] /= float64(total)
-	}
-	return out
 }

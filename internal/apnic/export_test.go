@@ -4,25 +4,51 @@ import "repro/internal/dates"
 
 // Test-only access to the uncached scan paths, so the memo regression
 // tests can compare the cache front door against the raw computation.
+// Both draw every count afresh; only the week's noise comes from the
+// scan table.
 
 func (g *Generator) CountryTotalsUncached(country string, d dates.Date) (int64, float64) {
-	return g.countryTotalsScan(country, d)
+	at, ok := g.locate(country, d)
+	if !ok {
+		return 0, 0
+	}
+	ad := g.resolve(at.m, d)
+	return g.countryTotalsScan(&at, &ad, g.weekNoise(&at, &ad))
 }
 
 func (g *Generator) CountryOrgSharesUncached(country string, d dates.Date) map[string]float64 {
-	return g.countryOrgSharesScan(country, d)
+	at, ok := g.locate(country, d)
+	if !ok {
+		return nil
+	}
+	ad := g.resolve(at.m, d)
+	return g.countryOrgSharesScan(&at, &ad, g.weekNoise(&at, &ad))
 }
 
-// MemoStats reports the uncached scans behind CountryTotals and
-// CountryOrgShares. Under the singleflight contract each equals the
-// number of distinct (country, day) pairs requested.
+// Plans reports how many year plans the scan tables hold.
+func (g *Generator) Plans() int {
+	n := 0
+	for _, t := range g.tables {
+		n += t.plans.Len()
+	}
+	return n
+}
+
+// NoiseLen returns the length of the noise vector the scan table holds
+// for a (country, day), or -1 when none has been drawn.
+func (g *Generator) NoiseLen(country string, d dates.Date) int {
+	at, ok := g.locate(country, d)
+	if !ok || !at.week.has(noiseDone) {
+		return -1
+	}
+	return len(at.week.noise)
+}
+
+// MemoStats reports the day-slot fills behind CountryTotals and
+// CountryOrgShares. Under the fill-once contract each equals the number
+// of distinct (country, day) pairs requested.
 func (g *Generator) MemoStats() (totalsScans, sharesScans int64) {
 	return g.totalsScans.Load(), g.sharesScans.Load()
-}
-
-// MemoLen reports how many (country, day) entries each memo cache holds.
-func (g *Generator) MemoLen() (totals, shares int) {
-	return g.totalsMemo.Len(), g.sharesMemo.Len()
 }
 
 // OrgSamples returns the expected-plus-noise ad-impression count for one
@@ -55,8 +81,5 @@ func (r *Report) CountrySamples() map[string]int64 {
 	return out
 }
 
-// NoiseMemo reports how many window-noise vectors were drawn and how many
-// (country, year, week) entries the noise memo holds.
-func (g *Generator) NoiseMemo() (fills int64, entries int) {
-	return g.noiseFills.Load(), g.noiseMemo.Len()
-}
+// NoiseFills reports how many window-noise vectors were drawn.
+func (g *Generator) NoiseFills() int64 { return g.noiseFills.Load() }

@@ -201,7 +201,7 @@ func BenchmarkCountryTotalsScan(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for _, cc := range ccs {
-			g.countryTotalsScan(cc, d)
+			g.CountryTotalsUncached(cc, d)
 		}
 	}
 }

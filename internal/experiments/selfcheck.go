@@ -202,18 +202,28 @@ func stabilityDistances(l *Lab, ccs []string, start dates.Date, periods, stepDay
 // days ending at d, pick the one with the smallest users-per-sample
 // ratio for the country.
 func bestDayBefore(l *Lab, cc string, d dates.Date, window int) dates.Date {
-	ratios := map[dates.Date]float64{}
-	for off := 0; off < window; off += 5 {
-		day := d.AddDays(-off)
+	return bestInWindow(d, window, func(day dates.Date) float64 {
 		s, u := l.APNIC.CountryTotals(cc, day)
-		if s > 0 {
-			ratios[day] = core.ElasticityRatio(u, float64(s))
+		if s <= 0 {
+			return 0
+		}
+		return core.ElasticityRatio(u, float64(s))
+	})
+}
+
+// bestInWindow returns the day with the smallest positive ratio among
+// every 5th day of the window days ending at d, or d when none has one.
+// It walks the window oldest first and keeps a strictly smaller ratio
+// only, which is core.BestDay's rule: ties go to the earliest day.
+func bestInWindow(d dates.Date, window int, ratio func(dates.Date) float64) dates.Date {
+	best, bestRatio := d, math.Inf(1)
+	for k := (window+4)/5 - 1; k >= 0; k-- {
+		day := d.AddDays(-5 * k)
+		if r := ratio(day); r > 0 && r < bestRatio {
+			best, bestRatio = day, r
 		}
 	}
-	if best, ok := core.BestDay(ratios); ok {
-		return best
-	}
-	return d
+	return best
 }
 
 // Figure8 regenerates the K-S stability CDFs across granularities, with
